@@ -34,10 +34,20 @@ def _float_list(text: str) -> List[float]:
         raise argparse.ArgumentTypeError(f"bad number list: {text!r}")
 
 
+def _sigfigs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="constant override file")
     parser.add_argument("--format", choices=("table", "csv"), default="table")
-    parser.add_argument("--sigfigs", type=int, default=3, metavar="N")
+    parser.add_argument("--sigfigs", type=_sigfigs, default=3, metavar="N")
     parser.add_argument("--seed", type=int, default=0, metavar="S")
 
 

@@ -3,20 +3,28 @@
 Default values reproduce a fixed historical constant set (2006 CODATA
 plus the Chandra X-ray measurement of the Hubble constant, 77 km/s/Mpc)
 so that downstream reference numbers are reproducible; every entry can
-be overridden at load time. All stored values are SI.
+be overridden at load time; dimensions cannot. All stored values are SI.
+
+Fixed products of powers of the constants (the critical density, the
+Hubble radius, and the tables in ``transition`` and ``dissipation``)
+are ``ExponentTable`` module constants: their dimension is checked
+exactly once, when the module is imported, and evaluating them is
+float arithmetic only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import BadOverride
+from .errors import BadOverride, DimensionMismatch
 from .quantity import (
     ACTION,
     DENSITY,
+    DIMENSIONLESS,
     Dimension,
     Exponent,
     FREQUENCY,
@@ -27,6 +35,8 @@ from .quantity import (
     SPEED,
     TIME,
     UncertainQuantity,
+    as_fraction,
+    power_product,
     propagate,
 )
 
@@ -71,16 +81,26 @@ _DEFAULTS: Sequence[Tuple[str, float, Dimension, float, str]] = (
 )
 
 _NAMES = tuple(name for name, *_ in _DEFAULTS)
+_DIM_BY_NAME = {name: dim for name, _, dim, _, _ in _DEFAULTS}
 
 
 class ConstantRegistry(Mapping[str, PhysicalConstant]):
-    """Immutable name -> PhysicalConstant mapping."""
+    """Immutable name -> PhysicalConstant mapping.
+
+    A constant with a default entry must keep that entry's dimension,
+    so dimensions checked once per ``ExponentTable`` hold for every
+    registry.
+    """
 
     def __init__(self, constants: Iterable[PhysicalConstant]):
         table = {}
         for constant in constants:
             if constant.name in table:
                 raise BadOverride(f"duplicate constant name {constant.name!r}")
+            expected = _DIM_BY_NAME.get(constant.name, constant.quantity.dim)
+            if constant.quantity.dim != expected:
+                raise BadOverride(f"constant {constant.name!r} must have dimension "
+                                  f"{expected}, got {constant.quantity.dim}")
             table[constant.name] = constant
         self._table = table
 
@@ -164,8 +184,6 @@ _UNIT_TABLE: Mapping[str, Tuple[float, Dimension]] = {
     "Msun": (SOLAR_MASS_KG, MASS),
 }
 
-_DIM_BY_NAME = {name: dim for name, _, dim, _, _ in _DEFAULTS}
-
 
 def parse_config(text: str) -> dict[str, float]:
     """Parse override config text into an SI override mapping."""
@@ -202,7 +220,61 @@ def parse_config(text: str) -> dict[str, float]:
 
 
 def load_config(path: Union[str, Path]) -> dict[str, float]:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise BadOverride(f"cannot read config file {str(path)!r}: {reason}") from None
+    return parse_config(text)
+
+
+@dataclass(frozen=True)
+class ExponentTable:
+    """A product of powers of registry constants, prod X**p_X.
+
+    The dimension is composed exactly (Fraction exponents) once, when
+    the table is built, and must equal ``dim``; otherwise the build
+    raises DimensionMismatch. Registry dimensions are fixed, so
+    ``evaluate`` needs floats only.
+    """
+
+    exponents: Mapping[str, Exponent]
+    dim: Dimension
+    _terms: Tuple[Tuple[str, float], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        composed = DIMENSIONLESS
+        for name, p in self.exponents.items():
+            if name not in _DIM_BY_NAME:
+                raise BadOverride(f"unknown constant {name!r}")
+            composed = composed * _DIM_BY_NAME[name] ** p
+        if composed != self.dim:
+            raise DimensionMismatch(f"product {dict(self.exponents)} has dimension "
+                                    f"[{composed}], expected [{self.dim}]")
+        object.__setattr__(self, "exponents", MappingProxyType(dict(self.exponents)))
+        object.__setattr__(self, "_terms", tuple(
+            (name, float(as_fraction(p))) for name, p in self.exponents.items()))
+
+    def _factors(self, registry: ConstantRegistry) -> list:
+        factors = []
+        for name, p in self._terms:
+            constant = registry[name].quantity
+            factors.append((constant.value, constant.rel_sigma, p))
+        return factors
+
+    def evaluate(self, registry: ConstantRegistry, coeff: float = 1.0) -> UncertainQuantity:
+        """coeff * prod X**p_X, with rel_sigma from first-order propagation."""
+        value, rel_sigma = power_product(coeff, self._factors(registry))
+        return UncertainQuantity(value, rel_sigma, self.dim)
+
+    def value(self, registry: ConstantRegistry, coeff: float = 1.0) -> float:
+        """The float value of ``evaluate`` alone, in SI units of ``dim``."""
+        return power_product(coeff, self._factors(registry))[0]
+
+
+# rho_crit = 3/(8*pi) * H**2/G and R = c/H
+CRITICAL_DENSITY = ExponentTable({"H": 2, "G": -1}, DENSITY)
+HUBBLE_RADIUS = ExponentTable({"c": 1, "H": -1}, LENGTH)
 
 
 @dataclass(frozen=True)
@@ -228,38 +300,34 @@ class CosmologyContext:
     def quantity(self, name: str) -> Quantity:
         return self.registry.quantity(name).quantity()
 
-    def product(self, powers: Mapping[str, Exponent], coeff: float = 1.0,
-                extra: Iterable[Tuple[UncertainQuantity, Exponent]] = ()) -> UncertainQuantity:
-        """Propagate a product of powers of registry constants.
+    def product(self, powers: Mapping[str, Exponent], coeff: float = 1.0) -> UncertainQuantity:
+        """Propagate a product of powers of registry constants, composing
+        its dimension on every call (for slope-dependent exponents; fixed
+        products are ``ExponentTable`` constants).
 
         Derived quantities must be expressed in the base constants so
         shared dependencies (everything depends on H) are counted once.
         """
         terms = [(UncertainQuantity(coeff), 1)]
         terms += [(self.constant(name), p) for name, p in powers.items()]
-        terms += list(extra)
         return propagate(terms)
 
     @property
     def rho_crit(self) -> UncertainQuantity:
         """Critical density 3*H**2/(8*pi*G), kg/m^3."""
-        return self.product({"H": 2, "G": -1}, coeff=3.0 / (8.0 * math.pi))
+        return CRITICAL_DENSITY.evaluate(self.registry, 3.0 / (8.0 * math.pi))
 
     @property
     def hubble_radius(self) -> UncertainQuantity:
         """World radius R = c/H, the scale of the largest eddies, m."""
-        return self.product({"c": 1, "H": -1})
+        return HUBBLE_RADIUS.evaluate(self.registry)
 
 
 def critical_density(ctx: CosmologyContext) -> UncertainQuantity:
     """rho_crit = 3*H**2/(8*pi*G) with uncertainty from H and G."""
-    rho = ctx.rho_crit
-    assert rho.dim == DENSITY
-    return rho
+    return ctx.rho_crit
 
 
 def hubble_radius(ctx: CosmologyContext) -> UncertainQuantity:
     """R = c/H with uncertainty from H (c is exact)."""
-    radius = ctx.hubble_radius
-    assert radius.dim == LENGTH
-    return radius
+    return ctx.hubble_radius

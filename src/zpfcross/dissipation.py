@@ -17,6 +17,10 @@ N0 has two modes: ``paper`` uses the published reference value 1e57,
 ``computed`` evaluates rho*c*R**2*t/M from the registry (about 2e9 with
 the defaults). The two disagree by many orders of magnitude; both are
 exposed rather than adjudicated.
+
+The constant parts of eps and the computed N0 are exponent tables
+whose dimension is checked once, at import; evaluating them is float
+arithmetic only.
 """
 
 from __future__ import annotations
@@ -25,14 +29,27 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .constants import CosmologyContext
-from .errors import ValidationError
-from .quantity import LENGTH, Quantity, TIME, UncertainQuantity
+from .constants import CosmologyContext, ExponentTable
+from .errors import NonFinite, ValidationError
+from .quantity import (
+    FREQUENCY,
+    LENGTH,
+    POWER_DENSITY,
+    Quantity,
+    TIME,
+    UncertainQuantity,
+    power_product,
+)
 from .spectra import check_kappa, check_slope
 from .transition import TransitionResult, transition_scale
 
 PAPER_N0 = 1e57
 N0_MODES = ("paper", "computed")
+
+# rho*c**3/R = 3/(8*pi) * G**-1 * H**3 * c**2
+DISSIPATION_SCALE = ExponentTable({"G": -1, "H": 3, "c": 2}, POWER_DENSITY)
+# N0/t = rho*c*R**2/M = 3/(8*pi) * G**-1 * c**3 * M**-1
+N0_RATE = ExponentTable({"G": -1, "c": 3, "M_sun": -1}, FREQUENCY)
 
 
 def _check_mode(n0_mode: str) -> str:
@@ -64,7 +81,7 @@ def dissipation_rate(kappa: float, a: float, ctx: CosmologyContext) -> Uncertain
     kappa = check_kappa(kappa)
     a = check_slope(a)
     coeff = 3.0 / (8.0 * math.pi) * ((a - 1.0) * kappa) ** (1.0 / (a - 1.0))
-    return ctx.product({"G": -1, "H": 3, "c": 2}, coeff=coeff)
+    return DISSIPATION_SCALE.evaluate(ctx.registry, coeff)
 
 
 def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
@@ -78,11 +95,8 @@ def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
     if n0_mode == "paper":
         return UncertainQuantity(PAPER_N0)
     t = _window(ctx, window_t)
-    n0 = ctx.product({"G": -1, "c": 3, "M_sun": -1},
-                     coeff=3.0 / (8.0 * math.pi),
-                     extra=[(UncertainQuantity(t.value, 0.0, TIME), 1)])
-    assert n0.dim.is_dimensionless
-    return n0
+    rate = N0_RATE.evaluate(ctx.registry, 3.0 / (8.0 * math.pi))
+    return UncertainQuantity(rate.value * t.value, rate.rel_sigma)
 
 
 @dataclass(frozen=True)
@@ -132,7 +146,7 @@ def rescaled_count(n_solar: float, ell: Quantity, ctx: CosmologyContext) -> floa
     """N_s = N*(ell/R)**3, the count inside a sphere of radius ell."""
     radius = _radius(ctx, ell)
     ratio = radius.value / ctx.hubble_radius.value
-    return n_solar * ratio ** 3
+    return power_product(n_solar, [(ratio, 0.0, 3.0)])[0]
 
 
 def kappa_from_count(n_solar: float, n0: float, a: float) -> float:
@@ -154,7 +168,8 @@ def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
     Ns = 1e-12 solar masses per day: the Sun's own rest mass spread
     over its roughly 1e12-day lifetime, a deliberately generous cap on
     local dissipation. Raises KappaOutOfRange if the bound is not
-    constraining (kappa > 1), which happens in computed mode.
+    constraining (kappa > 1), which happens in computed mode, and
+    NonFinite if (c/(ell*H))**3 leaves the float range.
     """
     a = check_slope(a)
     if ns_bound <= 0.0 or not math.isfinite(ns_bound):
@@ -162,6 +177,9 @@ def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
     t = _window(ctx, window_t)
     radius = _radius(ctx, ell)
     n0 = n0_value(ctx, t, n0_mode).value
-    blow_up = (ctx.value("c") / (radius.value * ctx.value("H"))) ** 3
-    kappa = (1.0 / (a - 1.0)) * (ns_bound / n0 * blow_up) ** (a - 1.0)
+    try:
+        blow_up = (ctx.hubble_radius.value / radius.value) ** 3
+        kappa = (1.0 / (a - 1.0)) * (ns_bound / n0 * blow_up) ** (a - 1.0)
+    except OverflowError:
+        raise NonFinite(f"kappa bound overflows for ell = {radius.value!r} m") from None
     return kappa, transition_scale(a, kappa, ctx)

@@ -124,7 +124,8 @@ def _pow_value(value: float, p: Fraction) -> float:
     """value**p with the sign rules of real arithmetic.
 
     Raises NegativeBase for a non-integer power of a negative value
-    (Python would silently return a complex number).
+    (Python would silently return a complex number) and NonFinite if
+    the power diverges or overflows.
     """
     if p == 0:
         return 1.0
@@ -134,6 +135,31 @@ def _pow_value(value: float, p: Fraction) -> float:
         return value ** float(p)
     except ZeroDivisionError as exc:
         raise NonFinite(f"0.0**{float(p)} diverges") from exc
+    except OverflowError as exc:
+        raise NonFinite(f"({value!r})**{float(p)} overflows") from exc
+
+
+def power_product(coeff: float,
+                  terms: Iterable[Tuple[float, float, float]]) -> Tuple[float, float]:
+    """Float core of first-order propagation through coeff * prod(x**p).
+
+    ``terms`` are (value, rel_sigma, p) triples of uncorrelated factors;
+    the powers are multiplied in the order given. Returns the finite
+    value and rel_sigma = sqrt(sum((p*e)**2)). Dimensions are the
+    caller's business: :func:`propagate` composes them per call, an
+    ``ExponentTable`` checks them once when it is built.
+    """
+    value = coeff
+    var = 0.0
+    try:
+        for x, rel_sigma, p in terms:
+            value *= x ** p
+            var += (p * rel_sigma) ** 2
+    except ZeroDivisionError as exc:
+        raise NonFinite(f"0.0**{p} diverges") from exc
+    except OverflowError as exc:
+        raise NonFinite(f"({x!r})**{p} overflows") from exc
+    return _finite(value), math.sqrt(var)
 
 
 @dataclass(frozen=True)
@@ -302,12 +328,13 @@ def propagate(terms: Iterable[Tuple[UncertainQuantity, Exponent]]) -> UncertainQ
     returns value prod(x_i**p_i), dimension composed exactly, and
     rel_sigma = sqrt(sum((p_i*e_i)**2)).
     """
-    value = 1.0
     dim = DIMENSIONLESS
-    var = 0.0
+    floats = []
     for uq, p in terms:
         pf = as_fraction(p)
-        value *= _pow_value(uq.value, pf)
+        if uq.value < 0.0 and pf.denominator != 1:
+            raise NegativeBase(f"({uq.value!r})**{pf} is not real")
         dim = dim * (uq.dim ** pf)
-        var += (float(pf) * uq.rel_sigma) ** 2
-    return UncertainQuantity(value, math.sqrt(var), dim)
+        floats.append((uq.value, uq.rel_sigma, float(pf)))
+    value, rel_sigma = power_product(1.0, floats)
+    return UncertainQuantity(value, rel_sigma, dim)

@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .constants import CosmologyContext
 from .dissipation import solar_budget
-from .errors import EmptySweep, ValidationError
+from .errors import EmptySweep, NumericFailure, ValidationError
 from .transition import transition_scale
 
 BASE_COLUMNS = ("a", "kappa", "lambda0_m", "sigma_m", "k0_per_m")
@@ -59,7 +59,8 @@ class ReportRow:
 
 
 def run_sweep(spec: SweepSpec, ctx: CosmologyContext) -> List[ReportRow]:
-    """Evaluate the grid; invalid cells become rows with error markers."""
+    """Evaluate the grid; invalid cells and cells whose numbers leave the
+    float range become rows with error markers."""
     rows: List[ReportRow] = []
     for a in spec.slopes:
         for kappa in spec.kappas:
@@ -81,7 +82,7 @@ def run_sweep(spec: SweepSpec, ctx: CosmologyContext) -> List[ReportRow]:
                     k0_per_m=result.k0.value,
                     **extras,
                 ))
-            except ValidationError as exc:
+            except (ValidationError, NumericFailure) as exc:
                 rows.append(ReportRow(a=a, kappa=kappa, error=type(exc).__name__))
     return rows
 

@@ -10,6 +10,16 @@ calibrated amplitude this closes to
 
     lambda0 = 2*pi * [8*pi*G*hbar / (3*(a-1)*kappa*c**2*H) * (c/H)**a]**(1/(3+a))
 
+that is, lambda0 = 2*pi * [8*pi/(3*(a-1)*kappa) * V * R**a]**q with
+q = 1/(3+a), V = G*hbar/(c**2*H) and R = c/H. As an exponent table,
+lambda0 is proportional to G**q * hbar**q * c**((a-2)*q) * H**(-(a+1)*q)
+* kappa**-q. Its dimension is checked exactly, once, at import, through
+the two slope-free identities [V] = m**3 and [R] = m (the module
+constants ``CROSSOVER_VOLUME`` and ``constants.HUBBLE_RADIUS``), so the
+bracket is m**(3+a) and lambda0 a length for every a; registry
+dimensions cannot change. ``transition_scale`` itself is float
+arithmetic only.
+
 The relative uncertainty follows from uncorrelated first-order
 propagation through the closed form:
 
@@ -25,21 +35,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .constants import CosmologyContext
+from .constants import HUBBLE_RADIUS, CosmologyContext, ExponentTable
 from .errors import (
     DegenerateSamples,
     InvalidBracket,
     NoCrossing,
+    NonFinite,
     ValidationError,
 )
 from .quantity import LENGTH, Quantity, WAVENUMBER, power
 from .spectra import SpectrumModel, check_kappa, check_slope
+
+# V = G*hbar/(c**2*H), the Planck area times the Hubble radius
+CROSSOVER_VOLUME = ExponentTable({"G": 1, "hbar": 1, "c": -2, "H": -1}, LENGTH ** 3)
+# (name, v_X, r_X): lambda0 carries X**p_X with p_X = q*(v_X + a*r_X)
+_SCALE_EXPONENTS = tuple(
+    (name, float(CROSSOVER_VOLUME.exponents.get(name, 0)),
+     float(HUBBLE_RADIUS.exponents.get(name, 0)))
+    for name in ("G", "c", "hbar", "H"))
 
 
 @dataclass(frozen=True)
@@ -82,27 +100,24 @@ def transition_scale(a: float, kappa: float, ctx: CosmologyContext,
     if e_kappa < 0.0 or not math.isfinite(e_kappa):
         raise ValidationError(f"e_kappa must be finite and >= 0, got {e_kappa!r}")
 
-    af = Fraction(a)
-    c = ctx.quantity("c")
-    G = ctx.quantity("G")
-    hbar = ctx.quantity("hbar")
-    H = ctx.quantity("H")
-
-    coeff = 3.0 * (a - 1.0) * kappa / (8.0 * math.pi)
-    inner = coeff * (c * c * H / (G * hbar)) * power(H / c, af)
-    k0 = power(inner, Fraction(1, 1) / (3 + af))
-    lambda0 = Quantity(2.0 * math.pi) / k0
-
+    registry = ctx.registry
+    volume = CROSSOVER_VOLUME.value(registry)
+    radius = HUBBLE_RADIUS.value(registry)
     q = 1.0 / (3.0 + a)
-    breakdown = {
-        "G": q * ctx.registry.rel_sigma("G"),
-        "c": abs(a - 2.0) * q * ctx.registry.rel_sigma("c"),
-        "hbar": q * ctx.registry.rel_sigma("hbar"),
-        "H": (a + 1.0) * q * ctx.registry.rel_sigma("H"),
-        "kappa": q * e_kappa,
-    }
+    coeff = 3.0 * (a - 1.0) * kappa / (8.0 * math.pi)
+    try:
+        k0 = (coeff / (volume * radius ** a)) ** q
+        lambda0 = 2.0 * math.pi / k0
+    except (ZeroDivisionError, OverflowError):
+        raise NonFinite(f"k0 leaves the float range at a = {a!r}, "
+                        f"kappa = {kappa!r}") from None
+
+    breakdown = {name: abs(q * (v + a * r)) * registry.rel_sigma(name)
+                 for name, v, r in _SCALE_EXPONENTS}
+    breakdown["kappa"] = q * e_kappa
     rel_sigma = math.sqrt(sum(v * v for v in breakdown.values()))
-    return TransitionResult(k0=k0, lambda0=lambda0, rel_sigma=rel_sigma,
+    return TransitionResult(k0=Quantity(k0, WAVENUMBER), lambda0=Quantity(lambda0, LENGTH),
+                            rel_sigma=rel_sigma,
                             sigma_breakdown=MappingProxyType(breakdown))
 
 

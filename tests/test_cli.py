@@ -102,6 +102,21 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--slopes", "", "--kappas", "1")
         assert code == 2
 
+    def test_numeric_failure_cell_becomes_error_row(self, capsys):
+        # k0 underflows to zero at a = 2.9, kappa = 1e-300
+        code, out, err = run(capsys, "sweep", "--slopes", "1.5,2.9",
+                             "--kappas", "1,1e-300", "--format", "csv")
+        header, rows = csv_rows(out)
+        assert code == 0
+        assert err == ""
+        assert len(rows) == 4
+        assert rows[3][:2] == ["2.9", "1e-300"]
+        assert all(cell == "nan" for cell in rows[3][2:])
+        assert all(cell != "nan" for row in rows[:3] for cell in row)
+        code, out, _ = run(capsys, "sweep", "--slopes", "1.5,2.9", "--kappas", "1,1e-300")
+        assert code == 0
+        assert "<error: NonFinite>" in out
+
 
 class TestDissipationCommand:
     def test_provenance_note_and_values(self, capsys):
@@ -119,6 +134,13 @@ class TestDissipationCommand:
         assert "# N0 mode: computed" in out
 
 
+    def test_overflowing_radius_is_numeric_failure(self, capsys):
+        code, _, err = run(capsys, "dissipation", "--kappa", "1e-5", "--slope", "1.7",
+                           "--radius-lightminutes", "1e290")
+        assert code == 3
+        assert err.startswith("numeric failure:")
+
+
 class TestBoundCommand:
     def test_published_bound(self, capsys):
         code, out, _ = run(capsys, "bound", "--slope", "1.7")
@@ -132,6 +154,12 @@ class TestBoundCommand:
         lam = float(lines["lambda0_m"])
         assert 0.5 < kappa / 9e-18 < 2.0
         assert abs(lam - 67e3) / 67e3 < 0.15
+
+    def test_overflowing_bound_is_numeric_failure(self, capsys):
+        code, _, err = run(capsys, "bound", "--slope", "2.9", "--ns", "1e-200",
+                           "--radius-lightminutes", "1e-100")
+        assert code == 3
+        assert err.startswith("numeric failure:")
 
     def test_computed_mode_rejected(self, capsys):
         code, _, err = run(capsys, "bound", "--slope", "1.7", "--n0", "computed")
@@ -171,6 +199,14 @@ class TestSpectrumCommand:
                            "--kmin", "10", "--kmax", "1")
         assert code == 2
 
+    def test_overflowing_power_is_numeric_failure(self, capsys):
+        # k**3 overflows a float long before k = 1e300
+        code, _, err = run(capsys, "spectrum", "--model", "boyer",
+                           "--kmin", "1e-300", "--kmax", "1e300")
+        assert code == 3
+        assert err.startswith("numeric failure:")
+        assert "Traceback" not in err
+
 
 class TestConfigFlag:
     def test_override_changes_result(self, capsys, tmp_path):
@@ -189,7 +225,36 @@ class TestConfigFlag:
                            "--config", str(config))
         assert code == 2
 
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "transition", "--slope", "2.0",
+                           "--config", str(tmp_path / "missing.cfg"))
+        assert code == 2
+        assert err.startswith("error: cannot read config file")
+
+    def test_unreadable_config_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "transition", "--slope", "2.0",
+                           "--config", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: cannot read config file")
+
     def test_unknown_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transition", "--slope", "1.8", "--warp", "9"])
         assert exc.value.code == 2
+
+
+class TestSigfigsFlag:
+    @pytest.mark.parametrize("value", ["0", "-1", "three"])
+    def test_rejected_below_one(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["transition", "--slope", "1.8", "--sigfigs", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --sigfigs" in err
+        assert "Traceback" not in err
+
+    def test_one_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "transition", "--slope", "1.7", "--sigfigs", "1")
+        assert code == 0
+        values = dict(line.split(None, 1) for line in out.splitlines())
+        assert values["lambda0_m"] == "2e1"

@@ -4,14 +4,18 @@ import pytest
 
 from zpfcross.constants import (
     MPC_M,
+    ConstantRegistry,
     CosmologyContext,
+    ExponentTable,
+    PhysicalConstant,
     critical_density,
     hubble_radius,
+    load_config,
     load_registry,
     parse_config,
 )
-from zpfcross.errors import BadOverride
-from zpfcross.quantity import DENSITY, LENGTH
+from zpfcross.errors import BadOverride, DimensionMismatch
+from zpfcross.quantity import DENSITY, FREQUENCY, LENGTH, TIME, UncertainQuantity
 
 
 def rel(x, y):
@@ -106,6 +110,15 @@ class TestOverrides:
         with pytest.raises(TypeError):
             ctx.registry["c"] = None
 
+    def test_dimension_cannot_be_overridden(self, ctx):
+        # exponent tables rely on every registry keeping the default dimensions
+        constants = [ctx.registry[name] for name in ctx.registry if name != "H"]
+        wrong_h = PhysicalConstant("H", UncertainQuantity(2.49e-18, 0.15, TIME))
+        with pytest.raises(BadOverride):
+            ConstantRegistry(constants + [wrong_h])
+        right_h = PhysicalConstant("H", UncertainQuantity(2.49e-18, 0.15, FREQUENCY))
+        assert ConstantRegistry(constants + [right_h]).value("H") == 2.49e-18
+
     def test_determinism(self):
         a = load_registry({"H": 3e-18})
         b = load_registry({"H": 3e-18})
@@ -147,7 +160,53 @@ class TestConfigParsing:
         with pytest.raises(BadOverride):
             parse_config("H = fast\n")
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(BadOverride):
+            load_config(tmp_path / "missing.cfg")
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(BadOverride):
+            load_config(tmp_path)  # a directory
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"H = \xff\xfe\n")
+        with pytest.raises(BadOverride):
+            load_config(binary)
+
     def test_feeds_load_registry(self):
         ctx = CosmologyContext.default(parse_config("H = 77 km/s/Mpc\n"))
         # 77 km/s/Mpc is about 2.4966e-18 1/s under the Mpc convention here
         assert rel(ctx.value("H"), 2.4966e-18) < 1e-4
+
+
+class TestExponentTable:
+    def test_value_and_uncertainty_from_the_float_core(self, ctx):
+        table = ExponentTable({"H": 2, "G": -1}, DENSITY)
+        rho = table.evaluate(ctx.registry, 3.0 / (8.0 * math.pi))
+        assert rho.dim == DENSITY
+        assert rho.value == critical_density(ctx).value
+        assert rho.rel_sigma == critical_density(ctx).rel_sigma
+        assert table.value(ctx.registry, 3.0 / (8.0 * math.pi)) == rho.value
+        # the same product through the per-call exact path
+        slow = ctx.product({"H": 2, "G": -1}, coeff=3.0 / (8.0 * math.pi))
+        assert (slow.value, slow.rel_sigma, slow.dim) == (rho.value, rho.rel_sigma, rho.dim)
+
+    def test_wrong_dimension_rejected_at_build(self):
+        with pytest.raises(DimensionMismatch):
+            ExponentTable({"H": 2, "G": -1}, LENGTH)
+        with pytest.raises(DimensionMismatch):
+            ExponentTable({"c": 1, "H": 1}, LENGTH)
+
+    def test_unknown_constant_rejected_at_build(self):
+        with pytest.raises(BadOverride):
+            ExponentTable({"warp": 1}, LENGTH)
+
+    def test_overrides_reach_the_value(self):
+        doubled = CosmologyContext.default({"H": 2.0 * 2.49e-18, "e_H": 0.0})
+        radius = ExponentTable({"c": 1, "H": -1}, LENGTH).evaluate(doubled.registry)
+        assert rel(radius.value, 2.99792458e8 / (2.0 * 2.49e-18)) < 1e-15
+        assert radius.rel_sigma == 0.0
+
+    def test_exponents_are_read_only(self):
+        table = ExponentTable({"c": 1, "H": -1}, LENGTH)
+        with pytest.raises(TypeError):
+            table.exponents["H"] = 0

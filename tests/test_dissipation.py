@@ -14,8 +14,15 @@ from zpfcross.dissipation import (
     rescaled_count,
     solar_budget,
 )
-from zpfcross.errors import KappaOutOfRange, SlopeOutOfRange, ValidationError
-from zpfcross.quantity import POWER_DENSITY, Quantity, TIME
+from zpfcross.errors import KappaOutOfRange, NonFinite, SlopeOutOfRange, ValidationError
+from zpfcross.quantity import (
+    LENGTH,
+    POWER_DENSITY,
+    Quantity,
+    TIME,
+    UncertainQuantity,
+    propagate,
+)
 from zpfcross.spectra import amplitude_from_kappa, gamma_from_slope
 
 C = 2.99792458e8
@@ -92,6 +99,24 @@ class TestSolarBudget:
         assert n0.dim.is_dimensionless
         # H cancels in rho*c*R**2; only c and G carry uncertainty
         assert rel(n0.rel_sigma, 1e-4) < 1e-12
+
+    def test_tables_equal_the_exact_propagation(self, ctx):
+        # the import-checked tables give the numbers that per-call exact
+        # dimension bookkeeping through propagate gives
+        slow = propagate([(UncertainQuantity(3.0 / (8.0 * math.pi)), 1)]
+                         + [(ctx.constant(name), p) for name, p in (("G", -1), ("c", 3),
+                                                                    ("M_sun", -1))]
+                         + [(UncertainQuantity(86400.0, 0.0, TIME), 1)])
+        fast = n0_value(ctx, n0_mode="computed")
+        assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma, slow.dim)
+        coeff = 3.0 / (8.0 * math.pi) * (0.8 * 1e-5) ** (1.0 / 0.8)
+        slow = ctx.product({"G": -1, "H": 3, "c": 2}, coeff=coeff)
+        fast = dissipation_rate(1e-5, 1.8, ctx)
+        assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma, slow.dim)
+
+    def test_overflowing_rescaled_count_is_numeric_failure(self, ctx):
+        with pytest.raises(NonFinite):
+            solar_budget(1e-5, 1.7, ctx, ell=Quantity(1e300, LENGTH))
 
     def test_computed_mode_scales_with_window(self, ctx):
         one = n0_value(ctx, Quantity(86400.0, TIME), "computed").value
@@ -182,3 +207,8 @@ class TestSolarBound:
     def test_bad_bound(self, ctx):
         with pytest.raises(ValidationError):
             kappa_from_solar_bound(0.0, 1.7, ctx)
+
+    def test_overflowing_bound_is_numeric_failure(self, ctx):
+        # (R/ell)**3 overflows a float for ell ~ 1e-90 m
+        with pytest.raises(NonFinite):
+            kappa_from_solar_bound(1e-200, 2.9, ctx, ell=Quantity(1e-90, LENGTH))

@@ -20,6 +20,7 @@ from zpfcross.quantity import (
     UncertainQuantity,
     combine,
     power,
+    power_product,
     propagate,
 )
 
@@ -110,6 +111,13 @@ class TestPower:
         with pytest.raises(NonFinite):
             power(Quantity(0.0, LENGTH), -1)
 
+    def test_overflowing_power(self):
+        # float ** raises OverflowError where * would give inf
+        with pytest.raises(NonFinite):
+            power(Quantity(1e300, LENGTH), 3)
+        with pytest.raises(NonFinite):
+            power(Quantity(1e-300, LENGTH), -3)
+
     def test_roundtrip(self):
         # power(power(q, p), 1/p) == q to 1e-12 relative for positive values
         rng = random.Random(11)
@@ -182,6 +190,21 @@ class TestPropagate:
                 assert rel(out.rel_sigma, sigma_fd) < 1e-6
             else:
                 assert out.rel_sigma == 0.0
+
+    def test_float_core_matches_propagate(self):
+        x = UncertainQuantity(3.0, 0.01, LENGTH)
+        y = UncertainQuantity(7.0, 0.02, TIME)
+        value, rel_sigma = power_product(2.5, [(3.0, 0.01, 2.0), (7.0, 0.02, -0.5)])
+        out = propagate([(UncertainQuantity(2.5), 1), (x, 2), (y, Fraction(-1, 2))])
+        assert (value, rel_sigma) == (out.value, out.rel_sigma)
+
+    def test_float_core_out_of_range(self):
+        with pytest.raises(NonFinite):
+            power_product(1.0, [(1e300, 0.0, 3.0)])
+        with pytest.raises(NonFinite):
+            power_product(1.0, [(0.0, 0.0, -1.0)])
+        with pytest.raises(NonFinite):
+            power_product(1e300, [(1e300, 0.0, 1.0)])  # product overflows to inf
 
     def test_rel_sigma_must_be_nonnegative(self):
         with pytest.raises(ValidationError):

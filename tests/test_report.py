@@ -57,6 +57,14 @@ class TestRunSweep:
         assert rows[1].error == "SlopeOutOfRange"
         assert rows[1].lambda0_m is None
 
+    def test_numeric_failure_becomes_error_row(self, ctx):
+        spec = SweepSpec(slopes=(1.5, 2.9), kappas=(1.0, 1e-300), outputs=("epsilon",))
+        rows = run_sweep(spec, ctx)
+        assert [(r.a, r.kappa) for r in rows] == [
+            (1.5, 1.0), (1.5, 1e-300), (2.9, 1.0), (2.9, 1e-300)]
+        assert [r.error for r in rows] == [None, None, None, "NonFinite"]
+        assert rows[3].lambda0_m is None and rows[3].epsilon_w_m3 is None
+
     def test_extra_outputs_match_budget(self, ctx):
         spec = SweepSpec(slopes=(1.8,), kappas=(1e-5,), outputs=("epsilon", "N", "Ns"))
         row = run_sweep(spec, ctx)[0]

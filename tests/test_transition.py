@@ -1,18 +1,28 @@
+import inspect
 import math
+import sys
+import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zpfcross.constants import CosmologyContext
+from zpfcross import quantity, transition
+from zpfcross.constants import HUBBLE_RADIUS, CosmologyContext, ExponentTable
+from zpfcross.dissipation import solar_budget
 from zpfcross.errors import (
+    DimensionMismatch,
     InvalidBracket,
     KappaOutOfRange,
     NoCrossing,
+    NonFinite,
     SlopeOutOfRange,
     ValidationError,
 )
-from zpfcross.quantity import Quantity, SPECTRAL_DENSITY, WAVENUMBER
+from zpfcross.quantity import LENGTH, Dimension, Quantity, SPECTRAL_DENSITY, WAVENUMBER
+from zpfcross.report import SweepSpec, run_sweep
 from zpfcross.spectra import Boyer, PowerLawTurbulence, TruncatedBoyer
 from zpfcross.transition import (
+    CROSSOVER_VOLUME,
     TransitionResult,
     kolmogorov_reference_scale,
     log_form_constants,
@@ -107,6 +117,95 @@ class TestClosedForm:
         base = transition_scale(1.8, 1.0, ctx).rel_sigma
         for kappa in (1e-20, 1e-10, 1e-5):
             assert transition_scale(1.8, kappa, ctx).rel_sigma == base
+
+
+    def test_k0_underflow_is_numeric_failure(self, ctx):
+        # k0**(3+a) is about 7e-334 here, below the smallest float
+        with pytest.raises(NonFinite):
+            transition_scale(2.9, 1e-300, ctx)
+
+    def test_overflowing_constants_are_numeric_failure(self):
+        huge = CosmologyContext.default({"hbar": 1e308, "G": 1e308})
+        with pytest.raises(NonFinite):
+            transition_scale(1.8, 1.0, huge)
+
+
+class TestExponentTable:
+    def test_exponents_match_the_paper(self, ctx):
+        # lambda0 ~ G**q hbar**q c**((a-2)q) H**(-(a+1)q) kappa**-q, q = 1/(3+a)
+        custom = CosmologyContext.default({"e_G": 0.01, "e_c": 0.02, "e_hbar": 0.03,
+                                           "e_H": 0.04})
+        for a in (1.1, 5.0 / 3.0, 2.0, 2.9):
+            q = 1.0 / (3.0 + a)
+            r = transition_scale(a, 1e-5, custom, e_kappa=0.05)
+            expected = {"G": q * 0.01, "c": abs(a - 2.0) * q * 0.02, "hbar": q * 0.03,
+                        "H": (a + 1.0) * q * 0.04, "kappa": q * 0.05}
+            assert set(r.sigma_breakdown) == set(expected)
+            for name, value in expected.items():
+                assert math.isclose(r.sigma_breakdown[name], value, rel_tol=1e-15)
+
+    def test_identities_checked_at_import(self):
+        assert CROSSOVER_VOLUME.dim == LENGTH ** 3
+        assert dict(CROSSOVER_VOLUME.exponents) == {"G": 1, "hbar": 1, "c": -2, "H": -1}
+        assert HUBBLE_RADIUS.dim == LENGTH
+        assert dict(HUBBLE_RADIUS.exponents) == {"c": 1, "H": -1}
+
+    def test_wrong_exponent_fails_the_check(self):
+        # p_H = -a*q instead of -(a+1)*q means H drops out of the volume
+        with pytest.raises(DimensionMismatch):
+            ExponentTable({"G": 1, "hbar": 1, "c": -2, "H": 0}, LENGTH ** 3)
+
+    def test_wrong_exponent_fails_the_module_import(self, monkeypatch):
+        # the same mutation in the module's own source stops its import
+        source = inspect.getsource(transition)
+        right = '{"G": 1, "hbar": 1, "c": -2, "H": -1}'
+        assert source.count(right) == 1
+
+        def import_source(text):
+            module = types.ModuleType("zpfcross._transition_copy")
+            module.__package__ = "zpfcross"
+            monkeypatch.setitem(sys.modules, module.__name__, module)
+            exec(compile(text, transition.__file__, "exec"), module.__dict__)
+            return module
+
+        assert import_source(source).CROSSOVER_VOLUME == CROSSOVER_VOLUME
+        with pytest.raises(DimensionMismatch):
+            import_source(source.replace(right, right.replace('"H": -1', '"H": 0')))
+
+    def test_no_dimension_arithmetic_per_call(self, ctx, monkeypatch):
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("__mul__", "__truediv__", "__pow__"):
+            monkeypatch.setattr(Dimension, name, counted(name, getattr(Dimension, name)))
+        monkeypatch.setattr(quantity, "as_fraction", counted("as_fraction", quantity.as_fraction))
+        transition_scale(1.8, 1e-5, ctx, e_kappa=0.1)
+        solar_budget(1e-5, 1.8, ctx, n0_mode="computed")
+        run_sweep(SweepSpec(slopes=(1.7, 2.9), kappas=(1.0, 1e-300),
+                            outputs=("epsilon", "N", "Ns"), n0_mode="computed"), ctx)
+        assert calls == []
+        Dimension(1) * Dimension(2)  # the counters do count
+        assert calls
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(min_value=1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+           log_kappa=st.floats(min_value=-30.0, max_value=0.0),
+           e_kappa=st.floats(min_value=0.0, max_value=1.0))
+    def test_closed_form_log_form_and_budget(self, ctx, a, log_kappa, e_kappa):
+        kappa = 10.0 ** log_kappa
+        r = transition_scale(a, kappa, ctx, e_kappa=e_kappa)
+        assert rel(r.lambda0.value, log_form_scale(a, kappa, ctx).value) < 1e-12
+        assert r.lambda0.value == 2.0 * math.pi / r.k0.value
+        squares = sum(v * v for v in r.sigma_breakdown.values())
+        assert math.isclose(r.rel_sigma ** 2, squares, rel_tol=1e-14)
+        assert rel(r.rel_sigma, rel_sigma_oracle(a, e_kappa)) < 1e-12
 
 
 class TestNumericCrossover:
