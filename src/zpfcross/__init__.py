@@ -79,7 +79,6 @@ from .spectra import (
     amplitude_from_kappa,
     budget_roundtrip,
     energy_budget_total,
-    evaluate,
     gamma_from_slope,
     horizon_injection_rate,
     horizon_spectrum_amplitude,

@@ -11,20 +11,20 @@ import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import __version__
 from .constants import DAY_S, LIGHTMINUTE_M, CosmologyContext, load_config
 from .dissipation import kappa_from_solar_bound, n0_value, solar_budget
 from .errors import NumericFailure, ValidationError, ZpfcrossError
 from .quantity import LENGTH, POWER_DENSITY, Quantity, TIME, WAVENUMBER
-from .report import SweepSpec, _csv_cell, format_sig, render, run_sweep
-from .spectra import (
-    Boyer,
-    MoisseevShivamoggi,
-    PowerLawTurbulence,
-    TruncatedBoyer,
-    evaluate,
-)
+from .report import SweepSpec, format_sig, render, run_sweep
+from .spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 from .transition import monte_carlo_scale, transition_scale
+
+
+# rows of spectrum CSV formatted per write: bounds the text held at once
+_CSV_BLOCK_ROWS = 4096
 
 
 def _float_list(text: str) -> List[float]:
@@ -193,21 +193,24 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     model = _spectrum_model(args, ctx)
     kmin = args.kmin if args.kmin is not None else 1.0 / ctx.hubble_radius.value
     kmax = args.kmax if args.kmax is not None else 2.0 * math.pi / ctx.value("r_p")
-    if not (0.0 < kmin < kmax):
-        raise ValidationError(f"need 0 < kmin < kmax, got {kmin!r}, {kmax!r}")
+    if not (0.0 < kmin < kmax < math.inf):
+        raise ValidationError(f"need 0 < kmin < kmax < inf, got {kmin!r}, {kmax!r}")
     if args.points < 2:
         raise ValidationError("need at least 2 points")
-    print("k,E")
     log_lo, log_hi = math.log(kmin), math.log(kmax)
-    for i in range(args.points):
-        if i == 0:
-            k = kmin  # exp(log(k)) can drift one ulp past the endpoints
-        elif i == args.points - 1:
-            k = kmax
-        else:
-            k = math.exp(log_lo + (log_hi - log_lo) * i / (args.points - 1))
-        energy = evaluate(model, Quantity(k, WAVENUMBER))
-        print(f"{_csv_cell(k)},{_csv_cell(energy.value)}")
+    k = np.exp(log_lo + (log_hi - log_lo) * np.arange(args.points) / (args.points - 1))
+    k[0], k[-1] = kmin, kmax  # exp(log(k)) can drift one ulp past the endpoints
+    # the whole column is computed and checked before anything is written,
+    # so a numeric failure leaves stdout empty
+    energy = model.kernel(k)
+    out = sys.stdout
+    out.write("k,E\n")
+    for start in range(0, args.points, _CSV_BLOCK_ROWS):
+        # tolist() gives Python floats, whose repr is the shortest text
+        # that reads back to the same value
+        rows = zip(k[start:start + _CSV_BLOCK_ROWS].tolist(),
+                   energy[start:start + _CSV_BLOCK_ROWS].tolist())
+        out.write("".join(f"{kw!r},{e!r}\n" for kw, e in rows))
     return 0
 
 

@@ -6,7 +6,8 @@ so that downstream reference numbers are reproducible; every entry can
 be overridden at load time; dimensions cannot. All stored values are SI.
 
 Fixed products of powers of the constants (the critical density, the
-Hubble radius, and the tables in ``transition`` and ``dissipation``)
+Hubble radius, the energy and power densities shared by ``spectra`` and
+``dissipation``, and the tables in ``transition`` and ``dissipation``)
 are ``ExponentTable`` module constants: their dimension is checked
 exactly once, when the module is imported, and evaluating them is
 float arithmetic only.
@@ -26,11 +27,13 @@ from .quantity import (
     DENSITY,
     DIMENSIONLESS,
     Dimension,
+    ENERGY_DENSITY,
     Exponent,
     FREQUENCY,
     GRAVITATIONAL,
     LENGTH,
     MASS,
+    POWER_DENSITY,
     Quantity,
     SPEED,
     TIME,
@@ -275,6 +278,11 @@ class ExponentTable:
 # rho_crit = 3/(8*pi) * H**2/G and R = c/H
 CRITICAL_DENSITY = ExponentTable({"H": 2, "G": -1}, DENSITY)
 HUBBLE_RADIUS = ExponentTable({"c": 1, "H": -1}, LENGTH)
+# rho*c**2 = 3/(8*pi) * H**2 * G**-1 * c**2 (the critical energy density)
+# and rho*c**3/R = 3/(8*pi) * G**-1 * H**3 * c**2 (the power that flows
+# through the horizon); exponents in the order the products are taken
+CRITICAL_ENERGY_DENSITY = ExponentTable({"H": 2, "G": -1, "c": 2}, ENERGY_DENSITY)
+HORIZON_POWER_DENSITY = ExponentTable({"G": -1, "H": 3, "c": 2}, POWER_DENSITY)
 
 
 @dataclass(frozen=True)

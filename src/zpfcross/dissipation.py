@@ -29,12 +29,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .constants import CosmologyContext, ExponentTable
+from .constants import HORIZON_POWER_DENSITY, CosmologyContext, ExponentTable
 from .errors import NonFinite, ValidationError
 from .quantity import (
     FREQUENCY,
     LENGTH,
-    POWER_DENSITY,
     Quantity,
     TIME,
     UncertainQuantity,
@@ -46,8 +45,6 @@ from .transition import TransitionResult, transition_scale
 PAPER_N0 = 1e57
 N0_MODES = ("paper", "computed")
 
-# rho*c**3/R = 3/(8*pi) * G**-1 * H**3 * c**2
-DISSIPATION_SCALE = ExponentTable({"G": -1, "H": 3, "c": 2}, POWER_DENSITY)
 # N0/t = rho*c*R**2/M = 3/(8*pi) * G**-1 * c**3 * M**-1
 N0_RATE = ExponentTable({"G": -1, "c": 3, "M_sun": -1}, FREQUENCY)
 
@@ -75,13 +72,14 @@ def _radius(ctx: CosmologyContext, ell: Optional[Quantity]) -> Quantity:
 def dissipation_rate(kappa: float, a: float, ctx: CosmologyContext) -> UncertainQuantity:
     """eps = rho*c**3/R * ((a-1)*kappa)**(1/(a-1)), W/m^3.
 
-    rho*c**3/R reduces to (3/(8*pi)) * G**-1 * H**3 * c**2; the kappa
-    factor is an exact dimensionless scale.
+    rho*c**3/R reduces to (3/(8*pi)) * G**-1 * H**3 * c**2, the table
+    ``constants.HORIZON_POWER_DENSITY``; the kappa factor is an exact
+    dimensionless scale.
     """
     kappa = check_kappa(kappa)
     a = check_slope(a)
     coeff = 3.0 / (8.0 * math.pi) * ((a - 1.0) * kappa) ** (1.0 / (a - 1.0))
-    return DISSIPATION_SCALE.evaluate(ctx.registry, coeff)
+    return HORIZON_POWER_DENSITY.evaluate(ctx.registry, coeff)
 
 
 def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,

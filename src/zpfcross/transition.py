@@ -48,7 +48,7 @@ from .errors import (
     NonFinite,
     ValidationError,
 )
-from .quantity import LENGTH, Quantity, WAVENUMBER, power
+from .quantity import LENGTH, Quantity, WAVENUMBER
 from .spectra import SpectrumModel, check_kappa, check_slope
 
 # V = G*hbar/(c**2*H), the Planck area times the Hubble radius
@@ -126,25 +126,29 @@ def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyCon
                       rel_tol: float = 1e-12, max_iter: int = 200) -> Quantity:
     """Root of log E_vac(k) - log E_turb(k) by bisection in log k.
 
-    Independent of the closed form: only evaluates the two spectra.
-    The default bracket spans the largest eddy to the Planck cutoff,
-    [1/R, 2*pi/r_p]. Converges to ``rel_tol`` relative in k.
+    Independent of the closed form: only evaluates the two spectra. The
+    bracket's dimensions are checked once, on entry; the bisection then
+    calls the two models' float kernels (``SpectrumModel.kernel``), whose
+    output dimensions were checked when the models were built, so no
+    iteration does ``Quantity`` or dimension work. A spectrum value
+    outside the float range raises NonFinite. The default bracket spans
+    the largest eddy to the Planck cutoff, [1/R, 2*pi/r_p]. Converges to
+    ``rel_tol`` relative in k.
     """
     if bracket is None:
-        lo_q = power(ctx.hubble_radius.quantity(), -1)
-        hi_q = Quantity(2.0 * math.pi) / ctx.quantity("r_p")
+        lo = 1.0 / HUBBLE_RADIUS.value(ctx.registry)
+        hi = 2.0 * math.pi / ctx.value("r_p")
     else:
-        lo_q, hi_q = bracket
-    for q in (lo_q, hi_q):
-        if q.dim != WAVENUMBER:
-            raise InvalidBracket(f"bracket ends must be wavenumbers, got [{q.dim}]")
-    lo, hi = lo_q.value, hi_q.value
+        for end in bracket:
+            if end.dim != WAVENUMBER:
+                raise InvalidBracket(f"bracket ends must be wavenumbers, got [{end.dim}]")
+        lo, hi = (end.value for end in bracket)
     if not (0.0 < lo < hi):
         raise InvalidBracket(f"need 0 < lo < hi, got [{lo!r}, {hi!r}]")
 
     def log_gap(k: float) -> float:
-        e_vac = vac.evaluate(Quantity(k, WAVENUMBER)).value
-        e_turb = turb.evaluate(Quantity(k, WAVENUMBER)).value
+        e_vac = vac.kernel(k)
+        e_turb = turb.kernel(k)
         if e_vac <= 0.0:
             return -math.inf
         if e_turb <= 0.0:

@@ -1,6 +1,10 @@
+import math
+
 import pytest
 
 from zpfcross.cli import main
+from zpfcross.quantity import POWER_DENSITY, Quantity, WAVENUMBER
+from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 
 
 def run(capsys, *argv):
@@ -201,11 +205,53 @@ class TestSpectrumCommand:
 
     def test_overflowing_power_is_numeric_failure(self, capsys):
         # k**3 overflows a float long before k = 1e300
-        code, _, err = run(capsys, "spectrum", "--model", "boyer",
-                           "--kmin", "1e-300", "--kmax", "1e300")
+        code, out, err = run(capsys, "spectrum", "--model", "boyer",
+                             "--kmin", "1e-300", "--kmax", "1e300")
         assert code == 3
         assert err.startswith("numeric failure:")
         assert "Traceback" not in err
+        assert out == ""  # not even the header of a short table
+
+    def test_overflowing_exp_is_numeric_failure(self, capsys):
+        # 1/(3*gamma - 1) = 500 near the pole: E(k) overflows at small k
+        code, out, err = run(capsys, "spectrum", "--model", "ms", "--gamma", "0.334",
+                             "--kmin", "1e-30", "--kmax", "1e-25")
+        assert code == 3
+        assert err.startswith("numeric failure:")
+        assert out == ""
+        # 5*gamma - 1 itself overflows a float
+        code, out, err = run(capsys, "spectrum", "--model", "ms", "--gamma", "1e308")
+        assert code == 3
+        assert err.startswith("numeric failure:")
+        assert out == ""
+
+    @pytest.mark.parametrize("model, flags", [
+        ("boyer", ()),
+        ("truncated", ("--cutoff-k", "3.3e7")),
+        ("powerlaw", ("--slope", "2.3", "--kappa", "1e-7")),
+        ("ms", ("--gamma", "0.9", "--epsilon", "3e-25", "--kolmogorov-const", "1.5")),
+    ])
+    def test_every_line_matches_the_model(self, capsys, ctx, model, flags):
+        kmin, kmax, points = 3.1e-26, 2.7e34, 257
+        code, out, _ = run(capsys, "spectrum", "--model", model, "--kmin", repr(kmin),
+                           "--kmax", repr(kmax), "--points", str(points), *flags)
+        assert code == 0
+        header, rows = csv_rows(out)
+        assert header == ["k", "E"]
+        assert len(rows) == points
+        assert float(rows[0][0]) == kmin and float(rows[-1][0]) == kmax
+        spectrum = {
+            "boyer": lambda: Boyer.from_context(ctx),
+            "truncated": lambda: TruncatedBoyer.from_context(ctx, Quantity(3.3e7, WAVENUMBER)),
+            "powerlaw": lambda: PowerLawTurbulence.from_kappa(ctx, 1e-7, 2.3),
+            "ms": lambda: MoisseevShivamoggi.from_context(
+                ctx, 0.9, Quantity(3e-25, POWER_DENSITY), kolmogorov_const=1.5),
+        }[model]()
+        ks = [float(k) for k, _ in rows]
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+        for k, energy in rows:
+            expected = spectrum.evaluate(Quantity(float(k), WAVENUMBER)).value
+            assert math.isclose(float(energy), expected, rel_tol=1e-12), (k, energy)
 
 
 class TestConfigFlag:

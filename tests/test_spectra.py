@@ -1,8 +1,11 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from zpfcross.constants import critical_density, hubble_radius
@@ -10,6 +13,7 @@ from zpfcross.errors import (
     DimensionMismatch,
     KappaOutOfRange,
     KolmogorovPole,
+    NonFinite,
     NonPositiveWavenumber,
     PoleGamma,
     SlopeOutOfRange,
@@ -19,8 +23,10 @@ from zpfcross.quantity import (
     POWER_DENSITY,
     Quantity,
     SPECTRAL_DENSITY,
+    UncertainQuantity,
     WAVENUMBER,
     power,
+    propagate,
 )
 from zpfcross.spectra import (
     Boyer,
@@ -31,7 +37,6 @@ from zpfcross.spectra import (
     amplitude_from_kappa,
     budget_roundtrip,
     energy_budget_total,
-    evaluate,
     gamma_from_slope,
     horizon_injection_rate,
     horizon_spectrum_amplitude,
@@ -45,6 +50,16 @@ def rel(x, y):
 
 def k_of(value):
     return Quantity(value, WAVENUMBER)
+
+
+# log10 k from the largest eddy 1/R to the Planck wavenumber 2*pi/r_p
+LOG10_K_MIN = math.log10(2.49e-18 / 2.99792458e8)
+LOG10_K_MAX = math.log10(2.0 * math.pi / 1.616e-35)
+
+
+def close(x, y):
+    # a value below the smallest normal float holds fewer than 12 digits
+    return math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12 * sys.float_info.min)
 
 
 class TestBoyer:
@@ -71,6 +86,24 @@ class TestBoyer:
     def test_wrong_dimension_rejected(self, ctx):
         with pytest.raises(DimensionMismatch):
             Boyer.from_context(ctx).evaluate(Quantity(1.0))
+
+    def test_output_dimension_checked_when_built(self, ctx):
+        with pytest.raises(DimensionMismatch):
+            Boyer(ctx.quantity("hbar"), ctx.quantity("hbar"))
+        with pytest.raises(DimensionMismatch):
+            TruncatedBoyer(ctx.quantity("c"), ctx.quantity("c"), k_of(1.0))
+
+    def test_overflow_is_numeric_failure(self, ctx):
+        vac = Boyer.from_context(ctx)
+        with pytest.raises(NonFinite):
+            vac.evaluate(k_of(1e300))
+        with pytest.raises(NonFinite, match="1e\\+300"):
+            vac.kernel(np.array([1.0, 1e300, 1e301]))
+
+    def test_underflow_to_zero_is_a_value(self, ctx):
+        vac = Boyer.from_context(ctx)
+        assert vac.evaluate(k_of(1e-110)).value == 0.0
+        assert vac.kernel(np.array([1e-110])).tolist() == [0.0]
 
 
 class TestTruncatedBoyer:
@@ -223,6 +256,20 @@ class TestHorizonInjection:
     def test_dimension(self, ctx):
         assert horizon_injection_rate(ctx).dim == POWER_DENSITY
 
+    def test_tables_equal_the_exact_propagation(self, ctx):
+        # the import-checked tables give the numbers that per-call exact
+        # dimension bookkeeping through propagate gives
+        for fast, coeff, powers in (
+                (horizon_injection_rate(ctx), 9.0 / (8.0 * math.pi),
+                 (("G", -1), ("H", 3), ("c", 2))),
+                (energy_budget_total(0.3, ctx), 3.0 * 0.3 / (8.0 * math.pi),
+                 (("H", 2), ("G", -1), ("c", 2)))):
+            slow = propagate([(UncertainQuantity(coeff), 1)]
+                             + [(ctx.constant(name), p) for name, p in powers])
+            assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma,
+                                                              slow.dim)
+        assert energy_budget_total(0.3, ctx).dim == ENERGY_DENSITY
+
     def test_scales_with_h_cubed(self, ctx):
         from zpfcross import CosmologyContext
         halved = CosmologyContext.default({"H": 2.49e-18 / 2.0})
@@ -286,6 +333,14 @@ class TestMoisseevShivamoggi:
             ms = MoisseevShivamoggi.from_context(ctx, gamma)
             assert ms.evaluate(k_of(2.5)).dim == SPECTRAL_DENSITY
 
+    def test_overflow_near_the_pole_is_numeric_failure(self, ctx):
+        # 1/(3*gamma - 1) = 500 at gamma = 0.334: exp overflows at small k
+        ms = MoisseevShivamoggi.from_context(ctx, 0.334)
+        with pytest.raises(NonFinite):
+            ms.evaluate(k_of(1e-30))
+        with pytest.raises(NonFinite, match="1e-30"):
+            ms.kernel(np.array([1e-25, 1e-30]))
+
 
 class TestSpectrumProperties:
     def test_all_variants_have_spectral_dimension(self, ctx):
@@ -299,7 +354,37 @@ class TestSpectrumProperties:
         for _ in range(25):
             k = k_of(10.0 ** rng.uniform(-25, 30))
             for model in models:
-                assert evaluate(model, k).dim == SPECTRAL_DENSITY
+                assert model.evaluate(k).dim == SPECTRAL_DENSITY
+
+    @settings(max_examples=200, deadline=None)
+    @given(log10_k=st.lists(st.floats(LOG10_K_MIN, LOG10_K_MAX), min_size=1, max_size=30),
+           gamma=st.floats(0.34, 20.0, exclude_min=True, exclude_max=True),
+           slope=st.floats(1.0, 3.0, exclude_min=True, exclude_max=True))
+    def test_array_kernel_equals_per_point_evaluate(self, ctx, log10_k, gamma, slope):
+        k = 10.0 ** np.array(log10_k)
+        models = [
+            Boyer.from_context(ctx),
+            TruncatedBoyer.from_context(ctx),
+            PowerLawTurbulence.from_kappa(ctx, 1.0, slope),
+            MoisseevShivamoggi.from_context(ctx, gamma),
+        ]
+        for model in models:
+            table = model.kernel(k)
+            assert table.shape == k.shape
+            for kw, energy in zip(k.tolist(), table.tolist()):
+                assert close(energy, model.evaluate(k_of(kw)).value), (model, kw)
+
+    @settings(max_examples=100, deadline=None)
+    @given(log10_k=st.lists(st.floats(LOG10_K_MIN, LOG10_K_MAX), min_size=1, max_size=30),
+           pick=st.integers(min_value=0))
+    def test_truncation_is_inclusive(self, ctx, log10_k, pick):
+        k = 10.0 ** np.array(log10_k)
+        cutoff = float(k[pick % k.size])
+        trunc = TruncatedBoyer(ctx.quantity("hbar"), ctx.quantity("c"), k_of(cutoff))
+        boyer = Boyer.from_context(ctx).kernel(k)
+        assert trunc.kernel(k).tolist() == np.where(k > cutoff, 0.0, boyer).tolist()
+        assert trunc.kernel(cutoff) == Boyer.from_context(ctx).kernel(cutoff) > 0.0
+        assert trunc.kernel(math.nextafter(cutoff, math.inf)) == 0.0
 
     def test_power_law_decreasing_boyer_increasing(self, ctx):
         vac = Boyer.from_context(ctx)

@@ -3,6 +3,7 @@ import math
 import sys
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from zpfcross.errors import (
 )
 from zpfcross.quantity import LENGTH, Dimension, Quantity, SPECTRAL_DENSITY, WAVENUMBER
 from zpfcross.report import SweepSpec, run_sweep
-from zpfcross.spectra import Boyer, PowerLawTurbulence, TruncatedBoyer
+from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 from zpfcross.transition import (
     CROSSOVER_VOLUME,
     TransitionResult,
@@ -181,6 +182,10 @@ class TestExponentTable:
                 return original(*args)
             return wrapper
 
+        # spectrum models check their dimension when built, not per point
+        models = [Boyer.from_context(ctx), TruncatedBoyer.from_context(ctx),
+                  PowerLawTurbulence.from_kappa(ctx, 1e-5, 1.8),
+                  MoisseevShivamoggi.from_context(ctx, 1.37)]
         for name in ("__mul__", "__truediv__", "__pow__"):
             monkeypatch.setattr(Dimension, name, counted(name, getattr(Dimension, name)))
         monkeypatch.setattr(quantity, "as_fraction", counted("as_fraction", quantity.as_fraction))
@@ -188,6 +193,12 @@ class TestExponentTable:
         solar_budget(1e-5, 1.8, ctx, n0_mode="computed")
         run_sweep(SweepSpec(slopes=(1.7, 2.9), kappas=(1.0, 1e-300),
                             outputs=("epsilon", "N", "Ns"), n0_mode="computed"), ctx)
+        numeric_crossover(models[0], models[2], ctx)
+        numeric_crossover(models[1], models[2], ctx,
+                          bracket=(Quantity(1e-20, WAVENUMBER), Quantity(1e20, WAVENUMBER)))
+        for model in models:
+            model.evaluate(Quantity(2.5, WAVENUMBER))
+            model.kernel(np.geomspace(1e-20, 1e30, 7))
         assert calls == []
         Dimension(1) * Dimension(2)  # the counters do count
         assert calls
