@@ -6,7 +6,8 @@ The pipeline, bottom to top:
 - ``quantity``: SI values with exact rational dimension exponents and
   first-order uncertainty arithmetic.
 - ``constants``: the constant registry (2006 CODATA plus a fixed Hubble
-  measurement) and the derived critical density and Hubble radius.
+  measurement), the exponent tables built on it, and the context with
+  the derived critical density and Hubble radius.
 - ``spectra``: Boyer vacuum spectrum, power-law and compressible
   turbulence spectra, and the energy-budget amplitude calibration.
 - ``transition``: the crossover scale lambda0 with its error budget,
@@ -21,8 +22,6 @@ from .constants import (
     ConstantRegistry,
     CosmologyContext,
     PhysicalConstant,
-    critical_density,
-    hubble_radius,
     load_config,
     load_registry,
     parse_config,
@@ -63,7 +62,6 @@ from .quantity import (
     TIME,
     UncertainQuantity,
     WAVENUMBER,
-    combine,
     power,
     propagate,
 )

@@ -192,7 +192,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     ctx = _context(args)
     model = _spectrum_model(args, ctx)
     kmin = args.kmin if args.kmin is not None else 1.0 / ctx.hubble_radius.value
-    kmax = args.kmax if args.kmax is not None else 2.0 * math.pi / ctx.value("r_p")
+    kmax = args.kmax if args.kmax is not None else 2.0 * math.pi / ctx.registry.value("r_p")
     if not (0.0 < kmin < kmax < math.inf):
         raise ValidationError(f"need 0 < kmin < kmax < inf, got {kmin!r}, {kmax!r}")
     if args.points < 2:

@@ -34,13 +34,11 @@ from .quantity import (
     LENGTH,
     MASS,
     POWER_DENSITY,
-    Quantity,
     SPEED,
     TIME,
     UncertainQuantity,
     as_fraction,
     power_product,
-    propagate,
 )
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s, exact
@@ -291,6 +289,8 @@ class CosmologyContext:
 
     The critical density and Hubble radius are recomputed from the
     registry on every access, never cached, so overrides propagate.
+    Single constants are read from ``registry`` (``value``,
+    ``rel_sigma``, ``quantity``).
     """
 
     registry: ConstantRegistry
@@ -298,27 +298,6 @@ class CosmologyContext:
     @classmethod
     def default(cls, overrides: Optional[Mapping[str, float]] = None) -> "CosmologyContext":
         return cls(load_registry(overrides))
-
-    def constant(self, name: str) -> UncertainQuantity:
-        return self.registry.quantity(name)
-
-    def value(self, name: str) -> float:
-        return self.registry.value(name)
-
-    def quantity(self, name: str) -> Quantity:
-        return self.registry.quantity(name).quantity()
-
-    def product(self, powers: Mapping[str, Exponent], coeff: float = 1.0) -> UncertainQuantity:
-        """Propagate a product of powers of registry constants, composing
-        its dimension on every call (for slope-dependent exponents; fixed
-        products are ``ExponentTable`` constants).
-
-        Derived quantities must be expressed in the base constants so
-        shared dependencies (everything depends on H) are counted once.
-        """
-        terms = [(UncertainQuantity(coeff), 1)]
-        terms += [(self.constant(name), p) for name, p in powers.items()]
-        return propagate(terms)
 
     @property
     def rho_crit(self) -> UncertainQuantity:
@@ -330,12 +309,3 @@ class CosmologyContext:
         """World radius R = c/H, the scale of the largest eddies, m."""
         return HUBBLE_RADIUS.evaluate(self.registry)
 
-
-def critical_density(ctx: CosmologyContext) -> UncertainQuantity:
-    """rho_crit = 3*H**2/(8*pi*G) with uncertainty from H and G."""
-    return ctx.rho_crit
-
-
-def hubble_radius(ctx: CosmologyContext) -> UncertainQuantity:
-    """R = c/H with uncertainty from H (c is exact)."""
-    return ctx.hubble_radius

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .constants import HORIZON_POWER_DENSITY, CosmologyContext, ExponentTable
-from .errors import NonFinite, ValidationError
+from .errors import ValidationError
 from .quantity import (
     FREQUENCY,
     LENGTH,
@@ -56,14 +56,14 @@ def _check_mode(n0_mode: str) -> str:
 
 
 def _window(ctx: CosmologyContext, window_t: Optional[Quantity]) -> Quantity:
-    t = ctx.quantity("t") if window_t is None else window_t
+    t = ctx.registry.quantity("t").quantity() if window_t is None else window_t
     if t.dim != TIME or t.value <= 0.0:
         raise ValidationError("window must be a positive time")
     return t
 
 
 def _radius(ctx: CosmologyContext, ell: Optional[Quantity]) -> Quantity:
-    radius = ctx.quantity("ell") if ell is None else ell
+    radius = ctx.registry.quantity("ell").quantity() if ell is None else ell
     if radius.dim != LENGTH or radius.value <= 0.0:
         raise ValidationError("rescaling radius must be a positive length")
     return radius
@@ -148,11 +148,16 @@ def rescaled_count(n_solar: float, ell: Quantity, ctx: CosmologyContext) -> floa
 
 
 def kappa_from_count(n_solar: float, n0: float, a: float) -> float:
-    """Invert the budget: kappa = (1/(a-1)) * (N/N0)**(a-1)."""
+    """Invert the budget: kappa = (1/(a-1)) * (N/N0)**(a-1).
+
+    Raises ValidationError unless both counts are positive and finite,
+    and NonFinite if the power leaves the float range.
+    """
     a = check_slope(a)
-    if n_solar <= 0.0 or n0 <= 0.0:
-        raise ValidationError("counts must be positive")
-    return (1.0 / (a - 1.0)) * (n_solar / n0) ** (a - 1.0)
+    if not (0.0 < n_solar < math.inf and 0.0 < n0 < math.inf):
+        raise ValidationError(f"counts must be positive and finite, got N = {n_solar!r}, "
+                              f"N0 = {n0!r}")
+    return power_product(1.0 / (a - 1.0), [(n_solar / n0, 0.0, a - 1.0)])[0]
 
 
 def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
@@ -161,13 +166,13 @@ def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
                            n0_mode: str = "paper") -> Tuple[float, TransitionResult]:
     """Bound kappa by a ceiling on the local dissipation count.
 
-    kappa = (1/(a-1)) * (Ns/N0 * (c/(ell*H))**3)**(a-1), then the
-    transition scale for that kappa. The CLI default ceiling is
-    Ns = 1e-12 solar masses per day: the Sun's own rest mass spread
-    over its roughly 1e12-day lifetime, a deliberately generous cap on
-    local dissipation. Raises KappaOutOfRange if the bound is not
+    kappa = kappa_from_count(N, N0, a) with N = Ns*(R/ell)**3, the count
+    over the horizon volume, then the transition scale for that kappa.
+    The CLI default ceiling is Ns = 1e-12 solar masses per day: the
+    Sun's own rest mass spread over its roughly 1e12-day lifetime, a
+    deliberately generous cap on local dissipation. Raises KappaOutOfRange if the bound is not
     constraining (kappa > 1), which happens in computed mode, and
-    NonFinite if (c/(ell*H))**3 leaves the float range.
+    NonFinite if N or kappa leaves the float range.
     """
     a = check_slope(a)
     if ns_bound <= 0.0 or not math.isfinite(ns_bound):
@@ -175,9 +180,6 @@ def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
     t = _window(ctx, window_t)
     radius = _radius(ctx, ell)
     n0 = n0_value(ctx, t, n0_mode).value
-    try:
-        blow_up = (ctx.hubble_radius.value / radius.value) ** 3
-        kappa = (1.0 / (a - 1.0)) * (ns_bound / n0 * blow_up) ** (a - 1.0)
-    except OverflowError:
-        raise NonFinite(f"kappa bound overflows for ell = {radius.value!r} m") from None
+    n_solar = power_product(ns_bound, [(ctx.hubble_radius.value / radius.value, 0.0, 3.0)])[0]
+    kappa = kappa_from_count(n_solar, n0, a)
     return kappa, transition_scale(a, kappa, ctx)

@@ -235,19 +235,6 @@ class Quantity:
         return f"{self.value:g}" if unit == "1" else f"{self.value:g} {unit}"
 
 
-def combine(q1: Quantity, q2: Quantity, op: str) -> Quantity:
-    """Combine two quantities with one of ``mul``, ``div``, ``add``, ``sub``."""
-    if op == "mul":
-        return q1 * q2
-    if op == "div":
-        return q1 / q2
-    if op == "add":
-        return q1 + q2
-    if op == "sub":
-        return q1 - q2
-    raise ValidationError(f"unknown operation {op!r}")
-
-
 def power(q: Quantity, p: Exponent) -> Quantity:
     """q**p with dimension exponents scaled exactly by the rational p."""
     pf = as_fraction(p)

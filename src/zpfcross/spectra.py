@@ -34,7 +34,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .constants import CRITICAL_ENERGY_DENSITY, HORIZON_POWER_DENSITY, CosmologyContext
+from .constants import (CRITICAL_ENERGY_DENSITY, HORIZON_POWER_DENSITY, HUBBLE_RADIUS,
+                        CosmologyContext)
 from .errors import (
     DimensionMismatch,
     KappaOutOfRange,
@@ -55,6 +56,7 @@ from .quantity import (
     UncertainQuantity,
     WAVENUMBER,
     power,
+    power_product,
 )
 
 # slope domain: a <= 1 diverges the energy-budget integral, a >= 3 would
@@ -150,7 +152,8 @@ class Boyer(SpectrumModel):
 
     @classmethod
     def from_context(cls, ctx: CosmologyContext) -> "Boyer":
-        return cls(ctx.quantity("hbar"), ctx.quantity("c"))
+        return cls(ctx.registry.quantity("hbar").quantity(),
+                   ctx.registry.quantity("c").quantity())
 
     def _energy(self, k, xp):
         return self.hbar.value * self.c.value * k ** 3
@@ -180,9 +183,11 @@ class TruncatedBoyer(SpectrumModel):
     @classmethod
     def from_context(cls, ctx: CosmologyContext,
                      cutoff_k: Optional[Quantity] = None) -> "TruncatedBoyer":
+        registry = ctx.registry
         if cutoff_k is None:
-            cutoff_k = Quantity(2.0 * math.pi) / ctx.quantity("r_p")
-        return cls(ctx.quantity("hbar"), ctx.quantity("c"), cutoff_k)
+            cutoff_k = Quantity(2.0 * math.pi) / registry.quantity("r_p").quantity()
+        return cls(registry.quantity("hbar").quantity(), registry.quantity("c").quantity(),
+                   cutoff_k)
 
     def _energy(self, k, xp):
         cutoff = self.cutoff_k.value
@@ -256,6 +261,9 @@ class MoisseevShivamoggi(SpectrumModel):
                 raise DimensionMismatch(f"{name} must have dimension {dim}")
             if quantity.value <= 0.0:
                 raise ValidationError(f"{name} must be positive")
+        if not 0.0 < self.kolmogorov_const < math.inf:
+            raise ValidationError(f"Kolmogorov constant must be positive and finite, "
+                                  f"got {self.kolmogorov_const!r}")
         gf = Fraction(self.gamma)
         denom = 3 * gf - 1
         _check_spectral("MoisseevShivamoggi",
@@ -278,8 +286,8 @@ class MoisseevShivamoggi(SpectrumModel):
                      kolmogorov_const: float = 1.0) -> "MoisseevShivamoggi":
         if epsilon is None:
             epsilon = horizon_injection_rate(ctx).quantity()
-        return cls(gamma, epsilon, ctx.rho_crit.quantity(), ctx.quantity("c"),
-                   kolmogorov_const)
+        return cls(gamma, epsilon, ctx.rho_crit.quantity(),
+                   ctx.registry.quantity("c").quantity(), kolmogorov_const)
 
     def _energy(self, k, xp):
         return self.kolmogorov_const * xp.exp(
@@ -328,18 +336,30 @@ class EnergyBudget:
         return cls(check_kappa(kappa), energy_budget_total(kappa, ctx))
 
 
-def amplitude_from_kappa(kappa: float, a: float, ctx: CosmologyContext) -> UncertainQuantity:
-    """Power-law amplitude A = (a-1)*kappa*rho*c**2*R**(1-a).
+def _reduced_amplitude(a: float, ctx: CosmologyContext, scale: float = 1.0) -> UncertainQuantity:
+    """scale * rho*c**2 * R**(1-a), J/m^2 * m^-a, from the two tables.
 
-    Propagated from the base constants (A reduces to
-    3*(a-1)*kappa/(8*pi) * G**-1 * H**(1+a) * c**(3-a)), so the shared
-    H dependence of rho and R is counted once.
+    Their exponents are merged by constant name (G**-1 * H**(1+a) *
+    c**(3-a)), so the H shared by rho and R is counted once.
     """
+    af = Fraction(a)
+    exponents = dict(CRITICAL_ENERGY_DENSITY.exponents)
+    for name, p in HUBBLE_RADIUS.exponents.items():
+        exponents[name] = exponents.get(name, 0) + (1 - af) * p
+    registry = ctx.registry
+    value, rel_sigma = power_product(
+        scale * 3.0 / (8.0 * math.pi),
+        [(registry.value(name), registry.rel_sigma(name), float(p))
+         for name, p in exponents.items()])
+    return UncertainQuantity(value, rel_sigma,
+                             CRITICAL_ENERGY_DENSITY.dim * HUBBLE_RADIUS.dim ** (1 - af))
+
+
+def amplitude_from_kappa(kappa: float, a: float, ctx: CosmologyContext) -> UncertainQuantity:
+    """Power-law amplitude A = (a-1)*kappa*rho*c**2*R**(1-a)."""
     kappa = check_kappa(kappa)
     a = check_slope(a)
-    af = Fraction(a)
-    coeff = 3.0 * (a - 1.0) * kappa / (8.0 * math.pi)
-    return ctx.product({"G": -1, "H": 1 + af, "c": 3 - af}, coeff=coeff)
+    return _reduced_amplitude(a, ctx, (a - 1.0) * kappa)
 
 
 def budget_roundtrip(amplitude: Union[Quantity, UncertainQuantity], a: float,
@@ -394,7 +414,5 @@ def horizon_spectrum_amplitude(a: float, ctx: CosmologyContext) -> HorizonAmplit
     amplitude and the prefactor separately.
     """
     a = check_slope(a)
-    af = Fraction(a)
-    reduced = ctx.product({"G": -1, "H": 1 + af, "c": 3 - af},
-                          coeff=3.0 / (8.0 * math.pi))
-    return HorizonAmplitude(reduced=reduced, prefactor=3.0 ** (a - 1.0), slope=a)
+    return HorizonAmplitude(reduced=_reduced_amplitude(a, ctx),
+                            prefactor=3.0 ** (a - 1.0), slope=a)

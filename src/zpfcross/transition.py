@@ -26,9 +26,10 @@ propagation through the closed form:
     (sigma/lambda0)**2 = [e_G**2 + (a-2)**2*e_c**2 + e_hbar**2
                           + (a+1)**2*e_H**2 + e_kappa**2] / (3+a)**2
 
-Three independent routes to the same numbers are provided: the closed
-form with analytic propagation, a log-space bisection on the two
-spectra, and Monte Carlo sampling of the constants.
+that is, sum((p_X*e_X)**2). The log form and the Monte Carlo take V, R
+and the p_X from the same tables; the checks independent of those
+exponents are the log-space bisection on the two spectra and the finite
+differences in ``tests/test_acceptance.py`` and ``bench/reference.py``.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .constants import HUBBLE_RADIUS, CosmologyContext, ExponentTable
+from .constants import HUBBLE_RADIUS, ConstantRegistry, CosmologyContext, ExponentTable
 from .errors import (
     DegenerateSamples,
     InvalidBracket,
@@ -58,6 +59,16 @@ _SCALE_EXPONENTS = tuple(
     (name, float(CROSSOVER_VOLUME.exponents.get(name, 0)),
      float(HUBBLE_RADIUS.exponents.get(name, 0)))
     for name in ("G", "c", "hbar", "H"))
+
+
+def _budget(a: float, registry: ConstantRegistry,
+            e_kappa: float) -> List[Tuple[str, float, float]]:
+    """(name, p_X, e_X) for each input of lambda0, kappa last with p = -q."""
+    q = 1.0 / (3.0 + a)
+    terms = [(name, q * (v + a * r), registry.rel_sigma(name))
+             for name, v, r in _SCALE_EXPONENTS]
+    terms.append(("kappa", -q, e_kappa))
+    return terms
 
 
 @dataclass(frozen=True)
@@ -112,9 +123,7 @@ def transition_scale(a: float, kappa: float, ctx: CosmologyContext,
         raise NonFinite(f"k0 leaves the float range at a = {a!r}, "
                         f"kappa = {kappa!r}") from None
 
-    breakdown = {name: abs(q * (v + a * r)) * registry.rel_sigma(name)
-                 for name, v, r in _SCALE_EXPONENTS}
-    breakdown["kappa"] = q * e_kappa
+    breakdown = {name: abs(p) * e for name, p, e in _budget(a, registry, e_kappa)}
     rel_sigma = math.sqrt(sum(v * v for v in breakdown.values()))
     return TransitionResult(k0=Quantity(k0, WAVENUMBER), lambda0=Quantity(lambda0, LENGTH),
                             rel_sigma=rel_sigma,
@@ -137,7 +146,7 @@ def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyCon
     """
     if bracket is None:
         lo = 1.0 / HUBBLE_RADIUS.value(ctx.registry)
-        hi = 2.0 * math.pi / ctx.value("r_p")
+        hi = 2.0 * math.pi / ctx.registry.value("r_p")
     else:
         for end in bracket:
             if end.dim != WAVENUMBER:
@@ -187,11 +196,10 @@ def sigma_approximation(a: float, e_H: float) -> float:
 
 
 def log_form_constants(ctx: CosmologyContext) -> Tuple[float, float]:
-    """The constants C1 = ln(3*c**2*H/(8*pi*G*hbar)) and C2 = ln(H/c)."""
-    c = ctx.value("c")
-    c1 = math.log(3.0 * c ** 2 * ctx.value("H")
-                  / (8.0 * math.pi * ctx.value("G") * ctx.value("hbar")))
-    c2 = math.log(ctx.value("H") / c)
+    """The constants C1 = -ln(8*pi/3 * V) = ln(3*c**2*H/(8*pi*G*hbar)) and
+    C2 = -ln R = ln(H/c), from the tables V and R."""
+    c1 = -math.log(CROSSOVER_VOLUME.value(ctx.registry, 8.0 * math.pi / 3.0))
+    c2 = -math.log(HUBBLE_RADIUS.value(ctx.registry))
     return c1, c2
 
 
@@ -222,25 +230,31 @@ class MonteCarloScale:
     rejected: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result is checked below
 def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
                       ctx: CosmologyContext, e_kappa: float = 0.0,
                       sampling: str = "lognormal") -> MonteCarloScale:
     """Monte Carlo check of the analytic error budget.
 
-    Samples each constant independently as a Gaussian with its relative
-    sigma, evaluates the closed form per sample and returns the sample
-    mean and relative standard deviation. Deterministic for a given
-    seed.
+    Samples the ratio r_X = X/X0 of each constant and of kappa as a
+    Gaussian with its relative sigma; each sample is lambda0 *
+    exp(sum p_X*ln r_X), with lambda0 and the p_X of ``transition_scale``.
+    Returns the sample mean and relative standard deviation.
+    Deterministic for a given seed.
 
     ``sampling`` selects where the Gaussian lives. The default
-    "lognormal" draws the Gaussian in log space (X = X0*exp(e*z)), so
+    "lognormal" draws the Gaussian in log space (r = exp(e*z)), so
     constants stay positive and the sample spread matches first-order
     propagation to O(e**2); this is the mode the acceptance checks use.
-    "normal" draws additively (X = X0*(1 + e*z)); non-positive draws
+    "normal" draws additively (r = 1 + e*z); non-positive draws
     are then rejected and redrawn (the count is reported) and sampling
     fails with DegenerateSamples if rejection cannot make progress.
     Note the additive mode overshoots first-order propagation by about
     5 percent at e_H = 0.15 from second-order terms.
+
+    A sample count that does not fit in memory (48 bytes per sample)
+    raises ValidationError, and a mean or spread outside the float range
+    NonFinite.
     """
     a = check_slope(a)
     kappa = check_kappa(kappa)
@@ -249,33 +263,39 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     if sampling not in ("lognormal", "normal"):
         raise ValidationError(f"sampling must be 'lognormal' or 'normal', got {sampling!r}")
 
-    names = ["G", "c", "hbar", "H"]
-    centers = np.array([ctx.value(name) for name in names] + [kappa])
-    rels = np.array([ctx.registry.rel_sigma(name) for name in names] + [e_kappa])
+    lambda0 = transition_scale(a, kappa, ctx, e_kappa).lambda0.value
+    exponents, rels = np.array([(p, e) for _, p, e in _budget(a, ctx.registry, e_kappa)]).T
 
     rng = np.random.default_rng(seed)
     rejected = 0
-    if sampling == "lognormal":
-        samples = centers * np.exp(rels * rng.standard_normal((n, centers.size)))
-    else:
-        samples = centers * (1.0 + rels * rng.standard_normal((n, centers.size)))
-        for _round in range(1000):
-            bad = samples <= 0.0
-            n_bad = int(bad.sum())
-            if n_bad == 0:
-                break
-            rejected += n_bad
-            redraw = centers * (1.0 + rels * rng.standard_normal((n, centers.size)))
-            samples = np.where(bad, redraw, samples)
-        else:
-            raise DegenerateSamples(f"rejection sampling stalled after {rejected} redraws")
-
-    G, c, hbar, H, kap = samples.T
-    inner = (8.0 * math.pi * G * hbar / (3.0 * (a - 1.0) * kap * c ** 2 * H)
-             * (c / H) ** a)
-    lam = 2.0 * math.pi * inner ** (1.0 / (3.0 + a))
-    mean = float(np.mean(lam))
-    spread = float(np.std(lam, ddof=1)) if n > 1 else 0.0
+    try:
+        # one row per sample, one column per input, worked on in place
+        samples = rng.standard_normal((n, rels.size))
+        samples *= rels  # lognormal: ln r = e*z
+        if sampling == "normal":
+            samples += 1.0  # r = 1 + e*z, rejected where r <= 0 (X <= 0)
+            for _round in range(1000):
+                bad = samples <= 0.0
+                n_bad = int(bad.sum())
+                if n_bad == 0:
+                    break
+                rejected += n_bad
+                np.copyto(samples, 1.0 + rels * rng.standard_normal(samples.shape), where=bad)
+            else:
+                raise DegenerateSamples(f"rejection sampling stalled after {rejected} redraws")
+            np.log(samples, out=samples)
+        samples *= exponents
+        lam = samples.sum(axis=1)
+        del samples  # freed before np.std allocates its temporaries
+        np.exp(lam, out=lam)
+        lam *= lambda0
+        mean = float(np.mean(lam))
+        spread = float(np.std(lam, ddof=1))
+    except (MemoryError, ValueError):  # ValueError: a shape beyond numpy's index range
+        raise ValidationError(f"{n} Monte Carlo samples do not fit in memory") from None
+    if not (0.0 < mean < math.inf and spread < math.inf):
+        raise NonFinite(f"Monte Carlo samples of lambda0 leave the float range at "
+                        f"a = {a!r}, kappa = {kappa!r}")
     return MonteCarloScale(mean=Quantity(mean, LENGTH),
                            rel_sigma=spread / mean,
                            n_samples=n, rejected=rejected)

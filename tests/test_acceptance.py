@@ -29,10 +29,8 @@ from zpfcross import (
     MoisseevShivamoggi,
     PowerLawTurbulence,
     amplitude_from_kappa,
-    critical_density,
     gamma_from_slope,
     horizon_injection_rate,
-    hubble_radius,
     kappa_from_count,
     kappa_from_solar_bound,
     kolmogorov_reference_scale,
@@ -162,8 +160,8 @@ class TestCriterion4UncertaintyTripleCheck:
     def fd_rel_sigma(self, a):
         # central-difference gradient through the closed form
         names = ("G", "c", "hbar", "H")
-        x0 = [CTX.value(n) for n in names] + [1.0]
-        sigmas = [CTX.registry.rel_sigma(n) * CTX.value(n) for n in names] + [0.0]
+        x0 = [CTX.registry.value(n) for n in names] + [1.0]
+        sigmas = [CTX.registry.rel_sigma(n) * CTX.registry.value(n) for n in names] + [0.0]
         f0 = self.lambda_of(*x0, a)
         var = 0.0
         for i, sigma in enumerate(sigmas):
@@ -199,9 +197,9 @@ class TestCriterion4UncertaintyTripleCheck:
 class TestCriterion5CascadeLimits:
     def test_kolmogorov_limit(self):
         ms = MoisseevShivamoggi.from_context(CTX, 1e6)
-        rho = critical_density(CTX).value
+        rho = CTX.rho_crit.value
         eps = horizon_injection_rate(CTX).value
-        radius = hubble_radius(CTX).value
+        radius = CTX.hubble_radius.value
         worst = 0.0
         for i in range(21):
             k = (1.0 / radius) * 10.0 ** (0.5 * i)  # spans 1/R .. 1e10/R
@@ -251,10 +249,10 @@ class TestCriterion6Roundtrips:
         # adaptive quadrature (log substitution) of the budget integral
         a, kappa = 1.8, 1.0
         amp = amplitude_from_kappa(kappa, a, CTX).value
-        u0 = math.log(1.0 / hubble_radius(CTX).value)
+        u0 = math.log(1.0 / CTX.hubble_radius.value)
         numeric, _ = quad(lambda u: amp * math.exp((1.0 - a) * u), u0, math.inf,
                           epsabs=0.0, epsrel=1e-9)
-        closed = kappa * critical_density(CTX).value * C ** 2
+        closed = kappa * CTX.rho_crit.value * C ** 2
         deviation = rel(numeric, closed)
         ok = deviation <= 1e-6
         report("C6/budget", ok, f"quadrature vs closed form {deviation:.2e} (tol 1e-6)")

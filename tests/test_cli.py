@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from zpfcross import transition
 from zpfcross.cli import main
 from zpfcross.quantity import POWER_DENSITY, Quantity, WAVENUMBER
 from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
@@ -59,6 +60,34 @@ class TestTransitionCommand:
         assert code1 == code2 == 0
         assert "mc_mean_m" in out1
         assert out1 == out2
+
+    def test_monte_carlo_too_large_for_memory(self, capsys, monkeypatch):
+        # the generator raises as numpy does when the allocation fails,
+        # so nothing is allocated here
+        class NoMemory:
+            def standard_normal(self, shape):
+                raise MemoryError
+
+        monkeypatch.setattr(transition.np.random, "default_rng", lambda seed: NoMemory())
+        code, out, err = run(capsys, "transition", "--slope", "1.8", "--mc", "100000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "100000000" in err
+        assert len(err.splitlines()) == 1
+
+    def test_monte_carlo_out_of_float_range(self, capsys):
+        code, out, err = run(capsys, "transition", "--slope", "1.8", "--ekappa", "1000",
+                             "--mc", "1000")
+        assert code == 3
+        assert err.startswith("numeric failure:") and len(err.splitlines()) == 1
+        assert out == ""
+
+    def test_monte_carlo_beyond_numpy_shapes(self, capsys):
+        # numpy rejects this shape before allocating anything
+        code, _, err = run(capsys, "transition", "--slope", "1.8",
+                           "--mc", "10000000000000000000")
+        assert code == 2
+        assert err.startswith("error:") and "10000000000000000000" in err
 
     def test_validation_exit_code(self, capsys):
         code, _, err = run(capsys, "transition", "--slope", "5")
@@ -165,6 +194,15 @@ class TestBoundCommand:
         assert code == 3
         assert err.startswith("numeric failure:")
 
+    def test_count_out_of_float_range(self, capsys):
+        # N = Ns*(R/ell)**3 leaves the float range before kappa is formed
+        code, out, err = run(capsys, "bound", "--slope", "2.9", "--ns", "1e300",
+                             "--radius-lightminutes", "1e-300")
+        assert code in (2, 3)
+        assert err.startswith(("error:", "numeric failure:"))
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_computed_mode_rejected(self, capsys):
         code, _, err = run(capsys, "bound", "--slope", "1.7", "--n0", "computed")
         assert code == 2
@@ -223,6 +261,14 @@ class TestSpectrumCommand:
         code, out, err = run(capsys, "spectrum", "--model", "ms", "--gamma", "1e308")
         assert code == 3
         assert err.startswith("numeric failure:")
+        assert out == ""
+
+    @pytest.mark.parametrize("const", ["-1", "0", "nan", "inf"])
+    def test_kolmogorov_const_must_be_positive_and_finite(self, capsys, const):
+        code, out, err = run(capsys, "spectrum", "--model", "ms",
+                             "--kolmogorov-const", const, "--points", "3")
+        assert code == 2
+        assert err.startswith("error:") and "Kolmogorov constant" in err
         assert out == ""
 
     @pytest.mark.parametrize("model, flags", [

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from zpfcross.constants import critical_density, hubble_radius
 from zpfcross.dissipation import (
     PAPER_N0,
     DissipationBudget,
@@ -34,7 +33,7 @@ def rel(x, y):
 
 class TestDissipationRate:
     def test_a2_kappa1_collapses_to_rho_c3_over_r(self, ctx):
-        expected = critical_density(ctx).value * C ** 3 / hubble_radius(ctx).value
+        expected = ctx.rho_crit.value * C ** 3 / ctx.hubble_radius.value
         eps = dissipation_rate(1.0, 2.0, ctx)
         assert rel(eps.value, expected) < 1e-12
         assert rel(eps.value, 2.5e-27) < 0.01
@@ -50,8 +49,8 @@ class TestDissipationRate:
         # A = [rho**(gamma-1) * eps**(2*gamma) * c**-2]**(1/(3*gamma-1))
         # for eps with the calibrated A, evaluated in logs (A**(3*gamma-1)
         # underflows for a = 1.7), dimensions via exact fractions
-        rho = critical_density(ctx).quantity()
-        c = ctx.quantity("c")
+        rho = ctx.rho_crit.quantity()
+        c = ctx.registry.quantity("c").quantity()
         for a in (1.7, 1.8, 2.0, 2.5):
             for kappa in (1.0, 1e-5):
                 af = Fraction(a)
@@ -91,7 +90,7 @@ class TestSolarBudget:
 
     def test_computed_mode_n0(self, ctx):
         # oracle: rho*c*R**2*t/M from the registry
-        expected = (critical_density(ctx).value * C * hubble_radius(ctx).value ** 2
+        expected = (ctx.rho_crit.value * C * ctx.hubble_radius.value ** 2
                     * 86400.0 / 1.98e30)
         n0 = n0_value(ctx, n0_mode="computed")
         assert rel(n0.value, expected) < 1e-12
@@ -104,13 +103,15 @@ class TestSolarBudget:
         # the import-checked tables give the numbers that per-call exact
         # dimension bookkeeping through propagate gives
         slow = propagate([(UncertainQuantity(3.0 / (8.0 * math.pi)), 1)]
-                         + [(ctx.constant(name), p) for name, p in (("G", -1), ("c", 3),
-                                                                    ("M_sun", -1))]
+                         + [(ctx.registry.quantity(name), p)
+                            for name, p in (("G", -1), ("c", 3), ("M_sun", -1))]
                          + [(UncertainQuantity(86400.0, 0.0, TIME), 1)])
         fast = n0_value(ctx, n0_mode="computed")
         assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma, slow.dim)
         coeff = 3.0 / (8.0 * math.pi) * (0.8 * 1e-5) ** (1.0 / 0.8)
-        slow = ctx.product({"G": -1, "H": 3, "c": 2}, coeff=coeff)
+        slow = propagate([(UncertainQuantity(coeff), 1)]
+                         + [(ctx.registry.quantity(name), p)
+                            for name, p in (("G", -1), ("H", 3), ("c", 2))])
         fast = dissipation_rate(1e-5, 1.8, ctx)
         assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma, slow.dim)
 
@@ -126,7 +127,7 @@ class TestSolarBudget:
     def test_budget_internal_identities(self, ctx):
         budget = solar_budget(1e-5, 1.8, ctx, n0_mode="paper")
         assert budget.n_solar == budget.n0 * ((1.8 - 1.0) * 1e-5) ** (1.0 / 0.8)
-        ratio = budget.ell.value / hubble_radius(ctx).value
+        ratio = budget.ell.value / ctx.hubble_radius.value
         assert budget.ns_solar == budget.n_solar * ratio ** 3
         assert isinstance(budget, DissipationBudget)
 
@@ -137,13 +138,13 @@ class TestSolarBudget:
 
 class TestRescaledCount:
     def test_identity_at_hubble_radius(self, ctx):
-        radius = hubble_radius(ctx).quantity()
+        radius = ctx.hubble_radius.quantity()
         assert rescaled_count(3.7e10, radius, ctx) == 3.7e10
 
     def test_published_chain_a17(self, ctx):
         # N = 1e49 at ell = 8 lightminutes lands at the published 1e5
         # only as an order of magnitude
-        ns = rescaled_count(1e49, ctx.quantity("ell"), ctx)
+        ns = rescaled_count(1e49, ctx.registry.quantity("ell").quantity(), ctx)
         assert abs(math.log10(ns) - 5.0) < 1.0
 
     def test_published_chain_a18(self, ctx):
@@ -176,6 +177,17 @@ class TestKappaFromCount:
         with pytest.raises(ValidationError):
             kappa_from_count(1e10, -1.0, 1.7)
 
+    @pytest.mark.parametrize("n_solar, n0", [(math.nan, 1.0), (math.inf, 1.0),
+                                             (1.0, math.nan), (1.0, math.inf)])
+    def test_finite_counts_required(self, n_solar, n0):
+        with pytest.raises(ValidationError):
+            kappa_from_count(n_solar, n0, 2.0)
+
+    def test_overflowing_power_is_numeric_failure(self):
+        # (N/N0)**(a-1) = (1e300)**1.9
+        with pytest.raises(NonFinite):
+            kappa_from_count(1e200, 1e-100, 2.9)
+
 
 class TestSolarBound:
     def test_published_a17(self, ctx):
@@ -187,6 +199,15 @@ class TestSolarBound:
         kappa, result = kappa_from_solar_bound(1e-12, 1.8, ctx, n0_mode="paper")
         assert 1.0 / 3.0 < kappa / 2e-20 < 3.0
         assert rel(result.lambda0.value, 630e3) < 0.15
+
+    def test_inverts_the_count_over_the_horizon(self, ctx):
+        # the bound is kappa_from_count at N = Ns*(R/ell)**3
+        for a in (1.3, 1.7, 2.6):
+            kappa, _ = kappa_from_solar_bound(1e-12, a, ctx)
+            budget = solar_budget(kappa, a, ctx)
+            assert rel(budget.ns_solar, 1e-12) < 1e-12
+            ratio = ctx.hubble_radius.value / budget.ell.value
+            assert kappa == kappa_from_count(1e-12 * ratio ** 3, PAPER_N0, a)
 
     def test_doubling_bound_scales_kappa(self, ctx):
         a = 1.7

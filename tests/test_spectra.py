@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from zpfcross.constants import critical_density, hubble_radius
+from zpfcross.constants import CosmologyContext
 from zpfcross.errors import (
     DimensionMismatch,
     KappaOutOfRange,
@@ -17,6 +17,7 @@ from zpfcross.errors import (
     NonPositiveWavenumber,
     PoleGamma,
     SlopeOutOfRange,
+    ValidationError,
 )
 from zpfcross.quantity import (
     ENERGY_DENSITY,
@@ -50,6 +51,10 @@ def rel(x, y):
 
 def k_of(value):
     return Quantity(value, WAVENUMBER)
+
+
+def constant(ctx, name):
+    return ctx.registry.quantity(name).quantity()
 
 
 # log10 k from the largest eddy 1/R to the Planck wavenumber 2*pi/r_p
@@ -89,9 +94,9 @@ class TestBoyer:
 
     def test_output_dimension_checked_when_built(self, ctx):
         with pytest.raises(DimensionMismatch):
-            Boyer(ctx.quantity("hbar"), ctx.quantity("hbar"))
+            Boyer(constant(ctx, "hbar"), constant(ctx, "hbar"))
         with pytest.raises(DimensionMismatch):
-            TruncatedBoyer(ctx.quantity("c"), ctx.quantity("c"), k_of(1.0))
+            TruncatedBoyer(constant(ctx, "c"), constant(ctx, "c"), k_of(1.0))
 
     def test_overflow_is_numeric_failure(self, ctx):
         vac = Boyer.from_context(ctx)
@@ -126,7 +131,7 @@ class TestTruncatedBoyer:
 
     def test_bad_cutoff(self, ctx):
         with pytest.raises(NonPositiveWavenumber):
-            TruncatedBoyer(ctx.quantity("hbar"), ctx.quantity("c"), k_of(0.0))
+            TruncatedBoyer(constant(ctx, "hbar"), constant(ctx, "c"), k_of(0.0))
 
 
 class TestSlopeMaps:
@@ -172,8 +177,8 @@ class TestSlopeMaps:
 
 class TestAmplitude:
     def test_a2_equals_rho_c2_over_r(self, ctx):
-        rho = critical_density(ctx).value
-        radius = hubble_radius(ctx).value
+        rho = ctx.rho_crit.value
+        radius = ctx.hubble_radius.value
         amp = amplitude_from_kappa(1.0, 2.0, ctx)
         assert rel(amp.value, rho * 2.99792458e8 ** 2 / radius) < 1e-12
 
@@ -193,11 +198,28 @@ class TestAmplitude:
         # in log space (u = ln k) so the improper tail is exponential
         a, kappa = 1.7, 1.0
         amp = amplitude_from_kappa(kappa, a, ctx).value
-        u0 = math.log(1.0 / hubble_radius(ctx).value)
+        u0 = math.log(1.0 / ctx.hubble_radius.value)
         total, err = quad(lambda u: amp * math.exp((1.0 - a) * u), u0, math.inf,
                           epsabs=0.0, epsrel=1e-9)
-        target = kappa * critical_density(ctx).value * 2.99792458e8 ** 2
+        target = kappa * ctx.rho_crit.value * 2.99792458e8 ** 2
         assert rel(total, target) < 1e-6
+
+    def test_equals_the_exact_propagation(self, ctx):
+        # the merged tables against per-call exact bookkeeping over
+        # the base constants, A ~ G**-1 * H**(1+a) * c**(3-a)
+        custom = CosmologyContext.default({"e_G": 0.01, "e_c": 0.02, "e_H": 0.04})
+        for a in (1.1, 5.0 / 3.0, 2.0, 2.9):
+            af = Fraction(a)
+            for fast, coeff in ((amplitude_from_kappa(0.3, a, custom),
+                                 3.0 * (a - 1.0) * 0.3 / (8.0 * math.pi)),
+                                (horizon_spectrum_amplitude(a, custom).reduced,
+                                 3.0 / (8.0 * math.pi))):
+                slow = propagate([(UncertainQuantity(coeff), 1)]
+                                 + [(custom.registry.quantity(name), p)
+                                    for name, p in (("G", -1), ("H", 1 + af), ("c", 3 - af))])
+                assert rel(fast.value, slow.value) < 1e-14
+                assert rel(fast.rel_sigma, slow.rel_sigma) < 1e-14
+                assert fast.dim == slow.dim
 
     def test_slope_boundaries(self, ctx):
         with pytest.raises(SlopeOutOfRange):
@@ -218,13 +240,13 @@ class TestBudgetRoundtrip:
             for kappa in (1.0, 0.5, 1e-5):
                 amp = amplitude_from_kappa(kappa, a, ctx)
                 total = budget_roundtrip(amp, a, ctx)
-                target = kappa * critical_density(ctx).value * 2.99792458e8 ** 2
+                target = kappa * ctx.rho_crit.value * 2.99792458e8 ** 2
                 assert rel(total.value, target) < 1e-12
                 assert total.dim == ENERGY_DENSITY
 
     def test_energy_budget_type(self, ctx):
         budget = EnergyBudget.from_kappa(0.5, ctx)
-        target = 0.5 * critical_density(ctx).value * 2.99792458e8 ** 2
+        target = 0.5 * ctx.rho_crit.value * 2.99792458e8 ** 2
         assert rel(budget.total.value, target) < 1e-12
         assert budget.kappa == 0.5
 
@@ -236,7 +258,7 @@ class TestBudgetRoundtrip:
         # truncated budget over [1/R, 1e6/R]: quadrature vs closed form
         a = 1.8
         amp = amplitude_from_kappa(1.0, a, ctx).value
-        k1 = 1.0 / hubble_radius(ctx).value
+        k1 = 1.0 / ctx.hubble_radius.value
         k2 = 1e6 * k1
         numeric, err = quad(lambda u: amp * math.exp((1.0 - a) * u),
                             math.log(k1), math.log(k2), epsabs=0.0, epsrel=1e-10)
@@ -247,8 +269,8 @@ class TestBudgetRoundtrip:
 class TestHorizonInjection:
     def test_value(self, ctx):
         # oracle: 3*rho*c**3/R by direct arithmetic
-        expected = (3.0 * critical_density(ctx).value * 2.99792458e8 ** 3
-                    / hubble_radius(ctx).value)
+        expected = (3.0 * ctx.rho_crit.value * 2.99792458e8 ** 3
+                    / ctx.hubble_radius.value)
         rate = horizon_injection_rate(ctx)
         assert rel(rate.value, expected) < 1e-12
         assert rel(rate.value, 7.4e-27) < 1e-2
@@ -265,7 +287,7 @@ class TestHorizonInjection:
                 (energy_budget_total(0.3, ctx), 3.0 * 0.3 / (8.0 * math.pi),
                  (("H", 2), ("G", -1), ("c", 2)))):
             slow = propagate([(UncertainQuantity(coeff), 1)]
-                             + [(ctx.constant(name), p) for name, p in powers])
+                             + [(ctx.registry.quantity(name), p) for name, p in powers])
             assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma,
                                                               slow.dim)
         assert energy_budget_total(0.3, ctx).dim == ENERGY_DENSITY
@@ -298,7 +320,7 @@ class TestHorizonAmplitude:
 class TestMoisseevShivamoggi:
     def test_kadomtsev_petviashvili_at_gamma_1(self, ctx):
         ms = MoisseevShivamoggi.from_context(ctx, 1.0)
-        c = ctx.quantity("c")
+        c = constant(ctx, "c")
         for k in (1e-20, 1e-3, 1.0, 1e10):
             kp = ms.epsilon / c * power(k_of(k), -2)
             assert rel(ms.evaluate(k_of(k)).value, kp.value) < 1e-12
@@ -307,9 +329,9 @@ class TestMoisseevShivamoggi:
     def test_kolmogorov_limit(self, ctx):
         # within 0.1% of C*rho**(1/3)*eps**(2/3)*k**(-5/3) at gamma = 1e6
         ms = MoisseevShivamoggi.from_context(ctx, 1e6)
-        rho = critical_density(ctx).value
+        rho = ctx.rho_crit.value
         eps = horizon_injection_rate(ctx).value
-        radius = hubble_radius(ctx).value
+        radius = ctx.hubble_radius.value
         for i in range(11):
             k = (1.0 / radius) * 10.0 ** i
             kolmo = rho ** (1.0 / 3.0) * eps ** (2.0 / 3.0) * k ** (-5.0 / 3.0)
@@ -320,6 +342,11 @@ class TestMoisseevShivamoggi:
             MoisseevShivamoggi.from_context(ctx, 1.0 / 3.0)
         with pytest.raises(PoleGamma):
             MoisseevShivamoggi.from_context(ctx, 0.25)
+
+    @pytest.mark.parametrize("const", [-1.0, 0.0, math.nan, math.inf])
+    def test_kolmogorov_constant_checked_on_construction(self, ctx, const):
+        with pytest.raises(ValidationError, match="Kolmogorov constant"):
+            MoisseevShivamoggi.from_context(ctx, 2.0, kolmogorov_const=const)
 
     def test_kolmogorov_constant_scales_linearly(self, ctx):
         base = MoisseevShivamoggi.from_context(ctx, 2.0)
@@ -380,7 +407,7 @@ class TestSpectrumProperties:
     def test_truncation_is_inclusive(self, ctx, log10_k, pick):
         k = 10.0 ** np.array(log10_k)
         cutoff = float(k[pick % k.size])
-        trunc = TruncatedBoyer(ctx.quantity("hbar"), ctx.quantity("c"), k_of(cutoff))
+        trunc = TruncatedBoyer(constant(ctx, "hbar"), constant(ctx, "c"), k_of(cutoff))
         boyer = Boyer.from_context(ctx).kernel(k)
         assert trunc.kernel(k).tolist() == np.where(k > cutoff, 0.0, boyer).tolist()
         assert trunc.kernel(cutoff) == Boyer.from_context(ctx).kernel(cutoff) > 0.0

@@ -190,6 +190,9 @@ class TestExponentTable:
             monkeypatch.setattr(Dimension, name, counted(name, getattr(Dimension, name)))
         monkeypatch.setattr(quantity, "as_fraction", counted("as_fraction", quantity.as_fraction))
         transition_scale(1.8, 1e-5, ctx, e_kappa=0.1)
+        log_form_scale(1.8, 1e-5, ctx)
+        monte_carlo_scale(1.8, 1e-5, 1000, 5, ctx, e_kappa=0.1)
+        monte_carlo_scale(1.8, 1e-5, 1000, 5, ctx, sampling="normal")
         solar_budget(1e-5, 1.8, ctx, n0_mode="computed")
         run_sweep(SweepSpec(slopes=(1.7, 2.9), kappas=(1.0, 1e-300),
                             outputs=("epsilon", "N", "Ns"), n0_mode="computed"), ctx)
@@ -332,6 +335,27 @@ class TestMonteCarlo:
         mc = monte_carlo_scale(2.0, 1.0, 5000, 3, ctx, sampling="normal")
         assert mc.rel_sigma > 0.0
         assert mc.rejected == 0  # 6.7 sigma to a negative H, never drawn
+
+    @pytest.mark.parametrize("overrides, args, kwargs, mean, rel_sigma, rejected", [
+        ({}, (1.8, 1e-5, 2000, 42), {}, 591.1445619768475, 0.0881966814916222, 0),
+        ({"e_H": 0.3, "e_G": 0.2}, (1.8, 1e-3, 5000, 3),
+         {"e_kappa": 0.4, "sampling": "normal"}, 248.4184722752336, 1.538466837545715, 39),
+    ])
+    def test_pinned_draws(self, overrides, args, kwargs, mean, rel_sigma, rejected):
+        # values of the per-sample closed form over the same draws, kept to
+        # show that sampling the ratios X/X0 draws the same constants
+        mc = monte_carlo_scale(*args, CosmologyContext.default(overrides), **kwargs)
+        assert rel(mc.mean.value, mean) < 1e-12
+        assert rel(mc.rel_sigma, rel_sigma) < 1e-12
+        assert mc.rejected == rejected
+        assert mc.n_samples == args[2]
+
+    def test_spread_out_of_float_range_is_numeric_failure(self, ctx):
+        # kappa**(-q) with e_kappa = 1000 spans hundreds of decades
+        with pytest.raises(NonFinite):
+            monte_carlo_scale(1.8, 1.0, 1000, 0, ctx, e_kappa=1000.0)
+        with pytest.raises(NonFinite):
+            monte_carlo_scale(1.8, 1.0, 1000, 0, ctx, e_kappa=1e6)
 
     def test_sample_count_precondition(self, ctx):
         with pytest.raises(ValidationError):
