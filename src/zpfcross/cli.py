@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Subcommands: constants, transition, sweep, dissipation, bound,
-spectrum. Exit codes: 0 success, 2 validation error, 3 numeric failure.
+spectrum; each takes only the flags it reads. Exit codes: 0 success,
+2 validation error, 3 numeric failure. The window and radius of
+dissipation and bound default to the registry's t and ell, so a
+--config file can set them; the flags override the file.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .constants import DAY_S, LIGHTMINUTE_M, CosmologyContext, load_config
 from .dissipation import kappa_from_solar_bound, n0_value, solar_budget
 from .errors import NumericFailure, ValidationError, ZpfcrossError
 from .quantity import LENGTH, POWER_DENSITY, Quantity, TIME, WAVENUMBER
-from .report import SweepSpec, format_sig, render, run_sweep
+from .report import SweepSpec, format_rows, format_sig, render, run_sweep
 from .spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 from .transition import monte_carlo_scale, transition_scale
 
@@ -44,47 +47,21 @@ def _sigfigs(text: str) -> int:
     return value
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="constant override file")
-    parser.add_argument("--format", choices=("table", "csv"), default="table")
-    parser.add_argument("--sigfigs", type=_sigfigs, default=3, metavar="N")
-    parser.add_argument("--seed", type=int, default=0, metavar="S")
+def _write_pairs(pairs: Sequence[Tuple[str, str]], format: str) -> None:
+    """Name/value pairs: one per line as a table, a header and one row as CSV."""
+    sys.stdout.write(format_rows(pairs if format == "table" else list(zip(*pairs)), format))
 
 
-def _context(args: argparse.Namespace) -> CosmologyContext:
-    overrides = load_config(args.config) if args.config else None
-    return CosmologyContext.default(overrides)
-
-
-def _print_pairs(pairs: Sequence[Tuple[str, str]], format: str) -> None:
-    if format == "csv":
-        print(",".join(name for name, _ in pairs))
-        print(",".join(value for _, value in pairs))
-        return
-    width = max(len(name) for name, _ in pairs)
-    for name, value in pairs:
-        print(f"{name.ljust(width)}  {value}")
-
-
-def _cmd_constants(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    header = ("name", "value", "unit", "rel_sigma", "source")
-    rows = [(name, repr(const.value), str(const.quantity.dim),
-             repr(const.rel_sigma), const.source)
-            for name, const in ctx.registry.items()]
-    if args.format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(f'"{cell}"' if "," in cell else cell for cell in row))
-        return 0
-    widths = [max(len(header[i]), *(len(row[i]) for row in rows)) for i in range(len(header))]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+def _cmd_constants(args: argparse.Namespace, ctx: CosmologyContext) -> int:
+    rows = [("name", "value", "unit", "rel_sigma", "source")]
+    rows += [(name, repr(const.value), str(const.quantity.dim),
+              repr(const.rel_sigma), const.source)
+             for name, const in ctx.registry.items()]
+    sys.stdout.write(format_rows(rows, args.format))
     return 0
 
 
-def _transition_pairs(args, ctx) -> List[Tuple[str, str]]:
+def _cmd_transition(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     result = transition_scale(args.slope, args.kappa, ctx, e_kappa=args.ekappa)
     sig = args.sigfigs
     pairs = [
@@ -103,40 +80,40 @@ def _transition_pairs(args, ctx) -> List[Tuple[str, str]]:
         pairs += [("mc_mean_m", format_sig(mc.mean.value, sig)),
                   ("mc_rel_sigma", format_sig(mc.rel_sigma, sig)),
                   ("mc_rejected", str(mc.rejected))]
-    return pairs
-
-
-def _cmd_transition(args: argparse.Namespace) -> int:
-    _print_pairs(_transition_pairs(args, _context(args)), args.format)
+    _write_pairs(pairs, args.format)
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    ctx = _context(args)
+def _cmd_sweep(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     spec = SweepSpec(slopes=tuple(args.slopes), kappas=tuple(args.kappas),
                      outputs=tuple(args.outputs), n0_mode=args.n0)
-    rows = run_sweep(spec, ctx)
-    sys.stdout.write(render(rows, format=args.format, sigfigs=args.sigfigs,
-                            columns=spec.columns))
+    sys.stdout.write(render(run_sweep(spec, ctx), format=args.format,
+                            sigfigs=args.sigfigs, columns=spec.columns))
     return 0
 
 
-def _n0_note(ctx, n0_mode: str, window_t: Quantity) -> str:
+def _budget_span(args: argparse.Namespace) -> Tuple[Optional[Quantity], Optional[Quantity]]:
+    """Window and radius flags as quantities; None (the registry's t or ell) if absent."""
+    window = None if args.window_days is None else Quantity(args.window_days * DAY_S, TIME)
+    radius = (None if args.radius_lightminutes is None
+              else Quantity(args.radius_lightminutes * LIGHTMINUTE_M, LENGTH))
+    return window, radius
+
+
+def _n0_note(ctx, n0_mode: str, window_t: Optional[Quantity]) -> str:
     published = n0_value(ctx, window_t, "paper").value
     computed = n0_value(ctx, window_t, "computed").value
     return (f"# N0 mode: {n0_mode} (published {published:.3g}, "
             f"computed from constants {computed:.3g})")
 
 
-def _cmd_dissipation(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    window = Quantity(args.window_days * DAY_S, TIME)
-    radius = Quantity(args.radius_lightminutes * LIGHTMINUTE_M, LENGTH)
+def _cmd_dissipation(args: argparse.Namespace, ctx: CosmologyContext) -> int:
+    window, radius = _budget_span(args)
     budget = solar_budget(args.kappa, args.slope, ctx, window_t=window,
                           ell=radius, n0_mode=args.n0)
     print(_n0_note(ctx, args.n0, window))
     sig = args.sigfigs
-    _print_pairs([
+    _write_pairs([
         ("kappa", format_sig(budget.kappa, 6)),
         ("a", format_sig(budget.slope, 6)),
         ("epsilon_w_m3", format_sig(budget.epsilon.value, sig)),
@@ -150,16 +127,14 @@ def _cmd_dissipation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    window = Quantity(args.window_days * DAY_S, TIME)
-    radius = Quantity(args.radius_lightminutes * LIGHTMINUTE_M, LENGTH)
+def _cmd_bound(args: argparse.Namespace, ctx: CosmologyContext) -> int:
+    window, radius = _budget_span(args)
     kappa, result = kappa_from_solar_bound(args.ns, args.slope, ctx,
                                            window_t=window, ell=radius,
                                            n0_mode=args.n0)
     print(_n0_note(ctx, args.n0, window))
     sig = args.sigfigs
-    _print_pairs([
+    _write_pairs([
         ("ns_bound", format_sig(args.ns, 6)),
         ("a", format_sig(args.slope, 6)),
         ("kappa", format_sig(kappa, sig)),
@@ -188,8 +163,7 @@ def _spectrum_model(args: argparse.Namespace, ctx: CosmologyContext):
     raise ValidationError(f"unknown model {args.model!r}")
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    ctx = _context(args)
+def _cmd_spectrum(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     model = _spectrum_model(args, ctx)
     kmin = args.kmin if args.kmin is not None else 1.0 / ctx.hubble_radius.value
     kmax = args.kmax if args.kmax is not None else 2.0 * math.pi / ctx.registry.value("r_p")
@@ -221,50 +195,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("constants", help="print the constant registry")
-    _common_flags(p)
+    # flag groups shared by subcommands; a subcommand takes only the flags it reads
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="FILE", help="constant override file")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[config])
+    formatted.add_argument("--format", choices=("table", "csv"), default="table")
+    figures = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    figures.add_argument("--sigfigs", type=_sigfigs, default=3, metavar="N",
+                         help="significant figures of computed values (default 3)")
+    modes = argparse.ArgumentParser(add_help=False, parents=[figures])
+    modes.add_argument("--n0", choices=("paper", "computed"), default="paper",
+                       help="N0 as published (1e57) or computed from the constants")
+    budget = argparse.ArgumentParser(add_help=False, parents=[modes])
+    budget.add_argument("--window-days", type=float, metavar="T",
+                        help="energy-budget window in days; overrides t (1 day)")
+    budget.add_argument("--radius-lightminutes", type=float, metavar="L",
+                        help="rescaling radius in lightminutes; overrides ell (8)")
+
+    p = sub.add_parser("constants", help="print the constant registry", parents=[formatted])
     p.set_defaults(func=_cmd_constants)
 
-    p = sub.add_parser("transition", help="closed-form transition scale")
-    _common_flags(p)
+    p = sub.add_parser("transition", help="closed-form transition scale", parents=[figures])
     p.add_argument("--slope", type=float, required=True, metavar="A")
     p.add_argument("--kappa", type=float, default=1.0, metavar="K")
     p.add_argument("--ekappa", type=float, default=0.0, metavar="E",
                    help="relative uncertainty of kappa")
     p.add_argument("--mc", type=int, default=0, metavar="N",
                    help="add a Monte Carlo check with N samples")
+    p.add_argument("--seed", type=int, default=0, metavar="S",
+                   help="random seed of the Monte Carlo check")
     p.set_defaults(func=_cmd_transition)
 
-    p = sub.add_parser("sweep", help="sweep a slope x kappa grid")
-    _common_flags(p)
+    p = sub.add_parser("sweep", help="sweep a slope x kappa grid", parents=[modes])
     p.add_argument("--slopes", type=_float_list, required=True, metavar="A1,A2,...")
     p.add_argument("--kappas", type=_float_list, required=True, metavar="K1,K2,...")
     p.add_argument("--outputs", type=lambda s: [t for t in s.split(",") if t],
                    default=[], metavar="epsilon,N,Ns")
-    p.add_argument("--n0", choices=("paper", "computed"), default="paper")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("dissipation", help="dissipation rate and solar counts")
-    _common_flags(p)
+    p = sub.add_parser("dissipation", help="dissipation rate and solar counts",
+                       parents=[budget])
     p.add_argument("--kappa", type=float, required=True, metavar="K")
     p.add_argument("--slope", type=float, required=True, metavar="A")
-    p.add_argument("--window-days", type=float, default=1.0, metavar="T")
-    p.add_argument("--radius-lightminutes", type=float, default=8.0, metavar="L")
-    p.add_argument("--n0", choices=("paper", "computed"), default="paper")
     p.set_defaults(func=_cmd_dissipation)
 
-    p = sub.add_parser("bound", help="kappa and scale from a dissipation ceiling")
-    _common_flags(p)
+    p = sub.add_parser("bound", help="kappa and scale from a dissipation ceiling",
+                       parents=[budget])
     p.add_argument("--ns", type=float, default=1e-12, metavar="NS",
                    help="ceiling in solar masses per window (default 1e-12)")
     p.add_argument("--slope", type=float, required=True, metavar="A")
-    p.add_argument("--window-days", type=float, default=1.0, metavar="T")
-    p.add_argument("--radius-lightminutes", type=float, default=8.0, metavar="L")
-    p.add_argument("--n0", choices=("paper", "computed"), default="paper")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("spectrum", help="tabulate a spectrum as CSV")
-    _common_flags(p)
+    p = sub.add_parser("spectrum", help="tabulate a spectrum as CSV", parents=[config])
     p.add_argument("--model", choices=("boyer", "truncated", "powerlaw", "ms"),
                    required=True)
     p.add_argument("--slope", type=float, default=1.8, metavar="A")
@@ -283,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        ctx = CosmologyContext.default(load_config(args.config) if args.config else None)
+        return args.func(args, ctx)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .constants import HORIZON_POWER_DENSITY, CosmologyContext, ExponentTable
-from .errors import ValidationError
+from .errors import NonFinite, ValidationError
 from .quantity import (
     FREQUENCY,
     LENGTH,
@@ -180,6 +180,10 @@ def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
     t = _window(ctx, window_t)
     radius = _radius(ctx, ell)
     n0 = n0_value(ctx, t, n0_mode).value
-    n_solar = power_product(ns_bound, [(ctx.hubble_radius.value / radius.value, 0.0, 3.0)])[0]
+    try:
+        n_solar = power_product(ns_bound, [(ctx.hubble_radius.value / radius.value, 0.0, 3.0)])[0]
+    except NonFinite as exc:
+        raise NonFinite(f"the count N = Ns*(R/ell)**3 leaves the float range for "
+                        f"Ns = {ns_bound!r} and ell = {radius.value!r} m") from exc
     kappa = kappa_from_count(n_solar, n0, a)
     return kappa, transition_scale(a, kappa, ctx)

@@ -106,6 +106,20 @@ def _csv_cell(value: Optional[float]) -> str:
     return repr(float(value))
 
 
+def format_rows(rows: Sequence[Sequence[str]], format: str) -> str:
+    """Lay out rows of text cells: ``table`` pads each column to its widest
+    cell, two spaces apart, trailing space stripped; ``csv`` joins cells
+    with commas and quotes a cell that holds a comma."""
+    if format == "csv":
+        return "".join(",".join(f'"{cell}"' if "," in cell else cell for cell in row) + "\n"
+                       for row in rows)
+    if format != "table":
+        raise ValidationError(f"unknown format {format!r}")
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+                   for row in rows)
+
+
 def render(rows: Sequence[ReportRow], format: str = "table", sigfigs: int = 3,
            columns: Sequence[str] = BASE_COLUMNS) -> str:
     """Render sweep rows as an aligned table or CSV text.
@@ -116,25 +130,14 @@ def render(rows: Sequence[ReportRow], format: str = "table", sigfigs: int = 3,
     """
     if not rows:
         raise EmptySweep("nothing to render")
-    if format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(getattr(row, col)) for col in columns))
-        return "\n".join(lines) + "\n"
-    if format != "table":
-        raise ValidationError(f"unknown format {format!r}")
-
-    header = list(columns)
-    body = []
+    cells = [list(columns)]
     for row in rows:
-        cells = [format_sig(row.a, 6), format_sig(row.kappa, 6)]
-        if row.error is not None:
-            cells += [f"<error: {row.error}>"] + [""] * (len(columns) - 3)
+        if format == "csv":
+            cells.append([_csv_cell(getattr(row, col)) for col in columns])
+        elif row.error is not None:
+            cells.append([format_sig(row.a, 6), format_sig(row.kappa, 6),
+                          f"<error: {row.error}>"] + [""] * (len(columns) - 3))
         else:
-            cells += [format_sig(getattr(row, col), sigfigs) for col in columns[2:]]
-        body.append(cells)
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for cells in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+            cells.append([format_sig(row.a, 6), format_sig(row.kappa, 6)]
+                         + [format_sig(getattr(row, col), sigfigs) for col in columns[2:]])
+    return format_rows(cells, format)

@@ -2,9 +2,12 @@ import math
 
 import pytest
 
-from zpfcross import transition
+from zpfcross import CosmologyContext, transition
 from zpfcross.cli import main
-from zpfcross.quantity import POWER_DENSITY, Quantity, WAVENUMBER
+from zpfcross.constants import DAY_S, LIGHTMINUTE_M
+from zpfcross.dissipation import n0_value
+from zpfcross.quantity import POWER_DENSITY, Quantity, TIME, WAVENUMBER
+from zpfcross.report import format_sig
 from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 
 
@@ -203,6 +206,15 @@ class TestBoundCommand:
         assert "Traceback" not in err
         assert out == ""
 
+    def test_count_overflow_names_n_ns_and_ell(self, capsys):
+        code, out, err = run(capsys, "bound", "--slope", "2.9", "--ns", "1e300",
+                             "--radius-lightminutes", "1e-300")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure: the count N = Ns*(R/ell)**3 ")
+        assert "Ns = 1e+300" in err
+        assert f"ell = {1e-300 * LIGHTMINUTE_M!r} m" in err
+
     def test_computed_mode_rejected(self, capsys):
         code, _, err = run(capsys, "bound", "--slope", "1.7", "--n0", "computed")
         assert code == 2
@@ -329,10 +341,60 @@ class TestConfigFlag:
         assert code == 2
         assert err.startswith("error: cannot read config file")
 
+    @staticmethod
+    def pairs(out):
+        return dict(line.split(None, 1) for line in out.splitlines()[1:])
+
+    def test_window_and_radius_come_from_the_file(self, capsys, tmp_path):
+        config = tmp_path / "span.cfg"
+        config.write_text("ell = 16 lightminutes\nt = 2 days\n", encoding="utf-8")
+        base = ("dissipation", "--kappa", "1e-5", "--slope", "1.8")
+        code, out, _ = run(capsys, *base, "--config", str(config))
+        assert code == 0
+        values = self.pairs(out)
+        assert values["ell_m"] == format_sig(2 * 8 * LIGHTMINUTE_M) == "2.88e11"
+        assert values["window_days"] == "2"
+        two_days = n0_value(CosmologyContext.default(), Quantity(2 * DAY_S, TIME), "computed")
+        assert f"computed from constants {two_days.value:.3g})" in out.splitlines()[0]
+        _, out_default, _ = run(capsys, *base)
+        assert out.splitlines()[0] != out_default.splitlines()[0]
+
+        # a flag on the command line still wins over the file
+        code, out, _ = run(capsys, *base, "--config", str(config),
+                           "--radius-lightminutes", "8")
+        assert code == 0
+        assert self.pairs(out)["ell_m"] == "1.44e11"
+        assert self.pairs(out)["window_days"] == "2"
+
+        _, bound_file, _ = run(capsys, "bound", "--slope", "1.7", "--config", str(config))
+        _, bound_default, _ = run(capsys, "bound", "--slope", "1.7")
+        assert self.pairs(bound_file)["kappa"] != self.pairs(bound_default)["kappa"]
+
     def test_unknown_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transition", "--slope", "1.8", "--warp", "9"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--seed", "1"],
+    ["constants", "--sigfigs", "4"],
+    ["sweep", "--slopes", "1.8", "--kappas", "1", "--seed", "1"],
+    ["dissipation", "--kappa", "1e-5", "--slope", "1.8", "--seed", "1"],
+    ["bound", "--slope", "1.8", "--seed", "1"],
+    ["spectrum", "--model", "boyer", "--seed", "1"],
+    ["spectrum", "--model", "boyer", "--sigfigs", "4"],
+    ["spectrum", "--model", "boyer", "--format", "csv"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    # --seed belongs to transition's --mc alone; spectrum always writes
+    # full-precision CSV
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+    assert "Traceback" not in err
 
 
 class TestSigfigsFlag:
