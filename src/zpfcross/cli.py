@@ -5,16 +5,20 @@ spectrum; each takes only the flags it reads. Exit codes: 0 success,
 2 validation error, 3 numeric failure. The window and radius of
 dissipation and bound default to the registry's t and ell, so a
 --config file can set them; the flags override the file.
+
+A call pays only for its own work. ``build_parser`` builds the parser
+on its first call and returns the same one after that, ``main`` uses
+the shared default context unless --config is given, and numpy is
+imported only by ``spectrum`` and ``transition --mc``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import __version__
 from .constants import DAY_S, LIGHTMINUTE_M, CosmologyContext, load_config
@@ -171,6 +175,8 @@ def _cmd_spectrum(args: argparse.Namespace, ctx: CosmologyContext) -> int:
         raise ValidationError(f"need 0 < kmin < kmax < inf, got {kmin!r}, {kmax!r}")
     if args.points < 2:
         raise ValidationError("need at least 2 points")
+    import numpy as np  # loaded for this subcommand only
+
     log_lo, log_hi = math.log(kmin), math.log(kmax)
     k = np.exp(log_lo + (log_hi - log_lo) * np.arange(args.points) / (args.points - 1))
     k[0], k[-1] = kmin, kmax  # exp(log(k)) can drift one ulp past the endpoints
@@ -188,7 +194,13 @@ def _cmd_spectrum(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it.
+
+    Parsing leaves the parser as it was (every default is immutable), so
+    one parser serves every ``main`` call of a process.
+    """
     parser = argparse.ArgumentParser(
         prog="zpfcross",
         description="Vacuum/turbulence spectrum crossover scale and its error budget.")
@@ -230,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slopes", type=_float_list, required=True, metavar="A1,A2,...")
     p.add_argument("--kappas", type=_float_list, required=True, metavar="K1,K2,...")
     p.add_argument("--outputs", type=lambda s: [t for t in s.split(",") if t],
-                   default=[], metavar="epsilon,N,Ns")
+                   default=(), metavar="epsilon,N,Ns")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("dissipation", help="dissipation rate and solar counts",

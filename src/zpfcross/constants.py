@@ -11,10 +11,16 @@ Hubble radius, the energy and power densities shared by ``spectra`` and
 are ``ExponentTable`` module constants: their dimension is checked
 exactly once, when the module is imported, and evaluating them is
 float arithmetic only.
+
+Registries and contexts are immutable, so what is derived from them is
+resolved once and reused: a registry keeps the factor list of each
+table it has evaluated, and ``CosmologyContext.default()`` without
+overrides returns one context per process. Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,6 +110,7 @@ class ConstantRegistry(Mapping[str, PhysicalConstant]):
                                   f"{expected}, got {constant.quantity.dim}")
             table[constant.name] = constant
         self._table = table
+        self._factors = {}  # terms -> their factors, filled by ``factors``
 
     def __getitem__(self, name: str) -> PhysicalConstant:
         try:
@@ -125,6 +132,18 @@ class ConstantRegistry(Mapping[str, PhysicalConstant]):
 
     def rel_sigma(self, name: str) -> float:
         return self[name].rel_sigma
+
+    def factors(self, terms: Tuple[Tuple[str, float], ...]) -> Tuple[Tuple[float, float, float], ...]:
+        """(value, rel_sigma, p) of each (name, p) in ``terms``, in order.
+
+        The registry is immutable, so each tuple of terms is looked up
+        once and the same factors are returned on every later call.
+        """
+        factors = self._factors.get(terms)
+        if factors is None:
+            factors = tuple((self[name].value, self[name].rel_sigma, p) for name, p in terms)
+            self._factors[terms] = factors
+        return factors
 
 
 def load_registry(overrides: Optional[Mapping[str, float]] = None) -> ConstantRegistry:
@@ -256,21 +275,14 @@ class ExponentTable:
         object.__setattr__(self, "_terms", tuple(
             (name, float(as_fraction(p))) for name, p in self.exponents.items()))
 
-    def _factors(self, registry: ConstantRegistry) -> list:
-        factors = []
-        for name, p in self._terms:
-            constant = registry[name].quantity
-            factors.append((constant.value, constant.rel_sigma, p))
-        return factors
-
     def evaluate(self, registry: ConstantRegistry, coeff: float = 1.0) -> UncertainQuantity:
         """coeff * prod X**p_X, with rel_sigma from first-order propagation."""
-        value, rel_sigma = power_product(coeff, self._factors(registry))
+        value, rel_sigma = power_product(coeff, registry.factors(self._terms))
         return UncertainQuantity(value, rel_sigma, self.dim)
 
     def value(self, registry: ConstantRegistry, coeff: float = 1.0) -> float:
         """The float value of ``evaluate`` alone, in SI units of ``dim``."""
-        return power_product(coeff, self._factors(registry))[0]
+        return power_product(coeff, registry.factors(self._terms))[0]
 
 
 # rho_crit = 3/(8*pi) * H**2/G and R = c/H
@@ -287,9 +299,10 @@ HORIZON_POWER_DENSITY = ExponentTable({"G": -1, "H": 3, "c": 2}, POWER_DENSITY)
 class CosmologyContext:
     """A constant registry plus the derived cosmological quantities.
 
-    The critical density and Hubble radius are recomputed from the
-    registry on every access, never cached, so overrides propagate.
-    Single constants are read from ``registry`` (``value``,
+    The critical density and Hubble radius are evaluated from the
+    registry's tables on each access; the registry resolves each table's
+    factor list once and reuses it, which is safe because it is
+    immutable. Single constants are read from ``registry`` (``value``,
     ``rel_sigma``, ``quantity``).
     """
 
@@ -297,7 +310,14 @@ class CosmologyContext:
 
     @classmethod
     def default(cls, overrides: Optional[Mapping[str, float]] = None) -> "CosmologyContext":
-        return cls(load_registry(overrides))
+        """The context of ``load_registry(overrides)``.
+
+        Without overrides every call returns the same context, built on
+        the first call; with overrides each call builds a fresh one.
+        """
+        if overrides:
+            return cls(load_registry(overrides))
+        return _shared_default(cls)
 
     @property
     def rho_crit(self) -> UncertainQuantity:
@@ -309,3 +329,7 @@ class CosmologyContext:
         """World radius R = c/H, the scale of the largest eddies, m."""
         return HUBBLE_RADIUS.evaluate(self.registry)
 
+
+@functools.cache
+def _shared_default(cls: type) -> CosmologyContext:
+    return cls(load_registry())

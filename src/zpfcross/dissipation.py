@@ -26,6 +26,7 @@ arithmetic only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -160,6 +161,23 @@ def kappa_from_count(n_solar: float, n0: float, a: float) -> float:
     return power_product(1.0 / (a - 1.0), [(n_solar / n0, 0.0, a - 1.0)])[0]
 
 
+def _horizon_count(ns_bound: float, ratio: float) -> float:
+    """N = Ns*ratio**3 for ratio = R/ell; NonFinite only if N leaves the float range.
+
+    The cube is formed first, as in ``rescaled_count``. Where the cube
+    alone leaves the range of normal floats, Ns is multiplied by the
+    ratio three times instead: each step moves monotonically towards N,
+    so no step overflows or underflows unless N itself does.
+    """
+    try:
+        cube = ratio ** 3
+    except OverflowError:
+        cube = math.inf
+    if sys.float_info.min <= cube <= sys.float_info.max:
+        return power_product(ns_bound, [(cube, 0.0, 1.0)])[0]
+    return power_product(ns_bound, [(ratio, 0.0, 1.0)] * 3)[0]
+
+
 def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
                            window_t: Optional[Quantity] = None,
                            ell: Optional[Quantity] = None,
@@ -181,7 +199,7 @@ def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
     radius = _radius(ctx, ell)
     n0 = n0_value(ctx, t, n0_mode).value
     try:
-        n_solar = power_product(ns_bound, [(ctx.hubble_radius.value / radius.value, 0.0, 3.0)])[0]
+        n_solar = _horizon_count(ns_bound, ctx.hubble_radius.value / radius.value)
     except NonFinite as exc:
         raise NonFinite(f"the count N = Ns*(R/ell)**3 leaves the float range for "
                         f"Ns = {ns_bound!r} and ell = {radius.value!r} m") from exc

@@ -15,7 +15,8 @@ Each model has one float kernel, E(k) over a float or a numpy array of
 positive wavenumbers. A model checks the dimension of its output once,
 when it is built, so neither the kernel nor ``evaluate`` (the kernel
 behind a check of one ``Quantity`` wavenumber) does dimension work per
-point.
+point. This module does not import numpy: an array can only come from a
+caller that already has, and a float takes the ``math`` path.
 
 The power-law amplitude is calibrated by requiring that the integral
 of the spectrum from the largest eddy (k = 1/R, R the Hubble radius)
@@ -27,12 +28,11 @@ carries a fraction kappa of the critical energy density:
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
-
-import numpy as np
 
 from .constants import (CRITICAL_ENERGY_DENSITY, HORIZON_POWER_DENSITY, HUBBLE_RADIUS,
                         CosmologyContext)
@@ -113,7 +113,8 @@ class SpectrumModel(ABC):
         built. Raises NonFinite if any value overflows or is NaN; a value
         that underflows to 0.0 is returned as such.
         """
-        if isinstance(k, np.ndarray):
+        np = sys.modules.get("numpy")  # an ndarray implies numpy is loaded
+        if np is not None and isinstance(k, np.ndarray):
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 energy = self._energy(k, np)
             bad = np.flatnonzero(~np.isfinite(energy))
@@ -193,7 +194,7 @@ class TruncatedBoyer(SpectrumModel):
         cutoff = self.cutoff_k.value
         if xp is math:
             return 0.0 if k > cutoff else self.hbar.value * self.c.value * k ** 3
-        return np.where(k > cutoff, 0.0, self.hbar.value * self.c.value * k ** 3)
+        return xp.where(k > cutoff, 0.0, self.hbar.value * self.c.value * k ** 3)
 
     def evaluate(self, k: Quantity) -> Quantity:
         return super().evaluate(k)

@@ -30,6 +30,9 @@ that is, sum((p_X*e_X)**2). The log form and the Monte Carlo take V, R
 and the p_X from the same tables; the checks independent of those
 exponents are the log-space bisection on the two spectra and the finite
 differences in ``tests/test_acceptance.py`` and ``bench/reference.py``.
+
+Only ``monte_carlo_scale`` uses numpy and imports it when called, so the
+closed form, the log form and the bisection never load it.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import List, Mapping, Optional, Tuple
-
-import numpy as np
 
 from .constants import HUBBLE_RADIUS, ConstantRegistry, CosmologyContext, ExponentTable
 from .errors import (
@@ -59,14 +60,18 @@ _SCALE_EXPONENTS = tuple(
     (name, float(CROSSOVER_VOLUME.exponents.get(name, 0)),
      float(HUBBLE_RADIUS.exponents.get(name, 0)))
     for name in ("G", "c", "hbar", "H"))
+# the same inputs as registry terms, whose factors the registry resolves
+# once; only their rel_sigma is read, so the power is a placeholder
+_SCALE_TERMS = tuple((name, 1.0) for name, _, _ in _SCALE_EXPONENTS)
 
 
 def _budget(a: float, registry: ConstantRegistry,
             e_kappa: float) -> List[Tuple[str, float, float]]:
     """(name, p_X, e_X) for each input of lambda0, kappa last with p = -q."""
     q = 1.0 / (3.0 + a)
-    terms = [(name, q * (v + a * r), registry.rel_sigma(name))
-             for name, v, r in _SCALE_EXPONENTS]
+    terms = [(name, q * (v + a * r), e)
+             for (name, v, r), (_, e, _) in zip(_SCALE_EXPONENTS,
+                                                registry.factors(_SCALE_TERMS))]
     terms.append(("kappa", -q, e_kappa))
     return terms
 
@@ -230,7 +235,6 @@ class MonteCarloScale:
     rejected: int
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite result is checked below
 def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
                       ctx: CosmologyContext, e_kappa: float = 0.0,
                       sampling: str = "lognormal") -> MonteCarloScale:
@@ -264,35 +268,40 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
         raise ValidationError(f"sampling must be 'lognormal' or 'normal', got {sampling!r}")
 
     lambda0 = transition_scale(a, kappa, ctx, e_kappa).lambda0.value
-    exponents, rels = np.array([(p, e) for _, p, e in _budget(a, ctx.registry, e_kappa)]).T
+    import numpy as np  # the one numpy path of this module
 
+    exponents, rels = np.array([(p, e) for _, p, e in _budget(a, ctx.registry, e_kappa)]).T
     rng = np.random.default_rng(seed)
     rejected = 0
-    try:
-        # one row per sample, one column per input, worked on in place
-        samples = rng.standard_normal((n, rels.size))
-        samples *= rels  # lognormal: ln r = e*z
-        if sampling == "normal":
-            samples += 1.0  # r = 1 + e*z, rejected where r <= 0 (X <= 0)
-            for _round in range(1000):
-                bad = samples <= 0.0
-                n_bad = int(bad.sum())
-                if n_bad == 0:
-                    break
-                rejected += n_bad
-                np.copyto(samples, 1.0 + rels * rng.standard_normal(samples.shape), where=bad)
-            else:
-                raise DegenerateSamples(f"rejection sampling stalled after {rejected} redraws")
-            np.log(samples, out=samples)
-        samples *= exponents
-        lam = samples.sum(axis=1)
-        del samples  # freed before np.std allocates its temporaries
-        np.exp(lam, out=lam)
-        lam *= lambda0
-        mean = float(np.mean(lam))
-        spread = float(np.std(lam, ddof=1))
-    except (MemoryError, ValueError):  # ValueError: a shape beyond numpy's index range
-        raise ValidationError(f"{n} Monte Carlo samples do not fit in memory") from None
+    # a non-finite mean or spread is checked below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            # one row per sample, one column per input, worked on in place
+            samples = rng.standard_normal((n, rels.size))
+            samples *= rels  # lognormal: ln r = e*z
+            if sampling == "normal":
+                samples += 1.0  # r = 1 + e*z, rejected where r <= 0 (X <= 0)
+                for _round in range(1000):
+                    bad = samples <= 0.0
+                    n_bad = int(bad.sum())
+                    if n_bad == 0:
+                        break
+                    rejected += n_bad
+                    np.copyto(samples, 1.0 + rels * rng.standard_normal(samples.shape),
+                              where=bad)
+                else:
+                    raise DegenerateSamples(
+                        f"rejection sampling stalled after {rejected} redraws")
+                np.log(samples, out=samples)
+            samples *= exponents
+            lam = samples.sum(axis=1)
+            del samples  # freed before np.std allocates its temporaries
+            np.exp(lam, out=lam)
+            lam *= lambda0
+            mean = float(np.mean(lam))
+            spread = float(np.std(lam, ddof=1))
+        except (MemoryError, ValueError):  # ValueError: a shape beyond numpy's index range
+            raise ValidationError(f"{n} Monte Carlo samples do not fit in memory") from None
     if not (0.0 < mean < math.inf and spread < math.inf):
         raise NonFinite(f"Monte Carlo samples of lambda0 leave the float range at "
                         f"a = {a!r}, kappa = {kappa!r}")

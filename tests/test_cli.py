@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy
 import pytest
 
-from zpfcross import CosmologyContext, transition
-from zpfcross.cli import main
+import zpfcross
+from zpfcross import CosmologyContext
+from zpfcross.cli import build_parser, main
 from zpfcross.constants import DAY_S, LIGHTMINUTE_M
 from zpfcross.dissipation import n0_value
 from zpfcross.quantity import POWER_DENSITY, Quantity, TIME, WAVENUMBER
@@ -71,7 +77,7 @@ class TestTransitionCommand:
             def standard_normal(self, shape):
                 raise MemoryError
 
-        monkeypatch.setattr(transition.np.random, "default_rng", lambda seed: NoMemory())
+        monkeypatch.setattr(numpy.random, "default_rng", lambda seed: NoMemory())
         code, out, err = run(capsys, "transition", "--slope", "1.8", "--mc", "100000000")
         assert code == 2
         assert out == ""
@@ -192,10 +198,21 @@ class TestBoundCommand:
         assert abs(lam - 67e3) / 67e3 < 0.15
 
     def test_overflowing_bound_is_numeric_failure(self, capsys):
+        # N = 1e-200 * (6.7e185)**3, about 3e357, is beyond the float range
         code, _, err = run(capsys, "bound", "--slope", "2.9", "--ns", "1e-200",
-                           "--radius-lightminutes", "1e-100")
+                           "--radius-lightminutes", "1e-170")
         assert code == 3
         assert err.startswith("numeric failure:")
+
+    def test_count_in_range_past_an_overflowing_cube(self, capsys):
+        # (R/ell)**3 alone overflows, but N = 1e-200 * (6.7e115)**3, about
+        # 3e147, is in range; the kappa it gives, about 4e171, is not
+        code, out, err = run(capsys, "bound", "--slope", "2.9", "--ns", "1e-200",
+                             "--radius-lightminutes", "1e-100")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: turbulence degree must lie in (0, 1], got 4.2")
+        assert len(err.splitlines()) == 1
 
     def test_count_out_of_float_range(self, capsys):
         # N = Ns*(R/ell)**3 leaves the float range before kappa is formed
@@ -412,3 +429,27 @@ class TestSigfigsFlag:
         assert code == 0
         values = dict(line.split(None, 1) for line in out.splitlines())
         assert values["lambda0_m"] == "2e1"
+
+
+class TestFixedCosts:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_outputs_default_is_immutable(self):
+        args = build_parser().parse_args(["sweep", "--slopes", "1.7", "--kappas", "1"])
+        assert args.outputs == ()
+
+    def test_cold_start_does_not_import_numpy(self):
+        code = ("import sys\n"
+                "import zpfcross.cli\n"
+                "from zpfcross.constants import CosmologyContext\n"
+                "from zpfcross.transition import transition_scale\n"
+                "zpfcross.cli.build_parser()\n"
+                "transition_scale(1.8, 1e-5, CosmologyContext.default())\n"
+                "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        src = str(Path(zpfcross.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr

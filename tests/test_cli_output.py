@@ -112,6 +112,14 @@ def test_output_is_pinned(argv):
     assert run(argv) == golden()[key(argv)]
 
 
+def test_corpus_reversed_in_one_process():
+    # every call of a process shares one parser and one default context;
+    # replayed backwards, each call must still give its pinned output
+    expected = golden()
+    for argv in reversed(CORPUS):
+        assert run(argv) == expected[key(argv)], key(argv)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--capture"]:
         sys.exit(__doc__)

@@ -209,3 +209,24 @@ class TestExponentTable:
         table = ExponentTable({"c": 1, "H": -1}, LENGTH)
         with pytest.raises(TypeError):
             table.exponents["H"] = 0
+
+
+class TestResolvedOnce:
+    def test_default_context_is_shared(self):
+        assert CosmologyContext.default() is CosmologyContext.default()
+        assert CosmologyContext.default({}) is CosmologyContext.default()
+
+    def test_overrides_build_a_fresh_context(self):
+        first = CosmologyContext.default({"e_H": 0.1})
+        second = CosmologyContext.default({"e_H": 0.1})
+        assert first is not second and first is not CosmologyContext.default()
+        assert first.registry.rel_sigma("H") == 0.1
+        assert CosmologyContext.default().registry.rel_sigma("H") == 0.15
+
+    def test_factor_list_resolved_once_per_registry(self, ctx):
+        table = ExponentTable({"H": 2, "G": -1}, DENSITY)
+        factors = ctx.registry.factors(table._terms)
+        assert factors == ((2.49e-18, 0.15, 2.0), (6.67428e-11, 1e-4, -1.0))
+        assert ctx.registry.factors(table._terms) is factors
+        other = CosmologyContext.default({"H": 2.0 * 2.49e-18}).registry
+        assert other.factors(table._terms)[0][0] == 2.0 * 2.49e-18

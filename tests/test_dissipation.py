@@ -230,6 +230,19 @@ class TestSolarBound:
             kappa_from_solar_bound(0.0, 1.7, ctx)
 
     def test_overflowing_bound_is_numeric_failure(self, ctx):
-        # (R/ell)**3 overflows a float for ell ~ 1e-90 m
+        # N = 1e-200 * (1.2e186)**3, about 2e358, is beyond the float range
         with pytest.raises(NonFinite):
+            kappa_from_solar_bound(1e-200, 2.9, ctx, ell=Quantity(1e-160, LENGTH))
+
+    def test_cube_out_of_range_count_in_range(self, ctx):
+        # (R/ell)**3 overflows at ell = 1e-90 m and underflows to a
+        # subnormal at 1e130 m, while N = Ns*(R/ell)**3 is a normal float;
+        # N is then Ns times R/ell three times over
+        for ns, ell, a in ((1e-300, 1e-90, 1.3), (1e300, 1e130, 2.9)):
+            ratio = ctx.hubble_radius.value / ell
+            n_solar = ns * ratio * ratio * ratio
+            assert 1e-200 < n_solar < 1e200
+            kappa, _ = kappa_from_solar_bound(ns, a, ctx, ell=Quantity(ell, LENGTH))
+            assert kappa == kappa_from_count(n_solar, PAPER_N0, a)
+        with pytest.raises(KappaOutOfRange):
             kappa_from_solar_bound(1e-200, 2.9, ctx, ell=Quantity(1e-90, LENGTH))
