@@ -5,9 +5,9 @@ The pipeline, bottom to top:
 
 - ``quantity``: SI values with exact rational dimension exponents and
   first-order uncertainty arithmetic.
-- ``constants``: the constant registry (2006 CODATA plus a fixed Hubble
-  measurement), the exponent tables built on it, and the context with
-  the derived critical density and Hubble radius.
+- ``constants``: the context, an immutable mapping of the constants
+  (2006 CODATA plus a fixed Hubble measurement) with the derived
+  critical density and Hubble radius, and the exponent tables over it.
 - ``spectra``: Boyer vacuum spectrum, power-law and compressible
   turbulence spectra, and the energy-budget amplitude calibration.
 - ``transition``: the crossover scale lambda0 with its error budget,
@@ -19,11 +19,9 @@ The pipeline, bottom to top:
 """
 
 from .constants import (
-    ConstantRegistry,
     CosmologyContext,
     PhysicalConstant,
     load_config,
-    load_registry,
     parse_config,
 )
 from .dissipation import (

@@ -3,7 +3,7 @@
 Subcommands: constants, transition, sweep, dissipation, bound,
 spectrum; each takes only the flags it reads. Exit codes: 0 success,
 2 validation error, 3 numeric failure. The window and radius of
-dissipation and bound default to the registry's t and ell, so a
+dissipation and bound default to the context's t and ell, so a
 --config file can set them; the flags override the file.
 
 A call pays only for its own work. ``build_parser`` builds the parser
@@ -60,7 +60,7 @@ def _cmd_constants(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     rows = [("name", "value", "unit", "rel_sigma", "source")]
     rows += [(name, repr(const.value), str(const.quantity.dim),
               repr(const.rel_sigma), const.source)
-             for name, const in ctx.registry.items()]
+             for name, const in ctx.items()]
     sys.stdout.write(format_rows(rows, args.format))
     return 0
 
@@ -97,7 +97,7 @@ def _cmd_sweep(args: argparse.Namespace, ctx: CosmologyContext) -> int:
 
 
 def _budget_span(args: argparse.Namespace) -> Tuple[Optional[Quantity], Optional[Quantity]]:
-    """Window and radius flags as quantities; None (the registry's t or ell) if absent."""
+    """Window and radius flags as quantities; None (the context's t or ell) if absent."""
     window = None if args.window_days is None else Quantity(args.window_days * DAY_S, TIME)
     radius = (None if args.radius_lightminutes is None
               else Quantity(args.radius_lightminutes * LIGHTMINUTE_M, LENGTH))
@@ -170,7 +170,7 @@ def _spectrum_model(args: argparse.Namespace, ctx: CosmologyContext):
 def _cmd_spectrum(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     model = _spectrum_model(args, ctx)
     kmin = args.kmin if args.kmin is not None else 1.0 / ctx.hubble_radius.value
-    kmax = args.kmax if args.kmax is not None else 2.0 * math.pi / ctx.registry.value("r_p")
+    kmax = args.kmax if args.kmax is not None else 2.0 * math.pi / ctx.value("r_p")
     if not (0.0 < kmin < kmax < math.inf):
         raise ValidationError(f"need 0 < kmin < kmax < inf, got {kmin!r}, {kmax!r}")
     if args.points < 2:

@@ -1,9 +1,13 @@
-"""Physical-constant registry and the derived cosmological quantities.
+"""Physical constants and the derived cosmological quantities.
 
-Default values reproduce a fixed historical constant set (2006 CODATA
-plus the Chandra X-ray measurement of the Hubble constant, 77 km/s/Mpc)
-so that downstream reference numbers are reproducible; every entry can
-be overridden at load time; dimensions cannot. All stored values are SI.
+A ``CosmologyContext`` is the constant set: an immutable mapping of
+names to constants, read straight from the context (``ctx.value("H")``,
+``ctx.rel_sigma("H")``, ``ctx.quantity("H")``). Default values
+reproduce a fixed historical constant set (2006 CODATA plus the
+Chandra X-ray measurement of the Hubble constant, 77 km/s/Mpc) so that
+downstream reference numbers are reproducible; every entry can be
+overridden through ``CosmologyContext.default(overrides)``; dimensions
+cannot. All stored values are SI.
 
 Fixed products of powers of the constants (the critical density, the
 Hubble radius, the energy and power densities shared by ``spectra`` and
@@ -12,17 +16,17 @@ are ``ExponentTable`` module constants: their dimension is checked
 exactly once, when the module is imported, and evaluating them is
 float arithmetic only.
 
-Registries and contexts are immutable, so what is derived from them is
-resolved once and reused: a registry keeps the factor list of each
-table it has evaluated, and ``CosmologyContext.default()`` without
-overrides returns one context per process. Nothing here imports numpy.
+Contexts are immutable, so what is derived from them is resolved once
+and reused: a context keeps the factor list of each table it has
+evaluated, and ``CosmologyContext.default()`` without overrides returns
+one context per process. Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -91,101 +95,6 @@ _NAMES = tuple(name for name, *_ in _DEFAULTS)
 _DIM_BY_NAME = {name: dim for name, _, dim, _, _ in _DEFAULTS}
 
 
-class ConstantRegistry(Mapping[str, PhysicalConstant]):
-    """Immutable name -> PhysicalConstant mapping.
-
-    A constant with a default entry must keep that entry's dimension,
-    so dimensions checked once per ``ExponentTable`` hold for every
-    registry.
-    """
-
-    def __init__(self, constants: Iterable[PhysicalConstant]):
-        table = {}
-        for constant in constants:
-            if constant.name in table:
-                raise BadOverride(f"duplicate constant name {constant.name!r}")
-            expected = _DIM_BY_NAME.get(constant.name, constant.quantity.dim)
-            if constant.quantity.dim != expected:
-                raise BadOverride(f"constant {constant.name!r} must have dimension "
-                                  f"{expected}, got {constant.quantity.dim}")
-            table[constant.name] = constant
-        self._table = table
-        self._factors = {}  # terms -> their factors, filled by ``factors``
-
-    def __getitem__(self, name: str) -> PhysicalConstant:
-        try:
-            return self._table[name]
-        except KeyError:
-            raise BadOverride(f"unknown constant {name!r}") from None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def quantity(self, name: str) -> UncertainQuantity:
-        return self[name].quantity
-
-    def value(self, name: str) -> float:
-        return self[name].value
-
-    def rel_sigma(self, name: str) -> float:
-        return self[name].rel_sigma
-
-    def factors(self, terms: Tuple[Tuple[str, float], ...]) -> Tuple[Tuple[float, float, float], ...]:
-        """(value, rel_sigma, p) of each (name, p) in ``terms``, in order.
-
-        The registry is immutable, so each tuple of terms is looked up
-        once and the same factors are returned on every later call.
-        """
-        factors = self._factors.get(terms)
-        if factors is None:
-            factors = tuple((self[name].value, self[name].rel_sigma, p) for name, p in terms)
-            self._factors[terms] = factors
-        return factors
-
-
-def load_registry(overrides: Optional[Mapping[str, float]] = None) -> ConstantRegistry:
-    """Build the registry, applying value and uncertainty overrides.
-
-    Override keys are constant names for values (SI units) and
-    ``e_<name>`` for relative standard uncertainties. Unknown names,
-    non-positive values and negative uncertainties raise BadOverride.
-    """
-    values = {name: value for name, value, _, _, _ in _DEFAULTS}
-    sigmas = {name: rel for name, _, _, rel, _ in _DEFAULTS}
-    sources = {name: src for name, _, _, _, src in _DEFAULTS}
-    dims = {name: dim for name, _, dim, _, _ in _DEFAULTS}
-
-    for key, raw in (overrides or {}).items():
-        try:
-            val = float(raw)
-        except (TypeError, ValueError):
-            raise BadOverride(f"override {key!r} is not a number: {raw!r}") from None
-        if key.startswith("e_"):
-            name = key[2:]
-            if name not in values:
-                raise BadOverride(f"unknown constant {name!r} in override {key!r}")
-            if val < 0.0 or not math.isfinite(val):
-                raise BadOverride(f"negative or non-finite uncertainty {key} = {val!r}")
-            sigmas[name] = val
-            sources[name] = "override"
-        else:
-            if key not in values:
-                raise BadOverride(f"unknown constant {key!r}")
-            if val <= 0.0 or not math.isfinite(val):
-                raise BadOverride(f"constant {key} must be positive, got {val!r}")
-            values[key] = val
-            sources[key] = "override"
-
-    return ConstantRegistry(
-        PhysicalConstant(name, UncertainQuantity(values[name], sigmas[name], dims[name]),
-                         sources[name])
-        for name in _NAMES
-    )
-
-
 # config files: one "name = value [unit]" per line, '#' comments.
 _UNIT_TABLE: Mapping[str, Tuple[float, Dimension]] = {
     "m": (1.0, LENGTH),
@@ -250,11 +159,11 @@ def load_config(path: Union[str, Path]) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class ExponentTable:
-    """A product of powers of registry constants, prod X**p_X.
+    """A product of powers of the context's constants, prod X**p_X.
 
     The dimension is composed exactly (Fraction exponents) once, when
     the table is built, and must equal ``dim``; otherwise the build
-    raises DimensionMismatch. Registry dimensions are fixed, so
+    raises DimensionMismatch. Constant dimensions are fixed, so
     ``evaluate`` needs floats only.
     """
 
@@ -275,14 +184,14 @@ class ExponentTable:
         object.__setattr__(self, "_terms", tuple(
             (name, float(as_fraction(p))) for name, p in self.exponents.items()))
 
-    def evaluate(self, registry: ConstantRegistry, coeff: float = 1.0) -> UncertainQuantity:
+    def evaluate(self, ctx: CosmologyContext, coeff: float = 1.0) -> UncertainQuantity:
         """coeff * prod X**p_X, with rel_sigma from first-order propagation."""
-        value, rel_sigma = power_product(coeff, registry.factors(self._terms))
+        value, rel_sigma = power_product(coeff, ctx.factors(self._terms))
         return UncertainQuantity(value, rel_sigma, self.dim)
 
-    def value(self, registry: ConstantRegistry, coeff: float = 1.0) -> float:
+    def value(self, ctx: CosmologyContext, coeff: float = 1.0) -> float:
         """The float value of ``evaluate`` alone, in SI units of ``dim``."""
-        return power_product(coeff, registry.factors(self._terms))[0]
+        return power_product(coeff, ctx.factors(self._terms))[0]
 
 
 # rho_crit = 3/(8*pi) * H**2/G and R = c/H
@@ -295,41 +204,112 @@ CRITICAL_ENERGY_DENSITY = ExponentTable({"H": 2, "G": -1, "c": 2}, ENERGY_DENSIT
 HORIZON_POWER_DENSITY = ExponentTable({"G": -1, "H": 3, "c": 2}, POWER_DENSITY)
 
 
-@dataclass(frozen=True)
-class CosmologyContext:
-    """A constant registry plus the derived cosmological quantities.
+class CosmologyContext(Mapping[str, PhysicalConstant]):
+    """The constant set: an immutable name -> PhysicalConstant mapping,
+    plus the derived critical density and Hubble radius.
 
-    The critical density and Hubble radius are evaluated from the
-    registry's tables on each access; the registry resolves each table's
-    factor list once and reuses it, which is safe because it is
-    immutable. Single constants are read from ``registry`` (``value``,
-    ``rel_sigma``, ``quantity``).
+    Single constants are read straight from the context
+    (``ctx.value("H")``, ``ctx.rel_sigma("H")``, ``ctx.quantity("H")``).
+    A constant with a default entry must keep that entry's dimension,
+    so dimensions checked once per ``ExponentTable`` hold for every
+    context. The context is immutable, so it resolves each table's
+    factor list once and reuses it; the critical density and Hubble
+    radius are evaluated from those factors on each access.
     """
 
-    registry: ConstantRegistry
+    def __init__(self, constants: Iterable[PhysicalConstant]):
+        table = {}
+        for constant in constants:
+            if constant.name in table:
+                raise BadOverride(f"duplicate constant name {constant.name!r}")
+            expected = _DIM_BY_NAME.get(constant.name, constant.quantity.dim)
+            if constant.quantity.dim != expected:
+                raise BadOverride(f"constant {constant.name!r} must have dimension "
+                                  f"{expected}, got {constant.quantity.dim}")
+            table[constant.name] = constant
+        self._table = table
+        self._factors = {}  # terms -> their factors, filled by ``factors``
 
     @classmethod
     def default(cls, overrides: Optional[Mapping[str, float]] = None) -> "CosmologyContext":
-        """The context of ``load_registry(overrides)``.
+        """The default constant set, with value and uncertainty overrides applied.
 
+        Override keys are constant names for values (SI units) and
+        ``e_<name>`` for relative standard uncertainties. Unknown names,
+        non-positive values and negative uncertainties raise BadOverride.
         Without overrides every call returns the same context, built on
         the first call; with overrides each call builds a fresh one.
         """
-        if overrides:
-            return cls(load_registry(overrides))
-        return _shared_default(cls)
+        if not overrides:
+            return _shared_default(cls)
+        constants = dict(_shared_default(cls))
+        for key, raw in overrides.items():
+            try:
+                val = float(raw)
+            except (TypeError, ValueError):
+                raise BadOverride(f"override {key!r} is not a number: {raw!r}") from None
+            if key.startswith("e_"):
+                name = key[2:]
+                if name not in constants:
+                    raise BadOverride(f"unknown constant {name!r} in override {key!r}")
+                if val < 0.0 or not math.isfinite(val):
+                    raise BadOverride(f"negative or non-finite uncertainty {key} = {val!r}")
+                quantity = replace(constants[name].quantity, rel_sigma=val)
+            else:
+                name = key
+                if name not in constants:
+                    raise BadOverride(f"unknown constant {key!r}")
+                if val <= 0.0 or not math.isfinite(val):
+                    raise BadOverride(f"constant {key} must be positive, got {val!r}")
+                quantity = replace(constants[name].quantity, value=val)
+            constants[name] = PhysicalConstant(name, quantity, "override")
+        return cls(constants.values())
+
+    def __getitem__(self, name: str) -> PhysicalConstant:
+        try:
+            return self._table[name]
+        except KeyError:
+            raise BadOverride(f"unknown constant {name!r}") from None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def quantity(self, name: str) -> UncertainQuantity:
+        return self[name].quantity
+
+    def value(self, name: str) -> float:
+        return self[name].value
+
+    def rel_sigma(self, name: str) -> float:
+        return self[name].rel_sigma
+
+    def factors(self, terms: Tuple[Tuple[str, float], ...]) -> Tuple[Tuple[float, float, float], ...]:
+        """(value, rel_sigma, p) of each (name, p) in ``terms``, in order.
+
+        The context is immutable, so each tuple of terms is looked up
+        once and the same factors are returned on every later call.
+        """
+        factors = self._factors.get(terms)
+        if factors is None:
+            factors = tuple((self[name].value, self[name].rel_sigma, p) for name, p in terms)
+            self._factors[terms] = factors
+        return factors
 
     @property
     def rho_crit(self) -> UncertainQuantity:
         """Critical density 3*H**2/(8*pi*G), kg/m^3."""
-        return CRITICAL_DENSITY.evaluate(self.registry, 3.0 / (8.0 * math.pi))
+        return CRITICAL_DENSITY.evaluate(self, 3.0 / (8.0 * math.pi))
 
     @property
     def hubble_radius(self) -> UncertainQuantity:
         """World radius R = c/H, the scale of the largest eddies, m."""
-        return HUBBLE_RADIUS.evaluate(self.registry)
+        return HUBBLE_RADIUS.evaluate(self)
 
 
 @functools.cache
 def _shared_default(cls: type) -> CosmologyContext:
-    return cls(load_registry())
+    return cls(PhysicalConstant(name, UncertainQuantity(value, rel_sigma, dim), source)
+               for name, value, dim, rel_sigma, source in _DEFAULTS)

@@ -14,7 +14,7 @@ radius ell. Requiring N_s to stay below a ceiling inverts to a bound on
 kappa and hence a lower bound on the transition scale.
 
 N0 has two modes: ``paper`` uses the published reference value 1e57,
-``computed`` evaluates rho*c*R**2*t/M from the registry (about 2e9 with
+``computed`` evaluates rho*c*R**2*t/M from the context (about 2e9 with
 the defaults). The two disagree by many orders of magnitude; both are
 exposed rather than adjudicated.
 
@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .constants import HORIZON_POWER_DENSITY, CosmologyContext, ExponentTable
+from .constants import HORIZON_POWER_DENSITY, HUBBLE_RADIUS, CosmologyContext, ExponentTable
 from .errors import NonFinite, ValidationError
 from .quantity import (
     FREQUENCY,
@@ -57,14 +57,14 @@ def _check_mode(n0_mode: str) -> str:
 
 
 def _window(ctx: CosmologyContext, window_t: Optional[Quantity]) -> Quantity:
-    t = ctx.registry.quantity("t").quantity() if window_t is None else window_t
+    t = ctx.quantity("t").quantity() if window_t is None else window_t
     if t.dim != TIME or t.value <= 0.0:
         raise ValidationError("window must be a positive time")
     return t
 
 
 def _radius(ctx: CosmologyContext, ell: Optional[Quantity]) -> Quantity:
-    radius = ctx.registry.quantity("ell").quantity() if ell is None else ell
+    radius = ctx.quantity("ell").quantity() if ell is None else ell
     if radius.dim != LENGTH or radius.value <= 0.0:
         raise ValidationError("rescaling radius must be a positive length")
     return radius
@@ -80,21 +80,21 @@ def dissipation_rate(kappa: float, a: float, ctx: CosmologyContext) -> Uncertain
     kappa = check_kappa(kappa)
     a = check_slope(a)
     coeff = 3.0 / (8.0 * math.pi) * ((a - 1.0) * kappa) ** (1.0 / (a - 1.0))
-    return HORIZON_POWER_DENSITY.evaluate(ctx.registry, coeff)
+    return HORIZON_POWER_DENSITY.evaluate(ctx, coeff)
 
 
 def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
              n0_mode: str = "paper") -> UncertainQuantity:
     """The dimensionless budget prefactor N0 in the requested mode.
 
-    computed: rho*c*R**2*t/M = 3*c**3*t/(8*pi*G*M) from the registry.
+    computed: rho*c*R**2*t/M = 3*c**3*t/(8*pi*G*M) from the context.
     paper: the published reference value 1e57, taken as exact.
     """
     _check_mode(n0_mode)
     if n0_mode == "paper":
         return UncertainQuantity(PAPER_N0)
     t = _window(ctx, window_t)
-    rate = N0_RATE.evaluate(ctx.registry, 3.0 / (8.0 * math.pi))
+    rate = N0_RATE.evaluate(ctx, 3.0 / (8.0 * math.pi))
     return UncertainQuantity(rate.value * t.value, rate.rel_sigma)
 
 
@@ -141,11 +141,34 @@ def solar_budget(kappa: float, a: float, ctx: CosmologyContext,
     )
 
 
+def _count_times_cube(count: float, ratio: float) -> float:
+    """count*ratio**3; NonFinite only if the product leaves the float range.
+
+    The cube is formed first. Where the cube alone leaves the range of
+    normal floats, the count is multiplied by the ratio three times
+    instead: each step moves monotonically towards the product, so no
+    step overflows or underflows unless the product itself does.
+    """
+    try:
+        cube = ratio ** 3
+    except OverflowError:
+        cube = math.inf
+    if sys.float_info.min <= cube <= sys.float_info.max:
+        return power_product(count, [(cube, 0.0, 1.0)])[0]
+    return power_product(count, [(ratio, 0.0, 1.0)] * 3)[0]
+
+
 def rescaled_count(n_solar: float, ell: Quantity, ctx: CosmologyContext) -> float:
-    """N_s = N*(ell/R)**3, the count inside a sphere of radius ell."""
+    """N_s = N*(ell/R)**3, the count inside a sphere of radius ell.
+
+    Raises NonFinite if N_s leaves the float range.
+    """
     radius = _radius(ctx, ell)
-    ratio = radius.value / ctx.hubble_radius.value
-    return power_product(n_solar, [(ratio, 0.0, 3.0)])[0]
+    try:
+        return _count_times_cube(n_solar, radius.value / HUBBLE_RADIUS.value(ctx))
+    except NonFinite as exc:
+        raise NonFinite(f"the count N_s = N*(ell/R)**3 leaves the float range for "
+                        f"N = {n_solar!r} and ell = {radius.value!r} m") from exc
 
 
 def kappa_from_count(n_solar: float, n0: float, a: float) -> float:
@@ -159,23 +182,6 @@ def kappa_from_count(n_solar: float, n0: float, a: float) -> float:
         raise ValidationError(f"counts must be positive and finite, got N = {n_solar!r}, "
                               f"N0 = {n0!r}")
     return power_product(1.0 / (a - 1.0), [(n_solar / n0, 0.0, a - 1.0)])[0]
-
-
-def _horizon_count(ns_bound: float, ratio: float) -> float:
-    """N = Ns*ratio**3 for ratio = R/ell; NonFinite only if N leaves the float range.
-
-    The cube is formed first, as in ``rescaled_count``. Where the cube
-    alone leaves the range of normal floats, Ns is multiplied by the
-    ratio three times instead: each step moves monotonically towards N,
-    so no step overflows or underflows unless N itself does.
-    """
-    try:
-        cube = ratio ** 3
-    except OverflowError:
-        cube = math.inf
-    if sys.float_info.min <= cube <= sys.float_info.max:
-        return power_product(ns_bound, [(cube, 0.0, 1.0)])[0]
-    return power_product(ns_bound, [(ratio, 0.0, 1.0)] * 3)[0]
 
 
 def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
@@ -199,7 +205,7 @@ def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
     radius = _radius(ctx, ell)
     n0 = n0_value(ctx, t, n0_mode).value
     try:
-        n_solar = _horizon_count(ns_bound, ctx.hubble_radius.value / radius.value)
+        n_solar = _count_times_cube(ns_bound, HUBBLE_RADIUS.value(ctx) / radius.value)
     except NonFinite as exc:
         raise NonFinite(f"the count N = Ns*(R/ell)**3 leaves the float range for "
                         f"Ns = {ns_bound!r} and ell = {radius.value!r} m") from exc

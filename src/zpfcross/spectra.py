@@ -153,8 +153,8 @@ class Boyer(SpectrumModel):
 
     @classmethod
     def from_context(cls, ctx: CosmologyContext) -> "Boyer":
-        return cls(ctx.registry.quantity("hbar").quantity(),
-                   ctx.registry.quantity("c").quantity())
+        return cls(ctx.quantity("hbar").quantity(),
+                   ctx.quantity("c").quantity())
 
     def _energy(self, k, xp):
         return self.hbar.value * self.c.value * k ** 3
@@ -184,11 +184,9 @@ class TruncatedBoyer(SpectrumModel):
     @classmethod
     def from_context(cls, ctx: CosmologyContext,
                      cutoff_k: Optional[Quantity] = None) -> "TruncatedBoyer":
-        registry = ctx.registry
         if cutoff_k is None:
-            cutoff_k = Quantity(2.0 * math.pi) / registry.quantity("r_p").quantity()
-        return cls(registry.quantity("hbar").quantity(), registry.quantity("c").quantity(),
-                   cutoff_k)
+            cutoff_k = Quantity(2.0 * math.pi) / ctx.quantity("r_p").quantity()
+        return cls(ctx.quantity("hbar").quantity(), ctx.quantity("c").quantity(), cutoff_k)
 
     def _energy(self, k, xp):
         cutoff = self.cutoff_k.value
@@ -288,7 +286,7 @@ class MoisseevShivamoggi(SpectrumModel):
         if epsilon is None:
             epsilon = horizon_injection_rate(ctx).quantity()
         return cls(gamma, epsilon, ctx.rho_crit.quantity(),
-                   ctx.registry.quantity("c").quantity(), kolmogorov_const)
+                   ctx.quantity("c").quantity(), kolmogorov_const)
 
     def _energy(self, k, xp):
         return self.kolmogorov_const * xp.exp(
@@ -322,7 +320,7 @@ def gamma_from_slope(a: float) -> float:
 def energy_budget_total(kappa: float, ctx: CosmologyContext) -> UncertainQuantity:
     """Total turbulent energy density kappa*rho*c**2, J/m^3."""
     kappa = check_kappa(kappa)
-    return CRITICAL_ENERGY_DENSITY.evaluate(ctx.registry, 3.0 * kappa / (8.0 * math.pi))
+    return CRITICAL_ENERGY_DENSITY.evaluate(ctx, 3.0 * kappa / (8.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -347,10 +345,9 @@ def _reduced_amplitude(a: float, ctx: CosmologyContext, scale: float = 1.0) -> U
     exponents = dict(CRITICAL_ENERGY_DENSITY.exponents)
     for name, p in HUBBLE_RADIUS.exponents.items():
         exponents[name] = exponents.get(name, 0) + (1 - af) * p
-    registry = ctx.registry
     value, rel_sigma = power_product(
         scale * 3.0 / (8.0 * math.pi),
-        [(registry.value(name), registry.rel_sigma(name), float(p))
+        [(ctx.value(name), ctx.rel_sigma(name), float(p))
          for name, p in exponents.items()])
     return UncertainQuantity(value, rel_sigma,
                              CRITICAL_ENERGY_DENSITY.dim * HUBBLE_RADIUS.dim ** (1 - af))
@@ -385,7 +382,7 @@ def horizon_injection_rate(ctx: CosmologyContext) -> UncertainQuantity:
     unit time over the volume (4/3)*pi*R**3. Reduces to
     (9/(8*pi)) * G**-1 * H**3 * c**2, W/m^3.
     """
-    return HORIZON_POWER_DENSITY.evaluate(ctx.registry, 9.0 / (8.0 * math.pi))
+    return HORIZON_POWER_DENSITY.evaluate(ctx, 9.0 / (8.0 * math.pi))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ lambda0 is proportional to G**q * hbar**q * c**((a-2)*q) * H**(-(a+1)*q)
 * kappa**-q. Its dimension is checked exactly, once, at import, through
 the two slope-free identities [V] = m**3 and [R] = m (the module
 constants ``CROSSOVER_VOLUME`` and ``constants.HUBBLE_RADIUS``), so the
-bracket is m**(3+a) and lambda0 a length for every a; registry
+bracket is m**(3+a) and lambda0 a length for every a; constant
 dimensions cannot change. ``transition_scale`` itself is float
 arithmetic only.
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import List, Mapping, Optional, Tuple
 
-from .constants import HUBBLE_RADIUS, ConstantRegistry, CosmologyContext, ExponentTable
+from .constants import HUBBLE_RADIUS, CosmologyContext, ExponentTable
 from .errors import (
     DegenerateSamples,
     InvalidBracket,
@@ -60,18 +60,22 @@ _SCALE_EXPONENTS = tuple(
     (name, float(CROSSOVER_VOLUME.exponents.get(name, 0)),
      float(HUBBLE_RADIUS.exponents.get(name, 0)))
     for name in ("G", "c", "hbar", "H"))
-# the same inputs as registry terms, whose factors the registry resolves
+# the same inputs as table terms, whose factors the context resolves
 # once; only their rel_sigma is read, so the power is a placeholder
 _SCALE_TERMS = tuple((name, 1.0) for name, _, _ in _SCALE_EXPONENTS)
+# numeric_crossover stops once its log-k bracket is this narrow, and
+# gives up with NoCrossing after this many halvings
+_BISECTION_REL_TOL = 1e-12
+_BISECTION_MAX_ITER = 200
 
 
-def _budget(a: float, registry: ConstantRegistry,
+def _budget(a: float, ctx: CosmologyContext,
             e_kappa: float) -> List[Tuple[str, float, float]]:
     """(name, p_X, e_X) for each input of lambda0, kappa last with p = -q."""
     q = 1.0 / (3.0 + a)
     terms = [(name, q * (v + a * r), e)
              for (name, v, r), (_, e, _) in zip(_SCALE_EXPONENTS,
-                                                registry.factors(_SCALE_TERMS))]
+                                                ctx.factors(_SCALE_TERMS))]
     terms.append(("kappa", -q, e_kappa))
     return terms
 
@@ -90,18 +94,11 @@ class TransitionResult:
     lambda0: Quantity
     rel_sigma: float
     sigma_breakdown: Mapping[str, float]
-    method: str = "closed_form"
 
     @property
     def sigma(self) -> Quantity:
         """Absolute one-sigma uncertainty of lambda0, m."""
         return Quantity(self.lambda0.value * self.rel_sigma, LENGTH)
-
-    @classmethod
-    def from_numeric_k0(cls, k0: Quantity) -> "TransitionResult":
-        """Wrap a root-found k0; carries no uncertainty information."""
-        return cls(k0=k0, lambda0=Quantity(2.0 * math.pi) / k0, rel_sigma=0.0,
-                   sigma_breakdown=MappingProxyType({}), method="numeric_root")
 
 
 def transition_scale(a: float, kappa: float, ctx: CosmologyContext,
@@ -116,9 +113,8 @@ def transition_scale(a: float, kappa: float, ctx: CosmologyContext,
     if e_kappa < 0.0 or not math.isfinite(e_kappa):
         raise ValidationError(f"e_kappa must be finite and >= 0, got {e_kappa!r}")
 
-    registry = ctx.registry
-    volume = CROSSOVER_VOLUME.value(registry)
-    radius = HUBBLE_RADIUS.value(registry)
+    volume = CROSSOVER_VOLUME.value(ctx)
+    radius = HUBBLE_RADIUS.value(ctx)
     q = 1.0 / (3.0 + a)
     coeff = 3.0 * (a - 1.0) * kappa / (8.0 * math.pi)
     try:
@@ -128,7 +124,7 @@ def transition_scale(a: float, kappa: float, ctx: CosmologyContext,
         raise NonFinite(f"k0 leaves the float range at a = {a!r}, "
                         f"kappa = {kappa!r}") from None
 
-    breakdown = {name: abs(p) * e for name, p, e in _budget(a, registry, e_kappa)}
+    breakdown = {name: abs(p) * e for name, p, e in _budget(a, ctx, e_kappa)}
     rel_sigma = math.sqrt(sum(v * v for v in breakdown.values()))
     return TransitionResult(k0=Quantity(k0, WAVENUMBER), lambda0=Quantity(lambda0, LENGTH),
                             rel_sigma=rel_sigma,
@@ -136,8 +132,7 @@ def transition_scale(a: float, kappa: float, ctx: CosmologyContext,
 
 
 def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyContext,
-                      bracket: Optional[Tuple[Quantity, Quantity]] = None,
-                      rel_tol: float = 1e-12, max_iter: int = 200) -> Quantity:
+                      bracket: Optional[Tuple[Quantity, Quantity]] = None) -> Quantity:
     """Root of log E_vac(k) - log E_turb(k) by bisection in log k.
 
     Independent of the closed form: only evaluates the two spectra. The
@@ -147,11 +142,11 @@ def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyCon
     iteration does ``Quantity`` or dimension work. A spectrum value
     outside the float range raises NonFinite. The default bracket spans
     the largest eddy to the Planck cutoff, [1/R, 2*pi/r_p]. Converges to
-    ``rel_tol`` relative in k.
+    ``_BISECTION_REL_TOL`` relative in k within ``_BISECTION_MAX_ITER`` steps.
     """
     if bracket is None:
-        lo = 1.0 / HUBBLE_RADIUS.value(ctx.registry)
-        hi = 2.0 * math.pi / ctx.registry.value("r_p")
+        lo = 1.0 / HUBBLE_RADIUS.value(ctx)
+        hi = 2.0 * math.pi / ctx.value("r_p")
     else:
         for end in bracket:
             if end.dim != WAVENUMBER:
@@ -178,16 +173,16 @@ def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyCon
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise NoCrossing("spectra do not cross inside the bracket")
 
-    for _ in range(max_iter):
+    for _ in range(_BISECTION_MAX_ITER):
         x_mid = 0.5 * (x_lo + x_hi)
         f_mid = log_gap(math.exp(x_mid))
-        if f_mid == 0.0 or (x_hi - x_lo) <= rel_tol:
+        if f_mid == 0.0 or (x_hi - x_lo) <= _BISECTION_REL_TOL:
             return Quantity(math.exp(x_mid), WAVENUMBER)
         if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
             x_lo, f_lo = x_mid, f_mid
         else:
             x_hi, f_hi = x_mid, f_mid
-    raise NoCrossing(f"bisection did not converge in {max_iter} iterations")
+    raise NoCrossing(f"bisection did not converge in {_BISECTION_MAX_ITER} iterations")
 
 
 def sigma_approximation(a: float, e_H: float) -> float:
@@ -203,8 +198,8 @@ def sigma_approximation(a: float, e_H: float) -> float:
 def log_form_constants(ctx: CosmologyContext) -> Tuple[float, float]:
     """The constants C1 = -ln(8*pi/3 * V) = ln(3*c**2*H/(8*pi*G*hbar)) and
     C2 = -ln R = ln(H/c), from the tables V and R."""
-    c1 = -math.log(CROSSOVER_VOLUME.value(ctx.registry, 8.0 * math.pi / 3.0))
-    c2 = -math.log(HUBBLE_RADIUS.value(ctx.registry))
+    c1 = -math.log(CROSSOVER_VOLUME.value(ctx, 8.0 * math.pi / 3.0))
+    c2 = -math.log(HUBBLE_RADIUS.value(ctx))
     return c1, c2
 
 
@@ -270,7 +265,7 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     lambda0 = transition_scale(a, kappa, ctx, e_kappa).lambda0.value
     import numpy as np  # the one numpy path of this module
 
-    exponents, rels = np.array([(p, e) for _, p, e in _budget(a, ctx.registry, e_kappa)]).T
+    exponents, rels = np.array([(p, e) for _, p, e in _budget(a, ctx, e_kappa)]).T
     rng = np.random.default_rng(seed)
     rejected = 0
     # a non-finite mean or spread is checked below, so numpy need not warn of it

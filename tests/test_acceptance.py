@@ -160,8 +160,8 @@ class TestCriterion4UncertaintyTripleCheck:
     def fd_rel_sigma(self, a):
         # central-difference gradient through the closed form
         names = ("G", "c", "hbar", "H")
-        x0 = [CTX.registry.value(n) for n in names] + [1.0]
-        sigmas = [CTX.registry.rel_sigma(n) * CTX.registry.value(n) for n in names] + [0.0]
+        x0 = [CTX.value(n) for n in names] + [1.0]
+        sigmas = [CTX.rel_sigma(n) * CTX.value(n) for n in names] + [0.0]
         f0 = self.lambda_of(*x0, a)
         var = 0.0
         for i, sigma in enumerate(sigmas):

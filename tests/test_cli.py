@@ -175,12 +175,24 @@ class TestDissipationCommand:
         assert code == 0
         assert "# N0 mode: computed" in out
 
-
     def test_overflowing_radius_is_numeric_failure(self, capsys):
         code, _, err = run(capsys, "dissipation", "--kappa", "1e-5", "--slope", "1.7",
                            "--radius-lightminutes", "1e290")
         assert code == 3
         assert err.startswith("numeric failure:")
+
+    @pytest.mark.parametrize("kappa, lightminutes, expected", [
+        ("1e-300", "1e120", 5.957e211),  # (ell/R)**3 overflows
+        ("1", "1e-94", 4.67481e-273),  # (ell/R)**3 underflows to zero
+    ])
+    def test_cube_out_of_range_count_in_range(self, capsys, kappa, lightminutes, expected):
+        # oracle: N_s = N*(ell/R)**3 in logs, N = 1e57*(1.9*kappa)**(1/1.9)
+        code, out, err = run(capsys, "dissipation", "--kappa", kappa, "--slope", "2.9",
+                             "--radius-lightminutes", lightminutes, "--format", "csv",
+                             "--sigfigs", "6")
+        assert (code, err) == (0, "")
+        header, rows = csv_rows(out.split("\n", 1)[1])
+        assert float(rows[0][header.index("ns_solar")]) == expected
 
 
 class TestBoundCommand:

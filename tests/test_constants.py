@@ -4,12 +4,10 @@ import pytest
 
 from zpfcross.constants import (
     MPC_M,
-    ConstantRegistry,
     CosmologyContext,
     ExponentTable,
     PhysicalConstant,
     load_config,
-    load_registry,
     parse_config,
 )
 from zpfcross.errors import BadOverride, DimensionMismatch
@@ -22,30 +20,30 @@ def rel(x, y):
 
 class TestDefaults:
     def test_hubble_value_and_uncertainty(self, ctx):
-        assert ctx.registry.value("H") == 2.49e-18
-        assert ctx.registry.rel_sigma("H") == 0.15
+        assert ctx.value("H") == 2.49e-18
+        assert ctx.rel_sigma("H") == 0.15
 
     def test_codata_uncertainties(self, ctx):
-        assert ctx.registry.rel_sigma("c") == 0.0
-        assert ctx.registry.rel_sigma("G") == 1e-4
-        assert ctx.registry.rel_sigma("hbar") == 5e-5
+        assert ctx.rel_sigma("c") == 0.0
+        assert ctx.rel_sigma("G") == 1e-4
+        assert ctx.rel_sigma("hbar") == 5e-5
 
     def test_codata_values(self, ctx):
-        assert ctx.registry.value("c") == 2.99792458e8
-        assert ctx.registry.value("G") == 6.67428e-11
-        assert ctx.registry.value("hbar") == 1.054571628e-34
+        assert ctx.value("c") == 2.99792458e8
+        assert ctx.value("G") == 6.67428e-11
+        assert ctx.value("hbar") == 1.054571628e-34
 
     def test_auxiliary_values(self, ctx):
-        assert ctx.registry.value("M_sun") == 1.98e30
-        assert ctx.registry.value("day") == 86400.0
-        assert ctx.registry.value("t") == 86400.0
-        assert ctx.registry.value("ell") == 8.0 * 60.0 * 2.99792458e8
-        assert ctx.registry.value("r_p") == 1.616e-35
+        assert ctx.value("M_sun") == 1.98e30
+        assert ctx.value("day") == 86400.0
+        assert ctx.value("t") == 86400.0
+        assert ctx.value("ell") == 8.0 * 60.0 * 2.99792458e8
+        assert ctx.value("r_p") == 1.616e-35
 
 
 class TestDerived:
     def test_critical_density_value(self, ctx):
-        # oracle: direct arithmetic with the registry defaults
+        # oracle: direct arithmetic with the default constants
         expected = 3.0 * 2.49e-18 ** 2 / (8.0 * math.pi * 6.67428e-11)
         rho = ctx.rho_crit
         assert rel(rho.value, expected) < 1e-12
@@ -82,44 +80,56 @@ class TestDerived:
 class TestOverrides:
     def test_unknown_name(self):
         with pytest.raises(BadOverride):
-            load_registry({"planck_mass": 1.0})
+            CosmologyContext.default({"planck_mass": 1.0})
 
     def test_non_positive_value(self):
         with pytest.raises(BadOverride):
-            load_registry({"H": 0.0})
+            CosmologyContext.default({"H": 0.0})
         with pytest.raises(BadOverride):
-            load_registry({"G": -1.0})
+            CosmologyContext.default({"G": -1.0})
 
     def test_negative_uncertainty(self):
         with pytest.raises(BadOverride):
-            load_registry({"e_H": -0.1})
+            CosmologyContext.default({"e_H": -0.1})
 
     def test_unknown_uncertainty_name(self):
         with pytest.raises(BadOverride):
-            load_registry({"e_nope": 0.1})
+            CosmologyContext.default({"e_nope": 0.1})
 
     def test_override_applies(self):
-        reg = load_registry({"H": 1e-18, "e_H": 0.05})
-        assert reg.value("H") == 1e-18
-        assert reg.rel_sigma("H") == 0.05
-        assert reg["H"].source == "override"
+        ctx = CosmologyContext.default({"H": 1e-18, "e_H": 0.05})
+        assert ctx.value("H") == 1e-18
+        assert ctx.rel_sigma("H") == 0.05
+        assert ctx["H"].source == "override"
 
     def test_registry_is_immutable(self, ctx):
         with pytest.raises(TypeError):
-            ctx.registry["c"] = None
+            ctx["c"] = None
 
     def test_dimension_cannot_be_overridden(self, ctx):
-        # exponent tables rely on every registry keeping the default dimensions
-        constants = [ctx.registry[name] for name in ctx.registry if name != "H"]
+        # exponent tables rely on every context keeping the default dimensions
+        constants = [ctx[name] for name in ctx if name != "H"]
         wrong_h = PhysicalConstant("H", UncertainQuantity(2.49e-18, 0.15, TIME))
         with pytest.raises(BadOverride):
-            ConstantRegistry(constants + [wrong_h])
+            CosmologyContext(constants + [wrong_h])
         right_h = PhysicalConstant("H", UncertainQuantity(2.49e-18, 0.15, FREQUENCY))
-        assert ConstantRegistry(constants + [right_h]).value("H") == 2.49e-18
+        assert CosmologyContext(constants + [right_h]).value("H") == 2.49e-18
+
+    def test_duplicate_name(self, ctx):
+        with pytest.raises(BadOverride):
+            CosmologyContext(list(ctx.values()) + [ctx["H"]])
+
+    def test_override_equals_the_context_of_its_constants(self, ctx):
+        h = 3e-18
+        constants = [PhysicalConstant("H", UncertainQuantity(h, 0.15, FREQUENCY), "override")
+                     if name == "H" else ctx[name] for name in ctx]
+        built = CosmologyContext(constants)
+        assert CosmologyContext.default({"H": h}) == built
+        assert built != ctx
 
     def test_determinism(self):
-        a = load_registry({"H": 3e-18})
-        b = load_registry({"H": 3e-18})
+        a = CosmologyContext.default({"H": 3e-18})
+        b = CosmologyContext.default({"H": 3e-18})
         assert all(a.value(n) == b.value(n) and a.rel_sigma(n) == b.rel_sigma(n)
                    for n in a)
 
@@ -170,23 +180,23 @@ class TestConfigParsing:
         with pytest.raises(BadOverride):
             load_config(binary)
 
-    def test_feeds_load_registry(self):
+    def test_feeds_default_context(self):
         ctx = CosmologyContext.default(parse_config("H = 77 km/s/Mpc\n"))
         # 77 km/s/Mpc is about 2.4966e-18 1/s under the Mpc convention here
-        assert rel(ctx.registry.value("H"), 2.4966e-18) < 1e-4
+        assert rel(ctx.value("H"), 2.4966e-18) < 1e-4
 
 
 class TestExponentTable:
     def test_value_and_uncertainty_from_the_float_core(self, ctx):
         table = ExponentTable({"H": 2, "G": -1}, DENSITY)
-        rho = table.evaluate(ctx.registry, 3.0 / (8.0 * math.pi))
+        rho = table.evaluate(ctx, 3.0 / (8.0 * math.pi))
         assert rho.dim == DENSITY
         assert rho.value == ctx.rho_crit.value
         assert rho.rel_sigma == ctx.rho_crit.rel_sigma
-        assert table.value(ctx.registry, 3.0 / (8.0 * math.pi)) == rho.value
+        assert table.value(ctx, 3.0 / (8.0 * math.pi)) == rho.value
         # the same product through the per-call exact path
         slow = propagate([(UncertainQuantity(3.0 / (8.0 * math.pi)), 1),
-                          (ctx.registry.quantity("H"), 2), (ctx.registry.quantity("G"), -1)])
+                          (ctx.quantity("H"), 2), (ctx.quantity("G"), -1)])
         assert (slow.value, slow.rel_sigma, slow.dim) == (rho.value, rho.rel_sigma, rho.dim)
 
     def test_wrong_dimension_rejected_at_build(self):
@@ -201,7 +211,7 @@ class TestExponentTable:
 
     def test_overrides_reach_the_value(self):
         doubled = CosmologyContext.default({"H": 2.0 * 2.49e-18, "e_H": 0.0})
-        radius = ExponentTable({"c": 1, "H": -1}, LENGTH).evaluate(doubled.registry)
+        radius = ExponentTable({"c": 1, "H": -1}, LENGTH).evaluate(doubled)
         assert rel(radius.value, 2.99792458e8 / (2.0 * 2.49e-18)) < 1e-15
         assert radius.rel_sigma == 0.0
 
@@ -220,13 +230,13 @@ class TestResolvedOnce:
         first = CosmologyContext.default({"e_H": 0.1})
         second = CosmologyContext.default({"e_H": 0.1})
         assert first is not second and first is not CosmologyContext.default()
-        assert first.registry.rel_sigma("H") == 0.1
-        assert CosmologyContext.default().registry.rel_sigma("H") == 0.15
+        assert first.rel_sigma("H") == 0.1
+        assert CosmologyContext.default().rel_sigma("H") == 0.15
 
     def test_factor_list_resolved_once_per_registry(self, ctx):
         table = ExponentTable({"H": 2, "G": -1}, DENSITY)
-        factors = ctx.registry.factors(table._terms)
+        factors = ctx.factors(table._terms)
         assert factors == ((2.49e-18, 0.15, 2.0), (6.67428e-11, 1e-4, -1.0))
-        assert ctx.registry.factors(table._terms) is factors
-        other = CosmologyContext.default({"H": 2.0 * 2.49e-18}).registry
+        assert ctx.factors(table._terms) is factors
+        other = CosmologyContext.default({"H": 2.0 * 2.49e-18})
         assert other.factors(table._terms)[0][0] == 2.0 * 2.49e-18

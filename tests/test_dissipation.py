@@ -50,7 +50,7 @@ class TestDissipationRate:
         # for eps with the calibrated A, evaluated in logs (A**(3*gamma-1)
         # underflows for a = 1.7), dimensions via exact fractions
         rho = ctx.rho_crit.quantity()
-        c = ctx.registry.quantity("c").quantity()
+        c = ctx.quantity("c").quantity()
         for a in (1.7, 1.8, 2.0, 2.5):
             for kappa in (1.0, 1e-5):
                 af = Fraction(a)
@@ -89,7 +89,7 @@ class TestSolarBudget:
         assert abs(math.log10(budget.n_solar) - 49.0) < 1.0
 
     def test_computed_mode_n0(self, ctx):
-        # oracle: rho*c*R**2*t/M from the registry
+        # oracle: rho*c*R**2*t/M from the default constants
         expected = (ctx.rho_crit.value * C * ctx.hubble_radius.value ** 2
                     * 86400.0 / 1.98e30)
         n0 = n0_value(ctx, n0_mode="computed")
@@ -103,14 +103,14 @@ class TestSolarBudget:
         # the import-checked tables give the numbers that per-call exact
         # dimension bookkeeping through propagate gives
         slow = propagate([(UncertainQuantity(3.0 / (8.0 * math.pi)), 1)]
-                         + [(ctx.registry.quantity(name), p)
+                         + [(ctx.quantity(name), p)
                             for name, p in (("G", -1), ("c", 3), ("M_sun", -1))]
                          + [(UncertainQuantity(86400.0, 0.0, TIME), 1)])
         fast = n0_value(ctx, n0_mode="computed")
         assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma, slow.dim)
         coeff = 3.0 / (8.0 * math.pi) * (0.8 * 1e-5) ** (1.0 / 0.8)
         slow = propagate([(UncertainQuantity(coeff), 1)]
-                         + [(ctx.registry.quantity(name), p)
+                         + [(ctx.quantity(name), p)
                             for name, p in (("G", -1), ("H", 3), ("c", 2))])
         fast = dissipation_rate(1e-5, 1.8, ctx)
         assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma, slow.dim)
@@ -144,7 +144,7 @@ class TestRescaledCount:
     def test_published_chain_a17(self, ctx):
         # N = 1e49 at ell = 8 lightminutes lands at the published 1e5
         # only as an order of magnitude
-        ns = rescaled_count(1e49, ctx.registry.quantity("ell").quantity(), ctx)
+        ns = rescaled_count(1e49, ctx.quantity("ell").quantity(), ctx)
         assert abs(math.log10(ns) - 5.0) < 1.0
 
     def test_published_chain_a18(self, ctx):
@@ -154,6 +154,26 @@ class TestRescaledCount:
     def test_bad_radius(self, ctx):
         with pytest.raises(ValidationError):
             rescaled_count(1.0, Quantity(1.0, TIME), ctx)
+
+    def test_cube_out_of_range_count_in_range(self, ctx):
+        # (ell/R)**3 overflows at ell = 1e120 lightminutes and underflows
+        # to zero at 1e-94, while N_s = N*(ell/R)**3 is a normal float;
+        # N_s is then N times ell/R three times over
+        radius = ctx.hubble_radius.value
+        lightminute = 60.0 * C
+        for kappa, ell, expected in ((1e-300, 1e120 * lightminute, 5.957e211),
+                                     (1.0, 1e-94 * lightminute, 4.6748e-273)):
+            budget = solar_budget(kappa, 2.9, ctx, ell=Quantity(ell, LENGTH))
+            ratio = ell / radius
+            assert budget.ns_solar == budget.n_solar * ratio * ratio * ratio
+            # oracle: the same count in logs
+            log_ns = math.log(budget.n_solar) + 3.0 * (math.log(ell) - math.log(radius))
+            assert rel(budget.ns_solar, math.exp(log_ns)) < 1e-12
+            assert rel(budget.ns_solar, expected) < 1e-4
+
+    def test_overflowing_count_names_its_inputs(self, ctx):
+        with pytest.raises(NonFinite, match=r"N_s = N\*\(ell/R\)\*\*3 .* ell = 1e\+300 m"):
+            rescaled_count(1e57, Quantity(1e300, LENGTH), ctx)
 
 
 class TestKappaFromCount:

@@ -54,7 +54,7 @@ def k_of(value):
 
 
 def constant(ctx, name):
-    return ctx.registry.quantity(name).quantity()
+    return ctx.quantity(name).quantity()
 
 
 # log10 k from the largest eddy 1/R to the Planck wavenumber 2*pi/r_p
@@ -215,7 +215,7 @@ class TestAmplitude:
                                 (horizon_spectrum_amplitude(a, custom).reduced,
                                  3.0 / (8.0 * math.pi))):
                 slow = propagate([(UncertainQuantity(coeff), 1)]
-                                 + [(custom.registry.quantity(name), p)
+                                 + [(custom.quantity(name), p)
                                     for name, p in (("G", -1), ("H", 1 + af), ("c", 3 - af))])
                 assert rel(fast.value, slow.value) < 1e-14
                 assert rel(fast.rel_sigma, slow.rel_sigma) < 1e-14
@@ -287,7 +287,7 @@ class TestHorizonInjection:
                 (energy_budget_total(0.3, ctx), 3.0 * 0.3 / (8.0 * math.pi),
                  (("H", 2), ("G", -1), ("c", 2)))):
             slow = propagate([(UncertainQuantity(coeff), 1)]
-                             + [(ctx.registry.quantity(name), p) for name, p in powers])
+                             + [(ctx.quantity(name), p) for name, p in powers])
             assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma,
                                                               slow.dim)
         assert energy_budget_total(0.3, ctx).dim == ENERGY_DENSITY

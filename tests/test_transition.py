@@ -24,7 +24,6 @@ from zpfcross.report import SweepSpec, run_sweep
 from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 from zpfcross.transition import (
     CROSSOVER_VOLUME,
-    TransitionResult,
     kolmogorov_reference_scale,
     log_form_constants,
     log_form_scale,
@@ -84,7 +83,6 @@ class TestClosedForm:
         total = math.sqrt(sum(v ** 2 for v in r.sigma_breakdown.values()))
         assert rel(r.rel_sigma, total) < 1e-15
         assert set(r.sigma_breakdown) == {"G", "c", "hbar", "H", "kappa"}
-        assert r.method == "closed_form"
 
     def test_e_kappa_enters_budget(self, ctx):
         r = transition_scale(1.7, 1e-5, ctx, e_kappa=0.2)
@@ -268,12 +266,6 @@ class TestNumericCrossover:
             numeric_crossover(vac, turb, ctx,
                               bracket=(Quantity(1.0), Quantity(2.0)))
 
-    def test_numeric_result_wrapper(self, ctx):
-        k0 = Quantity(0.5, WAVENUMBER)
-        result = TransitionResult.from_numeric_k0(k0)
-        assert result.method == "numeric_root"
-        assert result.lambda0.value == 2.0 * math.pi / 0.5
-
 
 class TestSigmaApproximation:
     def test_reference_point(self):
@@ -299,7 +291,7 @@ class TestLogForm:
                 assert rel(log_form_scale(a, kappa, ctx).value, closed) < 1e-12
 
     def test_constants(self, ctx):
-        # oracle: direct logarithms of the registry defaults
+        # oracle: direct logarithms of the default constants
         c1, c2 = log_form_constants(ctx)
         assert rel(c1, math.log(3.0 * C ** 2 * H / (8.0 * math.pi * G * HBAR))) < 1e-12
         assert rel(c2, math.log(H / C)) < 1e-12
