@@ -26,7 +26,6 @@ from .constants import (
 )
 from .dissipation import (
     DissipationBudget,
-    dissipation_rate,
     kappa_from_count,
     kappa_from_solar_bound,
     n0_value,

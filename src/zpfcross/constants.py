@@ -49,6 +49,7 @@ from .quantity import (
     UncertainQuantity,
     as_fraction,
     power_product,
+    power_terms,
 )
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s, exact
@@ -193,6 +194,10 @@ class ExponentTable:
         """The float value of ``evaluate`` alone, in SI units of ``dim``."""
         return power_product(coeff, ctx.factors(self._terms))[0]
 
+    def powers(self, ctx: CosmologyContext) -> Tuple[Tuple[float, ...], float]:
+        """The powers X**p_X and rel_sigma, for ``quantity.times_powers``."""
+        return power_terms(ctx.factors(self._terms))
+
 
 # rho_crit = 3/(8*pi) * H**2/G and R = c/H
 CRITICAL_DENSITY = ExponentTable({"H": 2, "G": -1}, DENSITY)
@@ -209,12 +214,16 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     plus the derived critical density and Hubble radius.
 
     Single constants are read straight from the context
-    (``ctx.value("H")``, ``ctx.rel_sigma("H")``, ``ctx.quantity("H")``).
-    A constant with a default entry must keep that entry's dimension,
-    so dimensions checked once per ``ExponentTable`` hold for every
-    context. The context is immutable, so it resolves each table's
-    factor list once and reuses it; the critical density and Hubble
-    radius are evaluated from those factors on each access.
+    (``ctx.value("H")``, ``ctx.rel_sigma("H")``, ``ctx.quantity("H")``),
+    which raise BadOverride for an unknown name; ``ctx[name]`` raises
+    KeyError, as ``in`` and ``get`` expect. Every default constant is
+    present, every constant is positive, and one with a default entry
+    must keep that entry's dimension, so dimensions checked once per
+    ``ExponentTable`` hold for every context and every table can be
+    evaluated.
+    The context is immutable, so it resolves each table's factor list
+    once and reuses it; the critical density and Hubble radius are
+    evaluated from those factors on each access.
     """
 
     def __init__(self, constants: Iterable[PhysicalConstant]):
@@ -226,7 +235,13 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
             if constant.quantity.dim != expected:
                 raise BadOverride(f"constant {constant.name!r} must have dimension "
                                   f"{expected}, got {constant.quantity.dim}")
+            if not constant.value > 0.0:
+                raise BadOverride(f"constant {constant.name!r} must be positive, "
+                                  f"got {constant.value!r}")
             table[constant.name] = constant
+        missing = [name for name in _NAMES if name not in table]
+        if missing:
+            raise BadOverride(f"missing constants {missing}")
         self._table = table
         self._factors = {}  # terms -> their factors, filled by ``factors``
 
@@ -266,10 +281,7 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
         return cls(constants.values())
 
     def __getitem__(self, name: str) -> PhysicalConstant:
-        try:
-            return self._table[name]
-        except KeyError:
-            raise BadOverride(f"unknown constant {name!r}") from None
+        return self._table[name]  # KeyError, as the Mapping methods expect
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._table)
@@ -277,14 +289,20 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     def __len__(self) -> int:
         return len(self._table)
 
+    def _constant(self, name: str) -> PhysicalConstant:
+        try:
+            return self._table[name]
+        except KeyError:
+            raise BadOverride(f"unknown constant {name!r}") from None
+
     def quantity(self, name: str) -> UncertainQuantity:
-        return self[name].quantity
+        return self._constant(name).quantity
 
     def value(self, name: str) -> float:
-        return self[name].value
+        return self._constant(name).value
 
     def rel_sigma(self, name: str) -> float:
-        return self[name].rel_sigma
+        return self._constant(name).rel_sigma
 
     def factors(self, terms: Tuple[Tuple[str, float], ...]) -> Tuple[Tuple[float, float, float], ...]:
         """(value, rel_sigma, p) of each (name, p) in ``terms``, in order.
@@ -294,7 +312,7 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
         """
         factors = self._factors.get(terms)
         if factors is None:
-            factors = tuple((self[name].value, self[name].rel_sigma, p) for name, p in terms)
+            factors = tuple((self.value(name), self.rel_sigma(name), p) for name, p in terms)
             self._factors[terms] = factors
         return factors
 

@@ -20,7 +20,9 @@ exposed rather than adjudicated.
 
 The constant parts of eps and the computed N0 are exponent tables
 whose dimension is checked once, at import; evaluating them is float
-arithmetic only.
+arithmetic only. ``budget_terms`` resolves what a grid shares (N0,
+eps's table, (ell/R)**3) and ``budget_cell`` is the float arithmetic
+per (a, kappa); ``solar_budget`` is one cell of ``report.run_sweep``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .constants import HORIZON_POWER_DENSITY, HUBBLE_RADIUS, CosmologyContext, ExponentTable
 from .errors import NonFinite, ValidationError
@@ -39,6 +41,8 @@ from .quantity import (
     TIME,
     UncertainQuantity,
     power_product,
+    power_terms,
+    times_powers,
 )
 from .spectra import check_kappa, check_slope
 from .transition import TransitionResult, transition_scale
@@ -48,12 +52,6 @@ N0_MODES = ("paper", "computed")
 
 # N0/t = rho*c*R**2/M = 3/(8*pi) * G**-1 * c**3 * M**-1
 N0_RATE = ExponentTable({"G": -1, "c": 3, "M_sun": -1}, FREQUENCY)
-
-
-def _check_mode(n0_mode: str) -> str:
-    if n0_mode not in N0_MODES:
-        raise ValidationError(f"n0_mode must be one of {N0_MODES}, got {n0_mode!r}")
-    return n0_mode
 
 
 def _window(ctx: CosmologyContext, window_t: Optional[Quantity]) -> Quantity:
@@ -70,19 +68,6 @@ def _radius(ctx: CosmologyContext, ell: Optional[Quantity]) -> Quantity:
     return radius
 
 
-def dissipation_rate(kappa: float, a: float, ctx: CosmologyContext) -> UncertainQuantity:
-    """eps = rho*c**3/R * ((a-1)*kappa)**(1/(a-1)), W/m^3.
-
-    rho*c**3/R reduces to (3/(8*pi)) * G**-1 * H**3 * c**2, the table
-    ``constants.HORIZON_POWER_DENSITY``; the kappa factor is an exact
-    dimensionless scale.
-    """
-    kappa = check_kappa(kappa)
-    a = check_slope(a)
-    coeff = 3.0 / (8.0 * math.pi) * ((a - 1.0) * kappa) ** (1.0 / (a - 1.0))
-    return HORIZON_POWER_DENSITY.evaluate(ctx, coeff)
-
-
 def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
              n0_mode: str = "paper") -> UncertainQuantity:
     """The dimensionless budget prefactor N0 in the requested mode.
@@ -90,7 +75,8 @@ def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
     computed: rho*c*R**2*t/M = 3*c**3*t/(8*pi*G*M) from the context.
     paper: the published reference value 1e57, taken as exact.
     """
-    _check_mode(n0_mode)
+    if n0_mode not in N0_MODES:
+        raise ValidationError(f"n0_mode must be one of {N0_MODES}, got {n0_mode!r}")
     if n0_mode == "paper":
         return UncertainQuantity(PAPER_N0)
     t = _window(ctx, window_t)
@@ -102,7 +88,10 @@ def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
 class DissipationBudget:
     """Dissipation rate and its solar-mass-equivalent counts.
 
-    By construction n_solar = n0 * ((a-1)*kappa)**(1/(a-1)) and
+    By construction epsilon = rho*c**3/R * ((a-1)*kappa)**(1/(a-1)) in
+    W/m^3, where rho*c**3/R reduces to (3/(8*pi)) * G**-1 * H**3 * c**2,
+    the table ``constants.HORIZON_POWER_DENSITY``;
+    n_solar = n0 * ((a-1)*kappa)**(1/(a-1)) and
     ns_solar = n_solar * (ell/R)**3.
     """
 
@@ -117,6 +106,56 @@ class DissipationBudget:
     slope: float
 
 
+class BudgetTerms(NamedTuple):
+    """The budget's parts that a grid shares (``budget_terms``)."""
+
+    window_t: Quantity
+    ell: Quantity
+    n0: float
+    epsilon: Tuple[Tuple[float, ...], float]  # powers and rel_sigma of rho*c**3/R
+    cube: Tuple[float, ...]  # powers whose product with N is N_s
+    log_ratio: float  # ln(ell/R)
+
+
+def budget_terms(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
+                 ell: Optional[Quantity] = None, n0_mode: str = "paper") -> BudgetTerms:
+    """ValidationError for a bad window, radius or N0 mode. Where N0, eps's
+    table or R leaves the float range, N0 is nan, so that each cell then
+    fails in ``budget_cell``."""
+    t = _window(ctx, window_t)
+    radius = _radius(ctx, ell)
+    try:
+        n0 = n0_value(ctx, t, n0_mode).value
+        epsilon = HORIZON_POWER_DENSITY.powers(ctx)
+        hubble = HUBBLE_RADIUS.value(ctx)
+    except NonFinite:
+        n0, epsilon, hubble = math.nan, ((), math.nan), math.nan
+    return BudgetTerms(t, radius, n0, epsilon, _cube_powers(radius.value / hubble),
+                       math.log(radius.value) - math.log(hubble))
+
+
+def budget_cell(terms: BudgetTerms, a: float, kappa: float) -> Tuple[float, float, float]:
+    """eps, N and N_s at one checked (a, kappa); NonFinite if eps or N_s
+    leaves the float range."""
+    if math.isnan(terms.n0):
+        raise NonFinite("N0, rho*c**3/R or R leaves the float range with these constants")
+    power = 1.0 / (a - 1.0)
+    cascade = ((a - 1.0) * kappa) ** power
+    epsilon = times_powers(3.0 / (8.0 * math.pi) * cascade, terms.epsilon[0])
+    n_solar = terms.n0 * cascade
+    try:
+        if 0.0 < terms.n0 and n_solar < sys.float_info.min:
+            # N underflowed but N_s need not have: form N_s in logs (an N0
+            # of zero takes the product below)
+            return epsilon, n_solar, math.exp(
+                math.log(terms.n0) + power * (math.log(a - 1.0) + math.log(kappa))
+                + 3.0 * terms.log_ratio)
+        return epsilon, n_solar, times_powers(n_solar, terms.cube)
+    except (NonFinite, OverflowError) as exc:
+        raise NonFinite(f"the count N_s = N*(ell/R)**3 leaves the float range for "
+                        f"N = {n_solar!r} and ell = {terms.ell.value!r} m") from exc
+
+
 def solar_budget(kappa: float, a: float, ctx: CosmologyContext,
                  window_t: Optional[Quantity] = None,
                  ell: Optional[Quantity] = None,
@@ -124,25 +163,24 @@ def solar_budget(kappa: float, a: float, ctx: CosmologyContext,
     """Assemble the full budget for one (kappa, a) choice."""
     kappa = check_kappa(kappa)
     a = check_slope(a)
-    t = _window(ctx, window_t)
-    radius = _radius(ctx, ell)
-    n0 = n0_value(ctx, t, n0_mode).value
-    n_solar = n0 * ((a - 1.0) * kappa) ** (1.0 / (a - 1.0))
+    terms = budget_terms(ctx, window_t, ell, n0_mode)
+    epsilon, n_solar, ns_solar = budget_cell(terms, a, kappa)
     return DissipationBudget(
-        epsilon=dissipation_rate(kappa, a, ctx),
+        epsilon=UncertainQuantity(epsilon, terms.epsilon[1], HORIZON_POWER_DENSITY.dim),
         n_solar=n_solar,
-        n0=n0,
-        ns_solar=rescaled_count(n_solar, radius, ctx),
-        window_t=t,
-        ell=radius,
+        n0=terms.n0,
+        ns_solar=ns_solar,
+        window_t=terms.window_t,
+        ell=terms.ell,
         n0_mode=n0_mode,
         kappa=kappa,
         slope=a,
     )
 
 
-def _count_times_cube(count: float, ratio: float) -> float:
-    """count*ratio**3; NonFinite only if the product leaves the float range.
+def _cube_powers(ratio: float) -> Tuple[float, ...]:
+    """Powers whose product with a count is count*ratio**3, which
+    ``times_powers`` reports as NonFinite only if it leaves the float range.
 
     The cube is formed first. Where the cube alone leaves the range of
     normal floats, the count is multiplied by the ratio three times
@@ -154,8 +192,8 @@ def _count_times_cube(count: float, ratio: float) -> float:
     except OverflowError:
         cube = math.inf
     if sys.float_info.min <= cube <= sys.float_info.max:
-        return power_product(count, [(cube, 0.0, 1.0)])[0]
-    return power_product(count, [(ratio, 0.0, 1.0)] * 3)[0]
+        return power_terms([(cube, 0.0, 1.0)])[0]
+    return power_terms([(ratio, 0.0, 1.0)] * 3)[0]
 
 
 def rescaled_count(n_solar: float, ell: Quantity, ctx: CosmologyContext) -> float:
@@ -165,7 +203,7 @@ def rescaled_count(n_solar: float, ell: Quantity, ctx: CosmologyContext) -> floa
     """
     radius = _radius(ctx, ell)
     try:
-        return _count_times_cube(n_solar, radius.value / HUBBLE_RADIUS.value(ctx))
+        return times_powers(n_solar, _cube_powers(radius.value / HUBBLE_RADIUS.value(ctx)))
     except NonFinite as exc:
         raise NonFinite(f"the count N_s = N*(ell/R)**3 leaves the float range for "
                         f"N = {n_solar!r} and ell = {radius.value!r} m") from exc
@@ -205,7 +243,7 @@ def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
     radius = _radius(ctx, ell)
     n0 = n0_value(ctx, t, n0_mode).value
     try:
-        n_solar = _count_times_cube(ns_bound, HUBBLE_RADIUS.value(ctx) / radius.value)
+        n_solar = times_powers(ns_bound, _cube_powers(HUBBLE_RADIUS.value(ctx) / radius.value))
     except NonFinite as exc:
         raise NonFinite(f"the count N = Ns*(R/ell)**3 leaves the float range for "
                         f"Ns = {ns_bound!r} and ell = {radius.value!r} m") from exc

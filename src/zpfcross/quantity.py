@@ -147,19 +147,36 @@ def power_product(coeff: float,
     the powers are multiplied in the order given. Returns the finite
     value and rel_sigma = sqrt(sum((p*e)**2)). Dimensions are the
     caller's business: :func:`propagate` composes them per call, an
-    ``ExponentTable`` checks them once when it is built.
+    ``ExponentTable`` checks them once when it is built. A caller that
+    applies the same terms to many coefficients takes the two steps,
+    :func:`power_terms` once and :func:`times_powers` per coefficient.
     """
-    value = coeff
+    powers, rel_sigma = power_terms(terms)
+    return times_powers(coeff, powers), rel_sigma
+
+
+def power_terms(terms: Iterable[Tuple[float, float, float]]) -> Tuple[Tuple[float, ...], float]:
+    """The powers x**p, in order, and rel_sigma, both finite."""
+    powers = []
     var = 0.0
     try:
         for x, rel_sigma, p in terms:
-            value *= x ** p
+            powers.append(x ** p)
             var += (p * rel_sigma) ** 2
     except ZeroDivisionError as exc:
         raise NonFinite(f"0.0**{p} diverges") from exc
     except OverflowError as exc:
         raise NonFinite(f"({x!r})**{p} overflows") from exc
-    return _finite(value), math.sqrt(var)
+    if var == math.inf:
+        raise NonFinite("the relative uncertainty overflows")
+    return tuple(powers), math.sqrt(var)
+
+
+def times_powers(coeff: float, powers: Iterable[float]) -> float:
+    """coeff times each power in turn; NonFinite unless the product is finite."""
+    for x in powers:
+        coeff *= x
+    return _finite(coeff)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Parameter sweeps over (slope, kappa) grids and text rendering."""
+"""Parameter sweeps over (slope, kappa) grids and text rendering.
+
+``run_sweep`` resolves the context, each slope and each kappa once and
+fills every cell from the float cores of ``transition_scale`` and
+``solar_budget``; a cell that fails becomes an error row.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +12,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .constants import CosmologyContext
-from .dissipation import solar_budget
+from .dissipation import N0_MODES, budget_cell, budget_terms
 from .errors import EmptySweep, NumericFailure, ValidationError
-from .transition import transition_scale
+from .spectra import check_kappa, check_slope
+from .transition import scale_cell, scale_context, scale_terms
+from .transition import transition_scale  # noqa: F401  bench/tests patches report.transition_scale
 
 BASE_COLUMNS = ("a", "kappa", "lambda0_m", "sigma_m", "k0_per_m")
 BASE_OUTPUTS = ("lambda0", "sigma", "k0")  # always emitted
@@ -36,6 +43,8 @@ class SweepSpec:
         if unknown:
             raise ValidationError(
                 f"unknown outputs {unknown}; choose from {BASE_OUTPUTS + EXTRA_OUTPUTS}")
+        if self.n0_mode not in N0_MODES:
+            raise ValidationError(f"n0_mode must be one of {N0_MODES}, got {self.n0_mode!r}")
 
     @property
     def columns(self) -> Tuple[str, ...]:
@@ -60,31 +69,43 @@ class ReportRow:
 
 def run_sweep(spec: SweepSpec, ctx: CosmologyContext) -> List[ReportRow]:
     """Evaluate the grid; invalid cells and cells whose numbers leave the
-    float range become rows with error markers."""
+    float range become rows with error markers.
+
+    Each row equals ``transition_scale`` and ``solar_budget`` at its cell,
+    error name included, but the context, each slope and each kappa are
+    resolved and checked once, and each cell is float arithmetic only.
+    """
+    kappa_errors = [_error_name(check_kappa, kappa) for kappa in spec.kappas]
+    context = scale_context(ctx)
+    wanted = [o in spec.outputs for o in EXTRA_OUTPUTS]
+    budget = budget_terms(ctx, n0_mode=spec.n0_mode) if any(wanted) else None
     rows: List[ReportRow] = []
     for a in spec.slopes:
-        for kappa in spec.kappas:
-            try:
-                result = transition_scale(a, kappa, ctx)
-                extras = {}
-                if any(o in spec.outputs for o in EXTRA_OUTPUTS):
-                    budget = solar_budget(kappa, a, ctx, n0_mode=spec.n0_mode)
-                    if "epsilon" in spec.outputs:
-                        extras["epsilon_w_m3"] = budget.epsilon.value
-                    if "N" in spec.outputs:
-                        extras["n_solar"] = budget.n_solar
-                    if "Ns" in spec.outputs:
-                        extras["ns_solar"] = budget.ns_solar
-                rows.append(ReportRow(
-                    a=a, kappa=kappa,
-                    lambda0_m=result.lambda0.value,
-                    sigma_m=result.sigma.value,
-                    k0_per_m=result.k0.value,
-                    **extras,
-                ))
-            except (ValidationError, NumericFailure) as exc:
-                rows.append(ReportRow(a=a, kappa=kappa, error=type(exc).__name__))
+        slope_error = _error_name(check_slope, a)
+        terms = scale_terms(a, ctx, context) if slope_error is None else None
+        for kappa, kappa_error in zip(spec.kappas, kappa_errors):
+            error = slope_error or kappa_error
+            if error is None:
+                try:
+                    lambda0, sigma, k0 = scale_cell(terms, kappa)
+                    extras = () if budget is None else budget_cell(budget, a, kappa)
+                    rows.append(ReportRow(a, kappa, lambda0, sigma, k0,
+                                          *[v if want else None
+                                            for v, want in zip(extras, wanted)]))
+                    continue
+                except NumericFailure as exc:
+                    error = type(exc).__name__
+            rows.append(ReportRow(a=a, kappa=kappa, error=error))
     return rows
+
+
+def _error_name(check, value: float) -> Optional[str]:
+    """The name of the ValidationError that ``check(value)`` raises, or None."""
+    try:
+        check(value)
+    except ValidationError as exc:
+        return type(exc).__name__
+    return None
 
 
 def format_sig(value: Optional[float], sigfigs: int = 3) -> str:

@@ -159,6 +159,26 @@ class TestSweepCommand:
         assert code == 0
         assert "<error: NonFinite>" in out
 
+    def test_context_out_of_float_range_marks_every_valid_cell(self, capsys, tmp_path):
+        # with H = 1e-300 1/s the context's V = G*hbar/(c**2*H) overflows;
+        # each cell still becomes a row, a bad slope or kappa keeping its own name
+        config = tmp_path / "h.cfg"
+        config.write_text("H = 1e-300 1/s\n", encoding="utf-8")
+        code, out, err = run(capsys, "sweep", "--slopes", "0.5,1.5,2.9",
+                             "--kappas", "1,2,1e-300", "--outputs", "epsilon,N,Ns",
+                             "--config", str(config))
+        assert (code, err) == (0, "")
+        markers = [line.split("<error: ")[1].rstrip(">") for line in out.splitlines()[1:]]
+        assert markers == ["SlopeOutOfRange"] * 3 + ["NonFinite", "KappaOutOfRange",
+                                                      "NonFinite"] * 2
+        code, out, _ = run(capsys, "sweep", "--slopes", "0.5,1.5,2.9",
+                           "--kappas", "1,2,1e-300", "--format", "csv",
+                           "--config", str(config))
+        header, rows = csv_rows(out)
+        assert code == 0
+        assert len(rows) == 9
+        assert all(cell == "nan" for row in rows for cell in row[2:])
+
 
 class TestDissipationCommand:
     def test_provenance_note_and_values(self, capsys):
@@ -193,6 +213,30 @@ class TestDissipationCommand:
         assert (code, err) == (0, "")
         header, rows = csv_rows(out.split("\n", 1)[1])
         assert float(rows[0][header.index("ns_solar")]) == expected
+
+    def test_constants_out_of_float_range_are_named(self, capsys, tmp_path):
+        config = tmp_path / "h.cfg"
+        config.write_text("H = 1e-300 1/s\n", encoding="utf-8")
+        code, out, err = run(capsys, "dissipation", "--kappa", "1e-5", "--slope", "1.8",
+                             "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: N0, rho*c**3/R or R leaves the float range "
+                       "with these constants\n")
+
+    def test_underflowing_count_does_not_hide_a_normal_rescaled_count(self, capsys):
+        # N = 1e57*(0.459*kappa)**(1/0.459) is about 1e-460 and underflows to 0,
+        # while N_s = N*(ell/R)**3 is about 8e-132; oracle: N_s in logs
+        code, out, err = run(capsys, "dissipation", "--kappa", "6.86934e-238",
+                             "--slope", "1.459", "--radius-lightminutes", "4.03e125",
+                             "--format", "csv", "--sigfigs", "6")
+        assert (code, err) == (0, "")
+        header, rows = csv_rows(out.split("\n", 1)[1])
+        values = dict(zip(header, rows[0]))
+        assert values["n_solar"] == "0"
+        log_ns = (math.log(1e57) + math.log(0.459 * 6.86934e-238) / 0.459
+                  + 3.0 * math.log(4.03e125 * LIGHTMINUTE_M
+                                   / CosmologyContext.default().hubble_radius.value))
+        assert values["ns_solar"] == format_sig(math.exp(log_ns), 6) == "8.07237e-132"
 
 
 class TestBoundCommand:
@@ -458,6 +502,20 @@ class TestFixedCosts:
                 "from zpfcross.transition import transition_scale\n"
                 "zpfcross.cli.build_parser()\n"
                 "transition_scale(1.8, 1e-5, CosmologyContext.default())\n"
+                "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        src = str(Path(zpfcross.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_sweep_does_not_import_numpy(self):
+        code = ("import contextlib, io, sys\n"
+                "from zpfcross.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['sweep', '--slopes', '1.5,2.9,3.5', '--kappas', '1,1e-300,2',\n"
+                "                 '--outputs', 'epsilon,N,Ns', '--format', 'csv']) == 0\n"
                 "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
         src = str(Path(zpfcross.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

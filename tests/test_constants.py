@@ -115,6 +115,27 @@ class TestOverrides:
         right_h = PhysicalConstant("H", UncertainQuantity(2.49e-18, 0.15, FREQUENCY))
         assert CosmologyContext(constants + [right_h]).value("H") == 2.49e-18
 
+    def test_unknown_name_follows_the_mapping_protocol(self, ctx):
+        assert "warp" not in ctx
+        assert ctx.get("warp") is None
+        with pytest.raises(KeyError):
+            ctx["warp"]
+        for read in (ctx.value, ctx.rel_sigma, ctx.quantity):
+            with pytest.raises(BadOverride):
+                read("warp")
+
+    def test_missing_constant(self, ctx):
+        with pytest.raises(BadOverride):
+            CosmologyContext([ctx[name] for name in ctx if name != "G"])
+
+    def test_non_positive_constant(self, ctx):
+        # a sweep resolves the context's window and radius once for all cells
+        constants = [ctx[name] for name in ctx if name != "t"]
+        for value in (0.0, -86400.0):
+            wrong_t = PhysicalConstant("t", UncertainQuantity(value, 0.0, TIME))
+            with pytest.raises(BadOverride):
+                CosmologyContext(constants + [wrong_t])
+
     def test_duplicate_name(self, ctx):
         with pytest.raises(BadOverride):
             CosmologyContext(list(ctx.values()) + [ctx["H"]])

@@ -1,12 +1,13 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+from zpfcross import CosmologyContext
 from zpfcross.dissipation import (
     PAPER_N0,
     DissipationBudget,
-    dissipation_rate,
     kappa_from_count,
     kappa_from_solar_bound,
     n0_value,
@@ -22,6 +23,7 @@ from zpfcross.quantity import (
     UncertainQuantity,
     propagate,
 )
+from zpfcross.report import SweepSpec, run_sweep
 from zpfcross.spectra import amplitude_from_kappa, gamma_from_slope
 
 C = 2.99792458e8
@@ -34,7 +36,7 @@ def rel(x, y):
 class TestDissipationRate:
     def test_a2_kappa1_collapses_to_rho_c3_over_r(self, ctx):
         expected = ctx.rho_crit.value * C ** 3 / ctx.hubble_radius.value
-        eps = dissipation_rate(1.0, 2.0, ctx)
+        eps = solar_budget(1.0, 2.0, ctx).epsilon
         assert rel(eps.value, expected) < 1e-12
         assert rel(eps.value, 2.5e-27) < 0.01
         assert eps.dim == POWER_DENSITY
@@ -42,7 +44,7 @@ class TestDissipationRate:
     def test_uncertainty(self, ctx):
         # eps ~ G**-1 * H**3 * c**2
         expected = math.sqrt(1e-4 ** 2 + (3.0 * 0.15) ** 2)
-        assert rel(dissipation_rate(1.0, 2.0, ctx).rel_sigma, expected) < 1e-12
+        assert rel(solar_budget(1.0, 2.0, ctx).epsilon.rel_sigma, expected) < 1e-12
 
     def test_inverting_ms_amplitude_recovers_rate(self, ctx):
         # oracle: solve the Moisseev-Shivamoggi amplitude
@@ -62,20 +64,20 @@ class TestDissipationRate:
                            + 2.0 * math.log(c.value)) / float(2 * gf)
                 dim = (amp.dim ** (3 * gf - 1) * rho.dim ** (1 - gf)
                        * c.dim ** 2) ** (Fraction(1) / (2 * gf))
-                eps = dissipation_rate(kappa, a, ctx)
+                eps = solar_budget(kappa, a, ctx).epsilon
                 assert rel(math.exp(log_eps), eps.value) < 1e-9
                 assert dim == eps.dim == POWER_DENSITY
 
     def test_vanishes_with_kappa(self, ctx):
-        values = [dissipation_rate(k, 2.0, ctx).value for k in (1e-30, 1e-10, 1.0)]
+        values = [solar_budget(k, 2.0, ctx).epsilon.value for k in (1e-30, 1e-10, 1.0)]
         assert values[0] < 1e-50
         assert values[0] < values[1] < values[2]
 
     def test_domains(self, ctx):
         with pytest.raises(KappaOutOfRange):
-            dissipation_rate(0.0, 2.0, ctx)
+            solar_budget(0.0, 2.0, ctx).epsilon
         with pytest.raises(SlopeOutOfRange):
-            dissipation_rate(1.0, 3.0, ctx)
+            solar_budget(1.0, 3.0, ctx).epsilon
 
 
 class TestSolarBudget:
@@ -112,7 +114,7 @@ class TestSolarBudget:
         slow = propagate([(UncertainQuantity(coeff), 1)]
                          + [(ctx.quantity(name), p)
                             for name, p in (("G", -1), ("H", 3), ("c", 2))])
-        fast = dissipation_rate(1e-5, 1.8, ctx)
+        fast = solar_budget(1e-5, 1.8, ctx).epsilon
         assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma, slow.dim)
 
     def test_overflowing_rescaled_count_is_numeric_failure(self, ctx):
@@ -170,6 +172,29 @@ class TestRescaledCount:
             log_ns = math.log(budget.n_solar) + 3.0 * (math.log(ell) - math.log(radius))
             assert rel(budget.ns_solar, math.exp(log_ns)) < 1e-12
             assert rel(budget.ns_solar, expected) < 1e-4
+
+    def test_underflowing_count_does_not_hide_a_normal_rescaled_count(self, ctx):
+        # N = 1e57*(0.459*kappa)**(1/0.459) is about 1e-460, N_s about 8e-132
+        lightminute = 60.0 * C
+        kappa, ell = 6.86934e-238, 4.03e125 * lightminute
+        budget = solar_budget(kappa, 1.459, ctx, ell=Quantity(ell, LENGTH))
+        assert budget.n_solar == 0.0
+        # oracle: the count in logs
+        log_ns = (math.log(1e57) + math.log(0.459 * kappa) / 0.459
+                  + 3.0 * (math.log(ell) - math.log(ctx.hubble_radius.value)))
+        assert rel(budget.ns_solar, math.exp(log_ns)) < 1e-12
+        assert rel(budget.ns_solar, 8.07237e-132) < 1e-5
+        # a subnormal N (about 2e-311, computed N0) is formed in logs too
+        budget = solar_budget(2e-160, 1.5, ctx, ell=Quantity(1e66 * lightminute, LENGTH),
+                              n0_mode="computed")
+        assert 0.0 < budget.n_solar < sys.float_info.min
+        log_ns = (math.log(budget.n0) + math.log(1e-160) / 0.5
+                  + 3.0 * (math.log(1e66 * lightminute) - math.log(ctx.hubble_radius.value)))
+        assert rel(budget.ns_solar, math.exp(log_ns)) < 1e-12
+        # the sweep's Ns column is the same cell
+        big = CosmologyContext.default({"ell": ell})
+        row = run_sweep(SweepSpec((1.459,), (kappa,), ("N", "Ns")), big)[0]
+        assert (row.n_solar, row.ns_solar) == (0.0, solar_budget(kappa, 1.459, big).ns_solar)
 
     def test_overflowing_count_names_its_inputs(self, ctx):
         with pytest.raises(NonFinite, match=r"N_s = N\*\(ell/R\)\*\*3 .* ell = 1e\+300 m"):

@@ -203,6 +203,9 @@ class TestPropagate:
             power_product(1.0, [(0.0, 0.0, -1.0)])
         with pytest.raises(NonFinite):
             power_product(1e300, [(1e300, 0.0, 1.0)])  # product overflows to inf
+        with pytest.raises(NonFinite):
+            # each (p*e)**2 is finite, their sum is not
+            power_product(1.0, [(2.0, 1e154, 1.0), (3.0, 1e154, 1.0)])
 
     def test_rel_sigma_must_be_nonnegative(self):
         with pytest.raises(ValidationError):

@@ -1,10 +1,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zpfcross.dissipation import solar_budget
-from zpfcross.errors import EmptySweep, ValidationError
-from zpfcross.report import ReportRow, SweepSpec, format_sig, render, run_sweep
+from zpfcross import CosmologyContext
+from zpfcross.dissipation import N0_MODES, solar_budget
+from zpfcross.errors import EmptySweep, NumericFailure, ValidationError
+from zpfcross.report import (
+    EXTRA_COLUMNS,
+    EXTRA_OUTPUTS,
+    ReportRow,
+    SweepSpec,
+    format_sig,
+    render,
+    run_sweep,
+)
 from zpfcross.transition import transition_scale
 
 PUBLISHED_LAMBDA = {
@@ -51,6 +61,10 @@ class TestRunSweep:
         with pytest.raises(ValidationError):
             SweepSpec(slopes=(1.8,), kappas=(1.0,), outputs=("lambda0", "entropy"))
 
+    def test_unknown_n0_mode(self):
+        with pytest.raises(ValidationError):
+            SweepSpec(slopes=(1.8,), kappas=(1.0,), n0_mode="guessed")
+
     def test_error_markers_do_not_abort(self, ctx):
         rows = run_sweep(SweepSpec(slopes=(1.8, 3.5), kappas=(1.0,)), ctx)
         assert rows[0].error is None
@@ -74,6 +88,69 @@ class TestRunSweep:
         assert row.ns_solar == budget.ns_solar
         assert spec.columns == ("a", "kappa", "lambda0_m", "sigma_m", "k0_per_m",
                                 "epsilon_w_m3", "n_solar", "ns_solar")
+
+
+def cell_by_cell(spec, ctx):
+    """Oracle: each row from transition_scale and solar_budget at its cell."""
+    rows = []
+    for a in spec.slopes:
+        for kappa in spec.kappas:
+            try:
+                result = transition_scale(a, kappa, ctx)
+                extras = {}
+                if any(o in spec.outputs for o in EXTRA_OUTPUTS):
+                    budget = solar_budget(kappa, a, ctx, n0_mode=spec.n0_mode)
+                    values = {"epsilon": budget.epsilon.value, "N": budget.n_solar,
+                              "Ns": budget.ns_solar}
+                    extras = {EXTRA_COLUMNS[o]: values[o] for o in EXTRA_OUTPUTS
+                              if o in spec.outputs}
+                rows.append(ReportRow(a=a, kappa=kappa, lambda0_m=result.lambda0.value,
+                                      sigma_m=result.sigma.value, k0_per_m=result.k0.value,
+                                      **extras))
+            except (ValidationError, NumericFailure) as exc:
+                rows.append(ReportRow(a=a, kappa=kappa, error=type(exc).__name__))
+    return rows
+
+
+# contexts whose V, R, N0, eps or N_s leave the float range for some or all cells
+CONTEXTS = [CosmologyContext.default(overrides) for overrides in (
+    None, {"H": 1e-300}, {"H": 1e200}, {"G": 1e-300}, {"G": 1e300, "c": 1e-100},
+    {"ell": 1e300}, {"ell": 1e-300}, {"e_H": 1e10}, {"e_H": 1e300}, {"M_sun": 1e-300})]
+EDGES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1.0, 3.0)
+SLOPES = st.one_of(st.sampled_from(EDGES + (1.0 + 1e-12, 3.0 - 1e-12)),
+                   st.floats(min_value=0.8, max_value=3.2))
+KAPPAS = st.one_of(st.sampled_from(EDGES + (2.0,)),
+                   st.floats(min_value=-330.0, max_value=0.5).map(lambda x: 10.0 ** x))
+
+
+class TestSweepEqualsCellByCell:
+    @settings(max_examples=300, deadline=None)
+    @given(slopes=st.lists(SLOPES, min_size=1, max_size=4),
+           kappas=st.lists(KAPPAS, min_size=1, max_size=4),
+           outputs=st.lists(st.sampled_from(EXTRA_OUTPUTS + ("lambda0",)), unique=True),
+           n0_mode=st.sampled_from(N0_MODES), ctx=st.sampled_from(CONTEXTS))
+    def test_rows(self, slopes, kappas, outputs, n0_mode, ctx):
+        spec = SweepSpec(slopes, kappas, outputs, n0_mode)
+        rows, expected = run_sweep(spec, ctx), cell_by_cell(spec, ctx)
+        assert rows == expected
+        # repr also tells -0.0 from 0.0 and shows each nan
+        assert [repr(row) for row in rows] == [repr(row) for row in expected]
+
+    def test_context_out_of_float_range(self):
+        # V overflows with H = 1e-300: every cell with a valid slope and
+        # kappa fails numerically; a bad slope or kappa keeps its own name
+        spec = SweepSpec((0.5, 1.5), (1.0, 2.0), ("Ns",))
+        rows = run_sweep(spec, CONTEXTS[1])
+        assert [row.error for row in rows] == ["SlopeOutOfRange"] * 2 + [
+            "NonFinite", "KappaOutOfRange"]
+        assert rows == cell_by_cell(spec, CONTEXTS[1])
+        # the computed N0 overflows with M_sun = 1e-300 kg; the published one does not
+        light = CosmologyContext.default({"M_sun": 1e-300})
+        spec = SweepSpec((1.8, 3.5), (1e-5,), ("N",), "computed")
+        assert [row.error for row in run_sweep(spec, light)] == ["NonFinite",
+                                                                 "SlopeOutOfRange"]
+        row = run_sweep(SweepSpec((1.8,), (1e-5,), ("N",), "paper"), light)[0]
+        assert row.n_solar == solar_budget(1e-5, 1.8, light).n_solar > 0.0
 
 
 class TestFormatting:
