@@ -29,7 +29,6 @@ from .dissipation import (
     kappa_from_count,
     kappa_from_solar_bound,
     n0_value,
-    rescaled_count,
     solar_budget,
 )
 from .errors import (

@@ -214,16 +214,13 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     plus the derived critical density and Hubble radius.
 
     Single constants are read straight from the context
-    (``ctx.value("H")``, ``ctx.rel_sigma("H")``, ``ctx.quantity("H")``),
-    which raise BadOverride for an unknown name; ``ctx[name]`` raises
-    KeyError, as ``in`` and ``get`` expect. Every default constant is
-    present, every constant is positive, and one with a default entry
-    must keep that entry's dimension, so dimensions checked once per
-    ``ExponentTable`` hold for every context and every table can be
-    evaluated.
-    The context is immutable, so it resolves each table's factor list
-    once and reuses it; the critical density and Hubble radius are
-    evaluated from those factors on each access.
+    (``ctx.value("H")``, ``ctx.rel_sigma("H")``, ``ctx.quantity("H")``;
+    BadOverride for an unknown name, KeyError from ``ctx[name]``). Every
+    default constant is present and positive and keeps its dimension,
+    so dimensions checked once per ``ExponentTable`` hold for every
+    context. The context is immutable, so it resolves each table's
+    factor list once and reuses it; the critical density and Hubble
+    radius are evaluated from those factors on each access.
     """
 
     def __init__(self, constants: Iterable[PhysicalConstant]):
@@ -289,20 +286,17 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     def __len__(self) -> int:
         return len(self._table)
 
-    def _constant(self, name: str) -> PhysicalConstant:
+    def quantity(self, name: str) -> UncertainQuantity:
         try:
-            return self._table[name]
+            return self._table[name].quantity
         except KeyError:
             raise BadOverride(f"unknown constant {name!r}") from None
 
-    def quantity(self, name: str) -> UncertainQuantity:
-        return self._constant(name).quantity
-
     def value(self, name: str) -> float:
-        return self._constant(name).value
+        return self.quantity(name).value
 
     def rel_sigma(self, name: str) -> float:
-        return self._constant(name).rel_sigma
+        return self.quantity(name).rel_sigma
 
     def factors(self, terms: Tuple[Tuple[str, float], ...]) -> Tuple[Tuple[float, float, float], ...]:
         """(value, rel_sigma, p) of each (name, p) in ``terms``, in order.

@@ -41,7 +41,6 @@ from .quantity import (
     TIME,
     UncertainQuantity,
     power_product,
-    power_terms,
     times_powers,
 )
 from .spectra import check_kappa, check_slope
@@ -52,6 +51,12 @@ N0_MODES = ("paper", "computed")
 
 # N0/t = rho*c*R**2/M = 3/(8*pi) * G**-1 * c**3 * M**-1
 N0_RATE = ExponentTable({"G": -1, "c": 3, "M_sun": -1}, FREQUENCY)
+
+
+def check_n0_mode(n0_mode: str) -> str:
+    if n0_mode not in N0_MODES:
+        raise ValidationError(f"n0_mode must be one of {N0_MODES}, got {n0_mode!r}")
+    return n0_mode
 
 
 def _window(ctx: CosmologyContext, window_t: Optional[Quantity]) -> Quantity:
@@ -75,9 +80,7 @@ def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
     computed: rho*c*R**2*t/M = 3*c**3*t/(8*pi*G*M) from the context.
     paper: the published reference value 1e57, taken as exact.
     """
-    if n0_mode not in N0_MODES:
-        raise ValidationError(f"n0_mode must be one of {N0_MODES}, got {n0_mode!r}")
-    if n0_mode == "paper":
+    if check_n0_mode(n0_mode) == "paper":
         return UncertainQuantity(PAPER_N0)
     t = _window(ctx, window_t)
     rate = N0_RATE.evaluate(ctx, 3.0 / (8.0 * math.pi))
@@ -109,29 +112,28 @@ class DissipationBudget:
 class BudgetTerms(NamedTuple):
     """The budget's parts that a grid shares (``budget_terms``)."""
 
-    window_t: Quantity
-    ell: Quantity
-    n0: float
+    n0: float  # nan where N0, rho*c**3/R or R leaves the float range
     epsilon: Tuple[Tuple[float, ...], float]  # powers and rel_sigma of rho*c**3/R
     cube: Tuple[float, ...]  # powers whose product with N is N_s
     log_ratio: float  # ln(ell/R)
+    ell: float
 
 
 def budget_terms(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
                  ell: Optional[Quantity] = None, n0_mode: str = "paper") -> BudgetTerms:
-    """ValidationError for a bad window, radius or N0 mode. Where N0, eps's
-    table or R leaves the float range, N0 is nan, so that each cell then
-    fails in ``budget_cell``."""
+    """ValidationError for a bad window, radius or N0 mode; a numeric
+    failure of the constants makes N0 nan, so that each cell fails in
+    ``budget_cell``, after its slope and kappa are checked."""
     t = _window(ctx, window_t)
-    radius = _radius(ctx, ell)
+    radius = _radius(ctx, ell).value
     try:
         n0 = n0_value(ctx, t, n0_mode).value
         epsilon = HORIZON_POWER_DENSITY.powers(ctx)
         hubble = HUBBLE_RADIUS.value(ctx)
-    except NonFinite:
-        n0, epsilon, hubble = math.nan, ((), math.nan), math.nan
-    return BudgetTerms(t, radius, n0, epsilon, _cube_powers(radius.value / hubble),
-                       math.log(radius.value) - math.log(hubble))
+        return BudgetTerms(n0, epsilon, _cube_powers(radius / hubble),
+                           math.log(radius) - math.log(hubble), radius)
+    except (NonFinite, ZeroDivisionError):  # ZeroDivisionError: R underflows to 0
+        return BudgetTerms(math.nan, ((), math.nan), (), math.nan, radius)
 
 
 def budget_cell(terms: BudgetTerms, a: float, kappa: float) -> Tuple[float, float, float]:
@@ -153,7 +155,7 @@ def budget_cell(terms: BudgetTerms, a: float, kappa: float) -> Tuple[float, floa
         return epsilon, n_solar, times_powers(n_solar, terms.cube)
     except (NonFinite, OverflowError) as exc:
         raise NonFinite(f"the count N_s = N*(ell/R)**3 leaves the float range for "
-                        f"N = {n_solar!r} and ell = {terms.ell.value!r} m") from exc
+                        f"N = {n_solar!r} and ell = {terms.ell!r} m") from exc
 
 
 def solar_budget(kappa: float, a: float, ctx: CosmologyContext,
@@ -163,15 +165,17 @@ def solar_budget(kappa: float, a: float, ctx: CosmologyContext,
     """Assemble the full budget for one (kappa, a) choice."""
     kappa = check_kappa(kappa)
     a = check_slope(a)
-    terms = budget_terms(ctx, window_t, ell, n0_mode)
+    t = _window(ctx, window_t)
+    radius = _radius(ctx, ell)
+    terms = budget_terms(ctx, t, radius, n0_mode)
     epsilon, n_solar, ns_solar = budget_cell(terms, a, kappa)
     return DissipationBudget(
         epsilon=UncertainQuantity(epsilon, terms.epsilon[1], HORIZON_POWER_DENSITY.dim),
         n_solar=n_solar,
         n0=terms.n0,
         ns_solar=ns_solar,
-        window_t=terms.window_t,
-        ell=terms.ell,
+        window_t=t,
+        ell=radius,
         n0_mode=n0_mode,
         kappa=kappa,
         slope=a,
@@ -192,21 +196,8 @@ def _cube_powers(ratio: float) -> Tuple[float, ...]:
     except OverflowError:
         cube = math.inf
     if sys.float_info.min <= cube <= sys.float_info.max:
-        return power_terms([(cube, 0.0, 1.0)])[0]
-    return power_terms([(ratio, 0.0, 1.0)] * 3)[0]
-
-
-def rescaled_count(n_solar: float, ell: Quantity, ctx: CosmologyContext) -> float:
-    """N_s = N*(ell/R)**3, the count inside a sphere of radius ell.
-
-    Raises NonFinite if N_s leaves the float range.
-    """
-    radius = _radius(ctx, ell)
-    try:
-        return times_powers(n_solar, _cube_powers(radius.value / HUBBLE_RADIUS.value(ctx)))
-    except NonFinite as exc:
-        raise NonFinite(f"the count N_s = N*(ell/R)**3 leaves the float range for "
-                        f"N = {n_solar!r} and ell = {radius.value!r} m") from exc
+        return (cube,)
+    return (ratio, ratio, ratio)
 
 
 def kappa_from_count(n_solar: float, n0: float, a: float) -> float:

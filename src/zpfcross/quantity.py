@@ -147,9 +147,8 @@ def power_product(coeff: float,
     the powers are multiplied in the order given. Returns the finite
     value and rel_sigma = sqrt(sum((p*e)**2)). Dimensions are the
     caller's business: :func:`propagate` composes them per call, an
-    ``ExponentTable`` checks them once when it is built. A caller that
-    applies the same terms to many coefficients takes the two steps,
-    :func:`power_terms` once and :func:`times_powers` per coefficient.
+    ``ExponentTable`` checks them once when it is built. It is
+    :func:`power_terms` then :func:`times_powers`.
     """
     powers, rel_sigma = power_terms(terms)
     return times_powers(coeff, powers), rel_sigma

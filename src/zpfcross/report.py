@@ -1,9 +1,7 @@
 """Parameter sweeps over (slope, kappa) grids and text rendering.
 
-``run_sweep`` resolves the context, each slope and each kappa once and
-fills every cell from the float cores of ``transition_scale`` and
-``solar_budget``; a cell that fails becomes an error row.
-"""
+``run_sweep`` fills each cell from the float cores of ``transition_scale``
+and ``solar_budget``."""
 
 from __future__ import annotations
 
@@ -12,11 +10,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .constants import CosmologyContext
-from .dissipation import N0_MODES, budget_cell, budget_terms
+from .dissipation import budget_cell, budget_terms, check_n0_mode
 from .errors import EmptySweep, NumericFailure, ValidationError
+from .quantity import times_powers
 from .spectra import check_kappa, check_slope
-from .transition import scale_cell, scale_context, scale_terms
-from .transition import transition_scale  # noqa: F401  bench/tests patches report.transition_scale
+# transition_scale is unused, but bench/tests patches it here (ROADMAP item 1)
+from .transition import scale_cell, scale_terms, transition_scale  # noqa: F401
 
 BASE_COLUMNS = ("a", "kappa", "lambda0_m", "sigma_m", "k0_per_m")
 BASE_OUTPUTS = ("lambda0", "sigma", "k0")  # always emitted
@@ -43,8 +42,7 @@ class SweepSpec:
         if unknown:
             raise ValidationError(
                 f"unknown outputs {unknown}; choose from {BASE_OUTPUTS + EXTRA_OUTPUTS}")
-        if self.n0_mode not in N0_MODES:
-            raise ValidationError(f"n0_mode must be one of {N0_MODES}, got {self.n0_mode!r}")
+        check_n0_mode(self.n0_mode)
 
     @property
     def columns(self) -> Tuple[str, ...]:
@@ -69,25 +67,22 @@ class ReportRow:
 
 def run_sweep(spec: SweepSpec, ctx: CosmologyContext) -> List[ReportRow]:
     """Evaluate the grid; invalid cells and cells whose numbers leave the
-    float range become rows with error markers.
-
-    Each row equals ``transition_scale`` and ``solar_budget`` at its cell,
-    error name included, but the context, each slope and each kappa are
-    resolved and checked once, and each cell is float arithmetic only.
-    """
+    float range become rows with error markers. Each slope and each kappa
+    is checked and resolved once; each cell is float arithmetic only."""
     kappa_errors = [_error_name(check_kappa, kappa) for kappa in spec.kappas]
-    context = scale_context(ctx)
     wanted = [o in spec.outputs for o in EXTRA_OUTPUTS]
     budget = budget_terms(ctx, n0_mode=spec.n0_mode) if any(wanted) else None
     rows: List[ReportRow] = []
     for a in spec.slopes:
         slope_error = _error_name(check_slope, a)
-        terms = scale_terms(a, ctx, context) if slope_error is None else None
+        terms = scale_terms(a, ctx) if slope_error is None else None
         for kappa, kappa_error in zip(spec.kappas, kappa_errors):
             error = slope_error or kappa_error
             if error is None:
                 try:
-                    lambda0, sigma, k0 = scale_cell(terms, kappa)
+                    lambda0, k0 = scale_cell(terms, kappa)
+                    # sigma = lambda0*rel_sigma, NonFinite if it overflows
+                    sigma = times_powers(lambda0, (terms.rel_sigma,))
                     extras = () if budget is None else budget_cell(budget, a, kappa)
                     rows.append(ReportRow(a, kappa, lambda0, sigma, k0,
                                           *[v if want else None

@@ -20,9 +20,8 @@ bracket is m**(3+a) and lambda0 a length for every a; constant
 dimensions cannot change. ``transition_scale`` itself is float
 arithmetic only.
 
-The closed form is resolved per context (``scale_context``), per slope
-(``scale_terms``) and per kappa (``scale_cell``, float arithmetic
-only); ``transition_scale`` is one cell of ``report.run_sweep``.
+The closed form is resolved per slope (``scale_terms``) and per kappa
+(``scale_cell``); ``transition_scale`` is one cell of ``report.run_sweep``.
 
 The relative uncertainty follows from uncorrelated first-order
 propagation through the closed form:
@@ -110,26 +109,19 @@ class ScaleTerms(NamedTuple):
 
     a: float
     q: float  # 1/(3+a)
-    denominator: float  # V*R**a; inf where R**a overflows, nan where V or R does
+    denominator: float  # V*R**a; inf where R**a overflows, nan where V or R fails
     rel_sigma: float
     breakdown: Mapping[str, float]
 
 
-def scale_context(ctx: CosmologyContext) -> Tuple[float, float]:
-    """V and R; nan where either leaves the float range, so that each cell
-    then fails in ``scale_cell``, after its slope and kappa are checked."""
+def scale_terms(a: float, ctx: CosmologyContext, e_kappa: float = 0.0) -> ScaleTerms:
+    """The terms at a checked slope a. Where V, R or their uncertainty
+    leaves the float range the denominator is nan, and each cell fails in
+    ``scale_cell``, after its slope and kappa are checked."""
     try:
-        return CROSSOVER_VOLUME.value(ctx), HUBBLE_RADIUS.value(ctx)
+        denominator = CROSSOVER_VOLUME.value(ctx) * HUBBLE_RADIUS.value(ctx) ** a
     except NonFinite:
-        return math.nan, math.nan
-
-
-def scale_terms(a: float, ctx: CosmologyContext, context: Tuple[float, float],
-                e_kappa: float = 0.0) -> ScaleTerms:
-    """The terms at a checked slope a; ``context`` is ``scale_context(ctx)``."""
-    volume, radius = context
-    try:
-        denominator = volume * radius ** a
+        denominator = math.nan
     except OverflowError:
         denominator = math.inf
     breakdown = {name: abs(p) * e for name, p, e in _budget(a, ctx, e_kappa)}
@@ -138,19 +130,19 @@ def scale_terms(a: float, ctx: CosmologyContext, context: Tuple[float, float],
                       MappingProxyType(breakdown))
 
 
-def scale_cell(terms: ScaleTerms, kappa: float) -> Tuple[float, float, float]:
-    """lambda0, sigma and k0 at a checked kappa; NonFinite if one is not a float."""
-    coeff = 3.0 * (terms.a - 1.0) * kappa / (8.0 * math.pi)
+def scale_cell(terms: ScaleTerms, kappa: float) -> Tuple[float, float]:
+    """lambda0 and k0 at a checked kappa; NonFinite if either is not a float."""
+    if math.isnan(terms.denominator):
+        raise NonFinite("V = G*hbar/(c**2*H), R = c/H or their uncertainty leaves "
+                        "the float range with these constants")
     try:
-        k0 = (coeff / terms.denominator) ** terms.q
+        k0 = (3.0 * (terms.a - 1.0) * kappa / (8.0 * math.pi) / terms.denominator) ** terms.q
         lambda0 = 2.0 * math.pi / k0
-        sigma = lambda0 * terms.rel_sigma
-        if k0 < math.inf and lambda0 < math.inf and sigma < math.inf:
-            return lambda0, sigma, k0
-    except ZeroDivisionError:  # coeff/(V*R**a) or 2*pi/k0
+        if k0 < math.inf and lambda0 < math.inf:
+            return lambda0, k0
+    except ZeroDivisionError:  # V*R**a or k0 is 0
         pass
-    raise NonFinite(f"k0, lambda0 or sigma leaves the float range at a = {terms.a!r}, "
-                    f"kappa = {kappa!r}")
+    raise NonFinite(f"k0 leaves the float range at a = {terms.a!r}, kappa = {kappa!r}")
 
 
 def transition_scale(a: float, kappa: float, ctx: CosmologyContext,
@@ -164,8 +156,8 @@ def transition_scale(a: float, kappa: float, ctx: CosmologyContext,
     kappa = check_kappa(kappa)
     if e_kappa < 0.0 or not math.isfinite(e_kappa):
         raise ValidationError(f"e_kappa must be finite and >= 0, got {e_kappa!r}")
-    terms = scale_terms(a, ctx, scale_context(ctx), e_kappa)
-    lambda0, _, k0 = scale_cell(terms, kappa)
+    terms = scale_terms(a, ctx, e_kappa)
+    lambda0, k0 = scale_cell(terms, kappa)
     return TransitionResult(k0=Quantity(k0, WAVENUMBER), lambda0=Quantity(lambda0, LENGTH),
                             rel_sigma=terms.rel_sigma, sigma_breakdown=terms.breakdown)
 

@@ -115,6 +115,14 @@ class TestTransitionCommand:
         assert code == 3
         assert "numeric" in err
 
+    def test_constants_out_of_float_range_are_named(self, capsys, tmp_path):
+        config = tmp_path / "h.cfg"
+        config.write_text("H = 1e-300 1/s\n", encoding="utf-8")
+        code, out, err = run(capsys, "transition", "--slope", "1.8", "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: V = G*hbar/(c**2*H), R = c/H or their uncertainty "
+                       "leaves the float range with these constants\n")
+
 
 class TestSweepCommand:
     def test_published_table_csv(self, capsys):
@@ -179,6 +187,17 @@ class TestSweepCommand:
         assert len(rows) == 9
         assert all(cell == "nan" for row in rows for cell in row[2:])
 
+    def test_underflowing_hubble_radius_marks_every_valid_cell(self, capsys, tmp_path):
+        # R = c/H underflows to 0 with c = 1e-230 m/s and H = 1e100 1/s,
+        # and V overflows; the extras do not abort the sweep
+        config = tmp_path / "r.cfg"
+        config.write_text("c = 1e-230 m/s\nH = 1e100 1/s\n", encoding="utf-8")
+        code, out, err = run(capsys, "sweep", "--slopes", "0.5,1.8", "--kappas", "1,2",
+                             "--outputs", "Ns", "--config", str(config))
+        assert (code, err) == (0, "")
+        markers = [line.split("<error: ")[1].rstrip(">") for line in out.splitlines()[1:]]
+        assert markers == ["SlopeOutOfRange"] * 2 + ["NonFinite", "KappaOutOfRange"]
+
 
 class TestDissipationCommand:
     def test_provenance_note_and_values(self, capsys):
@@ -217,6 +236,13 @@ class TestDissipationCommand:
     def test_constants_out_of_float_range_are_named(self, capsys, tmp_path):
         config = tmp_path / "h.cfg"
         config.write_text("H = 1e-300 1/s\n", encoding="utf-8")
+        code, out, err = run(capsys, "dissipation", "--kappa", "1e-5", "--slope", "1.8",
+                             "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: N0, rho*c**3/R or R leaves the float range "
+                       "with these constants\n")
+        # R = c/H underflows to 0
+        config.write_text("c = 1e-230 m/s\nH = 1e100 1/s\n", encoding="utf-8")
         code, out, err = run(capsys, "dissipation", "--kappa", "1e-5", "--slope", "1.8",
                              "--config", str(config))
         assert (code, out) == (3, "")

@@ -11,7 +11,6 @@ from zpfcross.dissipation import (
     kappa_from_count,
     kappa_from_solar_bound,
     n0_value,
-    rescaled_count,
     solar_budget,
 )
 from zpfcross.errors import KappaOutOfRange, NonFinite, SlopeOutOfRange, ValidationError
@@ -141,13 +140,15 @@ class TestSolarBudget:
 class TestRescaledCount:
     def test_identity_at_hubble_radius(self, ctx):
         radius = ctx.hubble_radius.quantity()
-        assert rescaled_count(3.7e10, radius, ctx) == 3.7e10
+        budget = solar_budget(1e-5, 1.8, ctx, ell=radius)
+        assert budget.ns_solar == budget.n_solar
 
     def test_published_chain_a17(self, ctx):
         # N = 1e49 at ell = 8 lightminutes lands at the published 1e5
         # only as an order of magnitude
-        ns = rescaled_count(1e49, ctx.quantity("ell").quantity(), ctx)
-        assert abs(math.log10(ns) - 5.0) < 1.0
+        budget = solar_budget(1e-5, 1.7, ctx, ell=ctx.quantity("ell").quantity())
+        assert abs(math.log10(budget.n_solar) - 49.0) < 1.0
+        assert abs(math.log10(budget.ns_solar) - 5.0) < 1.0
 
     def test_published_chain_a18(self, ctx):
         budget = solar_budget(1e-5, 1.8, ctx, n0_mode="paper")
@@ -155,7 +156,7 @@ class TestRescaledCount:
 
     def test_bad_radius(self, ctx):
         with pytest.raises(ValidationError):
-            rescaled_count(1.0, Quantity(1.0, TIME), ctx)
+            solar_budget(1e-5, 1.8, ctx, ell=Quantity(1.0, TIME))
 
     def test_cube_out_of_range_count_in_range(self, ctx):
         # (ell/R)**3 overflows at ell = 1e120 lightminutes and underflows
@@ -198,7 +199,8 @@ class TestRescaledCount:
 
     def test_overflowing_count_names_its_inputs(self, ctx):
         with pytest.raises(NonFinite, match=r"N_s = N\*\(ell/R\)\*\*3 .* ell = 1e\+300 m"):
-            rescaled_count(1e57, Quantity(1e300, LENGTH), ctx)
+            # N = 1e57 at a = 2, kappa = 1
+            solar_budget(1.0, 2.0, ctx, ell=Quantity(1e300, LENGTH))
 
 
 class TestKappaFromCount:

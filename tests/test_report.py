@@ -112,10 +112,12 @@ def cell_by_cell(spec, ctx):
     return rows
 
 
-# contexts whose V, R, N0, eps or N_s leave the float range for some or all cells
+# contexts whose V, R, N0, eps or N_s leave the float range for some or all
+# cells; with c = 1e-230 and H = 1e100, R underflows to 0
 CONTEXTS = [CosmologyContext.default(overrides) for overrides in (
     None, {"H": 1e-300}, {"H": 1e200}, {"G": 1e-300}, {"G": 1e300, "c": 1e-100},
-    {"ell": 1e300}, {"ell": 1e-300}, {"e_H": 1e10}, {"e_H": 1e300}, {"M_sun": 1e-300})]
+    {"ell": 1e300}, {"ell": 1e-300}, {"e_H": 1e10}, {"e_H": 1e300}, {"M_sun": 1e-300},
+    {"c": 1e-230, "H": 1e100})]
 EDGES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1.0, 3.0)
 SLOPES = st.one_of(st.sampled_from(EDGES + (1.0 + 1e-12, 3.0 - 1e-12)),
                    st.floats(min_value=0.8, max_value=3.2))

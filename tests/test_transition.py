@@ -127,6 +127,20 @@ class TestClosedForm:
         huge = CosmologyContext.default({"hbar": 1e308, "G": 1e308})
         with pytest.raises(NonFinite):
             transition_scale(1.8, 1.0, huge)
+        # V overflows with H = 1e-300 1/s: the message blames the constants
+        with pytest.raises(NonFinite, match=r"^V = G\*hbar/\(c\*\*2\*H\), R = c/H or their "
+                                            r"uncertainty leaves the float range with "
+                                            r"these constants$"):
+            transition_scale(1.8, 1.0, CosmologyContext.default({"H": 1e-300}))
+
+    def test_infinite_rel_sigma_fails_only_when_sigma_is_read(self, ctx):
+        # (q*e_kappa)**2 overflows, so rel_sigma is inf; lambda0 and k0 are
+        # still floats, and the Monte Carlo reads only lambda0
+        result = transition_scale(1.8, 1.0, ctx, e_kappa=1e300)
+        assert result.rel_sigma == math.inf
+        assert result.lambda0.value == transition_scale(1.8, 1.0, ctx).lambda0.value
+        with pytest.raises(NonFinite):
+            result.sigma
 
 
 class TestExponentTable:
