@@ -24,7 +24,7 @@ from . import __version__
 from .constants import DAY_S, LIGHTMINUTE_M, CosmologyContext, load_config
 from .dissipation import kappa_from_solar_bound, n0_value, solar_budget
 from .errors import NumericFailure, ValidationError, ZpfcrossError
-from .quantity import LENGTH, POWER_DENSITY, Quantity, TIME, WAVENUMBER
+from .quantity import LENGTH, POWER_DENSITY, Dimension, Quantity, TIME, WAVENUMBER
 from .report import SweepSpec, format_rows, format_sig, render, run_sweep
 from .spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 from .transition import monte_carlo_scale, transition_scale
@@ -96,12 +96,23 @@ def _cmd_sweep(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     return 0
 
 
+def _flag_quantity(args: argparse.Namespace, flag: str, unit: float,
+                   dim: Dimension) -> Optional[Quantity]:
+    """The flag's value times ``unit`` (its unit in SI) as a Quantity of
+    ``dim``; None if the flag is absent, ValidationError unless finite."""
+    value = getattr(args, flag)
+    if value is None:
+        return None
+    if not math.isfinite(value * unit):
+        raise ValidationError(f"--{flag.replace('_', '-')} must be finite in SI units, "
+                              f"got {value!r}")
+    return Quantity(value * unit, dim)
+
+
 def _budget_span(args: argparse.Namespace) -> Tuple[Optional[Quantity], Optional[Quantity]]:
     """Window and radius flags as quantities; None (the context's t or ell) if absent."""
-    window = None if args.window_days is None else Quantity(args.window_days * DAY_S, TIME)
-    radius = (None if args.radius_lightminutes is None
-              else Quantity(args.radius_lightminutes * LIGHTMINUTE_M, LENGTH))
-    return window, radius
+    return (_flag_quantity(args, "window_days", DAY_S, TIME),
+            _flag_quantity(args, "radius_lightminutes", LIGHTMINUTE_M, LENGTH))
 
 
 def _n0_note(ctx, n0_mode: str, window_t: Optional[Quantity]) -> str:
@@ -152,16 +163,11 @@ def _spectrum_model(args: argparse.Namespace, ctx: CosmologyContext):
     if args.model == "boyer":
         return Boyer.from_context(ctx)
     if args.model == "truncated":
-        cutoff = None
-        if args.cutoff_k is not None:
-            cutoff = Quantity(args.cutoff_k, WAVENUMBER)
-        return TruncatedBoyer.from_context(ctx, cutoff)
+        return TruncatedBoyer.from_context(ctx, _flag_quantity(args, "cutoff_k", 1.0, WAVENUMBER))
     if args.model == "powerlaw":
         return PowerLawTurbulence.from_kappa(ctx, args.kappa, args.slope)
     if args.model == "ms":
-        epsilon = None
-        if args.epsilon is not None:
-            epsilon = Quantity(args.epsilon, POWER_DENSITY)
+        epsilon = _flag_quantity(args, "epsilon", 1.0, POWER_DENSITY)
         return MoisseevShivamoggi.from_context(ctx, args.gamma, epsilon,
                                                kolmogorov_const=args.kolmogorov_const)
     raise ValidationError(f"unknown model {args.model!r}")

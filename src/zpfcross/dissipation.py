@@ -23,6 +23,8 @@ whose dimension is checked once, at import; evaluating them is float
 arithmetic only. ``budget_terms`` resolves what a grid shares (N0,
 eps's table, (ell/R)**3) and ``budget_cell`` is the float arithmetic
 per (a, kappa); ``solar_budget`` is one cell of ``report.run_sweep``.
+Both raise NonFinite where they leave the float range: ``budget_terms``
+naming the constants, ``budget_cell`` the count.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class DissipationBudget:
 class BudgetTerms(NamedTuple):
     """The budget's parts that a grid shares (``budget_terms``)."""
 
-    n0: float  # nan where N0, rho*c**3/R or R leaves the float range
+    n0: float
     epsilon: Tuple[Tuple[float, ...], float]  # powers and rel_sigma of rho*c**3/R
     cube: Tuple[float, ...]  # powers whose product with N is N_s
     log_ratio: float  # ln(ell/R)
@@ -121,9 +123,9 @@ class BudgetTerms(NamedTuple):
 
 def budget_terms(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
                  ell: Optional[Quantity] = None, n0_mode: str = "paper") -> BudgetTerms:
-    """ValidationError for a bad window, radius or N0 mode; a numeric
-    failure of the constants makes N0 nan, so that each cell fails in
-    ``budget_cell``, after its slope and kappa are checked."""
+    """ValidationError for a bad window, radius or N0 mode; NonFinite
+    where N0, rho*c**3/R or R leaves the float range (R underflowing to
+    0 included)."""
     t = _window(ctx, window_t)
     radius = _radius(ctx, ell).value
     try:
@@ -132,15 +134,14 @@ def budget_terms(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
         hubble = HUBBLE_RADIUS.value(ctx)
         return BudgetTerms(n0, epsilon, _cube_powers(radius / hubble),
                            math.log(radius) - math.log(hubble), radius)
-    except (NonFinite, ZeroDivisionError):  # ZeroDivisionError: R underflows to 0
-        return BudgetTerms(math.nan, ((), math.nan), (), math.nan, radius)
+    except (NonFinite, ZeroDivisionError) as exc:  # ZeroDivisionError: R underflows to 0
+        raise NonFinite("N0, rho*c**3/R or R leaves the float range "
+                        "with these constants") from exc
 
 
 def budget_cell(terms: BudgetTerms, a: float, kappa: float) -> Tuple[float, float, float]:
     """eps, N and N_s at one checked (a, kappa); NonFinite if eps or N_s
     leaves the float range."""
-    if math.isnan(terms.n0):
-        raise NonFinite("N0, rho*c**3/R or R leaves the float range with these constants")
     power = 1.0 / (a - 1.0)
     cascade = ((a - 1.0) * kappa) ** power
     epsilon = times_powers(3.0 / (8.0 * math.pi) * cascade, terms.epsilon[0])

@@ -1,13 +1,13 @@
 """Parameter sweeps over (slope, kappa) grids and text rendering.
 
 ``run_sweep`` fills each cell from the float cores of ``transition_scale``
-and ``solar_budget``."""
+and ``solar_budget``, which raise; it alone decides that a failed cell
+becomes an error row."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .constants import CosmologyContext
 from .dissipation import budget_cell, budget_terms, check_n0_mode
@@ -50,8 +50,7 @@ class SweepSpec:
                                     if o in self.outputs)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One sweep cell; value fields are None when ``error`` is set."""
 
     a: float
@@ -66,49 +65,42 @@ class ReportRow:
 
 
 def run_sweep(spec: SweepSpec, ctx: CosmologyContext) -> List[ReportRow]:
-    """Evaluate the grid; invalid cells and cells whose numbers leave the
-    float range become rows with error markers. Each slope and each kappa
-    is checked and resolved once; each cell is float arithmetic only."""
-    kappa_errors = [_error_name(check_kappa, kappa) for kappa in spec.kappas]
+    """Evaluate the grid. Each cell runs the steps of ``transition_scale``
+    and then ``solar_budget`` in their order; an invalid slope or kappa,
+    or a number that leaves the float range, makes the cell a row with
+    the error's name. A slope's terms, and the budget's shared terms, are
+    resolved at the first cell that needs them."""
     wanted = [o in spec.outputs for o in EXTRA_OUTPUTS]
-    budget = budget_terms(ctx, n0_mode=spec.n0_mode) if any(wanted) else None
+    budget = None
     rows: List[ReportRow] = []
     for a in spec.slopes:
-        slope_error = _error_name(check_slope, a)
-        terms = scale_terms(a, ctx) if slope_error is None else None
-        for kappa, kappa_error in zip(spec.kappas, kappa_errors):
-            error = slope_error or kappa_error
-            if error is None:
-                try:
-                    lambda0, k0 = scale_cell(terms, kappa)
-                    # sigma = lambda0*rel_sigma, NonFinite if it overflows
-                    sigma = times_powers(lambda0, (terms.rel_sigma,))
-                    extras = () if budget is None else budget_cell(budget, a, kappa)
-                    rows.append(ReportRow(a, kappa, lambda0, sigma, k0,
-                                          *[v if want else None
-                                            for v, want in zip(extras, wanted)]))
-                    continue
-                except NumericFailure as exc:
-                    error = type(exc).__name__
-            rows.append(ReportRow(a=a, kappa=kappa, error=error))
+        terms = None
+        for kappa in spec.kappas:
+            try:
+                check_slope(a)
+                check_kappa(kappa)
+                if terms is None:
+                    terms = scale_terms(a, ctx)
+                lambda0, k0 = scale_cell(terms, kappa)
+                # sigma = lambda0*rel_sigma, NonFinite if it overflows
+                sigma = times_powers(lambda0, (terms.rel_sigma,))
+                extras = ()
+                if any(wanted):
+                    if budget is None:
+                        budget = budget_terms(ctx, n0_mode=spec.n0_mode)
+                    extras = budget_cell(budget, a, kappa)
+                rows.append(ReportRow(a, kappa, lambda0, sigma, k0,
+                                      *[v if want else None
+                                        for v, want in zip(extras, wanted)]))
+            except (ValidationError, NumericFailure) as exc:
+                rows.append(ReportRow(a, kappa, error=type(exc).__name__))
     return rows
-
-
-def _error_name(check, value: float) -> Optional[str]:
-    """The name of the ValidationError that ``check(value)`` raises, or None."""
-    try:
-        check(value)
-    except ValidationError as exc:
-        return type(exc).__name__
-    return None
 
 
 def format_sig(value: Optional[float], sigfigs: int = 3) -> str:
     """Format to significant figures with compact exponents (5.17e3)."""
     if value is None:
         return ""
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     text = f"{value:.{sigfigs}g}"
     if "e" in text:
         mantissa, exponent = text.split("e")

@@ -22,6 +22,8 @@ arithmetic only.
 
 The closed form is resolved per slope (``scale_terms``) and per kappa
 (``scale_cell``); ``transition_scale`` is one cell of ``report.run_sweep``.
+Both raise NonFinite where they leave the float range: ``scale_terms``
+naming the constants, ``scale_cell`` the cell.
 
 The relative uncertainty follows from uncorrelated first-order
 propagation through the closed form:
@@ -63,9 +65,6 @@ _SCALE_EXPONENTS = tuple(
     (name, float(CROSSOVER_VOLUME.exponents.get(name, 0)),
      float(HUBBLE_RADIUS.exponents.get(name, 0)))
     for name in ("G", "c", "hbar", "H"))
-# the same inputs as table terms, whose factors the context resolves
-# once; only their rel_sigma is read, so the power is a placeholder
-_SCALE_TERMS = tuple((name, 1.0) for name, _, _ in _SCALE_EXPONENTS)
 # numeric_crossover stops once its log-k bracket is this narrow, and
 # gives up with NoCrossing after this many halvings
 _BISECTION_REL_TOL = 1e-12
@@ -76,9 +75,7 @@ def _budget(a: float, ctx: CosmologyContext,
             e_kappa: float) -> List[Tuple[str, float, float]]:
     """(name, p_X, e_X) for each input of lambda0, kappa last with p = -q."""
     q = 1.0 / (3.0 + a)
-    terms = [(name, q * (v + a * r), e)
-             for (name, v, r), (_, e, _) in zip(_SCALE_EXPONENTS,
-                                                ctx.factors(_SCALE_TERMS))]
+    terms = [(name, q * (v + a * r), ctx.rel_sigma(name)) for name, v, r in _SCALE_EXPONENTS]
     terms.append(("kappa", -q, e_kappa))
     return terms
 
@@ -109,19 +106,19 @@ class ScaleTerms(NamedTuple):
 
     a: float
     q: float  # 1/(3+a)
-    denominator: float  # V*R**a; inf where R**a overflows, nan where V or R fails
+    denominator: float  # V*R**a; inf where R**a overflows
     rel_sigma: float
     breakdown: Mapping[str, float]
 
 
 def scale_terms(a: float, ctx: CosmologyContext, e_kappa: float = 0.0) -> ScaleTerms:
-    """The terms at a checked slope a. Where V, R or their uncertainty
-    leaves the float range the denominator is nan, and each cell fails in
-    ``scale_cell``, after its slope and kappa are checked."""
+    """The terms at a checked slope a; NonFinite where V, R or their
+    uncertainty leaves the float range."""
     try:
         denominator = CROSSOVER_VOLUME.value(ctx) * HUBBLE_RADIUS.value(ctx) ** a
-    except NonFinite:
-        denominator = math.nan
+    except NonFinite as exc:
+        raise NonFinite("V = G*hbar/(c**2*H), R = c/H or their uncertainty leaves "
+                        "the float range with these constants") from exc
     except OverflowError:
         denominator = math.inf
     breakdown = {name: abs(p) * e for name, p, e in _budget(a, ctx, e_kappa)}
@@ -132,9 +129,6 @@ def scale_terms(a: float, ctx: CosmologyContext, e_kappa: float = 0.0) -> ScaleT
 
 def scale_cell(terms: ScaleTerms, kappa: float) -> Tuple[float, float]:
     """lambda0 and k0 at a checked kappa; NonFinite if either is not a float."""
-    if math.isnan(terms.denominator):
-        raise NonFinite("V = G*hbar/(c**2*H), R = c/H or their uncertainty leaves "
-                        "the float range with these constants")
     try:
         k0 = (3.0 * (terms.a - 1.0) * kappa / (8.0 * math.pi) / terms.denominator) ** terms.q
         lambda0 = 2.0 * math.pi / k0
@@ -282,9 +276,9 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     Note the additive mode overshoots first-order propagation by about
     5 percent at e_H = 0.15 from second-order terms.
 
-    A sample count that does not fit in memory (48 bytes per sample)
-    raises ValidationError, and a mean or spread outside the float range
-    NonFinite.
+    A seed that numpy refuses or a sample count that does not fit in
+    memory (48 bytes per sample) raises ValidationError, and a mean or
+    spread outside the float range NonFinite.
     """
     a = check_slope(a)
     kappa = check_kappa(kappa)
@@ -297,7 +291,10 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     import numpy as np  # the one numpy path of this module
 
     exponents, rels = np.array([(p, e) for _, p, e in _budget(a, ctx, e_kappa)]).T
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):  # numpy takes only non-negative integers
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}") from None
     rejected = 0
     # a non-finite mean or spread is checked below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):

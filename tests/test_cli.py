@@ -123,6 +123,21 @@ class TestTransitionCommand:
         assert err == ("numeric failure: V = G*hbar/(c**2*H), R = c/H or their uncertainty "
                        "leaves the float range with these constants\n")
 
+    def test_overflowing_hubble_radius_power_names_the_cell(self, capsys, tmp_path):
+        # with H = 1e-170 1/s, V and R = c/H are floats but R**2.9 overflows
+        config = tmp_path / "h.cfg"
+        config.write_text("H = 1e-170 1/s\n", encoding="utf-8")
+        code, out, err = run(capsys, "transition", "--slope", "2.9", "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: k0 leaves the float range at a = 2.9, "
+                       "kappa = 1.0\n")
+
+    def test_negative_seed_is_validation_error(self, capsys):
+        code, out, err = run(capsys, "transition", "--slope", "1.8", "--mc", "2000",
+                             "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
 
 class TestSweepCommand:
     def test_published_table_csv(self, capsys):
@@ -198,8 +213,25 @@ class TestSweepCommand:
         markers = [line.split("<error: ")[1].rstrip(">") for line in out.splitlines()[1:]]
         assert markers == ["SlopeOutOfRange"] * 2 + ["NonFinite", "KappaOutOfRange"]
 
+    def test_overflowing_hubble_radius_power_marks_its_slope(self, capsys, tmp_path):
+        # with H = 1e-170 1/s, R**a overflows at a = 2.9 but not at a = 1.1
+        config = tmp_path / "h.cfg"
+        config.write_text("H = 1e-170 1/s\n", encoding="utf-8")
+        code, out, err = run(capsys, "sweep", "--slopes", "1.1,2.9", "--kappas", "1",
+                             "--config", str(config))
+        assert (code, err) == (0, "")
+        first, second = out.splitlines()[1:]
+        assert "<error" not in first and first.split()[:2] == ["1.1", "1"]
+        assert second.split() == ["2.9", "1", "<error:", "NonFinite>"]
+
 
 class TestDissipationCommand:
+    def test_negative_window_is_validation_error(self, capsys):
+        code, out, err = run(capsys, "dissipation", "--kappa", "1e-5", "--slope", "1.8",
+                             "--window-days", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: window must be a positive time\n"
+
     def test_provenance_note_and_values(self, capsys):
         code, out, _ = run(capsys, "dissipation", "--kappa", "1e-5", "--slope", "1.7")
         assert code == 0
@@ -352,6 +384,11 @@ class TestSpectrumCommand:
                            "--kmin", "10", "--kmax", "1")
         assert code == 2
 
+    def test_one_point_is_validation_error(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--model", "boyer", "--points", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: need at least 2 points\n"
+
     def test_overflowing_power_is_numeric_failure(self, capsys):
         # k**3 overflows a float long before k = 1e300
         code, out, err = run(capsys, "spectrum", "--model", "boyer",
@@ -409,6 +446,22 @@ class TestSpectrumCommand:
         for k, energy in rows:
             expected = spectrum.evaluate(Quantity(float(k), WAVENUMBER)).value
             assert math.isclose(float(energy), expected, rel_tol=1e-12), (k, energy)
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (("dissipation", "--kappa", "1e-5", "--slope", "1.8"), "--window-days", "nan"),
+    (("dissipation", "--kappa", "1e-5", "--slope", "1.8"), "--window-days", "inf"),
+    # finite in days, but not in seconds
+    (("dissipation", "--kappa", "1e-5", "--slope", "1.8"), "--window-days", "1e305"),
+    (("bound", "--slope", "1.8"), "--radius-lightminutes", "inf"),
+    (("spectrum", "--model", "truncated", "--points", "3"), "--cutoff-k", "nan"),
+    (("spectrum", "--model", "ms", "--points", "3"), "--epsilon", "inf"),
+])
+def test_non_finite_flag_is_validation_error(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} must be finite")
+    assert len(err.splitlines()) == 1
 
 
 class TestConfigFlag:

@@ -113,11 +113,12 @@ def cell_by_cell(spec, ctx):
 
 
 # contexts whose V, R, N0, eps or N_s leave the float range for some or all
-# cells; with c = 1e-230 and H = 1e100, R underflows to 0
+# cells; with c = 1e-230 and H = 1e100, R underflows to 0, and with
+# H = 1e-170, R**a overflows for the steeper slopes while V and R do not
 CONTEXTS = [CosmologyContext.default(overrides) for overrides in (
     None, {"H": 1e-300}, {"H": 1e200}, {"G": 1e-300}, {"G": 1e300, "c": 1e-100},
     {"ell": 1e300}, {"ell": 1e-300}, {"e_H": 1e10}, {"e_H": 1e300}, {"M_sun": 1e-300},
-    {"c": 1e-230, "H": 1e100})]
+    {"c": 1e-230, "H": 1e100}, {"H": 1e-170})]
 EDGES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1.0, 3.0)
 SLOPES = st.one_of(st.sampled_from(EDGES + (1.0 + 1e-12, 3.0 - 1e-12)),
                    st.floats(min_value=0.8, max_value=3.2))
@@ -162,6 +163,11 @@ class TestFormatting:
         assert format_sig(1.0e-5, 3) == "1e-5"
         assert format_sig(0.000123449, 3) == "0.000123"
         assert format_sig(None) == ""
+
+    def test_sigfig_non_finite(self):
+        # the format spec writes these without a sign on nan and without an exponent
+        assert [format_sig(v) for v in (math.nan, -math.nan, math.inf, -math.inf)] == [
+            "nan", "nan", "inf", "-inf"]
 
     def test_sigfig_width(self):
         assert format_sig(5172.3, 5) == "5172.3"
@@ -212,3 +218,13 @@ class TestRender:
     def test_unknown_format(self):
         with pytest.raises(ValidationError):
             render([ReportRow(a=1.8, kappa=1.0)], format="yaml")
+
+    def test_rows_are_immutable_named_tuples(self):
+        row = ReportRow(1.8, 1.0, 53.0, 4.5, 0.12)
+        assert row == (1.8, 1.0, 53.0, 4.5, 0.12, None, None, None, None)
+        assert row._fields[-1] == "error" and row.error is None
+        with pytest.raises(AttributeError):
+            row.lambda0_m = 1.0
+        assert render([row, ReportRow(3.5, 1.0, error="SlopeOutOfRange")],
+                      format="csv") == ("a,kappa,lambda0_m,sigma_m,k0_per_m\n"
+                                        "1.8,1.0,53.0,4.5,0.12\n3.5,1.0,nan,nan,nan\n")

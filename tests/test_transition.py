@@ -371,6 +371,11 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             monte_carlo_scale(1.8, 1.0, 2000, 0, ctx, sampling="bootstrap")
 
+    def test_negative_seed_is_validation_error(self, ctx):
+        # numpy's generator takes only non-negative integer seeds
+        with pytest.raises(ValidationError, match="seed .* got -1"):
+            monte_carlo_scale(1.8, 1.0, 2000, -1, ctx)
+
 
 class TestReferenceScale:
     def test_formula(self):
