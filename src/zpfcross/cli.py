@@ -184,11 +184,14 @@ def _cmd_spectrum(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     import numpy as np  # loaded for this subcommand only
 
     log_lo, log_hi = math.log(kmin), math.log(kmax)
-    k = np.exp(log_lo + (log_hi - log_lo) * np.arange(args.points) / (args.points - 1))
-    k[0], k[-1] = kmin, kmax  # exp(log(k)) can drift one ulp past the endpoints
-    # the whole column is computed and checked before anything is written,
-    # so a numeric failure leaves stdout empty
-    energy = model.kernel(k)
+    try:
+        k = np.exp(log_lo + (log_hi - log_lo) * np.arange(args.points) / (args.points - 1))
+        k[0], k[-1] = kmin, kmax  # exp(log(k)) can drift one ulp past the endpoints
+        # the whole column is computed and checked before anything is written,
+        # so a numeric failure leaves stdout empty
+        energy = model.kernel(k)
+    except (MemoryError, ValueError):  # ValueError: a length beyond numpy's index range
+        raise ValidationError(f"--points {args.points} does not fit in memory") from None
     out = sys.stdout
     out.write("k,E\n")
     for start in range(0, args.points, _CSV_BLOCK_ROWS):

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import BadOverride, DimensionMismatch
 from .quantity import (
@@ -149,9 +149,10 @@ def parse_config(text: str) -> dict[str, float]:
     return overrides
 
 
-def load_config(path: Union[str, Path]) -> dict[str, float]:
+def load_config(path: str | os.PathLike) -> dict[str, float]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise BadOverride(f"cannot read config file {str(path)!r}: {reason}") from None

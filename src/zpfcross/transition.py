@@ -69,6 +69,10 @@ _SCALE_EXPONENTS = tuple(
 # gives up with NoCrossing after this many halvings
 _BISECTION_REL_TOL = 1e-12
 _BISECTION_MAX_ITER = 200
+# monte_carlo_scale draws and reduces this many rows at a time (640 KiB of
+# five float64 inputs), and takes at most this many samples
+_MC_BLOCK_ROWS = 2 ** 14
+_MC_MAX_SAMPLES = 10 ** 9
 
 
 def _budget(a: float, ctx: CosmologyContext,
@@ -247,12 +251,14 @@ def log_form_scale(a: float, kappa: float, ctx: CosmologyContext) -> Quantity:
 
 @dataclass(frozen=True)
 class MonteCarloScale:
-    """Sampled transition scale: mean, relative spread, rejection count."""
+    """Sampled transition scale: mean, relative spread, rejection count
+    and the standard error of the mean, spread/sqrt(n)."""
 
     mean: Quantity
     rel_sigma: float
     n_samples: int
     rejected: int
+    mean_se: Quantity
 
 
 def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
@@ -263,8 +269,8 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     Samples the ratio r_X = X/X0 of each constant and of kappa as a
     Gaussian with its relative sigma; each sample is lambda0 *
     exp(sum p_X*ln r_X), with lambda0 and the p_X of ``transition_scale``.
-    Returns the sample mean and relative standard deviation.
-    Deterministic for a given seed.
+    Returns the sample mean, its standard error and the relative
+    standard deviation. Deterministic for a given seed.
 
     ``sampling`` selects where the Gaussian lives. The default
     "lognormal" draws the Gaussian in log space (r = exp(e*z)), so
@@ -276,14 +282,26 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     Note the additive mode overshoots first-order propagation by about
     5 percent at e_H = 0.15 from second-order terms.
 
-    A seed that numpy refuses or a sample count that does not fit in
-    memory (48 bytes per sample) raises ValidationError, and a mean or
-    spread outside the float range NonFinite.
+    The samples are streamed: each block of ``_MC_BLOCK_ROWS`` rows of
+    one n-row draw is reduced and merged into a running count, mean and
+    sum of squared deviations (Chan, Golub & LeVeque 1983), so memory
+    does not grow with n. Successive blocks of a numpy generator equal
+    one whole draw, so the draws are those of a single n-row array. In
+    normal mode each redraw round is also a whole n-row draw, of which
+    only the rows holding a rejected entry are kept (48 bytes each) and
+    patched in place.
+
+    A seed that numpy refuses, or more than ``_MC_MAX_SAMPLES`` samples
+    (about 75 s at 1e6 samples per 0.075 s), raises ValidationError
+    before anything is drawn, as does running out of memory; a mean or
+    spread outside the float range raises NonFinite.
     """
     a = check_slope(a)
     kappa = check_kappa(kappa)
     if n < 1000:
         raise ValidationError(f"need at least 1000 samples, got {n}")
+    if n > _MC_MAX_SAMPLES:
+        raise ValidationError(f"at most {_MC_MAX_SAMPLES} Monte Carlo samples, got {n}")
     if sampling not in ("lognormal", "normal"):
         raise ValidationError(f"sampling must be 'lognormal' or 'normal', got {sampling!r}")
 
@@ -295,42 +313,82 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError):  # numpy takes only non-negative integers
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}") from None
+
+    def draw():
+        """One n-row draw, one column per input, block by block: (first row, block)."""
+        for start in range(0, n, _MC_BLOCK_ROWS):
+            yield start, rng.standard_normal((min(_MC_BLOCK_ROWS, n - start), rels.size))
+
+    moments = [0, 0.0, 0.0]  # count, mean and sum of squared deviations so far
+
+    def merge(logs) -> None:
+        """Merge the samples lambda0*exp(logs @ exponents) into ``moments``."""
+        lam = logs @ exponents
+        np.exp(lam, out=lam)
+        lam *= lambda0
+        m = lam.size
+        if m == 0:
+            return
+        block_mean = float(lam.sum()) / m
+        lam -= block_mean
+        count, mean, m2 = moments
+        total = count + m
+        delta = block_mean - mean
+        moments[:] = (total, mean + delta * (m / total),
+                      m2 + float(lam @ lam) + delta * delta * (count * m / total))
+
     rejected = 0
     # a non-finite mean or spread is checked below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            # one row per sample, one column per input, worked on in place
-            samples = rng.standard_normal((n, rels.size))
-            samples *= rels  # lognormal: ln r = e*z
-            if sampling == "normal":
-                samples += 1.0  # r = 1 + e*z, rejected where r <= 0 (X <= 0)
+            if sampling == "lognormal":
+                for _, logs in draw():
+                    logs *= rels  # ln r = e*z
+                    merge(logs)
+            else:
+                # r = 1 + e*z, rejected where r <= 0 (X <= 0): a row with a
+                # rejected entry is held back, with its row number, until
+                # the redraws have made it positive
+                held_at, held = [np.empty(0, dtype=np.intp)], [np.empty((0, rels.size))]
+                for start, r in draw():
+                    r *= rels
+                    r += 1.0
+                    bad = r <= 0.0
+                    if bad.any():  # rare: find the rows from the few flat indices
+                        rows = np.unique(np.flatnonzero(bad) // rels.size)
+                        held_at.append(start + rows)
+                        held.append(r[rows])
+                        r = np.delete(r, rows, axis=0)
+                    np.log(r, out=r)
+                    merge(r)
+                held_at, held = np.concatenate(held_at), np.concatenate(held)
                 for _round in range(1000):
-                    bad = samples <= 0.0
+                    bad = held <= 0.0
                     n_bad = int(bad.sum())
                     if n_bad == 0:
                         break
                     rejected += n_bad
-                    np.copyto(samples, 1.0 + rels * rng.standard_normal(samples.shape),
-                              where=bad)
+                    # each held row takes the same row of the redraw
+                    for start, z in draw():
+                        lo, hi = np.searchsorted(held_at, (start, start + len(z)))
+                        np.copyto(held[lo:hi], 1.0 + rels * z[held_at[lo:hi] - start],
+                                  where=bad[lo:hi])
                 else:
                     raise DegenerateSamples(
                         f"rejection sampling stalled after {rejected} redraws")
-                np.log(samples, out=samples)
-            samples *= exponents
-            lam = samples.sum(axis=1)
-            del samples  # freed before np.std allocates its temporaries
-            np.exp(lam, out=lam)
-            lam *= lambda0
-            mean = float(np.mean(lam))
-            spread = float(np.std(lam, ddof=1))
-        except (MemoryError, ValueError):  # ValueError: a shape beyond numpy's index range
+                np.log(held, out=held)
+                merge(held)
+        except MemoryError:
             raise ValidationError(f"{n} Monte Carlo samples do not fit in memory") from None
+    _, mean, m2 = moments
+    spread = math.sqrt(m2 / (n - 1))
     if not (0.0 < mean < math.inf and spread < math.inf):
         raise NonFinite(f"Monte Carlo samples of lambda0 leave the float range at "
                         f"a = {a!r}, kappa = {kappa!r}")
     return MonteCarloScale(mean=Quantity(mean, LENGTH),
                            rel_sigma=spread / mean,
-                           n_samples=n, rejected=rejected)
+                           n_samples=n, rejected=rejected,
+                           mean_se=Quantity(spread / math.sqrt(n), LENGTH))
 
 
 def kolmogorov_reference_scale(kappa: float) -> Quantity:

@@ -84,6 +84,16 @@ class TestTransitionCommand:
         assert err.startswith("error:") and "100000000" in err
         assert len(err.splitlines()) == 1
 
+    def test_monte_carlo_above_ceiling_draws_nothing(self, capsys, monkeypatch):
+        # the sample count is refused before a generator is even built
+        def no_generator(seed):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(numpy.random, "default_rng", no_generator)
+        code, out, err = run(capsys, "transition", "--slope", "1.8", "--mc", "1000000000000")
+        assert (code, out) == (2, "")
+        assert err == "error: at most 1000000000 Monte Carlo samples, got 1000000000000\n"
+
     def test_monte_carlo_out_of_float_range(self, capsys):
         code, out, err = run(capsys, "transition", "--slope", "1.8", "--ekappa", "1000",
                              "--mc", "1000")
@@ -389,6 +399,23 @@ class TestSpectrumCommand:
         assert (code, out) == (2, "")
         assert err == "error: need at least 2 points\n"
 
+    def test_points_beyond_numpy_shapes_is_validation_error(self, capsys):
+        # numpy refuses this length before allocating anything
+        code, out, err = run(capsys, "spectrum", "--model", "boyer",
+                             "--points", "100000000000000000000")
+        assert (code, out) == (2, "")
+        assert err == "error: --points 100000000000000000000 does not fit in memory\n"
+
+    def test_points_out_of_memory_is_validation_error(self, capsys, monkeypatch):
+        # the grid raises as numpy does when the allocation fails
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(numpy, "arange", no_memory)
+        code, out, err = run(capsys, "spectrum", "--model", "boyer", "--points", "100000")
+        assert (code, out) == (2, "")
+        assert err == "error: --points 100000 does not fit in memory\n"
+
     def test_overflowing_power_is_numeric_failure(self, capsys):
         # k**3 overflows a float long before k = 1e300
         code, out, err = run(capsys, "spectrum", "--model", "boyer",
@@ -573,6 +600,18 @@ class TestFixedCosts:
     def test_outputs_default_is_immutable(self):
         args = build_parser().parse_args(["sweep", "--slopes", "1.7", "--kappas", "1"])
         assert args.outputs == ()
+
+    def test_cold_start_does_not_import_pathlib(self):
+        # -S: a site-packages .pth file may import pathlib before zpfcross
+        code = ("import sys\n"
+                "import zpfcross.cli\n"
+                "assert 'pathlib' not in sys.modules, 'pathlib was imported'\n")
+        src = str(Path(zpfcross.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_cold_start_does_not_import_numpy(self):
         code = ("import sys\n"

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -11,6 +12,7 @@ from zpfcross import quantity, transition
 from zpfcross.constants import HUBBLE_RADIUS, CosmologyContext, ExponentTable
 from zpfcross.dissipation import solar_budget
 from zpfcross.errors import (
+    DegenerateSamples,
     DimensionMismatch,
     InvalidBracket,
     KappaOutOfRange,
@@ -52,6 +54,25 @@ def lambda0_oracle(a, kappa):
 def rel_sigma_oracle(a, e_kappa=0.0):
     return math.sqrt(E_G ** 2 + (a - 2.0) ** 2 * E_C ** 2 + E_HBAR ** 2
                      + (a + 1.0) ** 2 * E_H ** 2 + e_kappa ** 2) / (3.0 + a)
+
+
+def one_shot_oracle(a, kappa, n, seed, ctx, e_kappa=0.0, sampling="lognormal"):
+    """(mean, rel_sigma, rejected) of the whole-array Monte Carlo: one (n, 5)
+    draw, each normal-mode redraw one more (n, 5) draw, then np.mean and np.std."""
+    q = 1.0 / (3.0 + a)
+    exponents = np.array([q, (a - 2.0) * q, q, -(a + 1.0) * q, -q])  # G, c, hbar, H, kappa
+    rels = np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [e_kappa])
+    rng = np.random.default_rng(seed)
+    samples = rels * rng.standard_normal((n, 5))
+    rejected = 0
+    if sampling == "normal":
+        samples += 1.0
+        while (bad := samples <= 0.0).any():
+            rejected += int(bad.sum())
+            np.copyto(samples, 1.0 + rels * rng.standard_normal((n, 5)), where=bad)
+        samples = np.log(samples)
+    lam = transition_scale(a, kappa, ctx, e_kappa).lambda0.value * np.exp(samples @ exponents)
+    return float(np.mean(lam)), float(np.std(lam, ddof=1) / np.mean(lam)), rejected
 
 
 class TestClosedForm:
@@ -375,6 +396,60 @@ class TestMonteCarlo:
         # numpy's generator takes only non-negative integer seeds
         with pytest.raises(ValidationError, match="seed .* got -1"):
             monte_carlo_scale(1.8, 1.0, 2000, -1, ctx)
+
+
+BLOCK = transition._MC_BLOCK_ROWS
+# normal sampling rejects about 0.6% of the kappa draws at e_kappa = 0.4
+HEAVY = {"e_H": 0.3, "e_G": 0.2}
+
+
+class TestMonteCarloStream:
+    @pytest.mark.parametrize("n", [1000, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("overrides, e_kappa, sampling", [
+        ({}, 0.0, "lognormal"), ({}, 0.0, "normal"),
+        (HEAVY, 0.4, "lognormal"), (HEAVY, 0.4, "normal"),
+    ])
+    def test_equals_one_shot_draws(self, n, overrides, e_kappa, sampling):
+        ctx = CosmologyContext.default(overrides)
+        mc = monte_carlo_scale(1.8, 1e-3, n, 3, ctx, e_kappa=e_kappa, sampling=sampling)
+        mean, rel_sigma, rejected = one_shot_oracle(1.8, 1e-3, n, 3, ctx, e_kappa, sampling)
+        assert mc.rejected == rejected
+        assert rel(mc.mean.value, mean) < 1e-12
+        assert rel(mc.rel_sigma, rel_sigma) < 1e-12
+        assert mc.mean_se.dim == LENGTH
+        assert rel(mc.mean_se.value, rel_sigma * mean / math.sqrt(n)) < 1e-12
+
+    def test_heavy_normal_case_rejects_in_several_blocks(self):
+        # so test_equals_one_shot_draws redraws rows held back from several blocks
+        n = 3 * BLOCK + 17
+        ctx = CosmologyContext.default(HEAVY)
+        rels = np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [0.4])
+        draw = np.random.default_rng(3).standard_normal((n, 5))
+        rows = np.flatnonzero((1.0 + rels * draw <= 0.0).any(axis=1))
+        assert {0, 1, 2} <= set((rows // BLOCK).tolist())
+
+    @pytest.mark.parametrize("sampling", ["lognormal", "normal"])
+    def test_memory_does_not_grow_with_samples(self, ctx, sampling):
+        # numpy reports its buffers to tracemalloc; the whole (10**6, 5)
+        # array of the one-shot draw alone is 40 MB
+        monte_carlo_scale(1.8, 1e-5, 1000, 1, ctx, sampling=sampling)
+        tracemalloc.start()
+        try:
+            monte_carlo_scale(1.8, 1e-5, 10 ** 6, 1, ctx, sampling=sampling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_stalled_rejection_is_degenerate_samples(self, ctx, monkeypatch):
+        # every draw makes G, hbar and H negative; c and kappa have e = 0
+        class Negative:
+            def standard_normal(self, shape):
+                return np.full(shape, -1e9)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Negative())
+        with pytest.raises(DegenerateSamples, match="after 3000000 redraws"):
+            monte_carlo_scale(1.8, 1.0, 1000, 0, ctx, sampling="normal")
 
 
 class TestReferenceScale:
