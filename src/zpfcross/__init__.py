@@ -4,7 +4,7 @@ crossover scale, and the dissipation bound on the turbulence degree.
 The pipeline, bottom to top:
 
 - ``quantity``: SI values with exact rational dimension exponents and
-  first-order uncertainty arithmetic.
+  the float core of first-order uncertainty propagation.
 - ``constants``: the context, an immutable mapping of the constants
   (2006 CODATA plus a fixed Hubble measurement) with the derived
   critical density and Hubble radius, and the exponent tables over it.
@@ -39,7 +39,6 @@ from .errors import (
     InvalidBracket,
     KappaOutOfRange,
     KolmogorovPole,
-    NegativeBase,
     NoCrossing,
     NonFinite,
     NonPositiveWavenumber,
@@ -58,8 +57,6 @@ from .quantity import (
     TIME,
     UncertainQuantity,
     WAVENUMBER,
-    power,
-    propagate,
 )
 from .report import ReportRow, SweepSpec, render, run_sweep
 from .spectra import (

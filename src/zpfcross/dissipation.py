@@ -85,8 +85,12 @@ def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
     if check_n0_mode(n0_mode) == "paper":
         return UncertainQuantity(PAPER_N0)
     t = _window(ctx, window_t)
-    rate = N0_RATE.evaluate(ctx, 3.0 / (8.0 * math.pi))
-    return UncertainQuantity(rate.value * t.value, rate.rel_sigma)
+    try:
+        rate = N0_RATE.evaluate(ctx, 3.0 / (8.0 * math.pi))
+        return UncertainQuantity(rate.value * t.value, rate.rel_sigma)
+    except NonFinite as exc:
+        raise NonFinite(f"the computed N0 = rho*c*R**2*t/M leaves the float range "
+                        f"for t = {t.value!r} s and these constants") from exc
 
 
 @dataclass(frozen=True)
@@ -124,35 +128,38 @@ class BudgetTerms(NamedTuple):
 def budget_terms(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
                  ell: Optional[Quantity] = None, n0_mode: str = "paper") -> BudgetTerms:
     """ValidationError for a bad window, radius or N0 mode; NonFinite
-    where N0, rho*c**3/R or R leaves the float range (R underflowing to
-    0 included)."""
+    where N0 (naming the window), rho*c**3/R or R leaves the float range
+    (R underflowing to 0 included)."""
     t = _window(ctx, window_t)
     radius = _radius(ctx, ell).value
+    n0 = n0_value(ctx, t, n0_mode).value
     try:
-        n0 = n0_value(ctx, t, n0_mode).value
         epsilon = HORIZON_POWER_DENSITY.powers(ctx)
         hubble = HUBBLE_RADIUS.value(ctx)
         return BudgetTerms(n0, epsilon, _cube_powers(radius / hubble),
                            math.log(radius) - math.log(hubble), radius)
     except (NonFinite, ZeroDivisionError) as exc:  # ZeroDivisionError: R underflows to 0
-        raise NonFinite("N0, rho*c**3/R or R leaves the float range "
+        raise NonFinite("rho*c**3/R or R leaves the float range "
                         "with these constants") from exc
 
 
 def budget_cell(terms: BudgetTerms, a: float, kappa: float) -> Tuple[float, float, float]:
     """eps, N and N_s at one checked (a, kappa); NonFinite if eps or N_s
-    leaves the float range."""
+    leaves the float range. N and N_s are formed in logs where the
+    cascade factor ((a-1)*kappa)**(1/(a-1)) or N is not a normal float."""
     power = 1.0 / (a - 1.0)
     cascade = ((a - 1.0) * kappa) ** power
     epsilon = times_powers(3.0 / (8.0 * math.pi) * cascade, terms.epsilon[0])
     n_solar = terms.n0 * cascade
     try:
-        if 0.0 < terms.n0 and n_solar < sys.float_info.min:
-            # N underflowed but N_s need not have: form N_s in logs (an N0
-            # of zero takes the product below)
-            return epsilon, n_solar, math.exp(
-                math.log(terms.n0) + power * (math.log(a - 1.0) + math.log(kappa))
-                + 3.0 * terms.log_ratio)
+        if 0.0 < terms.n0 and min(cascade, n_solar) < sys.float_info.min:
+            # the cascade or N is not a normal float, but N or N_s may be:
+            # form what the cascade lost in logs (an N0 of zero takes the
+            # product below)
+            log_n = math.log(terms.n0) + power * (math.log(a - 1.0) + math.log(kappa))
+            if cascade < sys.float_info.min:
+                n_solar = math.exp(log_n)
+            return epsilon, n_solar, math.exp(log_n + 3.0 * terms.log_ratio)
         return epsilon, n_solar, times_powers(n_solar, terms.cube)
     except (NonFinite, OverflowError) as exc:
         raise NonFinite(f"the count N_s = N*(ell/R)**3 leaves the float range for "
@@ -204,14 +211,22 @@ def _cube_powers(ratio: float) -> Tuple[float, ...]:
 def kappa_from_count(n_solar: float, n0: float, a: float) -> float:
     """Invert the budget: kappa = (1/(a-1)) * (N/N0)**(a-1).
 
+    Where N/N0 is not a normal float, kappa is formed in logs instead.
     Raises ValidationError unless both counts are positive and finite,
-    and NonFinite if the power leaves the float range.
+    and NonFinite if kappa leaves the float range.
     """
     a = check_slope(a)
     if not (0.0 < n_solar < math.inf and 0.0 < n0 < math.inf):
         raise ValidationError(f"counts must be positive and finite, got N = {n_solar!r}, "
                               f"N0 = {n0!r}")
-    return power_product(1.0 / (a - 1.0), [(n_solar / n0, 0.0, a - 1.0)])[0]
+    ratio = n_solar / n0
+    if sys.float_info.min <= ratio <= sys.float_info.max:
+        return power_product(1.0 / (a - 1.0), [(ratio, 0.0, a - 1.0)])[0]
+    try:
+        return math.exp((a - 1.0) * (math.log(n_solar) - math.log(n0)) - math.log(a - 1.0))
+    except OverflowError:
+        raise NonFinite(f"kappa = (N/N0)**(a-1)/(a-1) overflows for N = {n_solar!r} "
+                        f"and N0 = {n0!r}") from None
 
 
 def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,

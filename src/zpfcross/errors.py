@@ -21,15 +21,12 @@ class NumericFailure(ZpfcrossError, ArithmeticError):
 # substrate
 
 class DimensionMismatch(ValidationError):
-    """Add/subtract/compare of quantities with different dimensions."""
+    """A dimension other than the one required: a wavenumber, a model
+    parameter or an exponent table whose composed dimension is wrong."""
 
 
 class NonFinite(NumericFailure):
     """A value operation produced NaN or infinity."""
-
-
-class NegativeBase(ValidationError):
-    """Non-integer power of a negative value."""
 
 
 # constants

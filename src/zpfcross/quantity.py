@@ -1,11 +1,19 @@
-"""Dimensioned scalars with exact dimension tracking and first-order
-uncertainty arithmetic.
+"""Dimensioned scalars with exact dimension tracking, and the float core
+of first-order uncertainty propagation.
 
 Values are floats in SI base units throughout; unit conversion happens
 only at I/O boundaries. Dimensions carry rational exponents of length,
 mass and time (``fractions.Fraction``), so power laws with exponents
 like 1/(3+a) compose without floating drift: exponent bookkeeping is
 exact even when a itself came from a float.
+
+``Quantity`` and ``UncertainQuantity`` are checked records (a finite
+value, a dimension, and for the latter rel_sigma >= 0), not an
+arithmetic: a product of powers is computed in floats by
+:func:`power_product`, and its dimension is composed with the
+``Dimension`` operators once, where the product is defined (an
+``ExponentTable`` when it is built, a spectrum model when it is
+constructed).
 
 Everything here is immutable and every operation is a pure function,
 so values can be shared freely between threads or processes.
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
 
-from .errors import DimensionMismatch, NegativeBase, NonFinite, ValidationError
+from .errors import NonFinite, ValidationError
 
 Exponent = Union[int, float, Fraction]
 
@@ -120,25 +128,6 @@ def _finite(value: float) -> float:
     return value
 
 
-def _pow_value(value: float, p: Fraction) -> float:
-    """value**p with the sign rules of real arithmetic.
-
-    Raises NegativeBase for a non-integer power of a negative value
-    (Python would silently return a complex number) and NonFinite if
-    the power diverges or overflows.
-    """
-    if p == 0:
-        return 1.0
-    if value < 0.0 and p.denominator != 1:
-        raise NegativeBase(f"({value!r})**{p} is not real")
-    try:
-        return value ** float(p)
-    except ZeroDivisionError as exc:
-        raise NonFinite(f"0.0**{float(p)} diverges") from exc
-    except OverflowError as exc:
-        raise NonFinite(f"({value!r})**{float(p)} overflows") from exc
-
-
 def power_product(coeff: float,
                   terms: Iterable[Tuple[float, float, float]]) -> Tuple[float, float]:
     """Float core of first-order propagation through coeff * prod(x**p).
@@ -146,8 +135,8 @@ def power_product(coeff: float,
     ``terms`` are (value, rel_sigma, p) triples of uncorrelated factors;
     the powers are multiplied in the order given. Returns the finite
     value and rel_sigma = sqrt(sum((p*e)**2)). Dimensions are the
-    caller's business: :func:`propagate` composes them per call, an
-    ``ExponentTable`` checks them once when it is built. It is
+    caller's business, composed once where the product is defined (an
+    ``ExponentTable`` checks its own when it is built). It is
     :func:`power_terms` then :func:`times_powers`.
     """
     powers, rel_sigma = power_terms(terms)
@@ -182,9 +171,9 @@ def times_powers(coeff: float, powers: Iterable[float]) -> float:
 class Quantity:
     """A finite SI value with an exact dimension.
 
-    Supports ``+ - * /`` with dimension checking and ``**`` with a
-    rational exponent. Multiplication and division by plain numbers
-    treat them as dimensionless.
+    A checked record: construction rejects NaN and infinity. Values are
+    combined in floats and the result wrapped again, with its dimension
+    composed by the ``Dimension`` operators.
     """
 
     value: float
@@ -193,70 +182,9 @@ class Quantity:
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", _finite(self.value))
 
-    def _coerce(self, other) -> "Quantity":
-        if isinstance(other, Quantity):
-            return other
-        if isinstance(other, (int, float)):
-            return Quantity(float(other))
-        return NotImplemented
-
-    def __add__(self, other) -> "Quantity":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"cannot add [{self.dim}] and [{other.dim}]")
-        return Quantity(self.value + other.value, self.dim)
-
-    def __sub__(self, other) -> "Quantity":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"cannot subtract [{other.dim}] from [{self.dim}]")
-        return Quantity(self.value - other.value, self.dim)
-
-    def __mul__(self, other) -> "Quantity":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Quantity(self.value * other.value, self.dim * other.dim)
-
-    def __rmul__(self, other) -> "Quantity":
-        return self.__mul__(other)
-
-    def __truediv__(self, other) -> "Quantity":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        try:
-            return Quantity(self.value / other.value, self.dim / other.dim)
-        except ZeroDivisionError as exc:
-            raise NonFinite("division by zero") from exc
-
-    def __rtruediv__(self, other) -> "Quantity":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__truediv__(self)
-
-    def __pow__(self, p: Exponent) -> "Quantity":
-        return power(self, p)
-
-    def __neg__(self) -> "Quantity":
-        return Quantity(-self.value, self.dim)
-
     def __str__(self) -> str:
         unit = str(self.dim)
         return f"{self.value:g}" if unit == "1" else f"{self.value:g} {unit}"
-
-
-def power(q: Quantity, p: Exponent) -> Quantity:
-    """q**p with dimension exponents scaled exactly by the rational p."""
-    pf = as_fraction(p)
-    if pf == 0:
-        return Quantity(1.0)
-    return Quantity(_pow_value(q.value, pf), q.dim ** pf)
 
 
 @dataclass(frozen=True)
@@ -264,9 +192,10 @@ class UncertainQuantity:
     """A quantity with a relative standard uncertainty.
 
     ``rel_sigma`` is sigma/value, dimensionless and >= 0; zero encodes
-    an exact constant. Arithmetic assumes statistically uncorrelated
-    operands; quantities derived from shared inputs must be propagated
-    from those inputs directly (see :func:`propagate`).
+    an exact constant. A checked record like ``Quantity``: products of
+    powers of uncorrelated inputs are propagated by
+    :func:`power_product`, from the inputs themselves, so that a shared
+    input is counted once.
     """
 
     value: float
@@ -289,55 +218,9 @@ class UncertainQuantity:
         """The central value with the uncertainty dropped."""
         return Quantity(self.value, self.dim)
 
-    def _coerce(self, other) -> "UncertainQuantity":
-        if isinstance(other, UncertainQuantity):
-            return other
-        if isinstance(other, Quantity):
-            return UncertainQuantity(other.value, 0.0, other.dim)
-        if isinstance(other, (int, float)):
-            return UncertainQuantity(float(other))
-        return NotImplemented
-
-    def __mul__(self, other) -> "UncertainQuantity":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return propagate([(self, 1), (other, 1)])
-
-    def __rmul__(self, other) -> "UncertainQuantity":
-        return self.__mul__(other)
-
-    def __truediv__(self, other) -> "UncertainQuantity":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return propagate([(self, 1), (other, -1)])
-
-    def __pow__(self, p: Exponent) -> "UncertainQuantity":
-        return propagate([(self, p)])
-
     def __str__(self) -> str:
         unit = str(self.dim)
         body = f"{self.value:g}"
         if self.rel_sigma > 0:
             body += f" ± {self.sigma:g}"
         return body if unit == "1" else f"{body} {unit}"
-
-
-def propagate(terms: Iterable[Tuple[UncertainQuantity, Exponent]]) -> UncertainQuantity:
-    """First-order uncertainty propagation through a product of powers.
-
-    For f = prod(x_i**p_i) with uncorrelated relative uncertainties e_i,
-    returns value prod(x_i**p_i), dimension composed exactly, and
-    rel_sigma = sqrt(sum((p_i*e_i)**2)).
-    """
-    dim = DIMENSIONLESS
-    floats = []
-    for uq, p in terms:
-        pf = as_fraction(p)
-        if uq.value < 0.0 and pf.denominator != 1:
-            raise NegativeBase(f"({uq.value!r})**{pf} is not real")
-        dim = dim * (uq.dim ** pf)
-        floats.append((uq.value, uq.rel_sigma, float(pf)))
-    value, rel_sigma = power_product(1.0, floats)
-    return UncertainQuantity(value, rel_sigma, dim)

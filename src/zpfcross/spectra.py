@@ -49,13 +49,13 @@ from .errors import (
 from .quantity import (
     DENSITY,
     Dimension,
+    LENGTH,
     POWER_DENSITY,
     Quantity,
     SPECTRAL_DENSITY,
     SPEED,
     UncertainQuantity,
     WAVENUMBER,
-    power,
     power_product,
 )
 
@@ -185,7 +185,7 @@ class TruncatedBoyer(SpectrumModel):
     def from_context(cls, ctx: CosmologyContext,
                      cutoff_k: Optional[Quantity] = None) -> "TruncatedBoyer":
         if cutoff_k is None:
-            cutoff_k = Quantity(2.0 * math.pi) / ctx.quantity("r_p").quantity()
+            cutoff_k = Quantity(2.0 * math.pi / ctx.value("r_p"), WAVENUMBER)
         return cls(ctx.quantity("hbar").quantity(), ctx.quantity("c").quantity(), cutoff_k)
 
     def _energy(self, k, xp):
@@ -368,11 +368,8 @@ def budget_roundtrip(amplitude: Union[Quantity, UncertainQuantity], a: float,
     amplitude_from_kappa.
     """
     a = check_slope(a)
-    af = Fraction(a)
-    if isinstance(amplitude, UncertainQuantity):
-        amplitude = amplitude.quantity()
-    radius = ctx.hubble_radius.quantity()
-    return amplitude * power(radius, af - 1) / (a - 1.0)
+    value = power_product(amplitude.value, [(ctx.hubble_radius.value, 0.0, a - 1.0)])[0]
+    return Quantity(value / (a - 1.0), amplitude.dim * LENGTH ** (Fraction(a) - 1))
 
 
 def horizon_injection_rate(ctx: CosmologyContext) -> UncertainQuantity:
@@ -400,7 +397,8 @@ class HorizonAmplitude:
 
     @property
     def exact(self) -> UncertainQuantity:
-        return self.prefactor * self.reduced
+        return UncertainQuantity(self.prefactor * self.reduced.value,
+                                 self.reduced.rel_sigma, self.reduced.dim)
 
 
 def horizon_spectrum_amplitude(a: float, ctx: CosmologyContext) -> HorizonAmplitude:

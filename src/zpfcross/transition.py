@@ -101,8 +101,14 @@ class TransitionResult:
 
     @property
     def sigma(self) -> Quantity:
-        """Absolute one-sigma uncertainty of lambda0, m."""
-        return Quantity(self.lambda0.value * self.rel_sigma, LENGTH)
+        """Absolute one-sigma uncertainty of lambda0, m; NonFinite naming
+        lambda0 and rel_sigma if it leaves the float range."""
+        sigma = self.lambda0.value * self.rel_sigma
+        if not sigma < math.inf:
+            raise NonFinite(f"sigma = lambda0*rel_sigma leaves the float range for "
+                            f"lambda0 = {self.lambda0.value!r} m and "
+                            f"rel_sigma = {self.rel_sigma!r}")
+        return Quantity(sigma, LENGTH)
 
 
 class ScaleTerms(NamedTuple):

@@ -15,6 +15,7 @@ from zpfcross.dissipation import n0_value
 from zpfcross.quantity import POWER_DENSITY, Quantity, TIME, WAVENUMBER
 from zpfcross.report import format_sig
 from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
+from zpfcross.transition import transition_scale
 
 
 def run(capsys, *argv):
@@ -141,6 +142,14 @@ class TestTransitionCommand:
         assert (code, out) == (3, "")
         assert err == ("numeric failure: k0 leaves the float range at a = 2.9, "
                        "kappa = 1.0\n")
+
+    def test_overflowing_sigma_is_named(self, capsys, ctx):
+        # (q*e_kappa)**2 overflows, so rel_sigma and sigma are inf
+        code, out, err = run(capsys, "transition", "--slope", "1.8", "--ekappa", "1e300")
+        assert (code, out) == (3, "")
+        lambda0 = transition_scale(1.8, 1.0, ctx).lambda0.value
+        assert err == ("numeric failure: sigma = lambda0*rel_sigma leaves the float range "
+                       f"for lambda0 = {lambda0!r} m and rel_sigma = inf\n")
 
     def test_negative_seed_is_validation_error(self, capsys):
         code, out, err = run(capsys, "transition", "--slope", "1.8", "--mc", "2000",
@@ -281,14 +290,14 @@ class TestDissipationCommand:
         code, out, err = run(capsys, "dissipation", "--kappa", "1e-5", "--slope", "1.8",
                              "--config", str(config))
         assert (code, out) == (3, "")
-        assert err == ("numeric failure: N0, rho*c**3/R or R leaves the float range "
+        assert err == ("numeric failure: rho*c**3/R or R leaves the float range "
                        "with these constants\n")
         # R = c/H underflows to 0
         config.write_text("c = 1e-230 m/s\nH = 1e100 1/s\n", encoding="utf-8")
         code, out, err = run(capsys, "dissipation", "--kappa", "1e-5", "--slope", "1.8",
                              "--config", str(config))
         assert (code, out) == (3, "")
-        assert err == ("numeric failure: N0, rho*c**3/R or R leaves the float range "
+        assert err == ("numeric failure: rho*c**3/R or R leaves the float range "
                        "with these constants\n")
 
     def test_underflowing_count_does_not_hide_a_normal_rescaled_count(self, capsys):
@@ -305,6 +314,34 @@ class TestDissipationCommand:
                   + 3.0 * math.log(4.03e125 * LIGHTMINUTE_M
                                    / CosmologyContext.default().hubble_radius.value))
         assert values["ns_solar"] == format_sig(math.exp(log_ns), 6) == "8.07237e-132"
+
+
+    @pytest.mark.parametrize("command", [
+        ("dissipation", "--kappa", "1e-5", "--slope", "1.8"),
+        ("dissipation", "--kappa", "1e-5", "--slope", "1.8", "--n0", "computed"),
+        ("bound", "--slope", "1.8"),
+    ])
+    def test_overflowing_computed_n0_names_the_window(self, capsys, command):
+        # even in paper mode, the note line computes N0 from the constants
+        code, out, err = run(capsys, *command, "--window-days", "1e300")
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: the computed N0 = rho*c*R**2*t/M leaves the "
+                       f"float range for t = {1e300 * DAY_S!r} s and these constants\n")
+
+    def test_count_past_a_vanishing_cascade(self, capsys):
+        # ((a-1)*kappa)**(1/(a-1)) underflows to 0 while N = 9.54e-290 is a
+        # normal float (oracle: 50-digit mpmath)
+        code, out, err = run(capsys, "dissipation", "--kappa", "1e-16", "--slope", "1.05",
+                             "--format", "csv")
+        assert (code, err) == (0, "")
+        header, rows = csv_rows(out.split("\n", 1)[1])
+        assert rows[0][header.index("n_solar")] == "9.54e-290"
+        code, out, err = run(capsys, "sweep", "--slopes", "1.05", "--kappas", "1e-16",
+                             "--outputs", "N", "--format", "csv")
+        assert (code, err) == (0, "")
+        header, rows = csv_rows(out)
+        assert math.isclose(float(rows[0][header.index("n_solar")]), 9.536743164069414e-290,
+                            rel_tol=1e-12)
 
 
 class TestBoundCommand:
@@ -355,6 +392,13 @@ class TestBoundCommand:
         assert err.startswith("numeric failure: the count N = Ns*(R/ell)**3 ")
         assert "Ns = 1e+300" in err
         assert f"ell = {1e-300 * LIGHTMINUTE_M!r} m" in err
+
+    def test_count_ratio_below_the_normal_range(self, capsys):
+        # N/N0 underflows to 0, while kappa = 8.70e-16 is a normal float
+        code, out, err = run(capsys, "bound", "--slope", "1.05", "--ns", "1e-315")
+        assert (code, err) == (0, "")
+        values = dict(line.split(None, 1) for line in out.splitlines()[1:])
+        assert values["kappa"] == "8.7e-16"
 
     def test_computed_mode_rejected(self, capsys):
         code, _, err = run(capsys, "bound", "--slope", "1.7", "--n0", "computed")

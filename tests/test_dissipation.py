@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zpfcross import CosmologyContext
 from zpfcross.dissipation import (
@@ -20,10 +21,11 @@ from zpfcross.quantity import (
     Quantity,
     TIME,
     UncertainQuantity,
-    propagate,
 )
 from zpfcross.report import SweepSpec, run_sweep
 from zpfcross.spectra import amplitude_from_kappa, gamma_from_slope
+
+from propagation_oracle import product_of_powers
 
 C = 2.99792458e8
 
@@ -101,20 +103,19 @@ class TestSolarBudget:
         assert rel(n0.rel_sigma, 1e-4) < 1e-12
 
     def test_tables_equal_the_exact_propagation(self, ctx):
-        # the import-checked tables give the numbers that per-call exact
-        # dimension bookkeeping through propagate gives
-        slow = propagate([(UncertainQuantity(3.0 / (8.0 * math.pi)), 1)]
-                         + [(ctx.quantity(name), p)
-                            for name, p in (("G", -1), ("c", 3), ("M_sun", -1))]
-                         + [(UncertainQuantity(86400.0, 0.0, TIME), 1)])
+        # the import-checked tables give the numbers of plain floats with
+        # the dimension composed per call
+        slow = product_of_powers(3.0 / (8.0 * math.pi),
+                                 [(ctx.quantity(name), p)
+                                  for name, p in (("G", -1), ("c", 3), ("M_sun", -1))]
+                                 + [(UncertainQuantity(86400.0, 0.0, TIME), 1)])
         fast = n0_value(ctx, n0_mode="computed")
-        assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma, slow.dim)
+        assert (fast.value, fast.rel_sigma, fast.dim) == slow
         coeff = 3.0 / (8.0 * math.pi) * (0.8 * 1e-5) ** (1.0 / 0.8)
-        slow = propagate([(UncertainQuantity(coeff), 1)]
-                         + [(ctx.quantity(name), p)
-                            for name, p in (("G", -1), ("H", 3), ("c", 2))])
+        slow = product_of_powers(coeff, [(ctx.quantity(name), p)
+                                         for name, p in (("G", -1), ("H", 3), ("c", 2))])
         fast = solar_budget(1e-5, 1.8, ctx).epsilon
-        assert (fast.value, fast.rel_sigma, fast.dim) == (slow.value, slow.rel_sigma, slow.dim)
+        assert (fast.value, fast.rel_sigma, fast.dim) == slow
 
     def test_overflowing_rescaled_count_is_numeric_failure(self, ctx):
         with pytest.raises(NonFinite):
@@ -201,6 +202,52 @@ class TestRescaledCount:
         with pytest.raises(NonFinite, match=r"N_s = N\*\(ell/R\)\*\*3 .* ell = 1e\+300 m"):
             # N = 1e57 at a = 2, kappa = 1
             solar_budget(1.0, 2.0, ctx, ell=Quantity(1e300, LENGTH))
+
+
+class TestSubnormalCascade:
+    # N = N0*((a-1)*kappa)**(1/(a-1)) is a normal float where the cascade
+    # factor alone is not; oracles: the same expressions in 50-digit mpmath
+
+    @pytest.mark.parametrize("kappa, a, expected", [
+        (1e-16, 1.05, 9.536743164069414e-290),  # the cascade underflows to 0
+        (8.6e-17, 1.0536, 3.638156365009412e-267),  # the cascade is subnormal
+    ])
+    def test_count_formed_in_logs(self, ctx, kappa, a, expected):
+        budget = solar_budget(kappa, a, ctx)
+        assert rel(budget.n_solar, expected) < 1e-12
+        row, = run_sweep(SweepSpec(slopes=(a,), kappas=(kappa,), outputs=("N",)), ctx)
+        assert row.n_solar == budget.n_solar
+
+    @pytest.mark.parametrize("n_solar, n0, a, expected", [
+        (1e-300, 1e57, 1.05, 2.825075089245403e-17),  # N/N0 underflows to 0
+        (6e-271, 1e57, 1.05, 8.708383739061839e-16),  # N/N0 is subnormal
+        (1e300, 1e-300, 1.05, 2.000000000000121e31),  # N/N0 overflows
+    ])
+    def test_kappa_formed_in_logs(self, n_solar, n0, a, expected):
+        assert rel(kappa_from_count(n_solar, n0, a), expected) < 1e-12
+
+    def test_kappa_overflow_names_the_counts(self):
+        with pytest.raises(NonFinite, match=r"N = 1e\+300 and N0 = 1e-300"):
+            kappa_from_count(1e300, 1e-300, 2.9)
+
+    def test_bound_below_the_normal_range(self, ctx):
+        # Ns = 1e-315 is subnormal; N/N0 = Ns*(R/ell)**3/1e57 underflows
+        kappa, _ = kappa_from_solar_bound(1e-315, 1.05, ctx)
+        assert rel(kappa, 8.697889940076813e-16) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.one_of(st.floats(min_value=1.0, max_value=3.0, exclude_min=True,
+                                 exclude_max=True),
+                       # where 1/(a-1) is large, the cascade factor can leave
+                       # the normal range while N stays in it
+                       st.floats(min_value=1.0, max_value=1.1, exclude_min=True)),
+           log_kappa=st.floats(min_value=-30.0, max_value=0.0),
+           n0_mode=st.sampled_from(("paper", "computed")))
+    def test_kappa_count_round_trip(self, ctx, a, log_kappa, n0_mode):
+        kappa = 10.0 ** log_kappa
+        budget = solar_budget(kappa, a, ctx, n0_mode=n0_mode)
+        assume(budget.n_solar >= sys.float_info.min)
+        assert rel(kappa_from_count(budget.n_solar, budget.n0, a), kappa) < 1e-12
 
 
 class TestKappaFromCount:

@@ -13,9 +13,11 @@ import pytest
 
 import zpfcross
 
+# the tracer also looks for ``power`` and ``propagate``; it skips a name the
+# package no longer defines, so their call counts read 0
 FUNCTIONS = ("transition_scale", "log_form_scale", "monte_carlo_scale", "numeric_crossover",
-             "power", "propagate", "amplitude_from_kappa", "solar_budget",
-             "kappa_from_solar_bound", "run_sweep", "render")
+             "amplitude_from_kappa", "solar_budget", "kappa_from_solar_bound",
+             "run_sweep", "render")
 METHODS = (("CosmologyContext", "default"), ("Boyer", "from_context"),
            ("TruncatedBoyer", "from_context"), ("PowerLawTurbulence", "from_kappa"),
            ("Dimension", "__mul__"), ("Dimension", "__truediv__"), ("Dimension", "__pow__"))

@@ -6,7 +6,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zpfcross import quantity, transition
 from zpfcross.constants import HUBBLE_RADIUS, CosmologyContext, ExponentTable
@@ -160,7 +160,9 @@ class TestClosedForm:
         result = transition_scale(1.8, 1.0, ctx, e_kappa=1e300)
         assert result.rel_sigma == math.inf
         assert result.lambda0.value == transition_scale(1.8, 1.0, ctx).lambda0.value
-        with pytest.raises(NonFinite):
+        with pytest.raises(NonFinite, match=r"^sigma = lambda0\*rel_sigma leaves the float "
+                                            rf"range for lambda0 = {result.lambda0.value!r} m "
+                                            r"and rel_sigma = inf$"):
             result.sigma
 
 
@@ -253,6 +255,17 @@ class TestProperties:
         squares = sum(v * v for v in r.sigma_breakdown.values())
         assert math.isclose(r.rel_sigma ** 2, squares, rel_tol=1e-14)
         assert rel(r.rel_sigma, rel_sigma_oracle(a, e_kappa)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(min_value=1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+           log_kappa=st.floats(min_value=-30.0, max_value=0.0))
+    def test_bisection_equals_closed_form(self, ctx, a, log_kappa):
+        kappa = 10.0 ** log_kappa
+        k0 = transition_scale(a, kappa, ctx).k0.value
+        # the default bracket: the largest eddy to the Planck wavenumber
+        assume(1.0 / ctx.hubble_radius.value < k0 < 2.0 * math.pi / ctx.value("r_p"))
+        turb = PowerLawTurbulence.from_kappa(ctx, kappa, a)
+        assert rel(numeric_crossover(Boyer.from_context(ctx), turb, ctx).value, k0) < 1e-9
 
 
 class TestNumericCrossover:
