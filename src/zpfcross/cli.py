@@ -9,7 +9,12 @@ dissipation and bound default to the context's t and ell, so a
 A call pays only for its own work. ``build_parser`` builds the parser
 on its first call and returns the same one after that, ``main`` uses
 the shared default context unless --config is given, and numpy is
-imported only by ``spectrum`` and ``transition --mc``.
+imported only by ``spectrum`` and ``transition --mc``. ``main`` reads
+an argv that starts with a subcommand in one argparse pass, by that
+subcommand's parser alone, and reports leftover arguments as
+``parse_args`` does; any other argv (no arguments, -h, --version, an
+unknown subcommand) goes to ``build_parser().parse_args``. argparse
+writes every usage, help and error text either way.
 """
 
 from __future__ import annotations
@@ -18,12 +23,12 @@ import argparse
 import functools
 import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .constants import DAY_S, LIGHTMINUTE_M, CosmologyContext, load_config
 from .dissipation import kappa_from_solar_bound, n0_value, solar_budget
-from .errors import NumericFailure, ValidationError, ZpfcrossError
+from .errors import NonFinite, NumericFailure, ValidationError, ZpfcrossError
 from .quantity import LENGTH, POWER_DENSITY, Dimension, Quantity, TIME, WAVENUMBER
 from .report import SweepSpec, format_rows, format_sig, render, run_sweep
 from .spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
@@ -175,7 +180,12 @@ def _spectrum_model(args: argparse.Namespace, ctx: CosmologyContext):
 
 def _cmd_spectrum(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     model = _spectrum_model(args, ctx)
-    kmin = args.kmin if args.kmin is not None else 1.0 / ctx.hubble_radius.value
+    kmin = args.kmin
+    if kmin is None:
+        radius = ctx.hubble_radius.value
+        kmin = 1.0 / radius if radius > 0.0 else math.inf
+        if kmin == math.inf:
+            raise NonFinite(f"the default kmin = 1/R overflows for R = c/H = {radius!r} m")
     kmax = args.kmax if args.kmax is not None else 2.0 * math.pi / ctx.value("r_p")
     if not (0.0 < kmin < kmax < math.inf):
         raise ValidationError(f"need 0 < kmin < kmax < inf, got {kmin!r}, {kmax!r}")
@@ -203,13 +213,18 @@ def _cmd_spectrum(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared after it.
 
     Parsing leaves the parser as it was (every default is immutable), so
     one parser serves every ``main`` call of a process.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """``build_parser()``'s parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="zpfcross",
         description="Vacuum/turbulence spectrum crossover scale and its error budget.")
@@ -282,11 +297,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=200)
     p.set_defaults(func=_cmd_spectrum)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one pass: what follows a
+    subcommand is read by that subcommand's parser alone."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # help, --version or a usage error
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         ctx = CosmologyContext.default(load_config(args.config) if args.config else None)
         return args.func(args, ctx)

@@ -145,11 +145,23 @@ def budget_terms(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
 
 def budget_cell(terms: BudgetTerms, a: float, kappa: float) -> Tuple[float, float, float]:
     """eps, N and N_s at one checked (a, kappa); NonFinite if eps or N_s
-    leaves the float range. N and N_s are formed in logs where the
-    cascade factor ((a-1)*kappa)**(1/(a-1)) or N is not a normal float."""
+    leaves the float range. eps, N and N_s are formed in logs where the
+    cascade factor ((a-1)*kappa)**(1/(a-1)) is not a normal float, and
+    N_s also where N is not."""
     power = 1.0 / (a - 1.0)
     cascade = ((a - 1.0) * kappa) ** power
-    epsilon = times_powers(3.0 / (8.0 * math.pi) * cascade, terms.epsilon[0])
+    if cascade < sys.float_info.min and min(terms.epsilon[0]) > 0.0:
+        # the cascade is not a normal float, but eps may be (unless a power
+        # of rho*c**3/R underflowed to 0, as in the product below)
+        log_epsilon = (power * (math.log(a - 1.0) + math.log(kappa))
+                       + math.log(3.0 / (8.0 * math.pi)) + sum(map(math.log, terms.epsilon[0])))
+        try:
+            epsilon = math.exp(log_epsilon)
+        except OverflowError:
+            raise NonFinite(f"eps = rho*c**3/R*((a-1)*kappa)**(1/(a-1)) overflows for "
+                            f"a = {a!r} and kappa = {kappa!r}") from None
+    else:
+        epsilon = times_powers(3.0 / (8.0 * math.pi) * cascade, terms.epsilon[0])
     n_solar = terms.n0 * cascade
     try:
         if 0.0 < terms.n0 and min(cascade, n_solar) < sys.float_info.min:

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -8,7 +11,7 @@ import numpy
 import pytest
 
 import zpfcross
-from zpfcross import CosmologyContext
+from zpfcross import CosmologyContext, cli
 from zpfcross.cli import build_parser, main
 from zpfcross.constants import DAY_S, LIGHTMINUTE_M
 from zpfcross.dissipation import n0_value
@@ -16,6 +19,8 @@ from zpfcross.quantity import POWER_DENSITY, Quantity, TIME, WAVENUMBER
 from zpfcross.report import format_sig
 from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 from zpfcross.transition import transition_scale
+
+from test_cli_output import CORPUS, DATA
 
 
 def run(capsys, *argv):
@@ -438,6 +443,20 @@ class TestSpectrumCommand:
                            "--kmin", "10", "--kmax", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("config_text, radius", [
+        ("c = 1e-230 m/s\nH = 1e100 1/s\n", "0.0"),
+        ("c = 1e-160 m/s\nH = 1e150 1/s\n", "1e-310"),
+    ], ids=["R underflows to 0", "R is subnormal"])
+    def test_default_kmin_beyond_floats_is_numeric_failure(self, capsys, tmp_path,
+                                                          config_text, radius):
+        config = tmp_path / "r.cfg"
+        config.write_text(config_text, encoding="utf-8")
+        code, out, err = run(capsys, "spectrum", "--model", "boyer", "--points", "3",
+                             "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == (f"numeric failure: the default kmin = 1/R overflows for "
+                       f"R = c/H = {radius} m\n")
+
     def test_one_point_is_validation_error(self, capsys):
         code, out, err = run(capsys, "spectrum", "--model", "boyer", "--points", "1")
         assert (code, out) == (2, "")
@@ -618,6 +637,59 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     err = capsys.readouterr().err
     assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}" in err
     assert "Traceback" not in err
+
+
+def outcome(call, argv):
+    """What ``call(argv)`` returns (a namespace as its attributes), or the
+    exit code if it exits, with all it writes to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+    if isinstance(result, argparse.Namespace):
+        result = vars(result)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    # main hands what follows a subcommand to that subcommand's parser
+    # alone; build_parser().parse_args, which reads the whole argv at two
+    # levels, is the oracle
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_corpus_parses_as_at_two_levels(self, argv):
+        argv = [arg.replace("{data}", str(DATA)) for arg in argv]
+        assert vars(cli._parse(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["-h"],
+        ["--version"],
+        ["warp"],
+        ["--config", "x", "transition"],
+        ["transition"],
+        ["transition", "--slope", "1.8", "--warp", "9"],
+        ["transition", "-h"],
+        ["transition", "--slope", "x"],
+        ["spectrum", "--model", "bad"],
+        ["--", "transition", "--slope", "1.8"],
+        ["transition", "--", "--slope", "1.8"],
+        ["transition", "--slope", "1.8", "--", "9"],
+        ["transition", "--slo", "1.8"],
+        ["transition", "--slo", "x"],
+        ["transition", "--slope=1.8", "--kappa=1e-5"],
+        ["transition", "--slope=x"],
+        ["sweep", "--slopes=1.7,1.8", "--kappas=1", "--outp=N"],
+        ["transition", "--slope", "1.8", "--vers"],
+        ["bound", "--slope", "1.8", "transition"],
+    ], ids=lambda argv: " ".join(argv) or "<none>")
+    def test_usage_matches_two_levels(self, argv):
+        expected = outcome(build_parser().parse_args, argv)
+        assert outcome(cli._parse, argv) == expected
+        if not isinstance(expected[0], dict):  # help, version or a usage error
+            assert outcome(main, argv) == expected
 
 
 class TestSigfigsFlag:

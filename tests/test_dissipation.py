@@ -218,6 +218,32 @@ class TestSubnormalCascade:
         row, = run_sweep(SweepSpec(slopes=(a,), kappas=(kappa,), outputs=("N",)), ctx)
         assert row.n_solar == budget.n_solar
 
+    @pytest.mark.parametrize("kappa, a, expected", [
+        (3.6e-15, 1.05, 2.0491251359121515e-289),  # the cascade is subnormal
+        (8.6e-17, 1.0536, 5.847897332123776e-298),  # the cascade is the least subnormal
+        (6e-16, 1.05, 5.604585166382776e-305),  # the cascade underflows to 0
+    ])
+    def test_epsilon_formed_in_logs(self, kappa, a, expected):
+        # with H = 1 1/s, rho*c**3/R is about 1.6e26 W/m^3, so eps is a
+        # normal float where the cascade factor is not
+        ctx = CosmologyContext.default({"H": 1.0})
+        budget = solar_budget(kappa, a, ctx)
+        assert rel(budget.epsilon.value, expected) < 1e-12
+        row, = run_sweep(SweepSpec(slopes=(a,), kappas=(kappa,), outputs=("epsilon",)), ctx)
+        assert row.epsilon_w_m3 == budget.epsilon.value
+
+    def test_epsilon_overflow_is_named(self):
+        # rho*c**3/R is about 1e899 W/m^3: eps overflows although the
+        # cascade factor underflows to 0
+        ctx = CosmologyContext.default({"c": 1e150, "H": 1e100, "G": 1e-300})
+        with pytest.raises(NonFinite, match=r"eps = .* a = 1\.05 and kappa = 2e-19"):
+            solar_budget(2e-19, 1.05, ctx)
+
+    def test_epsilon_of_an_underflowing_power_stays_a_product(self):
+        # with H = 1e-170 1/s, H**3 underflows to 0, and so does eps
+        budget = solar_budget(1.0, 1.00390625, CosmologyContext.default({"H": 1e-170}))
+        assert budget.epsilon.value == 0.0
+
     @pytest.mark.parametrize("n_solar, n0, a, expected", [
         (1e-300, 1e57, 1.05, 2.825075089245403e-17),  # N/N0 underflows to 0
         (6e-271, 1e57, 1.05, 8.708383739061839e-16),  # N/N0 is subnormal
