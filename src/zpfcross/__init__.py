@@ -55,13 +55,11 @@ from .quantity import (
     MASS,
     Quantity,
     TIME,
-    UncertainQuantity,
     WAVENUMBER,
 )
 from .report import ReportRow, SweepSpec, render, run_sweep
 from .spectra import (
     Boyer,
-    EnergyBudget,
     HorizonAmplitude,
     MoisseevShivamoggi,
     PowerLawTurbulence,

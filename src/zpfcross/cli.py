@@ -28,10 +28,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from .constants import DAY_S, LIGHTMINUTE_M, CosmologyContext, load_config
 from .dissipation import kappa_from_solar_bound, n0_value, solar_budget
-from .errors import NonFinite, NumericFailure, ValidationError, ZpfcrossError
+from .errors import NumericFailure, ValidationError, ZpfcrossError
 from .quantity import LENGTH, POWER_DENSITY, Dimension, Quantity, TIME, WAVENUMBER
 from .report import SweepSpec, format_rows, format_sig, render, run_sweep
-from .spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
+from .spectra import (Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer,
+                      default_wavenumber)
 from .transition import monte_carlo_scale, transition_scale
 
 
@@ -180,13 +181,8 @@ def _spectrum_model(args: argparse.Namespace, ctx: CosmologyContext):
 
 def _cmd_spectrum(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     model = _spectrum_model(args, ctx)
-    kmin = args.kmin
-    if kmin is None:
-        radius = ctx.hubble_radius.value
-        kmin = 1.0 / radius if radius > 0.0 else math.inf
-        if kmin == math.inf:
-            raise NonFinite(f"the default kmin = 1/R overflows for R = c/H = {radius!r} m")
-    kmax = args.kmax if args.kmax is not None else 2.0 * math.pi / ctx.value("r_p")
+    kmin = default_wavenumber(ctx, "kmin") if args.kmin is None else args.kmin
+    kmax = default_wavenumber(ctx, "kmax") if args.kmax is None else args.kmax
     if not (0.0 < kmin < kmax < math.inf):
         raise ValidationError(f"need 0 < kmin < kmax < inf, got {kmin!r}, {kmax!r}")
     if args.points < 2:

@@ -2,7 +2,8 @@
 
 A ``CosmologyContext`` is the constant set: an immutable mapping of
 names to constants, read straight from the context (``ctx.value("H")``,
-``ctx.rel_sigma("H")``, ``ctx.quantity("H")``). Default values
+``ctx.rel_sigma("H")``, ``ctx.quantity("H")``, a ``Quantity`` with the
+constant's dimension and rel_sigma). Default values
 reproduce a fixed historical constant set (2006 CODATA plus the
 Chandra X-ray measurement of the Hubble constant, 77 km/s/Mpc) so that
 downstream reference numbers are reproducible; every entry can be
@@ -46,7 +47,7 @@ from .quantity import (
     POWER_DENSITY,
     SPEED,
     TIME,
-    UncertainQuantity,
+    Quantity,
     as_fraction,
     power_product,
     power_terms,
@@ -67,7 +68,7 @@ class PhysicalConstant:
     """A named constant with value, dimension and relative uncertainty."""
 
     name: str
-    quantity: UncertainQuantity
+    quantity: Quantity
     source: str = ""
 
     @property
@@ -186,10 +187,10 @@ class ExponentTable:
         object.__setattr__(self, "_terms", tuple(
             (name, float(as_fraction(p))) for name, p in self.exponents.items()))
 
-    def evaluate(self, ctx: CosmologyContext, coeff: float = 1.0) -> UncertainQuantity:
+    def evaluate(self, ctx: CosmologyContext, coeff: float = 1.0) -> Quantity:
         """coeff * prod X**p_X, with rel_sigma from first-order propagation."""
         value, rel_sigma = power_product(coeff, ctx.factors(self._terms))
-        return UncertainQuantity(value, rel_sigma, self.dim)
+        return Quantity(value, self.dim, rel_sigma)
 
     def value(self, ctx: CosmologyContext, coeff: float = 1.0) -> float:
         """The float value of ``evaluate`` alone, in SI units of ``dim``."""
@@ -287,7 +288,7 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     def __len__(self) -> int:
         return len(self._table)
 
-    def quantity(self, name: str) -> UncertainQuantity:
+    def quantity(self, name: str) -> Quantity:
         try:
             return self._table[name].quantity
         except KeyError:
@@ -312,17 +313,17 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
         return factors
 
     @property
-    def rho_crit(self) -> UncertainQuantity:
+    def rho_crit(self) -> Quantity:
         """Critical density 3*H**2/(8*pi*G), kg/m^3."""
         return CRITICAL_DENSITY.evaluate(self, 3.0 / (8.0 * math.pi))
 
     @property
-    def hubble_radius(self) -> UncertainQuantity:
+    def hubble_radius(self) -> Quantity:
         """World radius R = c/H, the scale of the largest eddies, m."""
         return HUBBLE_RADIUS.evaluate(self)
 
 
 @functools.cache
 def _shared_default(cls: type) -> CosmologyContext:
-    return cls(PhysicalConstant(name, UncertainQuantity(value, rel_sigma, dim), source)
+    return cls(PhysicalConstant(name, Quantity(value, dim, rel_sigma), source)
                for name, value, dim, rel_sigma, source in _DEFAULTS)

@@ -41,7 +41,6 @@ from .quantity import (
     LENGTH,
     Quantity,
     TIME,
-    UncertainQuantity,
     power_product,
     times_powers,
 )
@@ -62,32 +61,32 @@ def check_n0_mode(n0_mode: str) -> str:
 
 
 def _window(ctx: CosmologyContext, window_t: Optional[Quantity]) -> Quantity:
-    t = ctx.quantity("t").quantity() if window_t is None else window_t
+    t = ctx.quantity("t") if window_t is None else window_t
     if t.dim != TIME or t.value <= 0.0:
         raise ValidationError("window must be a positive time")
     return t
 
 
 def _radius(ctx: CosmologyContext, ell: Optional[Quantity]) -> Quantity:
-    radius = ctx.quantity("ell").quantity() if ell is None else ell
+    radius = ctx.quantity("ell") if ell is None else ell
     if radius.dim != LENGTH or radius.value <= 0.0:
         raise ValidationError("rescaling radius must be a positive length")
     return radius
 
 
 def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
-             n0_mode: str = "paper") -> UncertainQuantity:
+             n0_mode: str = "paper") -> Quantity:
     """The dimensionless budget prefactor N0 in the requested mode.
 
     computed: rho*c*R**2*t/M = 3*c**3*t/(8*pi*G*M) from the context.
     paper: the published reference value 1e57, taken as exact.
     """
     if check_n0_mode(n0_mode) == "paper":
-        return UncertainQuantity(PAPER_N0)
+        return Quantity(PAPER_N0)
     t = _window(ctx, window_t)
     try:
         rate = N0_RATE.evaluate(ctx, 3.0 / (8.0 * math.pi))
-        return UncertainQuantity(rate.value * t.value, rate.rel_sigma)
+        return Quantity(rate.value * t.value, rel_sigma=rate.rel_sigma)
     except NonFinite as exc:
         raise NonFinite(f"the computed N0 = rho*c*R**2*t/M leaves the float range "
                         f"for t = {t.value!r} s and these constants") from exc
@@ -104,7 +103,7 @@ class DissipationBudget:
     ns_solar = n_solar * (ell/R)**3.
     """
 
-    epsilon: UncertainQuantity
+    epsilon: Quantity
     n_solar: float
     n0: float
     ns_solar: float
@@ -190,7 +189,7 @@ def solar_budget(kappa: float, a: float, ctx: CosmologyContext,
     terms = budget_terms(ctx, t, radius, n0_mode)
     epsilon, n_solar, ns_solar = budget_cell(terms, a, kappa)
     return DissipationBudget(
-        epsilon=UncertainQuantity(epsilon, terms.epsilon[1], HORIZON_POWER_DENSITY.dim),
+        epsilon=Quantity(epsilon, HORIZON_POWER_DENSITY.dim, terms.epsilon[1]),
         n_solar=n_solar,
         n0=terms.n0,
         ns_solar=ns_solar,

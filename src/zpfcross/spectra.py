@@ -32,7 +32,7 @@ import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .constants import (CRITICAL_ENERGY_DENSITY, HORIZON_POWER_DENSITY, HUBBLE_RADIUS,
                         CosmologyContext)
@@ -54,7 +54,6 @@ from .quantity import (
     Quantity,
     SPECTRAL_DENSITY,
     SPEED,
-    UncertainQuantity,
     WAVENUMBER,
     power_product,
 )
@@ -78,6 +77,23 @@ def check_kappa(kappa: float) -> float:
     if not (0.0 < kappa <= 1.0) or not math.isfinite(kappa):
         raise KappaOutOfRange(f"turbulence degree must lie in (0, 1], got {kappa!r}")
     return kappa
+
+
+def default_wavenumber(ctx: CosmologyContext, end: str) -> float:
+    """An end of the default wavenumber range, 1/m: ``"kmin"`` is 1/R, the
+    largest eddy, and ``"kmax"`` is 2*pi/r_p, the Planck wavenumber.
+    NonFinite naming R or r_p where the end overflows.
+    """
+    if end == "kmin":
+        length, k, what = HUBBLE_RADIUS.value(ctx), 1.0, "the default kmin = 1/R"
+        name = "R = c/H"
+    else:
+        length, k, what = ctx.value("r_p"), 2.0 * math.pi, "the Planck wavenumber 2*pi/r_p"
+        name = "r_p"
+    k = k / length if length > 0.0 else math.inf  # R can underflow to 0
+    if k == math.inf:
+        raise NonFinite(f"{what} overflows for {name} = {length!r} m")
+    return k
 
 
 def _check_wavenumber(k: Quantity) -> Quantity:
@@ -153,8 +169,7 @@ class Boyer(SpectrumModel):
 
     @classmethod
     def from_context(cls, ctx: CosmologyContext) -> "Boyer":
-        return cls(ctx.quantity("hbar").quantity(),
-                   ctx.quantity("c").quantity())
+        return cls(ctx.quantity("hbar"), ctx.quantity("c"))
 
     def _energy(self, k, xp):
         return self.hbar.value * self.c.value * k ** 3
@@ -185,8 +200,8 @@ class TruncatedBoyer(SpectrumModel):
     def from_context(cls, ctx: CosmologyContext,
                      cutoff_k: Optional[Quantity] = None) -> "TruncatedBoyer":
         if cutoff_k is None:
-            cutoff_k = Quantity(2.0 * math.pi / ctx.value("r_p"), WAVENUMBER)
-        return cls(ctx.quantity("hbar").quantity(), ctx.quantity("c").quantity(), cutoff_k)
+            cutoff_k = Quantity(default_wavenumber(ctx, "kmax"), WAVENUMBER)
+        return cls(ctx.quantity("hbar"), ctx.quantity("c"), cutoff_k)
 
     def _energy(self, k, xp):
         cutoff = self.cutoff_k.value
@@ -218,7 +233,7 @@ class PowerLawTurbulence(SpectrumModel):
 
     @classmethod
     def from_kappa(cls, ctx: CosmologyContext, kappa: float, slope: float) -> "PowerLawTurbulence":
-        return cls(amplitude_from_kappa(kappa, slope, ctx).quantity(), slope)
+        return cls(amplitude_from_kappa(kappa, slope, ctx), slope)
 
     def _energy(self, k, xp):
         return self.amplitude.value * k ** -self.slope
@@ -284,9 +299,8 @@ class MoisseevShivamoggi(SpectrumModel):
                      epsilon: Optional[Quantity] = None,
                      kolmogorov_const: float = 1.0) -> "MoisseevShivamoggi":
         if epsilon is None:
-            epsilon = horizon_injection_rate(ctx).quantity()
-        return cls(gamma, epsilon, ctx.rho_crit.quantity(),
-                   ctx.quantity("c").quantity(), kolmogorov_const)
+            epsilon = horizon_injection_rate(ctx)
+        return cls(gamma, epsilon, ctx.rho_crit, ctx.quantity("c"), kolmogorov_const)
 
     def _energy(self, k, xp):
         return self.kolmogorov_const * xp.exp(
@@ -317,25 +331,13 @@ def gamma_from_slope(a: float) -> float:
     return (1.0 - a) / denom
 
 
-def energy_budget_total(kappa: float, ctx: CosmologyContext) -> UncertainQuantity:
+def energy_budget_total(kappa: float, ctx: CosmologyContext) -> Quantity:
     """Total turbulent energy density kappa*rho*c**2, J/m^3."""
     kappa = check_kappa(kappa)
     return CRITICAL_ENERGY_DENSITY.evaluate(ctx, 3.0 * kappa / (8.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class EnergyBudget:
-    """Fraction kappa of the critical energy density held by turbulence."""
-
-    kappa: float
-    total: UncertainQuantity  # kappa*rho*c**2 by construction
-
-    @classmethod
-    def from_kappa(cls, kappa: float, ctx: CosmologyContext) -> "EnergyBudget":
-        return cls(check_kappa(kappa), energy_budget_total(kappa, ctx))
-
-
-def _reduced_amplitude(a: float, ctx: CosmologyContext, scale: float = 1.0) -> UncertainQuantity:
+def _reduced_amplitude(a: float, ctx: CosmologyContext, scale: float = 1.0) -> Quantity:
     """scale * rho*c**2 * R**(1-a), J/m^2 * m^-a, from the two tables.
 
     Their exponents are merged by constant name (G**-1 * H**(1+a) *
@@ -349,19 +351,17 @@ def _reduced_amplitude(a: float, ctx: CosmologyContext, scale: float = 1.0) -> U
         scale * 3.0 / (8.0 * math.pi),
         [(ctx.value(name), ctx.rel_sigma(name), float(p))
          for name, p in exponents.items()])
-    return UncertainQuantity(value, rel_sigma,
-                             CRITICAL_ENERGY_DENSITY.dim * HUBBLE_RADIUS.dim ** (1 - af))
+    return Quantity(value, CRITICAL_ENERGY_DENSITY.dim * HUBBLE_RADIUS.dim ** (1 - af), rel_sigma)
 
 
-def amplitude_from_kappa(kappa: float, a: float, ctx: CosmologyContext) -> UncertainQuantity:
+def amplitude_from_kappa(kappa: float, a: float, ctx: CosmologyContext) -> Quantity:
     """Power-law amplitude A = (a-1)*kappa*rho*c**2*R**(1-a)."""
     kappa = check_kappa(kappa)
     a = check_slope(a)
     return _reduced_amplitude(a, ctx, (a - 1.0) * kappa)
 
 
-def budget_roundtrip(amplitude: Union[Quantity, UncertainQuantity], a: float,
-                     ctx: CosmologyContext) -> Quantity:
+def budget_roundtrip(amplitude: Quantity, a: float, ctx: CosmologyContext) -> Quantity:
     """Closed form of integral(A*k**-a, k = 1/R .. inf) = A*R**(a-1)/(a-1).
 
     Recovers kappa*rho*c**2 when the amplitude came from
@@ -372,14 +372,18 @@ def budget_roundtrip(amplitude: Union[Quantity, UncertainQuantity], a: float,
     return Quantity(value / (a - 1.0), amplitude.dim * LENGTH ** (Fraction(a) - 1))
 
 
-def horizon_injection_rate(ctx: CosmologyContext) -> UncertainQuantity:
+def horizon_injection_rate(ctx: CosmologyContext) -> Quantity:
     """Energy injection rate from horizon growth, eps = 3*rho*c**3/R.
 
     The horizon expands at dR/dt = c, adding rho*c**2*4*pi*R**2*c per
     unit time over the volume (4/3)*pi*R**3. Reduces to
-    (9/(8*pi)) * G**-1 * H**3 * c**2, W/m^3.
+    (9/(8*pi)) * G**-1 * H**3 * c**2, W/m^3; NonFinite naming eps if
+    that leaves the float range.
     """
-    return HORIZON_POWER_DENSITY.evaluate(ctx, 9.0 / (8.0 * math.pi))
+    try:
+        return HORIZON_POWER_DENSITY.evaluate(ctx, 9.0 / (8.0 * math.pi))
+    except NonFinite as exc:
+        raise NonFinite("eps = 3*rho*c**3/R leaves the float range with these constants") from exc
 
 
 @dataclass(frozen=True)
@@ -391,14 +395,14 @@ class HorizonAmplitude:
     reduction drops is kept separately in ``prefactor``.
     """
 
-    reduced: UncertainQuantity
+    reduced: Quantity
     prefactor: float
     slope: float
 
     @property
-    def exact(self) -> UncertainQuantity:
-        return UncertainQuantity(self.prefactor * self.reduced.value,
-                                 self.reduced.rel_sigma, self.reduced.dim)
+    def exact(self) -> Quantity:
+        return Quantity(self.prefactor * self.reduced.value, self.reduced.dim,
+                        self.reduced.rel_sigma)
 
 
 def horizon_spectrum_amplitude(a: float, ctx: CosmologyContext) -> HorizonAmplitude:

@@ -56,7 +56,7 @@ from .errors import (
     ValidationError,
 )
 from .quantity import LENGTH, Quantity, WAVENUMBER
-from .spectra import SpectrumModel, check_kappa, check_slope
+from .spectra import SpectrumModel, check_kappa, check_slope, default_wavenumber
 
 # V = G*hbar/(c**2*H), the Planck area times the Hubble radius
 CROSSOVER_VOLUME = ExponentTable({"G": 1, "hbar": 1, "c": -2, "H": -1}, LENGTH ** 3)
@@ -180,8 +180,7 @@ def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyCon
     ``_BISECTION_REL_TOL`` relative in k within ``_BISECTION_MAX_ITER`` steps.
     """
     if bracket is None:
-        lo = 1.0 / HUBBLE_RADIUS.value(ctx)
-        hi = 2.0 * math.pi / ctx.value("r_p")
+        lo, hi = default_wavenumber(ctx, "kmin"), default_wavenumber(ctx, "kmax")
     else:
         for end in bracket:
             if end.dim != WAVENUMBER:

@@ -14,7 +14,7 @@ from zpfcross.quantity import DIMENSIONLESS
 
 
 def product_of_powers(coeff, terms):
-    """(value, rel_sigma, dim) of coeff * prod(q**p) over (UncertainQuantity, p) pairs."""
+    """(value, rel_sigma, dim) of coeff * prod(q**p) over (Quantity, p) pairs."""
     value, var, dim = coeff, 0.0, DIMENSIONLESS
     for uq, p in terms:
         value *= uq.value ** float(p)

@@ -457,6 +457,41 @@ class TestSpectrumCommand:
         assert err == (f"numeric failure: the default kmin = 1/R overflows for "
                        f"R = c/H = {radius} m\n")
 
+    @pytest.mark.parametrize("model", ["boyer", "truncated"])
+    def test_default_planck_wavenumber_beyond_floats_is_numeric_failure(self, capsys, tmp_path,
+                                                                       model):
+        # the default kmax of boyer and the cutoff of truncated are 2*pi/r_p
+        config = tmp_path / "rp.cfg"
+        config.write_text("r_p = 1e-320 m\n", encoding="utf-8")
+        code, out, err = run(capsys, "spectrum", "--model", model, "--points", "3",
+                             "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: the Planck wavenumber 2*pi/r_p overflows for "
+                       "r_p = 1e-320 m\n")
+
+    @pytest.mark.parametrize("config_text, flag, value", [
+        ("r_p = 1e-320 m\n", "--kmax", "10"),
+        ("c = 1e-230 m/s\nH = 1e100 1/s\n", "--kmin", "1e-20"),
+    ], ids=["kmax given", "kmin given"])
+    def test_an_end_given_by_flag_is_not_computed(self, capsys, tmp_path, config_text,
+                                                  flag, value):
+        config = tmp_path / "k.cfg"
+        config.write_text(config_text, encoding="utf-8")
+        code, out, err = run(capsys, "spectrum", "--model", "boyer", "--points", "3",
+                             flag, value, "--config", str(config))
+        assert (code, err) == (0, "")
+        k = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert float(value) == (k[-1] if flag == "--kmax" else k[0])
+
+    def test_injection_rate_beyond_floats_is_named(self, capsys, tmp_path):
+        config = tmp_path / "eps.cfg"
+        config.write_text("c = 1e-230 m/s\nH = 1e100 1/s\n", encoding="utf-8")
+        code, out, err = run(capsys, "spectrum", "--model", "ms", "--points", "3",
+                             "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: eps = 3*rho*c**3/R leaves the float range "
+                       "with these constants\n")
+
     def test_one_point_is_validation_error(self, capsys):
         code, out, err = run(capsys, "spectrum", "--model", "boyer", "--points", "1")
         assert (code, out) == (2, "")

@@ -11,7 +11,7 @@ from zpfcross.constants import (
     parse_config,
 )
 from zpfcross.errors import BadOverride, DimensionMismatch
-from zpfcross.quantity import DENSITY, FREQUENCY, LENGTH, TIME, UncertainQuantity
+from zpfcross.quantity import DENSITY, FREQUENCY, LENGTH, TIME, Quantity
 
 from propagation_oracle import product_of_powers
 
@@ -24,6 +24,12 @@ class TestDefaults:
     def test_hubble_value_and_uncertainty(self, ctx):
         assert ctx.value("H") == 2.49e-18
         assert ctx.rel_sigma("H") == 0.15
+
+    def test_quantity_carries_value_dimension_and_uncertainty(self, ctx):
+        h = ctx.quantity("H")
+        assert h == Quantity(2.49e-18, FREQUENCY, 0.15)
+        assert h.rel_sigma == 0.15
+        assert ctx.quantity("c").rel_sigma == 0.0
 
     def test_codata_uncertainties(self, ctx):
         assert ctx.rel_sigma("c") == 0.0
@@ -111,10 +117,10 @@ class TestOverrides:
     def test_dimension_cannot_be_overridden(self, ctx):
         # exponent tables rely on every context keeping the default dimensions
         constants = [ctx[name] for name in ctx if name != "H"]
-        wrong_h = PhysicalConstant("H", UncertainQuantity(2.49e-18, 0.15, TIME))
+        wrong_h = PhysicalConstant("H", Quantity(2.49e-18, TIME, 0.15))
         with pytest.raises(BadOverride):
             CosmologyContext(constants + [wrong_h])
-        right_h = PhysicalConstant("H", UncertainQuantity(2.49e-18, 0.15, FREQUENCY))
+        right_h = PhysicalConstant("H", Quantity(2.49e-18, FREQUENCY, 0.15))
         assert CosmologyContext(constants + [right_h]).value("H") == 2.49e-18
 
     def test_unknown_name_follows_the_mapping_protocol(self, ctx):
@@ -134,7 +140,7 @@ class TestOverrides:
         # a sweep resolves the context's window and radius once for all cells
         constants = [ctx[name] for name in ctx if name != "t"]
         for value in (0.0, -86400.0):
-            wrong_t = PhysicalConstant("t", UncertainQuantity(value, 0.0, TIME))
+            wrong_t = PhysicalConstant("t", Quantity(value, TIME))
             with pytest.raises(BadOverride):
                 CosmologyContext(constants + [wrong_t])
 
@@ -144,7 +150,7 @@ class TestOverrides:
 
     def test_override_equals_the_context_of_its_constants(self, ctx):
         h = 3e-18
-        constants = [PhysicalConstant("H", UncertainQuantity(h, 0.15, FREQUENCY), "override")
+        constants = [PhysicalConstant("H", Quantity(h, FREQUENCY, 0.15), "override")
                      if name == "H" else ctx[name] for name in ctx]
         built = CosmologyContext(constants)
         assert CosmologyContext.default({"H": h}) == built

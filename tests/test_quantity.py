@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,6 @@ from zpfcross.quantity import (
     MASS,
     Quantity,
     TIME,
-    UncertainQuantity,
     power_product,
 )
 
@@ -174,9 +174,10 @@ class TestPropagate:
             # each (p*e)**2 is finite, their sum is not
             power_product(1.0, [(2.0, 1e154, 1.0), (3.0, 1e154, 1.0)])
 
-    def test_rel_sigma_must_be_nonnegative(self):
+    @pytest.mark.parametrize("rel_sigma", [-0.1, math.nan, math.inf])
+    def test_rel_sigma_must_be_finite_and_nonnegative(self, rel_sigma):
         with pytest.raises(ValidationError):
-            UncertainQuantity(1.0, -0.1)
+            Quantity(1.0, LENGTH, rel_sigma)
 
 
 class TestDimensionBookkeeping:
@@ -225,9 +226,41 @@ class TestUncertainArithmetic:
         assert rel(rel_sigma, 0.03) < 1e-15
 
     def test_sigma_property(self):
-        assert UncertainQuantity(200.0, 0.1, LENGTH).sigma == 20.0
+        assert Quantity(200.0, LENGTH, 0.1).sigma == 20.0
 
-    def test_quantity_drops_uncertainty(self):
-        q = UncertainQuantity(2.5, 0.2, MASS).quantity()
-        assert isinstance(q, Quantity)
-        assert q.value == 2.5
+    def test_replace_drops_uncertainty(self):
+        q = dataclasses.replace(Quantity(2.5, MASS, 0.2), rel_sigma=0.0)
+        assert q == Quantity(2.5, MASS)
+        assert q.sigma == 0.0
+
+
+class TestRecord:
+    # one record for exact and uncertain values
+    def test_exact_is_the_default(self):
+        q = Quantity(2, LENGTH)
+        assert (q.value, q.dim, q.rel_sigma) == (2.0, LENGTH, 0.0)
+        assert isinstance(q.value, float)
+        assert Quantity(3.0).dim == DIMENSIONLESS
+
+    def test_str(self):
+        assert str(Quantity(2.5, MASS)) == "2.5 kg"
+        assert str(Quantity(3.0)) == "3"
+        assert str(Quantity(200.0, LENGTH, 0.1)) == "200 ± 20 m"
+        assert str(Quantity(4.0, rel_sigma=0.5)) == "4 ± 2"
+
+    def test_uncertainty_is_part_of_equality(self):
+        assert Quantity(1.0, LENGTH, 0.1) != Quantity(1.0, LENGTH)
+        assert Quantity(1.0, LENGTH, 0.1) == Quantity(1.0, LENGTH, 0.1)
+        assert Quantity(1.0, LENGTH) == Quantity(1.0, LENGTH, 0.0)
+        assert hash(Quantity(1.0, LENGTH)) == hash(Quantity(1.0, LENGTH, 0.0))
+
+    def test_never_equal_to_a_tuple(self):
+        for q in (Quantity(1.0, LENGTH), Quantity(1.0, LENGTH, 0.1)):
+            assert q != (q.value, q.dim)
+            assert q != (q.value, q.dim, q.rel_sigma)
+
+    def test_frozen(self):
+        q = Quantity(1.0, LENGTH, 0.1)
+        for name, value in (("value", 2.0), ("dim", MASS), ("rel_sigma", 0.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(q, name, value)

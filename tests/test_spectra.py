@@ -29,7 +29,6 @@ from zpfcross.quantity import (
 )
 from zpfcross.spectra import (
     Boyer,
-    EnergyBudget,
     MoisseevShivamoggi,
     PowerLawTurbulence,
     TruncatedBoyer,
@@ -51,10 +50,6 @@ def rel(x, y):
 
 def k_of(value):
     return Quantity(value, WAVENUMBER)
-
-
-def constant(ctx, name):
-    return ctx.quantity(name).quantity()
 
 
 # log10 k from the largest eddy 1/R to the Planck wavenumber 2*pi/r_p
@@ -94,9 +89,9 @@ class TestBoyer:
 
     def test_output_dimension_checked_when_built(self, ctx):
         with pytest.raises(DimensionMismatch):
-            Boyer(constant(ctx, "hbar"), constant(ctx, "hbar"))
+            Boyer(ctx.quantity("hbar"), ctx.quantity("hbar"))
         with pytest.raises(DimensionMismatch):
-            TruncatedBoyer(constant(ctx, "c"), constant(ctx, "c"), k_of(1.0))
+            TruncatedBoyer(ctx.quantity("c"), ctx.quantity("c"), k_of(1.0))
 
     def test_overflow_is_numeric_failure(self, ctx):
         vac = Boyer.from_context(ctx)
@@ -131,7 +126,7 @@ class TestTruncatedBoyer:
 
     def test_bad_cutoff(self, ctx):
         with pytest.raises(NonPositiveWavenumber):
-            TruncatedBoyer(constant(ctx, "hbar"), constant(ctx, "c"), k_of(0.0))
+            TruncatedBoyer(ctx.quantity("hbar"), ctx.quantity("c"), k_of(0.0))
 
 
 class TestSlopeMaps:
@@ -244,11 +239,13 @@ class TestBudgetRoundtrip:
                 assert rel(total.value, target) < 1e-12
                 assert total.dim == ENERGY_DENSITY
 
-    def test_energy_budget_type(self, ctx):
-        budget = EnergyBudget.from_kappa(0.5, ctx)
+    def test_energy_budget_total(self, ctx):
+        total = energy_budget_total(0.5, ctx)
         target = 0.5 * ctx.rho_crit.value * 2.99792458e8 ** 2
-        assert rel(budget.total.value, target) < 1e-12
-        assert budget.kappa == 0.5
+        assert rel(total.value, target) < 1e-12
+        assert total.dim == ENERGY_DENSITY
+        with pytest.raises(KappaOutOfRange):
+            energy_budget_total(1.5, ctx)
 
     def test_kappa_linear(self, ctx):
         full = energy_budget_total(1.0, ctx).value
@@ -296,6 +293,17 @@ class TestHorizonInjection:
         assert rel(horizon_injection_rate(halved).value,
                    horizon_injection_rate(ctx).value / 8.0) < 1e-12
 
+    def test_beyond_floats_is_named(self):
+        # G**-1 * H**3 overflows and c**2 underflows to 0: their product is
+        # NaN, reported as eps with the constants
+        ctx = CosmologyContext.default({"c": 1e-230, "H": 1e100})
+        with pytest.raises(NonFinite) as info:
+            horizon_injection_rate(ctx)
+        assert str(info.value) == ("eps = 3*rho*c**3/R leaves the float range "
+                                   "with these constants")
+        with pytest.raises(NonFinite, match="eps = 3"):
+            MoisseevShivamoggi.from_context(ctx, 2.0)
+
 
 class TestHorizonAmplitude:
     def test_ratio_to_kappa_amplitude(self, ctx):
@@ -318,7 +326,7 @@ class TestHorizonAmplitude:
 class TestMoisseevShivamoggi:
     def test_kadomtsev_petviashvili_at_gamma_1(self, ctx):
         ms = MoisseevShivamoggi.from_context(ctx, 1.0)
-        c = constant(ctx, "c")
+        c = ctx.quantity("c")
         for k in (1e-20, 1e-3, 1.0, 1e10):
             # eps/c * k**-2, its dimension composed alongside
             kp = ms.epsilon.value / c.value * k ** -2.0
@@ -406,7 +414,7 @@ class TestSpectrumProperties:
     def test_truncation_is_inclusive(self, ctx, log10_k, pick):
         k = 10.0 ** np.array(log10_k)
         cutoff = float(k[pick % k.size])
-        trunc = TruncatedBoyer(constant(ctx, "hbar"), constant(ctx, "c"), k_of(cutoff))
+        trunc = TruncatedBoyer(ctx.quantity("hbar"), ctx.quantity("c"), k_of(cutoff))
         boyer = Boyer.from_context(ctx).kernel(k)
         assert trunc.kernel(k).tolist() == np.where(k > cutoff, 0.0, boyer).tolist()
         assert trunc.kernel(cutoff) == Boyer.from_context(ctx).kernel(cutoff) > 0.0

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -313,6 +314,21 @@ class TestNumericCrossover:
         with pytest.raises(InvalidBracket):
             numeric_crossover(vac, turb, ctx,
                               bracket=(Quantity(1.0), Quantity(2.0)))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"c": 1e-230, "H": 1e100}, "the default kmin = 1/R overflows for R = c/H = 0.0 m"),
+        ({"r_p": 1e-320},
+         "the Planck wavenumber 2*pi/r_p overflows for r_p = 1e-320 m"),
+    ], ids=["R underflows to 0", "r_p is subnormal"])
+    def test_default_bracket_beyond_floats_is_named(self, overrides, message):
+        # the default bracket [1/R, 2*pi/r_p] is computed by one helper, which
+        # names the length; no ZeroDivisionError or NonFinite at k = inf
+        ctx = CosmologyContext.default(overrides)
+        turb = PowerLawTurbulence(Quantity(1.0, SPECTRAL_DENSITY * WAVENUMBER ** Fraction(1.8)),
+                                  1.8)
+        with pytest.raises(NonFinite) as info:
+            numeric_crossover(Boyer.from_context(ctx), turb, ctx)
+        assert str(info.value) == message
 
 
 class TestSigmaApproximation:
