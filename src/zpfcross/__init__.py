@@ -60,7 +60,6 @@ from .quantity import (
 from .report import ReportRow, SweepSpec, render, run_sweep
 from .spectra import (
     Boyer,
-    HorizonAmplitude,
     MoisseevShivamoggi,
     PowerLawTurbulence,
     SpectrumModel,

@@ -12,8 +12,7 @@ relative uncertainty rel_sigma >= 0, zero for an exact value), not an
 arithmetic: a product of powers is computed in floats by
 :func:`power_product`, and its dimension is composed with the
 ``Dimension`` operators once, where the product is defined (an
-``ExponentTable`` when it is built, a spectrum model when it is
-constructed).
+``ExponentTable`` when it is built, a power-law spectrum for its slope).
 
 Everything here is immutable and every operation is a pure function,
 so values can be shared freely between threads or processes.
@@ -192,8 +191,12 @@ class Quantity:
 
     @property
     def sigma(self) -> float:
-        """Absolute standard uncertainty."""
-        return abs(self.value) * self.rel_sigma
+        """Absolute standard uncertainty; NonFinite if it overflows."""
+        sigma = abs(self.value) * self.rel_sigma
+        if sigma == math.inf:
+            raise NonFinite(f"sigma = |value|*rel_sigma leaves the float range for "
+                            f"value = {self.value!r} and rel_sigma = {self.rel_sigma!r}")
+        return sigma
 
     def __str__(self) -> str:
         unit = str(self.dim)

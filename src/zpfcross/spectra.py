@@ -12,11 +12,11 @@ interpolates between Kolmogorov (a -> 5/3 as gamma -> inf) and
 Kadomtsev-Petviashvili (a = 2 at gamma = 1).
 
 Each model has one float kernel, E(k) over a float or a numpy array of
-positive wavenumbers. A model checks the dimension of its output once,
-when it is built, so neither the kernel nor ``evaluate`` (the kernel
-behind a check of one ``Quantity`` wavenumber) does dimension work per
-point. This module does not import numpy: an array can only come from a
-caller that already has, and a float takes the ``math`` path.
+positive wavenumbers. A model checks each input against its named
+dimension when it is built, so neither the kernel nor ``evaluate`` (the
+kernel behind a check of one ``Quantity`` wavenumber) does dimension
+work per point. This module does not import numpy: an array can only
+come from a caller that already has, and a float takes the ``math`` path.
 
 The power-law amplitude is calibrated by requiring that the integral
 of the spectrum from the largest eddy (k = 1/R, R the Hubble radius)
@@ -47,6 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .quantity import (
+    ACTION,
     DENSITY,
     Dimension,
     LENGTH,
@@ -82,11 +83,15 @@ def check_kappa(kappa: float) -> float:
 def default_wavenumber(ctx: CosmologyContext, end: str) -> float:
     """An end of the default wavenumber range, 1/m: ``"kmin"`` is 1/R, the
     largest eddy, and ``"kmax"`` is 2*pi/r_p, the Planck wavenumber.
-    NonFinite naming R or r_p where the end overflows.
+    NonFinite naming R or r_p where the end, or R itself, overflows.
     """
     if end == "kmin":
-        length, k, what = HUBBLE_RADIUS.value(ctx), 1.0, "the default kmin = 1/R"
-        name = "R = c/H"
+        what, name = "the default kmin = 1/R", "R = c/H"
+        try:
+            length, k = HUBBLE_RADIUS.value(ctx), 1.0
+        except NonFinite as exc:
+            raise NonFinite(f"{what} cannot be formed: {name} leaves the float range "
+                            f"with these constants") from exc
     else:
         length, k, what = ctx.value("r_p"), 2.0 * math.pi, "the Planck wavenumber 2*pi/r_p"
         name = "r_p"
@@ -96,18 +101,16 @@ def default_wavenumber(ctx: CosmologyContext, end: str) -> float:
     return k
 
 
-def _check_wavenumber(k: Quantity) -> Quantity:
+def _check_wavenumber(k: Quantity) -> None:
     if k.dim != WAVENUMBER:
         raise DimensionMismatch(f"wavenumber must have dimension 1/m, got [{k.dim}]")
     if k.value <= 0.0:
         raise NonPositiveWavenumber(f"wavenumber must be positive, got {k.value!r}")
-    return k
 
 
-def _check_spectral(model: str, dim: Dimension) -> None:
-    if dim != SPECTRAL_DENSITY:
-        raise DimensionMismatch(f"{model} spectrum must have dimension "
-                                f"[{SPECTRAL_DENSITY}], its parameters give [{dim}]")
+def _check_dimension(name: str, quantity: Quantity, dim: Dimension) -> None:
+    if quantity.dim != dim:
+        raise DimensionMismatch(f"{name} must have dimension [{dim}], got [{quantity.dim}]")
 
 
 class SpectrumModel(ABC):
@@ -165,7 +168,8 @@ class Boyer(SpectrumModel):
     c: Quantity
 
     def __post_init__(self) -> None:
-        _check_spectral("Boyer", self.hbar.dim * self.c.dim * WAVENUMBER ** 3)
+        _check_dimension("hbar", self.hbar, ACTION)
+        _check_dimension("c", self.c, SPEED)
 
     @classmethod
     def from_context(cls, ctx: CosmologyContext) -> "Boyer":
@@ -179,7 +183,7 @@ class Boyer(SpectrumModel):
 
 
 @dataclass(frozen=True)
-class TruncatedBoyer(SpectrumModel):
+class TruncatedBoyer(Boyer):
     """Boyer spectrum cut off above the Planck wavenumber.
 
     The cutoff preserves slope and coefficient below it but breaks
@@ -187,14 +191,11 @@ class TruncatedBoyer(SpectrumModel):
     inclusive: E(cutoff_k) is the Boyer value, and E is zero only above.
     """
 
-    hbar: Quantity
-    c: Quantity
     cutoff_k: Quantity
 
     def __post_init__(self) -> None:
-        if self.cutoff_k.dim != WAVENUMBER or self.cutoff_k.value <= 0.0:
-            raise NonPositiveWavenumber("cutoff_k must be a positive wavenumber")
-        _check_spectral("TruncatedBoyer", self.hbar.dim * self.c.dim * WAVENUMBER ** 3)
+        super().__post_init__()
+        _check_wavenumber(self.cutoff_k)
 
     @classmethod
     def from_context(cls, ctx: CosmologyContext,
@@ -205,12 +206,13 @@ class TruncatedBoyer(SpectrumModel):
 
     def _energy(self, k, xp):
         cutoff = self.cutoff_k.value
-        if xp is math:
-            return 0.0 if k > cutoff else self.hbar.value * self.c.value * k ** 3
-        return xp.where(k > cutoff, 0.0, self.hbar.value * self.c.value * k ** 3)
+        if xp is math:  # above the cutoff k**3 may overflow a float
+            return 0.0 if k > cutoff else super()._energy(k, xp)
+        return xp.where(k > cutoff, 0.0, super()._energy(k, xp))
 
     def evaluate(self, k: Quantity) -> Quantity:
-        return super().evaluate(k)
+        # not super(): the tracer would time it as a Boyer evaluation
+        return SpectrumModel.evaluate(self, k)
 
 
 @dataclass(frozen=True)
@@ -250,9 +252,9 @@ class MoisseevShivamoggi(SpectrumModel):
                     * k**-(5*gamma-1)]**(1/(3*gamma-1))
 
     Values are evaluated in log space (large gamma underflows plain
-    arithmetic). The dimension exponents cancel exactly for any gamma;
-    that is checked with exact rational exponents when the model is
-    built, and the k-independent part of the logarithm is computed then.
+    arithmetic). With each input of its dimension, the exponents cancel
+    to J/m^2 for any gamma (a test checks this in exact rationals); the
+    k-independent part of the logarithm is computed when it is built.
     """
 
     gamma: float
@@ -271,18 +273,13 @@ class MoisseevShivamoggi(SpectrumModel):
         for name, quantity, dim in (("epsilon", self.epsilon, POWER_DENSITY),
                                     ("rho", self.rho, DENSITY),
                                     ("c", self.c, SPEED)):
-            if quantity.dim != dim:
-                raise DimensionMismatch(f"{name} must have dimension {dim}")
+            _check_dimension(name, quantity, dim)
             if quantity.value <= 0.0:
                 raise ValidationError(f"{name} must be positive")
         if not 0.0 < self.kolmogorov_const < math.inf:
             raise ValidationError(f"Kolmogorov constant must be positive and finite, "
                                   f"got {self.kolmogorov_const!r}")
         gf = Fraction(self.gamma)
-        denom = 3 * gf - 1
-        _check_spectral("MoisseevShivamoggi",
-                        (self.rho.dim ** (gf - 1) * self.epsilon.dim ** (2 * gf)
-                         * self.c.dim ** -2 * WAVENUMBER ** -(5 * gf - 1)) ** (1 / denom))
         try:
             log_base = (float(gf - 1) * math.log(self.rho.value)
                         + float(2 * gf) * math.log(self.epsilon.value)
@@ -292,7 +289,7 @@ class MoisseevShivamoggi(SpectrumModel):
             raise NonFinite(f"exponents of gamma = {self.gamma!r} leave the float range") from None
         object.__setattr__(self, "_log_base", log_base)
         object.__setattr__(self, "_k_power", k_power)
-        object.__setattr__(self, "_denom", float(denom))
+        object.__setattr__(self, "_denom", float(3 * gf - 1))
 
     @classmethod
     def from_context(cls, ctx: CosmologyContext, gamma: float,
@@ -300,7 +297,12 @@ class MoisseevShivamoggi(SpectrumModel):
                      kolmogorov_const: float = 1.0) -> "MoisseevShivamoggi":
         if epsilon is None:
             epsilon = horizon_injection_rate(ctx)
-        return cls(gamma, epsilon, ctx.rho_crit, ctx.quantity("c"), kolmogorov_const)
+            if epsilon.value == 0.0:
+                raise NonFinite("eps = 3*rho*c**3/R underflows to 0 with these constants")
+        rho = ctx.rho_crit
+        if rho.value == 0.0:
+            raise NonFinite("rho_crit = 3*H**2/(8*pi*G) underflows to 0 with these constants")
+        return cls(gamma, epsilon, rho, ctx.quantity("c"), kolmogorov_const)
 
     def _energy(self, k, xp):
         return self.kolmogorov_const * xp.exp(
@@ -337,7 +339,7 @@ def energy_budget_total(kappa: float, ctx: CosmologyContext) -> Quantity:
     return CRITICAL_ENERGY_DENSITY.evaluate(ctx, 3.0 * kappa / (8.0 * math.pi))
 
 
-def _reduced_amplitude(a: float, ctx: CosmologyContext, scale: float = 1.0) -> Quantity:
+def _reduced_amplitude(a: float, ctx: CosmologyContext, scale: float) -> Quantity:
     """scale * rho*c**2 * R**(1-a), J/m^2 * m^-a, from the two tables.
 
     Their exponents are merged by constant name (G**-1 * H**(1+a) *
@@ -386,33 +388,13 @@ def horizon_injection_rate(ctx: CosmologyContext) -> Quantity:
         raise NonFinite("eps = 3*rho*c**3/R leaves the float range with these constants") from exc
 
 
-@dataclass(frozen=True)
-class HorizonAmplitude:
-    """Turbulence amplitude implied by horizon-driven injection.
-
-    ``reduced`` is the coefficient-free form rho*c**2*R**(1-a); the
-    numerical prefactor 3**(2*gamma/(3*gamma-1)) = 3**(a-1) that the
-    reduction drops is kept separately in ``prefactor``.
-    """
-
-    reduced: Quantity
-    prefactor: float
-    slope: float
-
-    @property
-    def exact(self) -> Quantity:
-        return Quantity(self.prefactor * self.reduced.value, self.reduced.dim,
-                        self.reduced.rel_sigma)
-
-
-def horizon_spectrum_amplitude(a: float, ctx: CosmologyContext) -> HorizonAmplitude:
-    """Amplitude of E(k) ~ rho*c**2*R**(1-a)*k**-a from horizon injection.
+def horizon_spectrum_amplitude(a: float, ctx: CosmologyContext) -> Quantity:
+    """Amplitude 3**(a-1) * rho*c**2*R**(1-a) of E(k) ~ k**-a from
+    horizon injection, J/m^2 * m^-a.
 
     Substituting eps = 3*rho*c**3/R into the Moisseev-Shivamoggi form
     with C = 1 and using 2*gamma/(3*gamma-1) = a-1 gives
-    3**(a-1) * rho*c**2*R**(1-a) * k**-a; this returns the reduced
-    amplitude and the prefactor separately.
+    3**(a-1) * rho*c**2*R**(1-a) * k**-a.
     """
     a = check_slope(a)
-    return HorizonAmplitude(reduced=_reduced_amplitude(a, ctx),
-                            prefactor=3.0 ** (a - 1.0), slope=a)
+    return _reduced_amplitude(a, ctx, 3.0 ** (a - 1.0))

@@ -173,7 +173,7 @@ def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyCon
     Independent of the closed form: only evaluates the two spectra. The
     bracket's dimensions are checked once, on entry; the bisection then
     calls the two models' float kernels (``SpectrumModel.kernel``), whose
-    output dimensions were checked when the models were built, so no
+    input dimensions were checked when the models were built, so no
     iteration does ``Quantity`` or dimension work. A spectrum value
     outside the float range raises NonFinite. The default bracket spans
     the largest eddy to the Planck cutoff, [1/R, 2*pi/r_p]. Converges to

@@ -457,6 +457,17 @@ class TestSpectrumCommand:
         assert err == (f"numeric failure: the default kmin = 1/R overflows for "
                        f"R = c/H = {radius} m\n")
 
+    @pytest.mark.parametrize("model", ["boyer", "truncated", "powerlaw"])
+    def test_default_kmin_of_an_overflowing_radius_names_r(self, capsys, tmp_path, model):
+        # with H = 1e-320 1/s, R = c/H itself overflows, so 1/R cannot be formed
+        config = tmp_path / "r.cfg"
+        config.write_text("H = 1e-320 1/s\n", encoding="utf-8")
+        code, out, err = run(capsys, "spectrum", "--model", model, "--points", "3",
+                             "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: the default kmin = 1/R cannot be formed: "
+                       "R = c/H leaves the float range with these constants\n")
+
     @pytest.mark.parametrize("model", ["boyer", "truncated"])
     def test_default_planck_wavenumber_beyond_floats_is_numeric_failure(self, capsys, tmp_path,
                                                                        model):
@@ -472,7 +483,8 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("config_text, flag, value", [
         ("r_p = 1e-320 m\n", "--kmax", "10"),
         ("c = 1e-230 m/s\nH = 1e100 1/s\n", "--kmin", "1e-20"),
-    ], ids=["kmax given", "kmin given"])
+        ("H = 1e-320 1/s\n", "--kmin", "1e-20"),
+    ], ids=["kmax given", "kmin given", "kmin given, R overflows"])
     def test_an_end_given_by_flag_is_not_computed(self, capsys, tmp_path, config_text,
                                                   flag, value):
         config = tmp_path / "k.cfg"
@@ -491,6 +503,25 @@ class TestSpectrumCommand:
         assert (code, out) == (3, "")
         assert err == ("numeric failure: eps = 3*rho*c**3/R leaves the float range "
                        "with these constants\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        ((), "eps = 3*rho*c**3/R underflows to 0 with these constants"),
+        (("--epsilon", "1"), "rho_crit = 3*H**2/(8*pi*G) underflows to 0 with these constants"),
+    ], ids=["computed eps", "given eps"])
+    def test_computed_ms_inputs_that_underflow_are_numeric_failures(self, capsys, tmp_path,
+                                                                    flags, message):
+        config = tmp_path / "h.cfg"
+        config.write_text("H = 1e-320 1/s\n", encoding="utf-8")
+        code, out, err = run(capsys, "spectrum", "--model", "ms", "--points", "3", *flags,
+                             "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == f"numeric failure: {message}\n"
+
+    def test_given_zero_epsilon_is_validation_error(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--model", "ms", "--points", "3",
+                             "--epsilon", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: epsilon must be positive\n"
 
     def test_one_point_is_validation_error(self, capsys):
         code, out, err = run(capsys, "spectrum", "--model", "boyer", "--points", "1")

@@ -1,8 +1,9 @@
 """CLI fuzz: every subcommand with arbitrary flags and values.
 
 Each example runs one ``cli.main`` call in process, under the default
-context and under two ``--config`` contexts whose constants leave the
-float range (those of ``test_report.CONTEXTS``). Whatever the flags, the
+context and under three ``--config`` contexts whose constants leave the
+float range (those of ``test_report.CONTEXTS``, and one whose R = c/H
+overflows). Whatever the flags, the
 call ends with exit 0, 2 or 3 (argparse's ``SystemExit`` included)
 and raises nothing else, parses as ``build_parser().parse_args`` does,
 and a sweep that exits 0 writes one row per (slope, kappa) cell.
@@ -120,10 +121,12 @@ def argvs(draw):
     return argv
 
 
-# the underflowing-R and overflowing-R**a contexts of test_report.CONTEXTS
+# the underflowing-R and overflowing-R**a contexts of test_report.CONTEXTS,
+# and one whose R = c/H itself overflows
 CONFIGS = {"default": None,
            "underflowing R": "c = 1e-230 m/s\nH = 1e100 1/s\n",
-           "H = 1e-170": "H = 1e-170 1/s\n"}
+           "H = 1e-170": "H = 1e-170 1/s\n",
+           "overflowing R": "H = 1e-320 1/s\n"}
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))

@@ -228,6 +228,13 @@ class TestUncertainArithmetic:
     def test_sigma_property(self):
         assert Quantity(200.0, LENGTH, 0.1).sigma == 20.0
 
+    def test_overflowing_sigma_is_named(self):
+        # the rule of TransitionResult.sigma: NonFinite naming value and rel_sigma
+        with pytest.raises(NonFinite) as info:
+            Quantity(-1e308, LENGTH, 10.0).sigma
+        assert str(info.value) == ("sigma = |value|*rel_sigma leaves the float range for "
+                                   "value = -1e+308 and rel_sigma = 10.0")
+
     def test_replace_drops_uncertainty(self):
         q = dataclasses.replace(Quantity(2.5, MASS, 0.2), rel_sigma=0.0)
         assert q == Quantity(2.5, MASS)
@@ -247,6 +254,11 @@ class TestRecord:
         assert str(Quantity(3.0)) == "3"
         assert str(Quantity(200.0, LENGTH, 0.1)) == "200 ± 20 m"
         assert str(Quantity(4.0, rel_sigma=0.5)) == "4 ± 2"
+
+    def test_str_of_an_overflowing_sigma_raises(self):
+        # no "1e+308 ± inf m"
+        with pytest.raises(NonFinite, match="value = 1e\\+308 and rel_sigma = 10.0"):
+            str(Quantity(1e308, LENGTH, 10.0))
 
     def test_uncertainty_is_part_of_equality(self):
         assert Quantity(1.0, LENGTH, 0.1) != Quantity(1.0, LENGTH)

@@ -20,6 +20,7 @@ from zpfcross.errors import (
     ValidationError,
 )
 from zpfcross.quantity import (
+    DENSITY,
     ENERGY_DENSITY,
     POWER_DENSITY,
     Quantity,
@@ -87,11 +88,15 @@ class TestBoyer:
         with pytest.raises(DimensionMismatch):
             Boyer.from_context(ctx).evaluate(Quantity(1.0))
 
-    def test_output_dimension_checked_when_built(self, ctx):
-        with pytest.raises(DimensionMismatch):
-            Boyer(ctx.quantity("hbar"), ctx.quantity("hbar"))
-        with pytest.raises(DimensionMismatch):
-            TruncatedBoyer(ctx.quantity("c"), ctx.quantity("c"), k_of(1.0))
+    @pytest.mark.parametrize("model", [Boyer, TruncatedBoyer])
+    def test_wrong_input_dimension_names_the_input(self, ctx, model):
+        hbar, c = ctx.quantity("hbar"), ctx.quantity("c")
+        cutoff = (k_of(1.0),) if model is TruncatedBoyer else ()
+        with pytest.raises(DimensionMismatch,
+                           match=r"^hbar must have dimension \[m\^2·kg·s\^-1\]"):
+            model(c, c, *cutoff)
+        with pytest.raises(DimensionMismatch, match=r"^c must have dimension \[m·s\^-1\]"):
+            model(hbar, hbar, *cutoff)
 
     def test_overflow_is_numeric_failure(self, ctx):
         vac = Boyer.from_context(ctx)
@@ -127,6 +132,14 @@ class TestTruncatedBoyer:
     def test_bad_cutoff(self, ctx):
         with pytest.raises(NonPositiveWavenumber):
             TruncatedBoyer(ctx.quantity("hbar"), ctx.quantity("c"), k_of(0.0))
+        with pytest.raises(DimensionMismatch, match="wavenumber"):
+            TruncatedBoyer(ctx.quantity("hbar"), ctx.quantity("c"), Quantity(1.0))
+
+    def test_far_above_cutoff_is_zero_not_overflow(self, ctx):
+        # k**3 overflows a float at k = 1e300; above the cutoff it is not formed
+        trunc = TruncatedBoyer.from_context(ctx)
+        assert trunc.kernel(1e300) == 0.0
+        assert trunc.kernel(np.array([1e300])).tolist() == [0.0]
 
 
 class TestSlopeMaps:
@@ -207,8 +220,8 @@ class TestAmplitude:
             af = Fraction(a)
             for fast, coeff in ((amplitude_from_kappa(0.3, a, custom),
                                  3.0 * (a - 1.0) * 0.3 / (8.0 * math.pi)),
-                                (horizon_spectrum_amplitude(a, custom).reduced,
-                                 3.0 / (8.0 * math.pi))):
+                                (horizon_spectrum_amplitude(a, custom),
+                                 3.0 ** (a - 1.0) * 3.0 / (8.0 * math.pi))):
                 value, rel_sigma, dim = product_of_powers(
                     coeff, [(custom.quantity(name), p)
                             for name, p in (("G", -1), ("H", 1 + af), ("c", 3 - af))])
@@ -310,17 +323,20 @@ class TestHorizonAmplitude:
         for a in (1.7, 1.8, 2.0):
             horizon = horizon_spectrum_amplitude(a, ctx)
             calibrated = amplitude_from_kappa(1.0, a, ctx)
-            ratio = horizon.exact.value / calibrated.value
-            assert rel(ratio, horizon.prefactor / (a - 1.0)) < 1e-12
+            ratio = horizon.value / calibrated.value
+            assert rel(ratio, 3.0 ** (a - 1.0) / (a - 1.0)) < 1e-12
             assert 0.5 < ratio < 5.0  # order unity
-            assert horizon.reduced.dim == calibrated.dim
+            assert horizon.dim == calibrated.dim
+            assert horizon.rel_sigma == calibrated.rel_sigma
 
     def test_prefactor_exponent_identity_at_a2(self, ctx):
         # 2*gamma/(3*gamma-1) = a-1 = 1 at gamma = 1
         gamma = gamma_from_slope(2.0)
         expo = 2.0 * gamma / (3.0 * gamma - 1.0)
         assert rel(expo, 1.0) < 1e-12
-        assert rel(horizon_spectrum_amplitude(2.0, ctx).prefactor, 3.0) < 1e-12
+        ratio = (horizon_spectrum_amplitude(2.0, ctx).value
+                 / amplitude_from_kappa(1.0, 2.0, ctx).value)
+        assert rel(ratio, 3.0) < 1e-12
 
 
 class TestMoisseevShivamoggi:
@@ -360,6 +376,25 @@ class TestMoisseevShivamoggi:
         doubled = MoisseevShivamoggi.from_context(ctx, 2.0, kolmogorov_const=2.0)
         k = k_of(1.0)
         assert rel(doubled.evaluate(k).value, 2.0 * base.evaluate(k).value) < 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.floats(1.0 / 3.0, 1e6, exclude_min=True))
+    def test_exponents_cancel_to_spectral_density(self, gamma):
+        # (rho**(g-1) * eps**(2g) * c**-2 * k**-(5g-1))**(1/(3g-1)) is J/m^2
+        # for every index, in exact rational exponents; each model checks
+        # only its inputs' dimensions and relies on this identity
+        gf = Fraction(gamma)
+        composed = (DENSITY ** (gf - 1) * POWER_DENSITY ** (2 * gf) * SPEED ** -2
+                    * WAVENUMBER ** -(5 * gf - 1)) ** (1 / (3 * gf - 1))
+        assert composed == SPECTRAL_DENSITY
+
+    @pytest.mark.parametrize("name", ["epsilon", "rho", "c"])
+    def test_wrong_input_dimension_names_the_input(self, ctx, name):
+        inputs = {"epsilon": horizon_injection_rate(ctx), "rho": ctx.rho_crit,
+                  "c": ctx.quantity("c")}
+        inputs[name] = Quantity(1.0, WAVENUMBER)
+        with pytest.raises(DimensionMismatch, match=f"^{name} must have dimension"):
+            MoisseevShivamoggi(2.0, **inputs)
 
     def test_dimension_for_odd_gamma(self, ctx):
         # exponent cancellation is exact for any adiabatic index
@@ -419,6 +454,8 @@ class TestSpectrumProperties:
         assert trunc.kernel(k).tolist() == np.where(k > cutoff, 0.0, boyer).tolist()
         assert trunc.kernel(cutoff) == Boyer.from_context(ctx).kernel(cutoff) > 0.0
         assert trunc.kernel(math.nextafter(cutoff, math.inf)) == 0.0
+        for kw in k[k <= cutoff].tolist():  # the float path, bit for bit
+            assert trunc.kernel(kw) == Boyer.from_context(ctx).kernel(kw)
 
     def test_power_law_decreasing_boyer_increasing(self, ctx):
         vac = Boyer.from_context(ctx)

@@ -317,9 +317,11 @@ class TestNumericCrossover:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"c": 1e-230, "H": 1e100}, "the default kmin = 1/R overflows for R = c/H = 0.0 m"),
+        ({"H": 1e-320}, "the default kmin = 1/R cannot be formed: R = c/H leaves the "
+                        "float range with these constants"),
         ({"r_p": 1e-320},
          "the Planck wavenumber 2*pi/r_p overflows for r_p = 1e-320 m"),
-    ], ids=["R underflows to 0", "r_p is subnormal"])
+    ], ids=["R underflows to 0", "R overflows", "r_p is subnormal"])
     def test_default_bracket_beyond_floats_is_named(self, overrides, message):
         # the default bracket [1/R, 2*pi/r_p] is computed by one helper, which
         # names the length; no ZeroDivisionError or NonFinite at k = inf
