@@ -80,6 +80,13 @@ def check_kappa(kappa: float) -> float:
     return kappa
 
 
+def _check_gamma(gamma: float) -> float:
+    gamma = float(gamma)
+    if not math.isfinite(gamma) or gamma <= GAMMA_POLE:
+        raise PoleGamma(f"adiabatic index must exceed 1/3, got {gamma!r}")
+    return gamma
+
+
 def default_wavenumber(ctx: CosmologyContext, end: str) -> float:
     """An end of the default wavenumber range, 1/m: ``"kmin"`` is 1/R, the
     largest eddy, and ``"kmax"`` is 2*pi/r_p, the Planck wavenumber.
@@ -268,8 +275,7 @@ class MoisseevShivamoggi(SpectrumModel):
     _denom: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.gamma) or self.gamma <= GAMMA_POLE:
-            raise PoleGamma(f"adiabatic index must exceed 1/3, got {self.gamma!r}")
+        _check_gamma(self.gamma)
         for name, quantity, dim in (("epsilon", self.epsilon, POWER_DENSITY),
                                     ("rho", self.rho, DENSITY),
                                     ("c", self.c, SPEED)):
@@ -295,6 +301,7 @@ class MoisseevShivamoggi(SpectrumModel):
     def from_context(cls, ctx: CosmologyContext, gamma: float,
                      epsilon: Optional[Quantity] = None,
                      kolmogorov_const: float = 1.0) -> "MoisseevShivamoggi":
+        _check_gamma(gamma)  # before eps or rho_crit can fail
         if epsilon is None:
             epsilon = horizon_injection_rate(ctx)
             if epsilon.value == 0.0:
@@ -314,9 +321,7 @@ class MoisseevShivamoggi(SpectrumModel):
 
 def slope_from_gamma(gamma: float) -> float:
     """Spectral slope a = (5*gamma - 1)/(3*gamma - 1) of the cascade."""
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma <= GAMMA_POLE:
-        raise PoleGamma(f"adiabatic index must exceed 1/3, got {gamma!r}")
+    gamma = _check_gamma(gamma)
     return (5.0 * gamma - 1.0) / (3.0 * gamma - 1.0)
 
 

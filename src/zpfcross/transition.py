@@ -70,9 +70,11 @@ _SCALE_EXPONENTS = tuple(
 _BISECTION_REL_TOL = 1e-12
 _BISECTION_MAX_ITER = 200
 # monte_carlo_scale draws and reduces this many rows at a time (640 KiB of
-# five float64 inputs), and takes at most this many samples
+# five float64 inputs), takes at most this many samples, and gives up on a
+# block whose rejected entries are still there after this many redraws
 _MC_BLOCK_ROWS = 2 ** 14
 _MC_MAX_SAMPLES = 10 ** 9
+_MC_MAX_REDRAWS = 1000
 
 
 def _budget(a: float, ctx: CosmologyContext,
@@ -282,19 +284,21 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     constants stay positive and the sample spread matches first-order
     propagation to O(e**2); this is the mode the acceptance checks use.
     "normal" draws additively (r = 1 + e*z); non-positive draws
-    are then rejected and redrawn (the count is reported) and sampling
-    fails with DegenerateSamples if rejection cannot make progress.
-    Note the additive mode overshoots first-order propagation by about
-    5 percent at e_H = 0.15 from second-order terms.
+    are then rejected and redrawn (``rejected`` counts every one drawn)
+    and sampling fails with DegenerateSamples if rejection cannot make
+    progress. Note the additive mode overshoots first-order propagation
+    by about 5 percent at e_H = 0.15 from second-order terms. Its exact
+    spread is infinite (E[r_H**(2*p_H)] diverges at r_H = 0+, since
+    2*p_H < -1), so its ``rel_sigma`` is an empirical figure.
 
-    The samples are streamed: each block of ``_MC_BLOCK_ROWS`` rows of
-    one n-row draw is reduced and merged into a running count, mean and
-    sum of squared deviations (Chan, Golub & LeVeque 1983), so memory
-    does not grow with n. Successive blocks of a numpy generator equal
-    one whole draw, so the draws are those of a single n-row array. In
-    normal mode each redraw round is also a whole n-row draw, of which
-    only the rows holding a rejected entry are kept (48 bytes each) and
-    patched in place.
+    The samples are streamed in blocks of ``_MC_BLOCK_ROWS`` rows. Each
+    block is drawn, its rejected entries are redrawn in place, in
+    row-major order, until none is left (at most ``_MC_MAX_REDRAWS``
+    rounds), and it is then merged into a running mean and sum of
+    squared deviations, so memory does not grow with n at any rejection
+    rate. Successive blocks of a numpy generator equal one whole draw,
+    so where nothing is rejected the draws are those of a single n-row
+    array.
 
     A seed that numpy refuses, or more than ``_MC_MAX_SAMPLES`` samples
     (about 75 s at 1e6 samples per 0.075 s), raises ValidationError
@@ -319,73 +323,42 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     except (TypeError, ValueError):  # numpy takes only non-negative integers
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}") from None
 
-    def draw():
-        """One n-row draw, one column per input, block by block: (first row, block)."""
-        for start in range(0, n, _MC_BLOCK_ROWS):
-            yield start, rng.standard_normal((min(_MC_BLOCK_ROWS, n - start), rels.size))
-
-    moments = [0, 0.0, 0.0]  # count, mean and sum of squared deviations so far
-
-    def merge(logs) -> None:
-        """Merge the samples lambda0*exp(logs @ exponents) into ``moments``."""
-        lam = logs @ exponents
-        np.exp(lam, out=lam)
-        lam *= lambda0
-        m = lam.size
-        if m == 0:
-            return
-        block_mean = float(lam.sum()) / m
-        lam -= block_mean
-        count, mean, m2 = moments
-        total = count + m
-        delta = block_mean - mean
-        moments[:] = (total, mean + delta * (m / total),
-                      m2 + float(lam @ lam) + delta * delta * (count * m / total))
-
-    rejected = 0
+    mean, m2, rejected = 0.0, 0.0, 0
     # a non-finite mean or spread is checked below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            if sampling == "lognormal":
-                for _, logs in draw():
-                    logs *= rels  # ln r = e*z
-                    merge(logs)
-            else:
-                # r = 1 + e*z, rejected where r <= 0 (X <= 0): a row with a
-                # rejected entry is held back, with its row number, until
-                # the redraws have made it positive
-                held_at, held = [np.empty(0, dtype=np.intp)], [np.empty((0, rels.size))]
-                for start, r in draw():
-                    r *= rels
-                    r += 1.0
-                    bad = r <= 0.0
-                    if bad.any():  # rare: find the rows from the few flat indices
-                        rows = np.unique(np.flatnonzero(bad) // rels.size)
-                        held_at.append(start + rows)
-                        held.append(r[rows])
-                        r = np.delete(r, rows, axis=0)
-                    np.log(r, out=r)
-                    merge(r)
-                held_at, held = np.concatenate(held_at), np.concatenate(held)
-                for _round in range(1000):
-                    bad = held <= 0.0
-                    n_bad = int(bad.sum())
-                    if n_bad == 0:
-                        break
-                    rejected += n_bad
-                    # each held row takes the same row of the redraw
-                    for start, z in draw():
-                        lo, hi = np.searchsorted(held_at, (start, start + len(z)))
-                        np.copyto(held[lo:hi], 1.0 + rels * z[held_at[lo:hi] - start],
-                                  where=bad[lo:hi])
-                else:
-                    raise DegenerateSamples(
-                        f"rejection sampling stalled after {rejected} redraws")
-                np.log(held, out=held)
-                merge(held)
+            for start in range(0, n, _MC_BLOCK_ROWS):
+                logs = rng.standard_normal((min(_MC_BLOCK_ROWS, n - start), rels.size))
+                logs *= rels  # lognormal: ln r = e*z
+                if sampling == "normal":  # r = 1 + e*z, redrawn where r <= 0 (X <= 0)
+                    logs += 1.0
+                    for _ in range(_MC_MAX_REDRAWS):
+                        bad = logs <= 0.0
+                        n_bad = int(bad.sum())
+                        if n_bad == 0:
+                            break
+                        rejected += n_bad
+                        logs[bad] = (1.0 + np.broadcast_to(rels, bad.shape)[bad]
+                                     * rng.standard_normal(n_bad))
+                    else:
+                        raise DegenerateSamples(
+                            f"rejection sampling stalled after {rejected} redraws")
+                    np.log(logs, out=logs)
+                # merge the block's samples into the moments of the first
+                # start rows (Chan, Golub & LeVeque 1983)
+                lam = logs @ exponents
+                np.exp(lam, out=lam)
+                lam *= lambda0
+                m = lam.size
+                block_mean = float(lam.sum()) / m
+                lam -= block_mean
+                total = start + m
+                delta = block_mean - mean
+                mean = mean + delta * (m / total)
+                m2 = m2 + float(lam @ lam) + delta * delta * (start * m / total)
+                del logs, lam  # before the next block is drawn
         except MemoryError:
             raise ValidationError(f"{n} Monte Carlo samples do not fit in memory") from None
-    _, mean, m2 = moments
     spread = math.sqrt(m2 / (n - 1))
     if not (0.0 < mean < math.inf and spread < math.inf):
         raise NonFinite(f"Monte Carlo samples of lambda0 leave the float range at "

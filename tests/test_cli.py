@@ -517,6 +517,18 @@ class TestSpectrumCommand:
         assert (code, out) == (3, "")
         assert err == f"numeric failure: {message}\n"
 
+    @pytest.mark.parametrize("config_text", [
+        "H = 1e-320 1/s\n", "c = 1e-230 m/s\nH = 1e100 1/s\n",
+    ], ids=["eps underflows", "eps overflows"])
+    def test_bad_gamma_is_validation_error_before_eps(self, capsys, tmp_path, config_text):
+        # gamma is checked before eps and rho_crit are formed from the constants
+        config = tmp_path / "g.cfg"
+        config.write_text(config_text, encoding="utf-8")
+        code, out, err = run(capsys, "spectrum", "--model", "ms", "--gamma", "0.2",
+                             "--points", "3", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: adiabatic index must exceed 1/3, got 0.2\n"
+
     def test_given_zero_epsilon_is_validation_error(self, capsys):
         code, out, err = run(capsys, "spectrum", "--model", "ms", "--points", "3",
                              "--epsilon", "0")

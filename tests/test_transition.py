@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy import stats
 
 from zpfcross import quantity, transition
 from zpfcross.constants import HUBBLE_RADIUS, CosmologyContext, ExponentTable
@@ -25,6 +26,7 @@ from zpfcross.errors import (
 from zpfcross.quantity import LENGTH, Dimension, Quantity, SPECTRAL_DENSITY, WAVENUMBER
 from zpfcross.report import SweepSpec, run_sweep
 from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
+from moment_oracle import lognormal_moments, normal_mean, truncated_power_mean
 from zpfcross.transition import (
     CROSSOVER_VOLUME,
     kolmogorov_reference_scale,
@@ -57,23 +59,26 @@ def rel_sigma_oracle(a, e_kappa=0.0):
                      + (a + 1.0) ** 2 * E_H ** 2 + e_kappa ** 2) / (3.0 + a)
 
 
-def one_shot_oracle(a, kappa, n, seed, ctx, e_kappa=0.0, sampling="lognormal"):
-    """(mean, rel_sigma, rejected) of the whole-array Monte Carlo: one (n, 5)
-    draw, each normal-mode redraw one more (n, 5) draw, then np.mean and np.std."""
+def sample_inputs(ctx, e_kappa):
+    """e_X of G, c, hbar, H and kappa, the columns of a Monte Carlo draw."""
+    return np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [e_kappa])
+
+
+def sample_moments(a, kappa, ctx, e_kappa, logs):
+    """(mean, rel_sigma) by np.mean and np.std of lambda0*exp(logs @ p)."""
     q = 1.0 / (3.0 + a)
     exponents = np.array([q, (a - 2.0) * q, q, -(a + 1.0) * q, -q])  # G, c, hbar, H, kappa
-    rels = np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [e_kappa])
-    rng = np.random.default_rng(seed)
-    samples = rels * rng.standard_normal((n, 5))
-    rejected = 0
+    lam = transition_scale(a, kappa, ctx, e_kappa).lambda0.value * np.exp(logs @ exponents)
+    return float(np.mean(lam)), float(np.std(lam, ddof=1) / np.mean(lam))
+
+
+def one_shot_oracle(a, kappa, n, seed, ctx, e_kappa=0.0, sampling="lognormal"):
+    """(mean, rel_sigma) of the whole-array Monte Carlo: one (n, 5) draw. In
+    normal mode it holds only where nothing is rejected."""
+    samples = sample_inputs(ctx, e_kappa) * np.random.default_rng(seed).standard_normal((n, 5))
     if sampling == "normal":
-        samples += 1.0
-        while (bad := samples <= 0.0).any():
-            rejected += int(bad.sum())
-            np.copyto(samples, 1.0 + rels * rng.standard_normal((n, 5)), where=bad)
-        samples = np.log(samples)
-    lam = transition_scale(a, kappa, ctx, e_kappa).lambda0.value * np.exp(samples @ exponents)
-    return float(np.mean(lam)), float(np.std(lam, ddof=1) / np.mean(lam)), rejected
+        samples = np.log(1.0 + samples)
+    return sample_moments(a, kappa, ctx, e_kappa, samples)
 
 
 class TestClosedForm:
@@ -397,7 +402,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("overrides, args, kwargs, mean, rel_sigma, rejected", [
         ({}, (1.8, 1e-5, 2000, 42), {}, 591.1445619768475, 0.0881966814916222, 0),
         ({"e_H": 0.3, "e_G": 0.2}, (1.8, 1e-3, 5000, 3),
-         {"e_kappa": 0.4, "sampling": "normal"}, 248.4184722752336, 1.538466837545715, 39),
+         {"e_kappa": 0.4, "sampling": "normal"}, 248.50411731208646, 1.5379626568857219, 39),
     ])
     def test_pinned_draws(self, overrides, args, kwargs, mean, rel_sigma, rejected):
         # values of the per-sample closed form over the same draws, kept to
@@ -437,36 +442,78 @@ HEAVY = {"e_H": 0.3, "e_G": 0.2}
 class TestMonteCarloStream:
     @pytest.mark.parametrize("n", [1000, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
     @pytest.mark.parametrize("overrides, e_kappa, sampling", [
-        ({}, 0.0, "lognormal"), ({}, 0.0, "normal"),
-        (HEAVY, 0.4, "lognormal"), (HEAVY, 0.4, "normal"),
+        ({}, 0.0, "lognormal"), ({}, 0.0, "normal"), (HEAVY, 0.4, "lognormal"),
     ])
     def test_equals_one_shot_draws(self, n, overrides, e_kappa, sampling):
+        # the heavy normal case rejects entries, so its draws differ from one
+        # whole draw; TestMonteCarloMoments holds it to its exact mean
         ctx = CosmologyContext.default(overrides)
         mc = monte_carlo_scale(1.8, 1e-3, n, 3, ctx, e_kappa=e_kappa, sampling=sampling)
-        mean, rel_sigma, rejected = one_shot_oracle(1.8, 1e-3, n, 3, ctx, e_kappa, sampling)
-        assert mc.rejected == rejected
+        mean, rel_sigma = one_shot_oracle(1.8, 1e-3, n, 3, ctx, e_kappa, sampling)
+        assert mc.rejected == 0
         assert rel(mc.mean.value, mean) < 1e-12
         assert rel(mc.rel_sigma, rel_sigma) < 1e-12
         assert mc.mean_se.dim == LENGTH
         assert rel(mc.mean_se.value, rel_sigma * mean / math.sqrt(n)) < 1e-12
 
     def test_heavy_normal_case_rejects_in_several_blocks(self):
-        # so test_equals_one_shot_draws redraws rows held back from several blocks
+        # so test_rejected_entries_are_redrawn_inside_their_block sees
+        # redraws in several blocks, not only in the first
         n = 3 * BLOCK + 17
-        ctx = CosmologyContext.default(HEAVY)
-        rels = np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [0.4])
+        rels = sample_inputs(CosmologyContext.default(HEAVY), 0.4)
         draw = np.random.default_rng(3).standard_normal((n, 5))
         rows = np.flatnonzero((1.0 + rels * draw <= 0.0).any(axis=1))
         assert {0, 1, 2} <= set((rows // BLOCK).tolist())
 
-    @pytest.mark.parametrize("sampling", ["lognormal", "normal"])
-    def test_memory_does_not_grow_with_samples(self, ctx, sampling):
+    def test_rejected_entries_are_redrawn_inside_their_block(self, monkeypatch):
+        # replays the recorded draws: each redraw (a 1-d draw) patches exactly
+        # the entries of the latest block that are still rejected, and the
+        # samples are those of the patched blocks
+        n, a, kappa = 3 * BLOCK + 17, 1.8, 1e-3
+        ctx = CosmologyContext.default(HEAVY)
+        rels = sample_inputs(ctx, 0.4)
+        make_rng, draws = np.random.default_rng, []
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def standard_normal(self, shape):
+                draws.append(self.rng.standard_normal(shape))
+                return draws[-1].copy()
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        mc = monte_carlo_scale(a, kappa, n, 3, ctx, e_kappa=0.4, sampling="normal")
+        blocks, redrawn, rejected = [], set(), 0
+        for z in draws:
+            if z.ndim == 2:
+                blocks.append(1.0 + rels * z)
+                continue
+            r = blocks[-1]
+            bad = r <= 0.0
+            assert z.size == bad.sum() > 0
+            r[bad] = 1.0 + np.broadcast_to(rels, r.shape)[bad] * z
+            redrawn.add(len(blocks) - 1)
+            rejected += z.size
+        assert len(blocks) == 4 and {0, 1, 2} <= redrawn
+        assert mc.rejected == rejected
+        r = np.concatenate(blocks)
+        assert r.min() > 0.0
+        mean, rel_sigma = sample_moments(a, kappa, ctx, 0.4, np.log(r))
+        assert rel(mc.mean.value, mean) < 1e-12
+        assert rel(mc.rel_sigma, rel_sigma) < 1e-12
+
+    @pytest.mark.parametrize("e_kappa, sampling", [
+        (0.0, "lognormal"), (0.0, "normal"), (1.0, "normal")],
+        ids=["lognormal", "normal", "normal-e_kappa-1"])
+    def test_memory_does_not_grow_with_samples(self, ctx, e_kappa, sampling):
         # numpy reports its buffers to tracemalloc; the whole (10**6, 5)
-        # array of the one-shot draw alone is 40 MB
-        monte_carlo_scale(1.8, 1e-5, 1000, 1, ctx, sampling=sampling)
+        # array of the one-shot draw alone is 40 MB. At e_kappa = 1 about
+        # 16% of the rows have a rejected entry
+        monte_carlo_scale(1.8, 1e-5, 1000, 1, ctx, e_kappa=e_kappa, sampling=sampling)
         tracemalloc.start()
         try:
-            monte_carlo_scale(1.8, 1e-5, 10 ** 6, 1, ctx, sampling=sampling)
+            monte_carlo_scale(1.8, 1e-5, 10 ** 6, 1, ctx, e_kappa=e_kappa, sampling=sampling)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -481,6 +528,32 @@ class TestMonteCarloStream:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Negative())
         with pytest.raises(DegenerateSamples, match="after 3000000 redraws"):
             monte_carlo_scale(1.8, 1.0, 1000, 0, ctx, sampling="normal")
+
+
+class TestMonteCarloMoments:
+    """The sample mean against its exact value (``moment_oracle``), at 1e6
+    samples and seed 1. Normal mode has no exact spread to hold its
+    ``rel_sigma`` to: E[r_H**(2*p_H)] diverges."""
+
+    @pytest.mark.parametrize("e", [0.15, 0.4, 1.0])
+    def test_oracle_gives_the_truncated_normal_mean(self, e):
+        # E[r] of r = 1 + e*z, z > -1/e, is 1 + e*pdf(1/e)/cdf(1/e)
+        assert truncated_power_mean(0.0, e) == pytest.approx(1.0, rel=1e-10)
+        exact = 1.0 + e * stats.norm.pdf(1.0 / e) / stats.norm.cdf(1.0 / e)
+        assert truncated_power_mean(1.0, e) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("sampling", ["lognormal", "normal"])
+    @pytest.mark.parametrize("overrides, e_kappa", [
+        ({}, 0.0), ({}, 0.4), ({}, 1.0), (HEAVY, 0.4)])
+    def test_mean_within_four_standard_errors(self, overrides, e_kappa, sampling):
+        ctx = CosmologyContext.default(overrides)
+        mc = monte_carlo_scale(1.8, 1e-5, 10 ** 6, 1, ctx, e_kappa=e_kappa, sampling=sampling)
+        if sampling == "lognormal":
+            mean, rel_sigma = lognormal_moments(1.8, 1e-5, ctx, e_kappa)
+            assert rel(mc.rel_sigma, rel_sigma) < 0.03
+        else:
+            mean = normal_mean(1.8, 1e-5, ctx, e_kappa)
+        assert abs(mc.mean.value - mean) < 4.0 * mc.mean_se.value
 
 
 class TestReferenceScale:
