@@ -20,11 +20,11 @@ exposed rather than adjudicated.
 
 The constant parts of eps and the computed N0 are exponent tables
 whose dimension is checked once, at import; evaluating them is float
-arithmetic only. ``budget_terms`` resolves what a grid shares (N0,
-eps's table, (ell/R)**3) and ``budget_cell`` is the float arithmetic
-per (a, kappa); ``solar_budget`` is one cell of ``report.run_sweep``.
-Both raise NonFinite where they leave the float range: ``budget_terms``
-naming the constants, ``budget_cell`` the count.
+arithmetic only. ``budget_terms`` checks the window and radius and
+resolves what a grid shares (N0, eps's table, (ell/R)**3); ``budget_cell``
+is the float arithmetic per (a, kappa); ``solar_budget`` is one cell of
+``report.run_sweep``. Both raise NonFinite where they leave the float
+range: ``budget_terms`` naming the constants, ``budget_cell`` the count.
 """
 
 from __future__ import annotations
@@ -121,7 +121,8 @@ class BudgetTerms(NamedTuple):
     epsilon: Tuple[Tuple[float, ...], float]  # powers and rel_sigma of rho*c**3/R
     cube: Tuple[float, ...]  # powers whose product with N is N_s
     log_ratio: float  # ln(ell/R)
-    ell: float
+    window_t: Quantity  # the checked window
+    ell: Quantity  # the checked rescaling radius
 
 
 def budget_terms(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
@@ -130,13 +131,13 @@ def budget_terms(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
     where N0 (naming the window), rho*c**3/R or R leaves the float range
     (R underflowing to 0 included)."""
     t = _window(ctx, window_t)
-    radius = _radius(ctx, ell).value
+    radius = _radius(ctx, ell)
     n0 = n0_value(ctx, t, n0_mode).value
     try:
         epsilon = HORIZON_POWER_DENSITY.powers(ctx)
         hubble = HUBBLE_RADIUS.value(ctx)
-        return BudgetTerms(n0, epsilon, _cube_powers(radius / hubble),
-                           math.log(radius) - math.log(hubble), radius)
+        return BudgetTerms(n0, epsilon, _cube_powers(radius.value / hubble),
+                           math.log(radius.value) - math.log(hubble), t, radius)
     except (NonFinite, ZeroDivisionError) as exc:  # ZeroDivisionError: R underflows to 0
         raise NonFinite("rho*c**3/R or R leaves the float range "
                         "with these constants") from exc
@@ -149,11 +150,14 @@ def budget_cell(terms: BudgetTerms, a: float, kappa: float) -> Tuple[float, floa
     N_s also where N is not."""
     power = 1.0 / (a - 1.0)
     cascade = ((a - 1.0) * kappa) ** power
+    n_solar = terms.n0 * cascade
+    log_cascade = None  # formed only where the cascade or N is not a normal float
+    if min(cascade, n_solar) < sys.float_info.min:
+        log_cascade = power * (math.log(a - 1.0) + math.log(kappa))
+    # eps in logs, unless a power of rho*c**3/R underflowed to 0 (as in the product)
     if cascade < sys.float_info.min and min(terms.epsilon[0]) > 0.0:
-        # the cascade is not a normal float, but eps may be (unless a power
-        # of rho*c**3/R underflowed to 0, as in the product below)
-        log_epsilon = (power * (math.log(a - 1.0) + math.log(kappa))
-                       + math.log(3.0 / (8.0 * math.pi)) + sum(map(math.log, terms.epsilon[0])))
+        log_epsilon = (log_cascade + math.log(3.0 / (8.0 * math.pi))
+                       + sum(map(math.log, terms.epsilon[0])))
         try:
             epsilon = math.exp(log_epsilon)
         except OverflowError:
@@ -161,20 +165,16 @@ def budget_cell(terms: BudgetTerms, a: float, kappa: float) -> Tuple[float, floa
                             f"a = {a!r} and kappa = {kappa!r}") from None
     else:
         epsilon = times_powers(3.0 / (8.0 * math.pi) * cascade, terms.epsilon[0])
-    n_solar = terms.n0 * cascade
     try:
-        if 0.0 < terms.n0 and min(cascade, n_solar) < sys.float_info.min:
-            # the cascade or N is not a normal float, but N or N_s may be:
-            # form what the cascade lost in logs (an N0 of zero takes the
-            # product below)
-            log_n = math.log(terms.n0) + power * (math.log(a - 1.0) + math.log(kappa))
+        if log_cascade is not None and 0.0 < terms.n0:  # an N0 of 0 takes the product
+            log_n = math.log(terms.n0) + log_cascade
             if cascade < sys.float_info.min:
                 n_solar = math.exp(log_n)
             return epsilon, n_solar, math.exp(log_n + 3.0 * terms.log_ratio)
         return epsilon, n_solar, times_powers(n_solar, terms.cube)
     except (NonFinite, OverflowError) as exc:
         raise NonFinite(f"the count N_s = N*(ell/R)**3 leaves the float range for "
-                        f"N = {n_solar!r} and ell = {terms.ell!r} m") from exc
+                        f"N = {n_solar!r} and ell = {terms.ell.value!r} m") from exc
 
 
 def solar_budget(kappa: float, a: float, ctx: CosmologyContext,
@@ -184,17 +184,15 @@ def solar_budget(kappa: float, a: float, ctx: CosmologyContext,
     """Assemble the full budget for one (kappa, a) choice."""
     kappa = check_kappa(kappa)
     a = check_slope(a)
-    t = _window(ctx, window_t)
-    radius = _radius(ctx, ell)
-    terms = budget_terms(ctx, t, radius, n0_mode)
+    terms = budget_terms(ctx, window_t, ell, n0_mode)
     epsilon, n_solar, ns_solar = budget_cell(terms, a, kappa)
     return DissipationBudget(
         epsilon=Quantity(epsilon, HORIZON_POWER_DENSITY.dim, terms.epsilon[1]),
         n_solar=n_solar,
         n0=terms.n0,
         ns_solar=ns_solar,
-        window_t=t,
-        ell=radius,
+        window_t=terms.window_t,
+        ell=terms.ell,
         n0_mode=n0_mode,
         kappa=kappa,
         slope=a,

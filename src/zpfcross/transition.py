@@ -31,8 +31,9 @@ propagation through the closed form:
     (sigma/lambda0)**2 = [e_G**2 + (a-2)**2*e_c**2 + e_hbar**2
                           + (a+1)**2*e_H**2 + e_kappa**2] / (3+a)**2
 
-that is, sum((p_X*e_X)**2). The log form and the Monte Carlo take V, R
-and the p_X from the same tables; the checks independent of those
+that is, sum((p_X*e_X)**2) over ``ScaleTerms.budget``, which every
+path reads (the Monte Carlo too); the log form takes V and R from the
+same tables. The checks independent of those
 exponents are the log-space bisection on the two spectra and the finite
 differences in ``tests/test_acceptance.py`` and ``bench/reference.py``.
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import List, Mapping, NamedTuple, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .constants import HUBBLE_RADIUS, CosmologyContext, ExponentTable
 from .errors import (
@@ -77,15 +78,6 @@ _MC_MAX_SAMPLES = 10 ** 9
 _MC_MAX_REDRAWS = 1000
 
 
-def _budget(a: float, ctx: CosmologyContext,
-            e_kappa: float) -> List[Tuple[str, float, float]]:
-    """(name, p_X, e_X) for each input of lambda0, kappa last with p = -q."""
-    q = 1.0 / (3.0 + a)
-    terms = [(name, q * (v + a * r), ctx.rel_sigma(name)) for name, v, r in _SCALE_EXPONENTS]
-    terms.append(("kappa", -q, e_kappa))
-    return terms
-
-
 @dataclass(frozen=True)
 class TransitionResult:
     """Transition wavenumber and scale with the error budget.
@@ -114,18 +106,21 @@ class TransitionResult:
 
 
 class ScaleTerms(NamedTuple):
-    """lambda0 at one slope, less the kappa factor (``scale_terms``)."""
+    """lambda0 at one slope, less the kappa factor, and its budget (``scale_terms``)."""
 
     a: float
     q: float  # 1/(3+a)
     denominator: float  # V*R**a; inf where R**a overflows
-    rel_sigma: float
-    breakdown: Mapping[str, float]
+    rel_sigma: float  # sqrt(sum((|p_X|*e_X)**2)) over the budget
+    budget: Tuple[Tuple[str, float, float], ...]  # (name, p_X, e_X), kappa last with p = -q
 
 
 def scale_terms(a: float, ctx: CosmologyContext, e_kappa: float = 0.0) -> ScaleTerms:
-    """The terms at a checked slope a; NonFinite where V, R or their
-    uncertainty leaves the float range."""
+    """The terms at a checked slope a; ValidationError for a negative or
+    non-finite e_kappa, NonFinite where V, R or their uncertainty leaves
+    the float range."""
+    if e_kappa < 0.0 or not math.isfinite(e_kappa):
+        raise ValidationError(f"e_kappa must be finite and >= 0, got {e_kappa!r}")
     try:
         denominator = CROSSOVER_VOLUME.value(ctx) * HUBBLE_RADIUS.value(ctx) ** a
     except NonFinite as exc:
@@ -133,10 +128,11 @@ def scale_terms(a: float, ctx: CosmologyContext, e_kappa: float = 0.0) -> ScaleT
                         "the float range with these constants") from exc
     except OverflowError:
         denominator = math.inf
-    breakdown = {name: abs(p) * e for name, p, e in _budget(a, ctx, e_kappa)}
-    return ScaleTerms(a, 1.0 / (3.0 + a), denominator,
-                      math.sqrt(sum(v * v for v in breakdown.values())),
-                      MappingProxyType(breakdown))
+    q = 1.0 / (3.0 + a)
+    budget = [(name, q * (v + a * r), ctx.rel_sigma(name)) for name, v, r in _SCALE_EXPONENTS]
+    budget.append(("kappa", -q, e_kappa))
+    rel_sigma = math.sqrt(sum((p * e) * (p * e) for _, p, e in budget))
+    return ScaleTerms(a, q, denominator, rel_sigma, tuple(budget))
 
 
 def scale_cell(terms: ScaleTerms, kappa: float) -> Tuple[float, float]:
@@ -160,12 +156,11 @@ def transition_scale(a: float, kappa: float, ctx: CosmologyContext,
     """
     a = check_slope(a)
     kappa = check_kappa(kappa)
-    if e_kappa < 0.0 or not math.isfinite(e_kappa):
-        raise ValidationError(f"e_kappa must be finite and >= 0, got {e_kappa!r}")
     terms = scale_terms(a, ctx, e_kappa)
     lambda0, k0 = scale_cell(terms, kappa)
+    breakdown = MappingProxyType({name: abs(p) * e for name, p, e in terms.budget})
     return TransitionResult(k0=Quantity(k0, WAVENUMBER), lambda0=Quantity(lambda0, LENGTH),
-                            rel_sigma=terms.rel_sigma, sigma_breakdown=terms.breakdown)
+                            rel_sigma=terms.rel_sigma, sigma_breakdown=breakdown)
 
 
 def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyContext,
@@ -259,7 +254,12 @@ def log_form_scale(a: float, kappa: float, ctx: CosmologyContext) -> Quantity:
 @dataclass(frozen=True)
 class MonteCarloScale:
     """Sampled transition scale: mean, relative spread, rejection count
-    and the standard error of the mean, spread/sqrt(n)."""
+    and the standard error of the mean, spread/sqrt(n). In "normal"
+    sampling the exact spread is infinite (E[r_H**(2*p_H)] diverges at
+    r_H = 0+, since 2*p_H < -1), so ``rel_sigma`` and ``mean_se`` are
+    empirical figures, and ``mean_se`` is no standard error near that
+    pole: at e_H = 0.3, e_G = 0.2, e_kappa = 0.4 and 1e6 samples, seeds
+    1-3 give ``rel_sigma`` 0.375, 0.670 and 0.428."""
 
     mean: Quantity
     rel_sigma: float
@@ -275,7 +275,7 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
 
     Samples the ratio r_X = X/X0 of each constant and of kappa as a
     Gaussian with its relative sigma; each sample is lambda0 *
-    exp(sum p_X*ln r_X), with lambda0 and the p_X of ``transition_scale``.
+    exp(sum p_X*ln r_X), with lambda0 and the (p_X, e_X) of ``scale_terms``.
     Returns the sample mean, its standard error and the relative
     standard deviation. Deterministic for a given seed.
 
@@ -287,9 +287,8 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     are then rejected and redrawn (``rejected`` counts every one drawn)
     and sampling fails with DegenerateSamples if rejection cannot make
     progress. Note the additive mode overshoots first-order propagation
-    by about 5 percent at e_H = 0.15 from second-order terms. Its exact
-    spread is infinite (E[r_H**(2*p_H)] diverges at r_H = 0+, since
-    2*p_H < -1), so its ``rel_sigma`` is an empirical figure.
+    by about 5 percent at e_H = 0.15 from second-order terms, and has no
+    exact spread (see ``MonteCarloScale``).
 
     The samples are streamed in blocks of ``_MC_BLOCK_ROWS`` rows. Each
     block is drawn, its rejected entries are redrawn in place, in
@@ -314,10 +313,11 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     if sampling not in ("lognormal", "normal"):
         raise ValidationError(f"sampling must be 'lognormal' or 'normal', got {sampling!r}")
 
-    lambda0 = transition_scale(a, kappa, ctx, e_kappa).lambda0.value
+    terms = scale_terms(a, ctx, e_kappa)
+    lambda0 = scale_cell(terms, kappa)[0]
     import numpy as np  # the one numpy path of this module
 
-    exponents, rels = np.array([(p, e) for _, p, e in _budget(a, ctx, e_kappa)]).T
+    exponents, rels = np.array([(p, e) for _, p, e in terms.budget]).T
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError):  # numpy takes only non-negative integers

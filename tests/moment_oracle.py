@@ -2,8 +2,8 @@
 that ``monte_carlo_scale`` is held to statistically.
 
 Each sample is lambda0 * prod(r_X**p_X) over independent ratios r_X, with
-(p_X, e_X) from ``transition._budget``, so E[lambda] = lambda0 *
-prod(E[r_X**p_X]) (L. A. Goodman, JASA 57, 54-60, 1962).
+(p_X, e_X) from ``scale_terms(a, ctx, e_kappa).budget``, so
+E[lambda] = lambda0 * prod(E[r_X**p_X]) (L. A. Goodman, JASA 57, 54-60, 1962).
 
 - Lognormal mode (r = exp(e*z)): ln(lambda/lambda0) is normal with variance
   s2 = sum((p*e)**2), so the mean is lambda0*exp(s2/2) and the relative
@@ -19,12 +19,12 @@ import math
 from scipy import stats
 from scipy.integrate import quad
 
-from zpfcross.transition import _budget, transition_scale
+from zpfcross.transition import scale_terms, transition_scale
 
 
 def lognormal_moments(a, kappa, ctx, e_kappa=0.0):
     """(mean, rel_spread) of lambda0*exp(sum p*e*z)."""
-    s2 = sum((p * e) ** 2 for _, p, e in _budget(a, ctx, e_kappa))
+    s2 = sum((p * e) ** 2 for _, p, e in scale_terms(a, ctx, e_kappa).budget)
     lambda0 = transition_scale(a, kappa, ctx, e_kappa).lambda0.value
     return lambda0 * math.exp(s2 / 2.0), math.sqrt(math.expm1(s2))
 
@@ -47,6 +47,6 @@ def truncated_power_mean(p, e):
 def normal_mean(a, kappa, ctx, e_kappa=0.0):
     """Mean of lambda0*prod(r**p) with truncated additive ratios."""
     mean = transition_scale(a, kappa, ctx, e_kappa).lambda0.value
-    for _, p, e in _budget(a, ctx, e_kappa):
+    for _, p, e in scale_terms(a, ctx, e_kappa).budget:
         mean *= truncated_power_mean(p, e)
     return mean

@@ -34,6 +34,7 @@ from zpfcross.transition import (
     log_form_scale,
     monte_carlo_scale,
     numeric_crossover,
+    scale_terms,
     sigma_approximation,
     transition_scale,
 )
@@ -127,6 +128,15 @@ class TestClosedForm:
             transition_scale(1.7, 1.2, ctx)
         with pytest.raises(ValidationError):
             transition_scale(1.7, 1.0, ctx, e_kappa=-0.1)
+
+    @pytest.mark.parametrize("e_kappa", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("scale", [
+        transition_scale,
+        lambda a, kappa, ctx, e_kappa: monte_carlo_scale(a, kappa, 2000, 0, ctx, e_kappa),
+    ], ids=["transition_scale", "monte_carlo_scale"])
+    def test_every_path_rejects_a_bad_e_kappa(self, ctx, scale, e_kappa):
+        with pytest.raises(ValidationError, match=r"^e_kappa must be finite and >= 0"):
+            scale(1.8, 1e-5, ctx, e_kappa)
 
     def test_monotone_in_kappa(self, ctx):
         kappas = [10.0 ** e for e in range(-20, 1, 2)]
@@ -261,6 +271,29 @@ class TestProperties:
         squares = sum(v * v for v in r.sigma_breakdown.values())
         assert math.isclose(r.rel_sigma ** 2, squares, rel_tol=1e-14)
         assert rel(r.rel_sigma, rel_sigma_oracle(a, e_kappa)) < 1e-12
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=st.floats(min_value=1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+           log_kappa=st.floats(min_value=-30.0, max_value=math.log10(0.5)),
+           log_scales=st.fixed_dictionaries({name: st.floats(min_value=-3.0, max_value=3.0)
+                                             for name in ("G", "hbar", "c", "H")}))
+    def test_budget_vector_is_the_closed_form_power_law(self, ctx, a, log_kappa, log_scales):
+        # lambda0 is an exact power law in each input, so doubling input X
+        # multiplies it by 2**p_X, whatever code formed the vector
+        values = {name: ctx.value(name) * 10.0 ** s for name, s in log_scales.items()}
+        kappa = 10.0 ** log_kappa
+        scaled = CosmologyContext.default(values)
+        lambda0 = transition_scale(a, kappa, scaled).lambda0.value
+        budget = scale_terms(a, scaled).budget
+        assert [name for name, _, _ in budget] == ["G", "c", "hbar", "H", "kappa"]
+        assert budget[-1][1] == -1.0 / (3.0 + a)
+        for name, p, _ in budget:
+            if name == "kappa":
+                doubled = transition_scale(a, 2.0 * kappa, scaled)
+            else:
+                doubled = transition_scale(
+                    a, kappa, CosmologyContext.default({**values, name: 2.0 * values[name]}))
+            assert rel(doubled.lambda0.value / lambda0, 2.0 ** p) < 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(min_value=1.0, max_value=3.0, exclude_min=True, exclude_max=True),
