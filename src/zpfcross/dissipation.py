@@ -81,9 +81,15 @@ def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
     computed: rho*c*R**2*t/M = 3*c**3*t/(8*pi*G*M) from the context.
     paper: the published reference value 1e57, taken as exact.
     """
+    if check_n0_mode(n0_mode) == "computed":
+        window_t = _window(ctx, window_t)
+    return _n0(ctx, window_t, n0_mode)
+
+
+def _n0(ctx: CosmologyContext, t: Optional[Quantity], n0_mode: str) -> Quantity:
+    """``n0_value`` at a window t that ``_window`` has checked (unread in paper mode)."""
     if check_n0_mode(n0_mode) == "paper":
         return Quantity(PAPER_N0)
-    t = _window(ctx, window_t)
     try:
         rate = N0_RATE.evaluate(ctx, 3.0 / (8.0 * math.pi))
         return Quantity(rate.value * t.value, rel_sigma=rate.rel_sigma)
@@ -132,7 +138,7 @@ def budget_terms(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
     (R underflowing to 0 included)."""
     t = _window(ctx, window_t)
     radius = _radius(ctx, ell)
-    n0 = n0_value(ctx, t, n0_mode).value
+    n0 = _n0(ctx, t, n0_mode).value
     try:
         epsilon = HORIZON_POWER_DENSITY.powers(ctx)
         hubble = HUBBLE_RADIUS.value(ctx)
@@ -257,7 +263,7 @@ def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
         raise ValidationError(f"ns_bound must be positive, got {ns_bound!r}")
     t = _window(ctx, window_t)
     radius = _radius(ctx, ell)
-    n0 = n0_value(ctx, t, n0_mode).value
+    n0 = _n0(ctx, t, n0_mode).value
     try:
         n_solar = times_powers(ns_bound, _cube_powers(HUBBLE_RADIUS.value(ctx) / radius.value))
     except NonFinite as exc:

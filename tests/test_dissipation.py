@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from zpfcross import CosmologyContext
+from zpfcross import CosmologyContext, dissipation
 from zpfcross.dissipation import (
+    N0_MODES,
     PAPER_N0,
     DissipationBudget,
     kappa_from_count,
@@ -135,6 +136,29 @@ class TestSolarBudget:
     def test_bad_mode(self, ctx):
         with pytest.raises(ValidationError):
             solar_budget(1e-5, 1.8, ctx, n0_mode="guess")
+
+    @pytest.mark.parametrize("n0_mode", N0_MODES)
+    def test_window_checked_once_per_call(self, ctx, monkeypatch, n0_mode):
+        # N0 takes the window that solar_budget and kappa_from_solar_bound
+        # have already checked
+        check_window, calls = dissipation._window, []
+
+        def counted(*args):
+            calls.append(args)
+            return check_window(*args)
+
+        monkeypatch.setattr(dissipation, "_window", counted)
+        solar_budget(1e-5, 1.8, ctx, n0_mode=n0_mode)
+        assert len(calls) == 1
+        # a ceiling that bounds kappa in both modes
+        kappa_from_solar_bound(1e-100, 1.8, ctx, n0_mode=n0_mode)
+        assert len(calls) == 2
+
+    def test_n0_value_checks_the_window_only_when_computed(self, ctx):
+        bad = Quantity(-1.0, TIME)
+        assert n0_value(ctx, bad, "paper").value == PAPER_N0
+        with pytest.raises(ValidationError, match="window must be a positive time"):
+            n0_value(ctx, bad, "computed")
 
 
 class TestRescaledCount:

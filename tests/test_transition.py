@@ -60,23 +60,29 @@ def rel_sigma_oracle(a, e_kappa=0.0):
                      + (a + 1.0) ** 2 * E_H ** 2 + e_kappa ** 2) / (3.0 + a)
 
 
-def sample_inputs(ctx, e_kappa):
-    """e_X of G, c, hbar, H and kappa, the columns of a Monte Carlo draw."""
-    return np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [e_kappa])
+def sample_inputs(a, ctx, e_kappa):
+    """(e_X, p_X) of the inputs with e_X > 0 among G, c, hbar, H and kappa:
+    the columns of a Monte Carlo draw, in that order."""
+    q = 1.0 / (3.0 + a)
+    rels = np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [e_kappa])
+    exponents = np.array([q, (a - 2.0) * q, q, -(a + 1.0) * q, -q])
+    return rels[rels > 0.0], exponents[rels > 0.0]
 
 
 def sample_moments(a, kappa, ctx, e_kappa, logs):
-    """(mean, rel_sigma) by np.mean and np.std of lambda0*exp(logs @ p)."""
-    q = 1.0 / (3.0 + a)
-    exponents = np.array([q, (a - 2.0) * q, q, -(a + 1.0) * q, -q])  # G, c, hbar, H, kappa
+    """(mean, rel_sigma) by np.mean and np.std of lambda0*exp(logs @ p), over
+    the columns of ``sample_inputs``."""
+    exponents = sample_inputs(a, ctx, e_kappa)[1]
     lam = transition_scale(a, kappa, ctx, e_kappa).lambda0.value * np.exp(logs @ exponents)
     return float(np.mean(lam)), float(np.std(lam, ddof=1) / np.mean(lam))
 
 
 def one_shot_oracle(a, kappa, n, seed, ctx, e_kappa=0.0, sampling="lognormal"):
-    """(mean, rel_sigma) of the whole-array Monte Carlo: one (n, 5) draw. In
-    normal mode it holds only where nothing is rejected."""
-    samples = sample_inputs(ctx, e_kappa) * np.random.default_rng(seed).standard_normal((n, 5))
+    """(mean, rel_sigma) of the whole-array Monte Carlo: one (n, k) draw of the
+    k inputs with e_X > 0. In normal mode it holds only where nothing is
+    rejected."""
+    rels = sample_inputs(a, ctx, e_kappa)[0]
+    samples = rels * np.random.default_rng(seed).standard_normal((n, rels.size))
     if sampling == "normal":
         samples = np.log(1.0 + samples)
     return sample_moments(a, kappa, ctx, e_kappa, samples)
@@ -433,9 +439,9 @@ class TestMonteCarlo:
         assert mc.rejected == 0  # 6.7 sigma to a negative H, never drawn
 
     @pytest.mark.parametrize("overrides, args, kwargs, mean, rel_sigma, rejected", [
-        ({}, (1.8, 1e-5, 2000, 42), {}, 591.1445619768475, 0.0881966814916222, 0),
+        ({}, (1.8, 1e-5, 2000, 42), {}, 592.0099487678337, 0.08929160386563807, 0),
         ({"e_H": 0.3, "e_G": 0.2}, (1.8, 1e-3, 5000, 3),
-         {"e_kappa": 0.4, "sampling": "normal"}, 248.50411731208646, 1.5379626568857219, 39),
+         {"e_kappa": 0.4, "sampling": "normal"}, 243.15823086450874, 0.3050946076658791, 33),
     ])
     def test_pinned_draws(self, overrides, args, kwargs, mean, rel_sigma, rejected):
         # values of the per-sample closed form over the same draws, kept to
@@ -493,8 +499,8 @@ class TestMonteCarloStream:
         # so test_rejected_entries_are_redrawn_inside_their_block sees
         # redraws in several blocks, not only in the first
         n = 3 * BLOCK + 17
-        rels = sample_inputs(CosmologyContext.default(HEAVY), 0.4)
-        draw = np.random.default_rng(3).standard_normal((n, 5))
+        rels = sample_inputs(1.8, CosmologyContext.default(HEAVY), 0.4)[0]
+        draw = np.random.default_rng(3).standard_normal((n, rels.size))
         rows = np.flatnonzero((1.0 + rels * draw <= 0.0).any(axis=1))
         assert {0, 1, 2} <= set((rows // BLOCK).tolist())
 
@@ -504,7 +510,7 @@ class TestMonteCarloStream:
         # samples are those of the patched blocks
         n, a, kappa = 3 * BLOCK + 17, 1.8, 1e-3
         ctx = CosmologyContext.default(HEAVY)
-        rels = sample_inputs(ctx, 0.4)
+        rels = sample_inputs(a, ctx, 0.4)[0]
         make_rng, draws = np.random.default_rng, []
 
         class Recording:
@@ -533,6 +539,49 @@ class TestMonteCarloStream:
         r = np.concatenate(blocks)
         assert r.min() > 0.0
         mean, rel_sigma = sample_moments(a, kappa, ctx, 0.4, np.log(r))
+        assert rel(mc.mean.value, mean) < 1e-12
+        assert rel(mc.rel_sigma, rel_sigma) < 1e-12
+
+    @pytest.mark.parametrize("sampling", ["lognormal", "normal"])
+    @pytest.mark.parametrize("overrides, e_kappa, k", [
+        ({}, 0.0, 3), ({}, 0.1, 4), ({"e_G": 0.0, "e_hbar": 0.0, "e_H": 0.0}, 0.0, 0)],
+        ids=["defaults", "e_kappa-0.1", "all-exact"])
+    def test_exact_inputs_draw_nothing(self, monkeypatch, overrides, e_kappa, k, sampling):
+        # each block draws one column per input with e_X > 0: c is exact at
+        # the defaults, and so is kappa unless e_kappa > 0
+        ctx = CosmologyContext.default(overrides)
+        make_rng, shapes = np.random.default_rng, []
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def standard_normal(self, shape):
+                shapes.append(shape)
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        n = 2 * BLOCK + 17
+        mc = monte_carlo_scale(1.8, 1e-3, n, 3, ctx, e_kappa=e_kappa, sampling=sampling)
+        assert [s for s in shapes if isinstance(s, tuple)] == [(BLOCK, k), (BLOCK, k), (17, k)]
+        assert mc.rejected == 0
+        if k == 0:
+            closed = transition_scale(1.8, 1e-3, ctx).lambda0.value
+            assert rel(mc.mean.value, closed) < 1e-12
+
+    @pytest.mark.parametrize("sampling", ["lognormal", "normal"])
+    def test_every_input_varying_equals_the_five_column_draw(self, sampling):
+        # with e_X > 0 for all five inputs, the result is that of the former
+        # sampler, which drew one (n, 5) array of G, c, hbar, H and kappa
+        ctx = CosmologyContext.default({"e_c": 1e-3})
+        n = 3 * BLOCK + 17
+        mc = monte_carlo_scale(1.8, 1e-3, n, 3, ctx, e_kappa=0.1, sampling=sampling)
+        rels = np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [0.1])
+        logs = rels * np.random.default_rng(3).standard_normal((n, 5))
+        if sampling == "normal":
+            logs = np.log(1.0 + logs)
+        mean, rel_sigma = sample_moments(1.8, 1e-3, ctx, 0.1, logs)
+        assert mc.rejected == 0
         assert rel(mc.mean.value, mean) < 1e-12
         assert rel(mc.rel_sigma, rel_sigma) < 1e-12
 
