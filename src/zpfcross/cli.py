@@ -9,12 +9,16 @@ dissipation and bound default to the context's t and ell, so a
 A call pays only for its own work. ``build_parser`` builds the parser
 on its first call and returns the same one after that, ``main`` uses
 the shared default context unless --config is given, and numpy is
-imported only by ``spectrum`` and ``transition --mc``. ``main`` reads
-an argv that starts with a subcommand in one argparse pass, by that
-subcommand's parser alone, and reports leftover arguments as
-``parse_args`` does; any other argv (no arguments, -h, --version, an
-unknown subcommand) goes to ``build_parser().parse_args``. argparse
-writes every usage, help and error text either way.
+imported only by ``spectrum`` and ``transition --mc``.
+
+``main`` reads a well-formed argv, a subcommand and then exact
+``--flag value`` pairs that its parser would accept, from that parser's
+flag table, without an argparse pass. argparse parses and words
+everything else: any other argv that starts with a subcommand goes to
+that subcommand's parser alone, with leftover arguments reported as
+``parse_args`` does, and any argv without one (no arguments, -h,
+--version, an unknown subcommand) to ``build_parser().parse_args``.
+So argparse writes every usage, help and error text.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import argparse
 import functools
 import math
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .constants import DAY_S, LIGHTMINUTE_M, CosmologyContext, load_config
@@ -218,9 +222,36 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+class _FlagTable(NamedTuple):
+    """What a subcommand's parser reads from ``--flag value`` pairs: its
+    single-value store actions by exact option string, its required
+    actions, and the namespace that its parse starts from."""
+
+    actions: Dict[str, argparse.Action]
+    required: FrozenSet[argparse.Action]
+    defaults: Dict[str, object]
+
+
+def _flag_table(name: str, command: argparse.ArgumentParser) -> _FlagTable:
+    """The flag table of subcommand ``name``, read from its parser."""
+    actions = {flag: action for action in command._actions
+               if type(action) is argparse._StoreAction and action.nargs is None
+               for flag in action.option_strings}
+    # as argparse fills it, in its order: the subcommand name, then each
+    # action's default, then the parser's set_defaults
+    defaults: Dict[str, object] = {"command": name}
+    for action in command._actions:
+        if action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    defaults.setdefault("func", command.get_default("func"))
+    return _FlagTable(actions, frozenset(a for a in command._actions if a.required), defaults)
+
+
 @functools.cache
-def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """``build_parser()``'s parser and its subcommand parsers by name."""
+def _parsers() -> Tuple[argparse.ArgumentParser,
+                        Dict[str, Tuple[argparse.ArgumentParser, _FlagTable]]]:
+    """``build_parser()``'s parser, and its subcommand parsers and their
+    flag tables by name."""
     parser = argparse.ArgumentParser(
         prog="zpfcross",
         description="Vacuum/turbulence spectrum crossover scale and its error budget.")
@@ -293,17 +324,50 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
     p.add_argument("--points", type=int, default=200)
     p.set_defaults(func=_cmd_spectrum)
 
-    return parser, sub.choices
+    return parser, {name: (command, _flag_table(name, command))
+                    for name, command in sub.choices.items()}
+
+
+def _read_pairs(table: _FlagTable, tokens: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace of ``tokens`` if they are exact ``--flag value`` pairs
+    that argparse would accept as they stand, a repeated flag keeping its
+    last value; None otherwise. A value that is empty or starts with '-'
+    is left to argparse, which classifies such tokens by rules of its own."""
+    if len(tokens) % 2:
+        return None
+    values = dict(table.defaults)
+    seen = set()
+    for flag, text in zip(tokens[::2], tokens[1::2]):
+        action = table.actions.get(flag)
+        if action is None or not text or text[0] == "-":
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if not table.required <= seen:
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, in one pass: what follows a
-    subcommand is read by that subcommand's parser alone."""
+    """``build_parser().parse_args(argv)``. A subcommand followed by
+    well-formed ``--flag value`` pairs is read from its flag table; argparse
+    parses and words everything else, what follows a subcommand by that
+    subcommand's parser alone."""
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else argv
-    command = commands.get(argv[0]) if argv else None
-    if command is None:  # help, --version or a usage error
+    entry = commands.get(argv[0]) if argv else None
+    if entry is None:  # help, --version or a usage error
         return parser.parse_args(argv)
+    command, table = entry
+    args = _read_pairs(table, argv[1:])
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

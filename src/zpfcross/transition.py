@@ -296,7 +296,8 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     the defaults, 0 where every input is exact). Each block is drawn,
     its rejected entries are redrawn in place, in row-major order,
     until none is left (at most ``_MC_MAX_REDRAWS`` rounds), and it is
-    then merged into a running mean and sum of squared deviations, so
+    then merged into a running mean and sum of squared deviations of
+    lambda/lambda0, which are scaled by lambda0 once at the end, so
     memory does not grow with n at any rejection rate. Successive
     blocks of a numpy generator equal one whole draw, so where nothing
     is rejected the draws are those of a single (n, k) array.
@@ -351,10 +352,9 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
                             f"rejection sampling stalled after {rejected} redraws")
                     np.log(block, out=block)
                     lam = block @ exponents
-                # merge the block's samples into the moments of the first
-                # start rows (Chan, Golub & LeVeque 1983)
+                # merge the block's ratios lambda/lambda0 into the moments
+                # of the first start rows (Chan, Golub & LeVeque 1983)
                 np.exp(lam, out=lam)
-                lam *= lambda0
                 m = lam.size
                 block_mean = float(lam.sum()) / m
                 lam -= block_mean
@@ -365,7 +365,9 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
                 del block, lam  # before the next block is drawn
         except MemoryError:
             raise ValidationError(f"{n} Monte Carlo samples do not fit in memory") from None
-    spread = math.sqrt(m2 / (n - 1))
+    # scaled once, so that where every input is exact (each ratio 1.0)
+    # the mean is lambda0 and the spread 0
+    mean, spread = mean * lambda0, math.sqrt(m2 / (n - 1)) * lambda0
     if not (0.0 < mean < math.inf and spread < math.inf):
         raise NonFinite(f"Monte Carlo samples of lambda0 leave the float range at "
                         f"a = {a!r}, kappa = {kappa!r}")

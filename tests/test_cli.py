@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zpfcross
 from zpfcross import CosmologyContext, cli
@@ -768,6 +771,107 @@ class TestDispatch:
         assert outcome(cli._parse, argv) == expected
         if not isinstance(expected[0], dict):  # help, version or a usage error
             assert outcome(main, argv) == expected
+
+
+# values that every subcommand's parser accepts as they stand, none empty
+# or starting with '-'
+FLOAT = st.one_of(st.floats(min_value=0.0), st.just(math.nan)).map(repr)
+FLOATS = st.lists(FLOAT, min_size=1, max_size=3).map(",".join)
+INTEGER = st.integers(0, 10 ** 30).map(str)
+WELL_FORMED = {
+    "--config": st.text(min_size=1).filter(lambda text: not text.startswith("-")),
+    "--format": st.sampled_from(["table", "csv"]),
+    "--sigfigs": st.integers(1, 99).map(str),
+    "--n0": st.sampled_from(["paper", "computed"]),
+    "--window-days": FLOAT, "--radius-lightminutes": FLOAT,
+    "--slope": FLOAT, "--kappa": FLOAT, "--ekappa": FLOAT,
+    "--mc": INTEGER, "--seed": INTEGER,
+    "--slopes": FLOATS, "--kappas": FLOATS,
+    "--outputs": st.lists(st.sampled_from(["epsilon", "N", "Ns", "bogus"]),
+                          min_size=1, max_size=4).map(",".join),
+    "--ns": FLOAT,
+    "--model": st.sampled_from(["boyer", "truncated", "powerlaw", "ms"]),
+    "--gamma": FLOAT, "--epsilon": FLOAT, "--kolmogorov-const": FLOAT,
+    "--cutoff-k": FLOAT, "--kmin": FLOAT, "--kmax": FLOAT,
+    "--points": INTEGER,
+}
+# each subcommand's required flags, then its optional ones
+PAIRS = {
+    "constants": ((), ("--config", "--format")),
+    "transition": (("--slope",), ("--config", "--format", "--sigfigs", "--kappa",
+                                  "--ekappa", "--mc", "--seed")),
+    "sweep": (("--slopes", "--kappas"), ("--config", "--format", "--sigfigs", "--n0",
+                                         "--outputs")),
+    "dissipation": (("--kappa", "--slope"), ("--config", "--format", "--sigfigs", "--n0",
+                                             "--window-days", "--radius-lightminutes")),
+    "bound": (("--slope",), ("--config", "--format", "--sigfigs", "--n0", "--window-days",
+                             "--radius-lightminutes", "--ns")),
+    "spectrum": (("--model",), ("--config", "--slope", "--kappa", "--gamma", "--epsilon",
+                                "--kolmogorov-const", "--cutoff-k", "--kmin", "--kmax",
+                                "--points")),
+}
+
+
+@st.composite
+def well_formed_argvs(draw):
+    """A subcommand and ``--flag value`` pairs of its own flags in any
+    order: every required flag, optional flags or none, some repeated."""
+    command = draw(st.sampled_from(sorted(PAIRS)))
+    required, optional = PAIRS[command]
+    flags = draw(st.permutations(
+        list(required) + draw(st.lists(st.sampled_from(required + optional), max_size=8))))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(WELL_FORMED[flag])]
+    return argv
+
+
+def subcommand_parses(argv):
+    """``cli._parse``'s outcome for ``argv`` and the number of times it
+    called the subcommand parser's ``parse_known_args``."""
+    command = cli._parsers()[1][argv[0]][0]
+    with mock.patch.object(command, "parse_known_args",
+                           wraps=command.parse_known_args) as parse_known_args:
+        result = outcome(cli._parse, argv)
+    return result, parse_known_args.call_count
+
+
+class TestFlagTable:
+    # a subcommand followed by well-formed --flag value pairs is read from
+    # its flag table without argparse; build_parser().parse_args is the oracle
+
+    def test_pairs_name_every_flag_of_each_subcommand(self):
+        for name, (command, _) in cli._parsers()[1].items():
+            flags = {flag for action in command._actions for flag in action.option_strings}
+            assert flags - {"-h", "--help"} == set().union(*PAIRS[name]), name
+            assert {flag for action in command._actions if action.required
+                    for flag in action.option_strings} == set(PAIRS[name][0]), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=well_formed_argvs())
+    def test_well_formed_pairs_are_read_without_argparse(self, argv):
+        expected = outcome(build_parser().parse_args, argv)
+        result, argparse_calls = subcommand_parses(argv)
+        assert repr(result) == repr(expected)  # repr: nan == nan, and the key order
+        assert argparse_calls == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["transition", "--slope", "1.8", "--ekappa", "-0.1"],
+        ["transition", "--slope=1.8", "--kappa", "1e-5"],
+        ["transition", "--slo", "1.8"],
+        ["transition", "--slope", "1.8", "--", "9"],
+        ["transition", "-h", "1.8"],
+        ["transition", "--kappa", "1e-5"],
+        ["constants", "--format", "xml"],
+        ["transition", "--slope", "1.8", "--sigfigs", "0"],
+        ["transition", "--slope", "1.8", "--kappa"],
+        ["sweep", "--slopes", "1.8", "--kappas", "1", "--outputs", ""],
+    ], ids=lambda argv: " ".join(argv))
+    def test_any_other_argv_reaches_argparse(self, argv):
+        expected = outcome(build_parser().parse_args, argv)
+        result, argparse_calls = subcommand_parses(argv)
+        assert result == expected
+        assert argparse_calls == 1
 
 
 class TestSigfigsFlag:

@@ -428,9 +428,10 @@ class TestMonteCarlo:
         exact = CosmologyContext.default({"e_G": 0.0, "e_hbar": 0.0, "e_H": 0.0})
         mc = monte_carlo_scale(2.0, 1.0, 1000, 7, exact)
         closed = transition_scale(2.0, 1.0, exact).lambda0.value
-        # rel_sigma is zero up to the roundoff of the vectorised mean
-        assert mc.rel_sigma < 1e-15
-        assert rel(mc.mean.value, closed) < 1e-12
+        # every ratio lambda/lambda0 is exactly 1.0
+        assert mc.mean.value == closed
+        assert mc.rel_sigma == 0.0
+        assert mc.mean_se.value == 0.0
         assert mc.rejected == 0
 
     def test_normal_sampling_mode(self, ctx):
@@ -566,8 +567,9 @@ class TestMonteCarloStream:
         assert [s for s in shapes if isinstance(s, tuple)] == [(BLOCK, k), (BLOCK, k), (17, k)]
         assert mc.rejected == 0
         if k == 0:
-            closed = transition_scale(1.8, 1e-3, ctx).lambda0.value
-            assert rel(mc.mean.value, closed) < 1e-12
+            assert mc.mean.value == transition_scale(1.8, 1e-3, ctx).lambda0.value
+            assert mc.rel_sigma == 0.0
+            assert mc.mean_se.value == 0.0
 
     @pytest.mark.parametrize("sampling", ["lognormal", "normal"])
     def test_every_input_varying_equals_the_five_column_draw(self, sampling):
