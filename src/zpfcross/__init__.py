@@ -3,7 +3,7 @@ crossover scale, and the dissipation bound on the turbulence degree.
 
 The pipeline, bottom to top:
 
-- ``quantity``: SI values with exact rational dimension exponents and
+- ``quantity``: SI values with exact dimension exponents and
   the float core of first-order uncertainty propagation.
 - ``constants``: the context, an immutable mapping of the constants
   (2006 CODATA plus a fixed Hubble measurement) with the derived
@@ -65,8 +65,6 @@ from .spectra import (
     SpectrumModel,
     TruncatedBoyer,
     amplitude_from_kappa,
-    budget_roundtrip,
-    energy_budget_total,
     gamma_from_slope,
     horizon_injection_rate,
     horizon_spectrum_amplitude,

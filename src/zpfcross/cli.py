@@ -58,7 +58,9 @@ def _sigfigs(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    # no double has more than 767 significant digits, so every larger N
+    # formats as 767 does, and format() refuses a precision past 2**31 - 1
+    return min(value, 767)
 
 
 def _write_pairs(pairs: Sequence[Tuple[str, str]], format: str) -> None:
@@ -195,7 +197,10 @@ def _cmd_spectrum(args: argparse.Namespace, ctx: CosmologyContext) -> int:
 
     log_lo, log_hi = math.log(kmin), math.log(kmax)
     try:
-        k = np.exp(log_lo + (log_hi - log_lo) * np.arange(args.points) / (args.points - 1))
+        steps = np.arange(args.points)
+        if steps.size != args.points:  # numpy gives an empty range near 2**63 points
+            raise ValueError
+        k = np.exp(log_lo + (log_hi - log_lo) * steps / (args.points - 1))
         k[0], k[-1] = kmin, kmax  # exp(log(k)) can drift one ulp past the endpoints
         # the whole column is computed and checked before anything is written,
         # so a numeric failure leaves stdout empty

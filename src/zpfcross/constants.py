@@ -39,7 +39,6 @@ from .quantity import (
     DIMENSIONLESS,
     Dimension,
     ENERGY_DENSITY,
-    Exponent,
     FREQUENCY,
     GRAVITATIONAL,
     LENGTH,
@@ -48,7 +47,6 @@ from .quantity import (
     SPEED,
     TIME,
     Quantity,
-    as_fraction,
     power_product,
     power_terms,
 )
@@ -164,13 +162,12 @@ def load_config(path: str | os.PathLike) -> dict[str, float]:
 class ExponentTable:
     """A product of powers of the context's constants, prod X**p_X.
 
-    The dimension is composed exactly (Fraction exponents) once, when
-    the table is built, and must equal ``dim``; otherwise the build
-    raises DimensionMismatch. Constant dimensions are fixed, so
-    ``evaluate`` needs floats only.
+    The dimension is composed once, when the table is built, and must
+    equal ``dim``; otherwise the build raises DimensionMismatch.
+    Constant dimensions are fixed, so ``evaluate`` needs floats only.
     """
 
-    exponents: Mapping[str, Exponent]
+    exponents: Mapping[str, float]
     dim: Dimension
     _terms: Tuple[Tuple[str, float], ...] = field(init=False, repr=False, compare=False)
 
@@ -185,7 +182,7 @@ class ExponentTable:
                                     f"[{composed}], expected [{self.dim}]")
         object.__setattr__(self, "exponents", MappingProxyType(dict(self.exponents)))
         object.__setattr__(self, "_terms", tuple(
-            (name, float(as_fraction(p))) for name, p in self.exponents.items()))
+            (name, float(p)) for name, p in self.exponents.items()))
 
     def evaluate(self, ctx: CosmologyContext, coeff: float = 1.0) -> Quantity:
         """coeff * prod X**p_X, with rel_sigma from first-order propagation."""

@@ -2,10 +2,11 @@
 of first-order uncertainty propagation.
 
 Values are floats in SI base units throughout; unit conversion happens
-only at I/O boundaries. Dimensions carry rational exponents of length,
-mass and time (``fractions.Fraction``), so power laws with exponents
-like 1/(3+a) compose without floating drift: exponent bookkeeping is
-exact even when a itself came from a float.
+only at I/O boundaries. Dimensions carry the exponents of length, mass
+and time as given, ints or floats, and compare them exactly. Every
+exponent the package forms is an integer or, for a power-law slope a in
+(1, 3), one of -a, 1 - a and their integer sums, all exact in floats, so
+equal dimensions compare equal.
 
 ``Quantity`` is a checked record (a finite value, a dimension and a
 relative uncertainty rel_sigma >= 0, zero for an exact value), not an
@@ -22,30 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Tuple
 
 from .errors import NonFinite, ValidationError
-
-Exponent = Union[int, float, Fraction]
-
-
-def as_fraction(p: Exponent) -> Fraction:
-    """Exact rational form of an exponent.
-
-    Floats convert exactly (binary rationals); the conversion must be
-    applied once per logical symbol so identical exponents cancel
-    exactly in dimension arithmetic.
-    """
-    if isinstance(p, Fraction):
-        return p
-    if isinstance(p, int):
-        return Fraction(p)
-    if isinstance(p, float):
-        if not math.isfinite(p):
-            raise ValidationError(f"exponent must be finite, got {p!r}")
-        return Fraction(p)
-    raise TypeError(f"cannot use {type(p).__name__} as an exponent")
 
 
 @dataclass(frozen=True)
@@ -54,17 +34,12 @@ class Dimension:
 
     The zero vector denotes a dimensionless quantity. ``*`` and ``/``
     compose dimensions (exponent addition/subtraction), ``**`` scales
-    all exponents by a rational power.
+    all exponents by a finite power. Exponents are kept as given.
     """
 
-    length: Fraction = Fraction(0)
-    mass: Fraction = Fraction(0)
-    time: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "length", as_fraction(self.length))
-        object.__setattr__(self, "mass", as_fraction(self.mass))
-        object.__setattr__(self, "time", as_fraction(self.time))
+    length: float = 0
+    mass: float = 0
+    time: float = 0
 
     @property
     def is_dimensionless(self) -> bool:
@@ -80,9 +55,10 @@ class Dimension:
                          self.mass - other.mass,
                          self.time - other.time)
 
-    def __pow__(self, p: Exponent) -> "Dimension":
-        pf = as_fraction(p)
-        return Dimension(self.length * pf, self.mass * pf, self.time * pf)
+    def __pow__(self, p: float) -> "Dimension":
+        if not math.isfinite(p):
+            raise ValidationError(f"exponent must be finite, got {p!r}")
+        return Dimension(self.length * p, self.mass * p, self.time * p)
 
     def __str__(self) -> str:
         if self.is_dimensionless:
@@ -93,12 +69,9 @@ class Dimension:
                 continue
             if expo == 1:
                 parts.append(symbol)
-            elif expo.denominator == 1:
-                parts.append(f"{symbol}^{expo.numerator}")
-            elif expo.denominator <= 64:
-                parts.append(f"{symbol}^({expo.numerator}/{expo.denominator})")
+            elif expo % 1 == 0:
+                parts.append(f"{symbol}^{int(expo)}")
             else:
-                # slope-valued exponent; show the float, bookkeeping stays exact
                 parts.append(f"{symbol}^{float(expo):g}")
         return "·".join(parts)
 

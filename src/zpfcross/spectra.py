@@ -31,7 +31,6 @@ import math
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .constants import (CRITICAL_ENERGY_DENSITY, HORIZON_POWER_DENSITY, HUBBLE_RADIUS,
@@ -50,7 +49,6 @@ from .quantity import (
     ACTION,
     DENSITY,
     Dimension,
-    LENGTH,
     POWER_DENSITY,
     Quantity,
     SPECTRAL_DENSITY,
@@ -233,12 +231,11 @@ class PowerLawTurbulence(SpectrumModel):
     slope: float
 
     def __post_init__(self) -> None:
-        check_slope(self.slope)
-        af = Fraction(self.slope)
-        if self.amplitude.dim != SPECTRAL_DENSITY * WAVENUMBER ** af:
+        dim = SPECTRAL_DENSITY * WAVENUMBER ** check_slope(self.slope)
+        if self.amplitude.dim != dim:
             raise DimensionMismatch(
                 f"amplitude for slope {self.slope} must have dimension "
-                f"{SPECTRAL_DENSITY * WAVENUMBER ** af}, got [{self.amplitude.dim}]")
+                f"{dim}, got [{self.amplitude.dim}]")
 
     @classmethod
     def from_kappa(cls, ctx: CosmologyContext, kappa: float, slope: float) -> "PowerLawTurbulence":
@@ -275,7 +272,7 @@ class MoisseevShivamoggi(SpectrumModel):
     _denom: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma)
+        g = _check_gamma(self.gamma)
         for name, quantity, dim in (("epsilon", self.epsilon, POWER_DENSITY),
                                     ("rho", self.rho, DENSITY),
                                     ("c", self.c, SPEED)):
@@ -285,17 +282,18 @@ class MoisseevShivamoggi(SpectrumModel):
         if not 0.0 < self.kolmogorov_const < math.inf:
             raise ValidationError(f"Kolmogorov constant must be positive and finite, "
                                   f"got {self.kolmogorov_const!r}")
-        gf = Fraction(self.gamma)
         try:
-            log_base = (float(gf - 1) * math.log(self.rho.value)
-                        + float(2 * gf) * math.log(self.epsilon.value)
-                        - 2.0 * math.log(self.c.value))
-            k_power = float(5 * gf - 1)
+            # 5*g - 1.0 would round twice; fsum rounds the exact sum once
+            k_power = math.fsum((g,) * 5 + (-1.0,))
+            denom = math.fsum((g,) * 3 + (-1.0,))
         except OverflowError:
             raise NonFinite(f"exponents of gamma = {self.gamma!r} leave the float range") from None
+        log_base = ((g - 1.0) * math.log(self.rho.value)
+                    + 2.0 * g * math.log(self.epsilon.value)
+                    - 2.0 * math.log(self.c.value))
         object.__setattr__(self, "_log_base", log_base)
         object.__setattr__(self, "_k_power", k_power)
-        object.__setattr__(self, "_denom", float(3 * gf - 1))
+        object.__setattr__(self, "_denom", denom)
 
     @classmethod
     def from_context(cls, ctx: CosmologyContext, gamma: float,
@@ -338,27 +336,19 @@ def gamma_from_slope(a: float) -> float:
     return (1.0 - a) / denom
 
 
-def energy_budget_total(kappa: float, ctx: CosmologyContext) -> Quantity:
-    """Total turbulent energy density kappa*rho*c**2, J/m^3."""
-    kappa = check_kappa(kappa)
-    return CRITICAL_ENERGY_DENSITY.evaluate(ctx, 3.0 * kappa / (8.0 * math.pi))
-
-
 def _reduced_amplitude(a: float, ctx: CosmologyContext, scale: float) -> Quantity:
     """scale * rho*c**2 * R**(1-a), J/m^2 * m^-a, from the two tables.
 
     Their exponents are merged by constant name (G**-1 * H**(1+a) *
     c**(3-a)), so the H shared by rho and R is counted once.
     """
-    af = Fraction(a)
     exponents = dict(CRITICAL_ENERGY_DENSITY.exponents)
     for name, p in HUBBLE_RADIUS.exponents.items():
-        exponents[name] = exponents.get(name, 0) + (1 - af) * p
+        exponents[name] = exponents.get(name, 0) + (1.0 - a) * p
     value, rel_sigma = power_product(
         scale * 3.0 / (8.0 * math.pi),
-        [(ctx.value(name), ctx.rel_sigma(name), float(p))
-         for name, p in exponents.items()])
-    return Quantity(value, CRITICAL_ENERGY_DENSITY.dim * HUBBLE_RADIUS.dim ** (1 - af), rel_sigma)
+        [(ctx.value(name), ctx.rel_sigma(name), p) for name, p in exponents.items()])
+    return Quantity(value, CRITICAL_ENERGY_DENSITY.dim * HUBBLE_RADIUS.dim ** (1.0 - a), rel_sigma)
 
 
 def amplitude_from_kappa(kappa: float, a: float, ctx: CosmologyContext) -> Quantity:
@@ -366,17 +356,6 @@ def amplitude_from_kappa(kappa: float, a: float, ctx: CosmologyContext) -> Quant
     kappa = check_kappa(kappa)
     a = check_slope(a)
     return _reduced_amplitude(a, ctx, (a - 1.0) * kappa)
-
-
-def budget_roundtrip(amplitude: Quantity, a: float, ctx: CosmologyContext) -> Quantity:
-    """Closed form of integral(A*k**-a, k = 1/R .. inf) = A*R**(a-1)/(a-1).
-
-    Recovers kappa*rho*c**2 when the amplitude came from
-    amplitude_from_kappa.
-    """
-    a = check_slope(a)
-    value = power_product(amplitude.value, [(ctx.hubble_radius.value, 0.0, a - 1.0)])[0]
-    return Quantity(value / (a - 1.0), amplitude.dim * LENGTH ** (Fraction(a) - 1))
 
 
 def horizon_injection_rate(ctx: CosmologyContext) -> Quantity:

@@ -286,9 +286,8 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     "normal" draws additively (r = 1 + e*z); non-positive draws
     are then rejected and redrawn (``rejected`` counts every one drawn)
     and sampling fails with DegenerateSamples if rejection cannot make
-    progress. Note the additive mode overshoots first-order propagation
-    by about 5 percent at e_H = 0.15 from second-order terms, and has no
-    exact spread (see ``MonteCarloScale``).
+    progress. The additive mode has no finite exact spread (see
+    ``MonteCarloScale``).
 
     The samples are streamed in blocks of ``_MC_BLOCK_ROWS`` rows, one
     column per input with e_X > 0: an exact input has r = 1 in both

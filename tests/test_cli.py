@@ -543,12 +543,13 @@ class TestSpectrumCommand:
         assert (code, out) == (2, "")
         assert err == "error: need at least 2 points\n"
 
-    def test_points_beyond_numpy_shapes_is_validation_error(self, capsys):
-        # numpy refuses this length before allocating anything
-        code, out, err = run(capsys, "spectrum", "--model", "boyer",
-                             "--points", "100000000000000000000")
+    @pytest.mark.parametrize("points", [2 ** 63 - 1, 2 ** 63, 10 ** 20])
+    def test_points_beyond_numpy_shapes_is_validation_error(self, capsys, points):
+        # numpy refuses 10**20 before allocating anything, and gives an
+        # empty range for a length near 2**63
+        code, out, err = run(capsys, "spectrum", "--model", "boyer", "--points", str(points))
         assert (code, out) == (2, "")
-        assert err == "error: --points 100000000000000000000 does not fit in memory\n"
+        assert err == f"error: --points {points} does not fit in memory\n"
 
     def test_points_out_of_memory_is_validation_error(self, capsys, monkeypatch):
         # the grid raises as numpy does when the allocation fails
@@ -890,6 +891,20 @@ class TestSigfigsFlag:
         values = dict(line.split(None, 1) for line in out.splitlines())
         assert values["lambda0_m"] == "2e1"
 
+    @pytest.mark.parametrize("command", [
+        ("transition", "--slope", "1.8"),
+        ("sweep", "--slopes", "1.8", "--kappas", "1e-5"),
+        ("dissipation", "--kappa", "1e-5", "--slope", "1.8")])
+    def test_beyond_767_prints_as_767(self, capsys, command):
+        # no double has more than 767 significant digits, and format()
+        # refuses a precision past 2**31 - 1
+        outputs = set()
+        for value in ("767", "2147483648", str(2 ** 70)):
+            code, out, err = run(capsys, *command, "--sigfigs", value)
+            assert (code, err) == (0, "")
+            outputs.add(out)
+        assert len(outputs) == 1
+
 
 class TestFixedCosts:
     def test_parser_built_once(self):
@@ -899,11 +914,12 @@ class TestFixedCosts:
         args = build_parser().parse_args(["sweep", "--slopes", "1.7", "--kappas", "1"])
         assert args.outputs == ()
 
-    def test_cold_start_does_not_import_pathlib(self):
-        # -S: a site-packages .pth file may import pathlib before zpfcross
+    @pytest.mark.parametrize("module", ["pathlib", "fractions", "decimal"])
+    def test_cold_start_does_not_import(self, module):
+        # -S: a site-packages .pth file may import a module before zpfcross
         code = ("import sys\n"
                 "import zpfcross.cli\n"
-                "assert 'pathlib' not in sys.modules, 'pathlib was imported'\n")
+                f"assert {module!r} not in sys.modules, '{module} was imported'\n")
         src = str(Path(zpfcross.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -44,7 +44,9 @@ SLOPE = mostly(st.floats(1.0, 3.0, exclude_min=True, exclude_max=True).map(repr)
 KAPPA = mostly(st.floats(-30.0, 0.0).map(lambda exponent: repr(10.0 ** exponent)), NUMBER)
 VALUES = {
     "--format": choice(["table", "csv"], "json"),
-    "--sigfigs": mostly(st.integers(1, 25), st.integers(-2, 0)).map(str),
+    # beyond 2**31 - 1 format() refuses the precision; it is clamped to 767
+    "--sigfigs": mostly(st.one_of(st.integers(1, 25), st.sampled_from([2 ** 31, 2 ** 70])),
+                        st.integers(-2, 0)).map(str),
     "--n0": choice(["paper", "computed"], "both"),
     "--window-days": NUMBER,
     "--radius-lightminutes": NUMBER,
@@ -69,7 +71,8 @@ VALUES = {
     "--kmin": NUMBER,
     "--kmax": NUMBER,
     # a few points, or more than numpy can index, which allocates nothing
-    "--points": st.one_of(st.integers(-3, 300), st.just(10 ** 20)).map(str),
+    "--points": st.one_of(st.integers(-3, 300),
+                          st.sampled_from([2 ** 63 - 1, 2 ** 63, 10 ** 20])).map(str),
 }
 # each subcommand's flags, its required ones first
 FLAGS = {

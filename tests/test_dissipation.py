@@ -20,7 +20,9 @@ from zpfcross.quantity import (
     LENGTH,
     POWER_DENSITY,
     Quantity,
+    SPECTRAL_DENSITY,
     TIME,
+    WAVENUMBER,
 )
 from zpfcross.report import SweepSpec, run_sweep
 from zpfcross.spectra import amplitude_from_kappa, gamma_from_slope
@@ -51,7 +53,8 @@ class TestDissipationRate:
         # oracle: solve the Moisseev-Shivamoggi amplitude
         # A = [rho**(gamma-1) * eps**(2*gamma) * c**-2]**(1/(3*gamma-1))
         # for eps with the calibrated A, evaluated in logs (A**(3*gamma-1)
-        # underflows for a = 1.7), dimensions via exact fractions
+        # underflows for a = 1.7), dimensions via exact fractions on the
+        # amplitude's dimension as built here
         rho = ctx.rho_crit
         c = ctx.quantity("c")
         for a in (1.7, 1.8, 2.0, 2.5):
@@ -60,10 +63,12 @@ class TestDissipationRate:
                 gf = (1 - af) / (5 - 3 * af)  # exact adiabatic index
                 assert abs(float(gf) - gamma_from_slope(a)) < 1e-12
                 amp = amplitude_from_kappa(kappa, a, ctx)
+                amp_dim = SPECTRAL_DENSITY * WAVENUMBER ** af
+                assert amp.dim == amp_dim
                 log_eps = (float(3 * gf - 1) * math.log(amp.value)
                            + float(1 - gf) * math.log(rho.value)
                            + 2.0 * math.log(c.value)) / float(2 * gf)
-                dim = (amp.dim ** (3 * gf - 1) * rho.dim ** (1 - gf)
+                dim = (amp_dim ** (3 * gf - 1) * rho.dim ** (1 - gf)
                        * c.dim ** 2) ** (Fraction(1) / (2 * gf))
                 eps = solar_budget(kappa, a, ctx).epsilon
                 assert rel(math.exp(log_eps), eps.value) < 1e-9

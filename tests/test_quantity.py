@@ -42,6 +42,14 @@ class TestDimension:
     def test_str(self):
         assert str(MASS / LENGTH ** 3) == "m^-3·kg"
         assert str(DIMENSIONLESS) == "1"
+        # an integral exponent prints as an int, any other as a float
+        assert str(LENGTH ** 2.0 / TIME ** Fraction(4, 2)) == "m^2·s^-2"
+        assert str(LENGTH ** Fraction(-3, 2) * MASS ** 1.8) == "m^-1.5·kg^1.8"
+
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_non_finite_power_rejected(self, p):
+        with pytest.raises(ValidationError, match="exponent must be finite"):
+            LENGTH ** p
 
 
 class TestCombine:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from zpfcross.constants import CosmologyContext
+from zpfcross.constants import CRITICAL_ENERGY_DENSITY, CosmologyContext
 from zpfcross.errors import (
     DimensionMismatch,
     KappaOutOfRange,
@@ -22,6 +22,7 @@ from zpfcross.errors import (
 from zpfcross.quantity import (
     DENSITY,
     ENERGY_DENSITY,
+    LENGTH,
     POWER_DENSITY,
     Quantity,
     SPECTRAL_DENSITY,
@@ -34,8 +35,6 @@ from zpfcross.spectra import (
     PowerLawTurbulence,
     TruncatedBoyer,
     amplitude_from_kappa,
-    budget_roundtrip,
-    energy_budget_total,
     gamma_from_slope,
     horizon_injection_rate,
     horizon_spectrum_amplitude,
@@ -201,6 +200,15 @@ class TestAmplitude:
         amp = amplitude_from_kappa(1.0, a, ctx)
         assert amp.dim == SPECTRAL_DENSITY * WAVENUMBER ** Fraction(a)
 
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(1.0, 3.0, exclude_min=True, exclude_max=True))
+    def test_float_dimension_equals_the_exact_rational_one(self, ctx, a):
+        # the package composes m**-a in float exponents (-1 + (1 - a));
+        # for a in (1, 3) that sum is exact, so it equals the rational one
+        exact = SPECTRAL_DENSITY * WAVENUMBER ** Fraction(a)
+        assert amplitude_from_kappa(0.5, a, ctx).dim == exact
+        assert horizon_spectrum_amplitude(a, ctx).dim == exact
+
     def test_budget_recovered_by_quadrature(self, ctx):
         # oracle: adaptive quadrature of A*k**-a from 1/R to infinity,
         # in log space (u = ln k) so the improper tail is exponential
@@ -244,25 +252,27 @@ class TestAmplitude:
 
 class TestBudgetRoundtrip:
     def test_closed_form_inverse(self, ctx):
+        # integral(A*k**-a, k = 1/R .. inf) = A*R**(a-1)/(a-1) recovers
+        # kappa*rho*c**2, in plain floats
+        radius = ctx.hubble_radius.value
         for a in (1.3, 1.7, 1.8, 2.0, 2.7):
             for kappa in (1.0, 0.5, 1e-5):
                 amp = amplitude_from_kappa(kappa, a, ctx)
-                total = budget_roundtrip(amp, a, ctx)
+                total = amp.value * radius ** (a - 1.0) / (a - 1.0)
                 target = kappa * ctx.rho_crit.value * 2.99792458e8 ** 2
-                assert rel(total.value, target) < 1e-12
-                assert total.dim == ENERGY_DENSITY
+                assert rel(total, target) < 1e-12
+                assert amp.dim * LENGTH ** (a - 1.0) == ENERGY_DENSITY
 
     def test_energy_budget_total(self, ctx):
-        total = energy_budget_total(0.5, ctx)
+        total = CRITICAL_ENERGY_DENSITY.evaluate(ctx, 3.0 * 0.5 / (8.0 * math.pi))
         target = 0.5 * ctx.rho_crit.value * 2.99792458e8 ** 2
         assert rel(total.value, target) < 1e-12
         assert total.dim == ENERGY_DENSITY
-        with pytest.raises(KappaOutOfRange):
-            energy_budget_total(1.5, ctx)
 
     def test_kappa_linear(self, ctx):
-        full = energy_budget_total(1.0, ctx).value
-        assert rel(energy_budget_total(0.5, ctx).value, 0.5 * full) < 1e-15
+        def total(kappa):
+            return CRITICAL_ENERGY_DENSITY.evaluate(ctx, 3.0 * kappa / (8.0 * math.pi)).value
+        assert rel(total(0.5), 0.5 * total(1.0)) < 1e-15
 
     def test_finite_quadrature_matches_closed_form(self, ctx):
         # truncated budget over [1/R, 1e6/R]: quadrature vs closed form
@@ -294,11 +304,11 @@ class TestHorizonInjection:
         for fast, coeff, powers in (
                 (horizon_injection_rate(ctx), 9.0 / (8.0 * math.pi),
                  (("G", -1), ("H", 3), ("c", 2))),
-                (energy_budget_total(0.3, ctx), 3.0 * 0.3 / (8.0 * math.pi),
-                 (("H", 2), ("G", -1), ("c", 2)))):
+                (CRITICAL_ENERGY_DENSITY.evaluate(ctx, 3.0 * 0.3 / (8.0 * math.pi)),
+                 3.0 * 0.3 / (8.0 * math.pi), (("H", 2), ("G", -1), ("c", 2)))):
             slow = product_of_powers(coeff, [(ctx.quantity(name), p) for name, p in powers])
             assert (fast.value, fast.rel_sigma, fast.dim) == slow
-        assert energy_budget_total(0.3, ctx).dim == ENERGY_DENSITY
+        assert CRITICAL_ENERGY_DENSITY.dim == ENERGY_DENSITY
 
     def test_scales_with_h_cubed(self, ctx):
         from zpfcross import CosmologyContext
@@ -387,6 +397,19 @@ class TestMoisseevShivamoggi:
         composed = (DENSITY ** (gf - 1) * POWER_DENSITY ** (2 * gf) * SPEED ** -2
                     * WAVENUMBER ** -(5 * gf - 1)) ** (1 / (3 * gf - 1))
         assert composed == SPECTRAL_DENSITY
+
+    @settings(max_examples=300, deadline=None)
+    @given(gamma=st.floats(1.0 / 3.0, 1e300, exclude_min=True))
+    def test_exponents_are_rounded_once(self, ctx, gamma):
+        # 5*gamma - 1, 3*gamma - 1 and gamma - 1 each equal the exact
+        # rational rounded once (5*gamma - 1.0 in floats rounds twice)
+        model = MoisseevShivamoggi.from_context(ctx, gamma)
+        gf = Fraction(gamma)
+        assert model._k_power == float(5 * gf - 1)
+        assert model._denom == float(3 * gf - 1)
+        assert model._log_base == (float(gf - 1) * math.log(model.rho.value)
+                                   + float(2 * gf) * math.log(model.epsilon.value)
+                                   - 2.0 * math.log(model.c.value))
 
     @pytest.mark.parametrize("name", ["epsilon", "rho", "c"])
     def test_wrong_input_dimension_names_the_input(self, ctx, name):

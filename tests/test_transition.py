@@ -4,13 +4,14 @@ import sys
 import tracemalloc
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from zpfcross import quantity, transition
+from zpfcross import transition
 from zpfcross.constants import HUBBLE_RADIUS, CosmologyContext, ExponentTable
 from zpfcross.dissipation import solar_budget
 from zpfcross.errors import (
@@ -245,7 +246,6 @@ class TestExponentTable:
                   MoisseevShivamoggi.from_context(ctx, 1.37)]
         for name in ("__mul__", "__truediv__", "__pow__"):
             monkeypatch.setattr(Dimension, name, counted(name, getattr(Dimension, name)))
-        monkeypatch.setattr(quantity, "as_fraction", counted("as_fraction", quantity.as_fraction))
         transition_scale(1.8, 1e-5, ctx, e_kappa=0.1)
         log_form_scale(1.8, 1e-5, ctx)
         monte_carlo_scale(1.8, 1e-5, 1000, 5, ctx, e_kappa=0.1)
@@ -638,6 +638,28 @@ class TestMonteCarloMoments:
         else:
             mean = normal_mean(1.8, 1e-5, ctx, e_kappa)
         assert abs(mc.mean.value - mean) < 4.0 * mc.mean_se.value
+
+    def test_readme_seed_one_figures(self, ctx):
+        # the README quotes these at a = 1.8, kappa = 1e-5, 1e6 samples and
+        # seed 1; each is recomputed at the precision it is printed to
+        readme = Path(__file__).resolve().parents[1].joinpath("README.md")
+        text = " ".join(readme.read_text(encoding="utf-8").split())
+        exact = transition_scale(1.8, 1e-5, ctx)
+        wide = transition_scale(1.8, 1e-5, ctx, e_kappa=0.4)
+        lognormal = monte_carlo_scale(1.8, 1e-5, 10 ** 6, 1, ctx)
+        normal = monte_carlo_scale(1.8, 1e-5, 10 ** 6, 1, ctx, sampling="normal")
+        normal_wide = monte_carlo_scale(1.8, 1e-5, 10 ** 6, 1, ctx, e_kappa=0.4,
+                                        sampling="normal")
+        for quoted in (
+                f"(`lambda0 = {exact.lambda0.value:.2f} m`, first-order rel sigma "
+                f"{exact.rel_sigma:.4f})",
+                f"lognormal: mean {lognormal.mean.value:.2f} m, spread "
+                f"{lognormal.rel_sigma:.4f};",
+                f"normal: mean {normal.mean.value:.1f} m, empirical spread "
+                f"{normal.rel_sigma:.4f},",
+                f"spread about {normal_wide.rel_sigma:.3f} against the first-order "
+                f"{wide.rel_sigma:.4f},"):
+            assert quoted in text
 
 
 class TestReferenceScale:
