@@ -78,7 +78,6 @@ from .transition import (
     log_form_scale,
     monte_carlo_scale,
     numeric_crossover,
-    sigma_approximation,
     transition_scale,
 )
 

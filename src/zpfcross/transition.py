@@ -70,8 +70,9 @@ _SCALE_EXPONENTS = tuple(
 # gives up with NoCrossing after this many halvings
 _BISECTION_REL_TOL = 1e-12
 _BISECTION_MAX_ITER = 200
-# monte_carlo_scale draws and reduces this many rows at a time (at most 640
-# KiB of five float64 inputs), takes at most this many samples, and gives up
+# monte_carlo_scale draws and reduces this many rows at a time (128 KiB of
+# float64 in lognormal mode, one column; at most 640 KiB in normal mode, one
+# column per varying input), takes at most this many samples, and gives up
 # on a block whose rejected entries are still there after this many redraws
 _MC_BLOCK_ROWS = 2 ** 14
 _MC_MAX_SAMPLES = 10 ** 9
@@ -216,16 +217,6 @@ def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyCon
     raise NoCrossing(f"bisection did not converge in {_BISECTION_MAX_ITER} iterations")
 
 
-def sigma_approximation(a: float, e_H: float) -> float:
-    """Dominant-term error estimate sigma/lambda0 ~ (a+1)*e_H/(a+3).
-
-    e_H dwarfs the other uncertainties, so the full budget collapses
-    to the Hubble term for realistic constant sets.
-    """
-    a = check_slope(a)
-    return (a + 1.0) * e_H / (a + 3.0)
-
-
 def log_form_constants(ctx: CosmologyContext) -> Tuple[float, float]:
     """The constants C1 = -ln(8*pi/3 * V) = ln(3*c**2*H/(8*pi*G*hbar)) and
     C2 = -ln R = ln(H/c), from the tables V and R."""
@@ -289,22 +280,28 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     progress. The additive mode has no finite exact spread (see
     ``MonteCarloScale``).
 
-    The samples are streamed in blocks of ``_MC_BLOCK_ROWS`` rows, one
-    column per input with e_X > 0: an exact input has r = 1 in both
-    modes and is never rejected, so it is not drawn (k = 3 columns at
-    the defaults, 0 where every input is exact). Each block is drawn,
-    its rejected entries are redrawn in place, in row-major order,
-    until none is left (at most ``_MC_MAX_REDRAWS`` rounds), and it is
-    then merged into a running mean and sum of squared deviations of
-    lambda/lambda0, which are scaled by lambda0 once at the end, so
-    memory does not grow with n at any rejection rate. Successive
-    blocks of a numpy generator equal one whole draw, so where nothing
-    is rejected the draws are those of a single (n, k) array.
+    An exact input has r = 1 in both modes and is never rejected, so it
+    is not drawn. Over the k inputs with e_X > 0 (3 at the defaults),
+    ln(lambda/lambda0) = sum(p_X*e_X*z_X) with independent standard
+    normals z_X is itself normal, of spread s = sqrt(sum((p_X*e_X)**2)):
+    lognormal mode draws one column, lambda/lambda0 = exp(s*z), the same
+    law as k columns. Normal mode truncates each r_X on its own, so it
+    draws k columns. Neither draws anything where k = 0.
+
+    The samples are streamed in blocks of ``_MC_BLOCK_ROWS`` rows. Each
+    block is drawn, its rejected entries are redrawn in place, in
+    row-major order, until none is left (at most ``_MC_MAX_REDRAWS``
+    rounds), and it is then merged into a running mean and sum of
+    squared deviations of lambda/lambda0, which are scaled by lambda0
+    once at the end, so memory does not grow with n at any rejection
+    rate. Successive blocks of a numpy generator equal one whole draw,
+    so where nothing is rejected the draws are those of a single (n,)
+    or (n, k) array.
 
     A seed that numpy refuses, or more than ``_MC_MAX_SAMPLES`` samples
-    (about 45 s at the defaults, at 1e6 samples per 0.045 s), raises
-    ValidationError before anything is drawn, as does running out of
-    memory; a mean or spread outside the float range raises NonFinite.
+    (timings in ``BENCH_mc_one_draw.json``), raises ValidationError
+    before anything is drawn, as does running out of memory; a mean or
+    spread outside the float range raises NonFinite.
     """
     a = check_slope(a)
     kappa = check_kappa(kappa)
@@ -321,7 +318,8 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
 
     varying = [(p, e) for _, p, e in terms.budget if e > 0.0]
     exponents, rels = np.array(varying).reshape(-1, 2).T
-    weights = exponents * rels  # lognormal: ln(lambda/lambda0) = z @ (p*e)
+    # the lognormal spread; hypot scales before it squares, so no (p*e)**2 overflows
+    s = math.hypot(*(p * e for p, e in varying))
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError):  # numpy takes only non-negative integers
@@ -332,10 +330,12 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for start in range(0, n, _MC_BLOCK_ROWS):
-                block = rng.standard_normal((min(_MC_BLOCK_ROWS, n - start), rels.size))
-                if sampling == "lognormal":
-                    lam = block @ weights
+                m = min(_MC_BLOCK_ROWS, n - start)
+                if sampling == "lognormal":  # ln(lambda/lambda0) = s*z
+                    lam = rng.standard_normal(m) if varying else np.zeros(m)
+                    lam *= s
                 else:  # r = 1 + e*z, redrawn where r <= 0 (X <= 0)
+                    block = rng.standard_normal((m, rels.size))
                     block *= rels
                     block += 1.0
                     for _ in range(_MC_MAX_REDRAWS):
@@ -351,17 +351,17 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
                             f"rejection sampling stalled after {rejected} redraws")
                     np.log(block, out=block)
                     lam = block @ exponents
+                    del block
                 # merge the block's ratios lambda/lambda0 into the moments
                 # of the first start rows (Chan, Golub & LeVeque 1983)
                 np.exp(lam, out=lam)
-                m = lam.size
                 block_mean = float(lam.sum()) / m
                 lam -= block_mean
                 total = start + m
                 delta = block_mean - mean
                 mean = mean + delta * (m / total)
                 m2 = m2 + float(lam @ lam) + delta * delta * (start * m / total)
-                del block, lam  # before the next block is drawn
+                del lam  # before the next block is drawn
         except MemoryError:
             raise ValidationError(f"{n} Monte Carlo samples do not fit in memory") from None
     # scaled once, so that where every input is exact (each ratio 1.0)

@@ -296,10 +296,19 @@ class TestSubnormalCascade:
                        # the normal range while N stays in it
                        st.floats(min_value=1.0, max_value=1.1, exclude_min=True)),
            log_kappa=st.floats(min_value=-30.0, max_value=0.0),
-           n0_mode=st.sampled_from(("paper", "computed")))
-    def test_kappa_count_round_trip(self, ctx, a, log_kappa, n0_mode):
+           n0_mode=st.sampled_from(("paper", "computed")),
+           log_scales=st.fixed_dictionaries({name: st.floats(min_value=-3.0, max_value=3.0)
+                                             for name in ("G", "hbar", "c", "H")}))
+    def test_kappa_count_round_trip(self, ctx, a, log_kappa, n0_mode, log_scales):
+        # under constants scaled by 10**s, a budget either forms or is
+        # refused with ValidationError or NonFinite; one that forms inverts
         kappa = 10.0 ** log_kappa
-        budget = solar_budget(kappa, a, ctx, n0_mode=n0_mode)
+        scaled = CosmologyContext.default(
+            {name: ctx.value(name) * 10.0 ** s for name, s in log_scales.items()})
+        try:
+            budget = solar_budget(kappa, a, scaled, n0_mode=n0_mode)
+        except (ValidationError, NonFinite):
+            return
         assume(budget.n_solar >= sys.float_info.min)
         assert rel(kappa_from_count(budget.n_solar, budget.n0, a), kappa) < 1e-12
 

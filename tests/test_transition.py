@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import types
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +37,6 @@ from zpfcross.transition import (
     monte_carlo_scale,
     numeric_crossover,
     scale_terms,
-    sigma_approximation,
     transition_scale,
 )
 
@@ -63,29 +63,39 @@ def rel_sigma_oracle(a, e_kappa=0.0):
 
 def sample_inputs(a, ctx, e_kappa):
     """(e_X, p_X) of the inputs with e_X > 0 among G, c, hbar, H and kappa:
-    the columns of a Monte Carlo draw, in that order."""
+    the columns of a normal-mode draw, in that order."""
     q = 1.0 / (3.0 + a)
     rels = np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [e_kappa])
     exponents = np.array([q, (a - 2.0) * q, q, -(a + 1.0) * q, -q])
     return rels[rels > 0.0], exponents[rels > 0.0]
 
 
-def sample_moments(a, kappa, ctx, e_kappa, logs):
-    """(mean, rel_sigma) by np.mean and np.std of lambda0*exp(logs @ p), over
-    the columns of ``sample_inputs``."""
-    exponents = sample_inputs(a, ctx, e_kappa)[1]
-    lam = transition_scale(a, kappa, ctx, e_kappa).lambda0.value * np.exp(logs @ exponents)
+def ratio_moments(a, kappa, ctx, log_ratios):
+    """(mean, rel_sigma) by np.mean and np.std of lambda0*exp(log_ratios)."""
+    lam = transition_scale(a, kappa, ctx).lambda0.value * np.exp(log_ratios)
     return float(np.mean(lam)), float(np.std(lam, ddof=1) / np.mean(lam))
 
 
+def sample_moments(a, kappa, ctx, e_kappa, logs):
+    """``ratio_moments`` of logs @ p, over the columns of ``sample_inputs``."""
+    return ratio_moments(a, kappa, ctx, logs @ sample_inputs(a, ctx, e_kappa)[1])
+
+
+def log_spread(rels, exponents):
+    """s = sqrt(sum((p_X*e_X)**2)): ln(lambda/lambda0) = sum(p_X*e_X*z_X) is
+    a normal of spread s, so lognormal mode draws s*z."""
+    return math.sqrt(math.fsum((rels * exponents) ** 2))
+
+
 def one_shot_oracle(a, kappa, n, seed, ctx, e_kappa=0.0, sampling="lognormal"):
-    """(mean, rel_sigma) of the whole-array Monte Carlo: one (n, k) draw of the
-    k inputs with e_X > 0. In normal mode it holds only where nothing is
-    rejected."""
-    rels = sample_inputs(a, ctx, e_kappa)[0]
-    samples = rels * np.random.default_rng(seed).standard_normal((n, rels.size))
-    if sampling == "normal":
-        samples = np.log(1.0 + samples)
+    """(mean, rel_sigma) of the whole-array Monte Carlo. Lognormal: lambda0 *
+    exp(s*z) over one draw of n normals. Normal: one (n, k) draw of the k
+    inputs with e_X > 0; it holds only where nothing is rejected."""
+    rels, exponents = sample_inputs(a, ctx, e_kappa)
+    rng = np.random.default_rng(seed)
+    if sampling == "lognormal":
+        return ratio_moments(a, kappa, ctx, log_spread(rels, exponents) * rng.standard_normal(n))
+    samples = np.log(1.0 + rels * rng.standard_normal((n, rels.size)))
     return sample_moments(a, kappa, ctx, e_kappa, samples)
 
 
@@ -378,19 +388,24 @@ class TestNumericCrossover:
 
 
 class TestSigmaApproximation:
-    def test_reference_point(self):
-        assert rel(sigma_approximation(2.0, 0.15), 0.09) < 1e-15
+    """The dominant-term estimate sigma/lambda0 ~ (a+1)*e_H/(a+3) is the H
+    entry of the breakdown: e_H dwarfs the other uncertainties."""
+
+    def test_reference_point(self, ctx):
+        assert rel(transition_scale(2.0, 1.0, ctx).sigma_breakdown["H"], 0.09) < 1e-15
 
     def test_zero_uncertainty(self):
-        assert sigma_approximation(1.8, 0.0) == 0.0
+        exact_h = CosmologyContext.default({"e_H": 0.0})
+        assert transition_scale(1.8, 1.0, exact_h).sigma_breakdown["H"] == 0.0
 
     def test_close_to_full_formula(self, ctx):
         # dominant-H approximation within 1% of the full budget
         for i in range(7):
             a = 1.7 + 0.05 * i
-            full = transition_scale(a, 1.0, ctx).rel_sigma
-            approx = sigma_approximation(a, E_H)
-            assert abs(full - approx) / full < 0.01
+            result = transition_scale(a, 1.0, ctx)
+            approx = result.sigma_breakdown["H"]
+            assert rel(approx, (a + 1.0) * E_H / (a + 3.0)) < 1e-15
+            assert abs(result.rel_sigma - approx) / result.rel_sigma < 0.01
 
 
 class TestLogForm:
@@ -440,13 +455,15 @@ class TestMonteCarlo:
         assert mc.rejected == 0  # 6.7 sigma to a negative H, never drawn
 
     @pytest.mark.parametrize("overrides, args, kwargs, mean, rel_sigma, rejected", [
-        ({}, (1.8, 1e-5, 2000, 42), {}, 592.0099487678337, 0.08929160386563807, 0),
+        ({}, (1.8, 1e-5, 2000, 42), {}, 587.7123560425516, 0.08766470296425301, 0),
         ({"e_H": 0.3, "e_G": 0.2}, (1.8, 1e-3, 5000, 3),
          {"e_kappa": 0.4, "sampling": "normal"}, 243.15823086450874, 0.3050946076658791, 33),
     ])
     def test_pinned_draws(self, overrides, args, kwargs, mean, rel_sigma, rejected):
-        # values of the per-sample closed form over the same draws, kept to
-        # show that sampling the ratios X/X0 draws the same constants
+        # lognormal: np.mean and np.std of lambda0*exp(s*z) over
+        # default_rng(42).standard_normal(2000); normal: the per-sample closed
+        # form over the same draws, kept to show that sampling the ratios
+        # X/X0 draws the same constants
         mc = monte_carlo_scale(*args, CosmologyContext.default(overrides), **kwargs)
         assert rel(mc.mean.value, mean) < 1e-12
         assert rel(mc.rel_sigma, rel_sigma) < 1e-12
@@ -454,11 +471,14 @@ class TestMonteCarlo:
         assert mc.n_samples == args[2]
 
     def test_spread_out_of_float_range_is_numeric_failure(self, ctx):
-        # kappa**(-q) with e_kappa = 1000 spans hundreds of decades
-        with pytest.raises(NonFinite):
-            monte_carlo_scale(1.8, 1.0, 1000, 0, ctx, e_kappa=1000.0)
-        with pytest.raises(NonFinite):
-            monte_carlo_scale(1.8, 1.0, 1000, 0, ctx, e_kappa=1e6)
+        # kappa**(-q) with e_kappa = 1000 spans hundreds of decades; at
+        # e_kappa = 1e200, (p*e)**2 is beyond floats too. numpy warns of none
+        # of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e_kappa in (1000.0, 1e6, 1e200):
+                with pytest.raises(NonFinite):
+                    monte_carlo_scale(1.8, 1.0, 1000, 0, ctx, e_kappa=e_kappa)
 
     def test_sample_count_precondition(self, ctx):
         with pytest.raises(ValidationError):
@@ -548,8 +568,9 @@ class TestMonteCarloStream:
         ({}, 0.0, 3), ({}, 0.1, 4), ({"e_G": 0.0, "e_hbar": 0.0, "e_H": 0.0}, 0.0, 0)],
         ids=["defaults", "e_kappa-0.1", "all-exact"])
     def test_exact_inputs_draw_nothing(self, monkeypatch, overrides, e_kappa, k, sampling):
-        # each block draws one column per input with e_X > 0: c is exact at
-        # the defaults, and so is kappa unless e_kappa > 0
+        # a normal block draws one column per input with e_X > 0: c is exact
+        # at the defaults, and so is kappa unless e_kappa > 0. A lognormal
+        # block draws one column, s*z, unless no input varies
         ctx = CosmologyContext.default(overrides)
         make_rng, shapes = np.random.default_rng, []
 
@@ -558,13 +579,17 @@ class TestMonteCarloStream:
                 self.rng = make_rng(seed)
 
             def standard_normal(self, shape):
-                shapes.append(shape)
-                return self.rng.standard_normal(shape)
+                z = self.rng.standard_normal(shape)
+                shapes.append(z.shape)
+                return z
 
         monkeypatch.setattr(np.random, "default_rng", Recording)
         n = 2 * BLOCK + 17
         mc = monte_carlo_scale(1.8, 1e-3, n, 3, ctx, e_kappa=e_kappa, sampling=sampling)
-        assert [s for s in shapes if isinstance(s, tuple)] == [(BLOCK, k), (BLOCK, k), (17, k)]
+        if sampling == "normal":
+            assert shapes == [(BLOCK, k), (BLOCK, k), (17, k)]
+        else:
+            assert shapes == ([(BLOCK,), (BLOCK,), (17,)] if k else [])
         assert mc.rejected == 0
         if k == 0:
             assert mc.mean.value == transition_scale(1.8, 1e-3, ctx).lambda0.value
@@ -573,16 +598,22 @@ class TestMonteCarloStream:
 
     @pytest.mark.parametrize("sampling", ["lognormal", "normal"])
     def test_every_input_varying_equals_the_five_column_draw(self, sampling):
-        # with e_X > 0 for all five inputs, the result is that of the former
-        # sampler, which drew one (n, 5) array of G, c, hbar, H and kappa
+        # with e_X > 0 for all five inputs, normal mode gives the result of
+        # the former sampler, which drew one (n, 5) array of G, c, hbar, H
+        # and kappa; lognormal mode gives the law of that draw, z @ (p*e),
+        # as one column of normals scaled by the norm of the five p*e
         ctx = CosmologyContext.default({"e_c": 1e-3})
         n = 3 * BLOCK + 17
         mc = monte_carlo_scale(1.8, 1e-3, n, 3, ctx, e_kappa=0.1, sampling=sampling)
         rels = np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [0.1])
-        logs = rels * np.random.default_rng(3).standard_normal((n, 5))
+        exponents = np.array([1.0, -0.2, 1.0, -2.8, -1.0]) / 4.8
+        rng = np.random.default_rng(3)
         if sampling == "normal":
-            logs = np.log(1.0 + logs)
-        mean, rel_sigma = sample_moments(1.8, 1e-3, ctx, 0.1, logs)
+            logs = np.log(1.0 + rels * rng.standard_normal((n, 5)))
+            mean, rel_sigma = ratio_moments(1.8, 1e-3, ctx, logs @ exponents)
+        else:
+            s = log_spread(rels, exponents)
+            mean, rel_sigma = ratio_moments(1.8, 1e-3, ctx, s * rng.standard_normal(n))
         assert mc.rejected == 0
         assert rel(mc.mean.value, mean) < 1e-12
         assert rel(mc.rel_sigma, rel_sigma) < 1e-12
