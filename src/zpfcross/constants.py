@@ -28,9 +28,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadOverride, DimensionMismatch
 from .quantity import (
@@ -47,6 +46,7 @@ from .quantity import (
     SPEED,
     TIME,
     Quantity,
+    Record,
     power_product,
     power_terms,
 )
@@ -61,8 +61,7 @@ DAY_S = 86400.0
 SOLAR_MASS_KG = 1.98e30
 
 
-@dataclass(frozen=True)
-class PhysicalConstant:
+class PhysicalConstant(NamedTuple):
     """A named constant with value, dimension and relative uncertainty."""
 
     name: str
@@ -158,8 +157,7 @@ def load_config(path: str | os.PathLike) -> dict[str, float]:
     return parse_config(text)
 
 
-@dataclass(frozen=True)
-class ExponentTable:
+class ExponentTable(Record):
     """A product of powers of the context's constants, prod X**p_X.
 
     The dimension is composed once, when the table is built, and must
@@ -167,22 +165,20 @@ class ExponentTable:
     Constant dimensions are fixed, so ``evaluate`` needs floats only.
     """
 
-    exponents: Mapping[str, float]
-    dim: Dimension
-    _terms: Tuple[Tuple[str, float], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("exponents", "dim", "_terms")
 
-    def __post_init__(self) -> None:
+    def __init__(self, exponents: Mapping[str, float], dim: Dimension) -> None:
         composed = DIMENSIONLESS
-        for name, p in self.exponents.items():
+        for name, p in exponents.items():
             if name not in _DIM_BY_NAME:
                 raise BadOverride(f"unknown constant {name!r}")
             composed = composed * _DIM_BY_NAME[name] ** p
-        if composed != self.dim:
-            raise DimensionMismatch(f"product {dict(self.exponents)} has dimension "
-                                    f"[{composed}], expected [{self.dim}]")
-        object.__setattr__(self, "exponents", MappingProxyType(dict(self.exponents)))
-        object.__setattr__(self, "_terms", tuple(
-            (name, float(p)) for name, p in self.exponents.items()))
+        if composed != dim:
+            raise DimensionMismatch(f"product {dict(exponents)} has dimension "
+                                    f"[{composed}], expected [{dim}]")
+        object.__setattr__(self, "exponents", MappingProxyType(dict(exponents)))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_terms", tuple((n, float(p)) for n, p in exponents.items()))
 
     def evaluate(self, ctx: CosmologyContext, coeff: float = 1.0) -> Quantity:
         """coeff * prod X**p_X, with rel_sigma from first-order propagation."""
@@ -265,14 +261,14 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
                     raise BadOverride(f"unknown constant {name!r} in override {key!r}")
                 if val < 0.0 or not math.isfinite(val):
                     raise BadOverride(f"negative or non-finite uncertainty {key} = {val!r}")
-                quantity = replace(constants[name].quantity, rel_sigma=val)
+                quantity = Quantity(constants[name].value, _DIM_BY_NAME[name], val)
             else:
                 name = key
                 if name not in constants:
                     raise BadOverride(f"unknown constant {key!r}")
                 if val <= 0.0 or not math.isfinite(val):
                     raise BadOverride(f"constant {key} must be positive, got {val!r}")
-                quantity = replace(constants[name].quantity, value=val)
+                quantity = Quantity(val, _DIM_BY_NAME[name], constants[name].rel_sigma)
             constants[name] = PhysicalConstant(name, quantity, "override")
         return cls(constants.values())
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 from .constants import HORIZON_POWER_DENSITY, HUBBLE_RADIUS, CosmologyContext, ExponentTable
@@ -98,8 +97,7 @@ def _n0(ctx: CosmologyContext, t: Optional[Quantity], n0_mode: str) -> Quantity:
                         f"for t = {t.value!r} s and these constants") from exc
 
 
-@dataclass(frozen=True)
-class DissipationBudget:
+class DissipationBudget(NamedTuple):
     """Dissipation rate and its solar-mass-equivalent counts.
 
     By construction epsilon = rho*c**3/R * ((a-1)*kappa)**(1/(a-1)) in

@@ -22,14 +22,51 @@ so values can be shared freely between threads or processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from types import MappingProxyType
 from typing import Iterable, Tuple
 
 from .errors import NonFinite, ValidationError
 
 
-@dataclass(frozen=True)
-class Dimension:
+class Record:
+    """A frozen record that is not a tuple. Its fields are the names in its
+    ``__slots__`` that do not start with ``_`` (those hold derived values);
+    its ``__init__`` takes them in order and sets them with
+    ``object.__setattr__``. It equals only a record of its own class with
+    equal fields, hashes and reprs (``Name(field=...)``) by them, and
+    pickles and copies through its constructor."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(n for n in cls.__dict__.get("__slots__", ()) if not n.startswith("_"))
+        cls._key = operator.attrgetter(*cls._fields) if cls._fields else None
+
+    def __eq__(self, other: object) -> bool:
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # a read-only mapping (ExponentTable.exponents) is passed on as a dict
+        values = [getattr(self, name) for name in self._fields]
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
+
+
+class Dimension(Record):
     """Exponents over the SI base dimensions used here (length, mass, time).
 
     The zero vector denotes a dimensionless quantity. ``*`` and ``/``
@@ -37,9 +74,12 @@ class Dimension:
     all exponents by a finite power. Exponents are kept as given.
     """
 
-    length: float = 0
-    mass: float = 0
-    time: float = 0
+    __slots__ = ("length", "mass", "time")
+
+    def __init__(self, length: float = 0, mass: float = 0, time: float = 0) -> None:
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "time", time)
 
     @property
     def is_dimensionless(self) -> bool:
@@ -134,8 +174,7 @@ def times_powers(coeff: float, powers: Iterable[float]) -> float:
     return float(coeff)
 
 
-@dataclass(frozen=True, init=False)
-class Quantity:
+class Quantity(Record):
     """A finite SI value, its exact dimension and its relative standard
     uncertainty rel_sigma = sigma/value (zero, the default, is exact).
 
@@ -146,9 +185,7 @@ class Quantity:
     that a shared input is counted once.
     """
 
-    value: float
-    dim: Dimension = DIMENSIONLESS
-    rel_sigma: float = 0.0
+    __slots__ = ("value", "dim", "rel_sigma")
 
     def __init__(self, value: float, dim: Dimension = DIMENSIONLESS,
                  rel_sigma: float = 0.0) -> None:
@@ -158,9 +195,9 @@ class Quantity:
         rel_sigma = float(rel_sigma)
         if not 0.0 <= rel_sigma < math.inf:
             raise ValidationError(f"rel_sigma must be finite and >= 0, got {rel_sigma!r}")
-        # frozen: the fields go straight into the instance dict, about a
-        # fifth cheaper than three object.__setattr__ calls
-        self.__dict__.update(value=value, dim=dim, rel_sigma=rel_sigma)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rel_sigma", rel_sigma)
 
     @property
     def sigma(self) -> float:

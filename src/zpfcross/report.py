@@ -6,7 +6,6 @@ becomes an error row."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .constants import CosmologyContext
@@ -23,26 +22,27 @@ EXTRA_OUTPUTS = ("epsilon", "N", "Ns")
 EXTRA_COLUMNS = {"epsilon": "epsilon_w_m3", "N": "n_solar", "Ns": "ns_solar"}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple("_SweepFields", [("slopes", Tuple[float, ...]),
+                                            ("kappas", Tuple[float, ...]),
+                                            ("outputs", Tuple[str, ...]), ("n0_mode", str)])):
     """A Cartesian sweep: slopes outer, kappas inner, deterministic order."""
 
-    slopes: Tuple[float, ...]
-    kappas: Tuple[float, ...]
-    outputs: Tuple[str, ...] = ()
-    n0_mode: str = "paper"
+    __slots__ = ()
+    # _replace builds through _make, so it checks and normalises too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slopes", tuple(float(a) for a in self.slopes))
-        object.__setattr__(self, "kappas", tuple(float(k) for k in self.kappas))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        if not self.slopes or not self.kappas:
+    def __new__(cls, slopes: Sequence[float], kappas: Sequence[float],
+                outputs: Sequence[str] = (), n0_mode: str = "paper") -> "SweepSpec":
+        spec = super().__new__(cls, tuple(float(a) for a in slopes),
+                               tuple(float(k) for k in kappas), tuple(outputs), n0_mode)
+        if not spec.slopes or not spec.kappas:
             raise EmptySweep("sweep needs at least one slope and one kappa")
-        unknown = [o for o in self.outputs if o not in BASE_OUTPUTS + EXTRA_OUTPUTS]
+        unknown = [o for o in spec.outputs if o not in BASE_OUTPUTS + EXTRA_OUTPUTS]
         if unknown:
             raise ValidationError(
                 f"unknown outputs {unknown}; choose from {BASE_OUTPUTS + EXTRA_OUTPUTS}")
-        check_n0_mode(self.n0_mode)
+        check_n0_mode(n0_mode)
+        return spec
 
     @property
     def columns(self) -> Tuple[str, ...]:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .constants import (CRITICAL_ENERGY_DENSITY, HORIZON_POWER_DENSITY, HUBBLE_RADIUS,
@@ -51,6 +50,7 @@ from .quantity import (
     Dimension,
     POWER_DENSITY,
     Quantity,
+    Record,
     SPECTRAL_DENSITY,
     SPEED,
     WAVENUMBER,
@@ -118,8 +118,10 @@ def _check_dimension(name: str, quantity: Quantity, dim: Dimension) -> None:
         raise DimensionMismatch(f"{name} must have dimension [{dim}], got [{quantity.dim}]")
 
 
-class SpectrumModel(ABC):
+class SpectrumModel(Record, ABC):
     """An energy spectrum E(k), evaluable at any positive wavenumber."""
+
+    __slots__ = ()
 
     @abstractmethod
     def _energy(self, k, xp):
@@ -165,16 +167,16 @@ class SpectrumModel(ABC):
 # Each model restates ``evaluate`` so that the method is in its own class
 # namespace, where the benchmark's tracer looks for it to time each model.
 
-@dataclass(frozen=True)
 class Boyer(SpectrumModel):
     """The unique Lorentz-invariant vacuum spectrum, E(k) = hbar*c*k**3."""
 
-    hbar: Quantity
-    c: Quantity
+    __slots__ = ("hbar", "c")
 
-    def __post_init__(self) -> None:
-        _check_dimension("hbar", self.hbar, ACTION)
-        _check_dimension("c", self.c, SPEED)
+    def __init__(self, hbar: Quantity, c: Quantity) -> None:
+        _check_dimension("hbar", hbar, ACTION)
+        _check_dimension("c", c, SPEED)
+        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def from_context(cls, ctx: CosmologyContext) -> "Boyer":
@@ -187,7 +189,6 @@ class Boyer(SpectrumModel):
         return super().evaluate(k)
 
 
-@dataclass(frozen=True)
 class TruncatedBoyer(Boyer):
     """Boyer spectrum cut off above the Planck wavenumber.
 
@@ -196,11 +197,12 @@ class TruncatedBoyer(Boyer):
     inclusive: E(cutoff_k) is the Boyer value, and E is zero only above.
     """
 
-    cutoff_k: Quantity
+    __slots__ = ("cutoff_k",)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _check_wavenumber(self.cutoff_k)
+    def __init__(self, hbar: Quantity, c: Quantity, cutoff_k: Quantity) -> None:
+        super().__init__(hbar, c)
+        _check_wavenumber(cutoff_k)
+        object.__setattr__(self, "cutoff_k", cutoff_k)
 
     @classmethod
     def from_context(cls, ctx: CosmologyContext,
@@ -220,22 +222,22 @@ class TruncatedBoyer(Boyer):
         return SpectrumModel.evaluate(self, k)
 
 
-@dataclass(frozen=True)
 class PowerLawTurbulence(SpectrumModel):
     """Generic turbulence spectrum E(k) = A*k**-a.
 
     The amplitude dimension depends on the slope: [A] = J/m^2 * m^-a.
     """
 
-    amplitude: Quantity
-    slope: float
+    __slots__ = ("amplitude", "slope")
 
-    def __post_init__(self) -> None:
-        dim = SPECTRAL_DENSITY * WAVENUMBER ** check_slope(self.slope)
-        if self.amplitude.dim != dim:
+    def __init__(self, amplitude: Quantity, slope: float) -> None:
+        dim = SPECTRAL_DENSITY * WAVENUMBER ** check_slope(slope)
+        if amplitude.dim != dim:
             raise DimensionMismatch(
-                f"amplitude for slope {self.slope} must have dimension "
-                f"{dim}, got [{self.amplitude.dim}]")
+                f"amplitude for slope {slope} must have dimension "
+                f"{dim}, got [{amplitude.dim}]")
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "slope", slope)
 
     @classmethod
     def from_kappa(cls, ctx: CosmologyContext, kappa: float, slope: float) -> "PowerLawTurbulence":
@@ -248,7 +250,6 @@ class PowerLawTurbulence(SpectrumModel):
         return super().evaluate(k)
 
 
-@dataclass(frozen=True)
 class MoisseevShivamoggi(SpectrumModel):
     """Compressible-cascade spectrum for adiabatic index gamma:
 
@@ -261,39 +262,35 @@ class MoisseevShivamoggi(SpectrumModel):
     k-independent part of the logarithm is computed when it is built.
     """
 
-    gamma: float
-    epsilon: Quantity  # energy injection rate, W/m^3
-    rho: Quantity      # density, kg/m^3
-    c: Quantity        # sound/light speed, m/s
-    kolmogorov_const: float = 1.0
     # ln E = (_log_base - _k_power * ln k) / _denom + ln C
-    _log_base: float = field(init=False, repr=False, compare=False)
-    _k_power: float = field(init=False, repr=False, compare=False)
-    _denom: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("gamma", "epsilon", "rho", "c", "kolmogorov_const",
+                 "_log_base", "_k_power", "_denom")
 
-    def __post_init__(self) -> None:
-        g = _check_gamma(self.gamma)
-        for name, quantity, dim in (("epsilon", self.epsilon, POWER_DENSITY),
-                                    ("rho", self.rho, DENSITY),
-                                    ("c", self.c, SPEED)):
+    def __init__(self, gamma: float, epsilon: Quantity, rho: Quantity, c: Quantity,
+                 kolmogorov_const: float = 1.0) -> None:
+        """Injection rate epsilon in W/m^3, density rho in kg/m^3, speed c in m/s."""
+        g = _check_gamma(gamma)
+        for name, quantity, dim in (("epsilon", epsilon, POWER_DENSITY),
+                                    ("rho", rho, DENSITY),
+                                    ("c", c, SPEED)):
             _check_dimension(name, quantity, dim)
             if quantity.value <= 0.0:
                 raise ValidationError(f"{name} must be positive")
-        if not 0.0 < self.kolmogorov_const < math.inf:
+        if not 0.0 < kolmogorov_const < math.inf:
             raise ValidationError(f"Kolmogorov constant must be positive and finite, "
-                                  f"got {self.kolmogorov_const!r}")
+                                  f"got {kolmogorov_const!r}")
         try:
             # 5*g - 1.0 would round twice; fsum rounds the exact sum once
             k_power = math.fsum((g,) * 5 + (-1.0,))
             denom = math.fsum((g,) * 3 + (-1.0,))
         except OverflowError:
-            raise NonFinite(f"exponents of gamma = {self.gamma!r} leave the float range") from None
-        log_base = ((g - 1.0) * math.log(self.rho.value)
-                    + 2.0 * g * math.log(self.epsilon.value)
-                    - 2.0 * math.log(self.c.value))
-        object.__setattr__(self, "_log_base", log_base)
-        object.__setattr__(self, "_k_power", k_power)
-        object.__setattr__(self, "_denom", denom)
+            raise NonFinite(f"exponents of gamma = {gamma!r} leave the float range") from None
+        log_base = ((g - 1.0) * math.log(rho.value)
+                    + 2.0 * g * math.log(epsilon.value)
+                    - 2.0 * math.log(c.value))
+        values = (gamma, epsilon, rho, c, kolmogorov_const, log_base, k_power, denom)
+        for name, value in zip(MoisseevShivamoggi.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_context(cls, ctx: CosmologyContext, gamma: float,

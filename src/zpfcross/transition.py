@@ -44,7 +44,6 @@ closed form, the log form and the bisection never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Tuple
 
@@ -79,8 +78,7 @@ _MC_MAX_SAMPLES = 10 ** 9
 _MC_MAX_REDRAWS = 1000
 
 
-@dataclass(frozen=True)
-class TransitionResult:
+class TransitionResult(NamedTuple):
     """Transition wavenumber and scale with the error budget.
 
     ``sigma_breakdown`` maps each constant to its contribution
@@ -242,8 +240,7 @@ def log_form_scale(a: float, kappa: float, ctx: CosmologyContext) -> Quantity:
     return Quantity(math.exp(log_lambda), LENGTH)
 
 
-@dataclass(frozen=True)
-class MonteCarloScale:
+class MonteCarloScale(NamedTuple):
     """Sampled transition scale: mean, relative spread, rejection count
     and the standard error of the mean, spread/sqrt(n). In "normal"
     sampling the exact spread is infinite (E[r_H**(2*p_H)] diverges at
@@ -298,13 +295,16 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     so where nothing is rejected the draws are those of a single (n,)
     or (n, k) array.
 
-    A seed that numpy refuses, or more than ``_MC_MAX_SAMPLES`` samples
+    A sample count n that is not an integer, a seed that numpy refuses,
+    or more than ``_MC_MAX_SAMPLES`` samples
     (timings in ``BENCH_mc_one_draw.json``), raises ValidationError
     before anything is drawn, as does running out of memory; a mean or
     spread outside the float range raises NonFinite.
     """
     a = check_slope(a)
     kappa = check_kappa(kappa)
+    if not hasattr(n, "__index__"):  # an int or a numpy integer
+        raise ValidationError(f"the sample count n must be an integer, got {n!r}")
     if n < 1000:
         raise ValidationError(f"need at least 1000 samples, got {n}")
     if n > _MC_MAX_SAMPLES:
@@ -336,13 +336,14 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
                     lam *= s
                 else:  # r = 1 + e*z, redrawn where r <= 0 (X <= 0)
                     block = rng.standard_normal((m, rels.size))
-                    block *= rels
+                    for j, e in enumerate(rels):  # twice as fast as broadcasting over k columns
+                        block[:, j] *= e
                     block += 1.0
                     for _ in range(_MC_MAX_REDRAWS):
+                        if block.min(initial=math.inf) > 0.0:  # no mask unless one is bad
+                            break
                         bad = block <= 0.0
                         n_bad = int(bad.sum())
-                        if n_bad == 0:
-                            break
                         rejected += n_bad
                         block[bad] = (1.0 + np.broadcast_to(rels, bad.shape)[bad]
                                       * rng.standard_normal(n_bad))

@@ -914,7 +914,8 @@ class TestFixedCosts:
         args = build_parser().parse_args(["sweep", "--slopes", "1.7", "--kappas", "1"])
         assert args.outputs == ()
 
-    @pytest.mark.parametrize("module", ["pathlib", "fractions", "decimal"])
+    @pytest.mark.parametrize("module", ["pathlib", "fractions", "decimal", "dataclasses",
+                                        "inspect"])
     def test_cold_start_does_not_import(self, module):
         # -S: a site-packages .pth file may import a module before zpfcross
         code = ("import sys\n"

@@ -1,10 +1,12 @@
-import dataclasses
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from zpfcross.constants import CosmologyContext, ExponentTable
 from zpfcross.errors import NonFinite, ValidationError
 from zpfcross.quantity import (
     DIMENSIONLESS,
@@ -12,9 +14,12 @@ from zpfcross.quantity import (
     LENGTH,
     MASS,
     Quantity,
+    SPEED,
     TIME,
+    WAVENUMBER,
     power_product,
 )
+from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 
 AREA = LENGTH ** 2
 
@@ -244,7 +249,8 @@ class TestUncertainArithmetic:
                                    "value = -1e+308 and rel_sigma = 10.0")
 
     def test_replace_drops_uncertainty(self):
-        q = dataclasses.replace(Quantity(2.5, MASS, 0.2), rel_sigma=0.0)
+        p = Quantity(2.5, MASS, 0.2)
+        q = Quantity(p.value, p.dim)
         assert q == Quantity(2.5, MASS)
         assert q.sigma == 0.0
 
@@ -282,5 +288,61 @@ class TestRecord:
     def test_frozen(self):
         q = Quantity(1.0, LENGTH, 0.1)
         for name, value in (("value", 2.0), ("dim", MASS), ("rel_sigma", 0.0)):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(q, name, value)
+
+
+_CTX = CosmologyContext.default()
+_HBAR, _C = _CTX.quantity("hbar"), _CTX.quantity("c")
+_CUTOFF = Quantity(1e30, WAVENUMBER)
+# the records that are not tuples: (build one, its fields, records it must
+# not equal, what it computes from its fields, derived slots included)
+FROZEN_RECORDS = {
+    "Dimension": (lambda: Dimension(1, 0.5, -2), ("length", "mass", "time"),
+                  [Dimension(1, 0.5, -1), (1, 0.5, -2)], str),
+    "Quantity": (lambda: Quantity(1.0, LENGTH, 0.1), ("value", "dim", "rel_sigma"),
+                 [Quantity(1.0, LENGTH), Quantity(1.0, MASS, 0.1), (1.0, LENGTH, 0.1),
+                  (1.0, LENGTH)], str),
+    "ExponentTable": (lambda: ExponentTable({"c": 1, "H": -1}, LENGTH), ("exponents", "dim"),
+                      [ExponentTable({"c": 2, "H": -2}, LENGTH ** 2)],
+                      lambda table: table.value(_CTX)),
+    "Boyer": (lambda: Boyer(_HBAR, _C), ("hbar", "c"),
+              [TruncatedBoyer(_HBAR, _C, _CUTOFF), Boyer(_HBAR, Quantity(3e8, SPEED))],
+              lambda model: model.kernel(1e3)),
+    "TruncatedBoyer": (lambda: TruncatedBoyer(_HBAR, _C, _CUTOFF), ("hbar", "c", "cutoff_k"),
+                       [Boyer(_HBAR, _C), TruncatedBoyer(_HBAR, _C, Quantity(1e3, WAVENUMBER))],
+                       lambda model: model.kernel(1e3)),
+    "PowerLawTurbulence": (lambda: PowerLawTurbulence.from_kappa(_CTX, 1e-5, 1.8),
+                           ("amplitude", "slope"),
+                           [PowerLawTurbulence.from_kappa(_CTX, 1e-4, 1.8)],
+                           lambda model: model.kernel(1e3)),
+    "MoisseevShivamoggi": (lambda: MoisseevShivamoggi.from_context(_CTX, 2.0),
+                           ("gamma", "epsilon", "rho", "c", "kolmogorov_const"),
+                           [MoisseevShivamoggi.from_context(_CTX, 2.0, kolmogorov_const=1.5)],
+                           lambda model: model.kernel(1e3)),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_RECORDS)
+def test_frozen_record_contract(name):
+    build, fields, others, compute = FROZEN_RECORDS[name]
+    record, twin = build(), build()
+    assert record is not twin and record == twin and not record != twin
+    if name == "ExponentTable":  # its exponents are a read-only mappingproxy
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+    for other in others:  # another class with equal shared fields included
+        assert record != other and other != record
+    values = [getattr(record, field) for field in fields]
+    assert repr(record) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    for field in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert [getattr(record, field) for field in fields] == values
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        assert type(clone) is type(record) and clone == record
+        assert repr(clone) == repr(record) and compute(clone) == compute(record)

@@ -65,6 +65,16 @@ class TestRunSweep:
         with pytest.raises(ValidationError):
             SweepSpec(slopes=(1.8,), kappas=(1.0,), n0_mode="guessed")
 
+    def test_replace_checks_and_normalises(self):
+        spec = SweepSpec(slopes=(1.8,), kappas=(1.0,))
+        assert spec._replace(slopes=[2, "2.5"]) == SweepSpec(slopes=(2.0, 2.5), kappas=(1.0,))
+        with pytest.raises(EmptySweep):
+            spec._replace(slopes=())
+        with pytest.raises(ValidationError):
+            spec._replace(outputs=("entropy",))
+        with pytest.raises(ValueError):
+            spec._replace(kappas=("x",))
+
     def test_error_markers_do_not_abort(self, ctx):
         rows = run_sweep(SweepSpec(slopes=(1.8, 3.5), kappas=(1.0,)), ctx)
         assert rows[0].error is None

@@ -484,6 +484,19 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             monte_carlo_scale(1.8, 1.0, 999, 0, ctx)
 
+    @pytest.mark.parametrize("n", [1e6, 2000.0, "2000", None])
+    def test_sample_count_that_is_not_an_integer(self, ctx, n, monkeypatch):
+        def no_generator(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(ValidationError, match=r"sample count n must be an integer, got "):
+            monte_carlo_scale(1.8, 1.0, n, 0, ctx)
+
+    def test_numpy_integer_sample_count(self, ctx):
+        assert (monte_carlo_scale(1.8, 1.0, np.int64(2000), 0, ctx)
+                == monte_carlo_scale(1.8, 1.0, 2000, 0, ctx))
+
     def test_unknown_sampling_mode(self, ctx):
         with pytest.raises(ValidationError):
             monte_carlo_scale(1.8, 1.0, 2000, 0, ctx, sampling="bootstrap")
