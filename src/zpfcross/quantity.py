@@ -49,7 +49,9 @@ class Record:
         return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        # a read-only mapping hashes as the set of its items: it compares in any order
+        return hash(tuple(frozenset(v.items()) if type(v) is MappingProxyType else v
+                          for v in map(self.__getattribute__, self._fields)))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -6,6 +6,8 @@ becomes an error row."""
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .constants import CosmologyContext
@@ -65,53 +67,57 @@ class ReportRow(NamedTuple):
 
 
 def run_sweep(spec: SweepSpec, ctx: CosmologyContext) -> List[ReportRow]:
-    """Evaluate the grid. Each cell runs the steps of ``transition_scale``
-    and then ``solar_budget`` in their order; an invalid slope or kappa,
-    or a number that leaves the float range, makes the cell a row with
-    the error's name. A slope's terms, and the budget's shared terms, are
-    resolved at the first cell that needs them."""
-    wanted = [o in spec.outputs for o in EXTRA_OUTPUTS]
+    """Evaluate the grid. Each slope and kappa is checked, and each valid
+    slope's terms resolved, once; the budget's shared terms at the first
+    cell that needs them. A cell's first failure, in the order of
+    ``transition_scale`` then ``solar_budget`` (slope, kappa, the slope's
+    terms, the cell, the budget), makes it a row with the error's name."""
+    extras_wanted = any(o in spec.outputs for o in EXTRA_OUTPUTS)
+    # from (eps, N, Ns, None): each wanted extra, and None for the others
+    pick = itemgetter(*[i if o in spec.outputs else 3 for i, o in enumerate(EXTRA_OUTPUTS)])
+    kappa_errors = [_attempt(check_kappa, kappa)[1] for kappa in spec.kappas]
     budget = None
     rows: List[ReportRow] = []
     for a in spec.slopes:
-        terms = None
-        for kappa in spec.kappas:
-            try:
-                check_slope(a)
-                check_kappa(kappa)
-                if terms is None:
-                    terms = scale_terms(a, ctx)
-                lambda0, k0 = scale_cell(terms, kappa)
-                # sigma = lambda0*rel_sigma, NonFinite if it overflows
-                sigma = times_powers(lambda0, (terms.rel_sigma,))
-                extras = ()
-                if any(wanted):
-                    if budget is None:
-                        budget = budget_terms(ctx, n0_mode=spec.n0_mode)
-                    extras = budget_cell(budget, a, kappa)
-                rows.append(ReportRow(a, kappa, lambda0, sigma, k0,
-                                      *[v if want else None
-                                        for v, want in zip(extras, wanted)]))
-            except (ValidationError, NumericFailure) as exc:
-                rows.append(ReportRow(a, kappa, error=type(exc).__name__))
+        slope_error = _attempt(check_slope, a)[1]
+        terms, terms_error = (None, None) if slope_error else _attempt(scale_terms, a, ctx)
+        for kappa, kappa_error in zip(spec.kappas, kappa_errors):
+            error = slope_error or kappa_error or terms_error
+            if error is None:
+                try:
+                    lambda0, k0 = scale_cell(terms, kappa)
+                    # sigma = lambda0*rel_sigma, NonFinite if it overflows
+                    sigma = times_powers(lambda0, (terms.rel_sigma,))
+                    extras = (None, None, None)
+                    if extras_wanted:
+                        if budget is None:
+                            budget = budget_terms(ctx, n0_mode=spec.n0_mode)
+                        extras = pick(budget_cell(budget, a, kappa) + (None,))
+                    rows.append(ReportRow(a, kappa, lambda0, sigma, k0, *extras))
+                    continue
+                except (ValidationError, NumericFailure) as exc:
+                    error = type(exc).__name__
+            rows.append(ReportRow(a, kappa, error=error))
     return rows
+
+
+def _attempt(step, *args):
+    """``(step(*args), None)``, or ``(None, name)`` of the ValidationError
+    or NumericFailure that it raises."""
+    try:
+        return step(*args), None
+    except (ValidationError, NumericFailure) as exc:
+        return None, type(exc).__name__
 
 
 def format_sig(value: Optional[float], sigfigs: int = 3) -> str:
     """Format to significant figures with compact exponents (5.17e3)."""
     if value is None:
         return ""
-    text = f"{value:.{sigfigs}g}"
-    if "e" in text:
-        mantissa, exponent = text.split("e")
-        text = f"{mantissa}e{int(exponent)}"
-    return text
-
-
-def _csv_cell(value: Optional[float]) -> str:
-    if value is None:
-        return "nan"
-    return repr(float(value))
+    text = "%.*g" % (sigfigs, value)
+    if "e" not in text:
+        return text
+    return text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
 
 
 def format_rows(rows: Sequence[Sequence[str]], format: str) -> str:
@@ -124,8 +130,8 @@ def format_rows(rows: Sequence[Sequence[str]], format: str) -> str:
     if format != "table":
         raise ValidationError(f"unknown format {format!r}")
     widths = [max(map(len, column)) for column in zip(*rows)]
-    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
-                   for row in rows)
+    template = "  ".join(f"{{:{w}}}" for w in widths)
+    return "".join([template.format(*row).rstrip() + "\n" for row in rows])
 
 
 def render(rows: Sequence[ReportRow], format: str = "table", sigfigs: int = 3,
@@ -138,14 +144,23 @@ def render(rows: Sequence[ReportRow], format: str = "table", sigfigs: int = 3,
     """
     if not rows:
         raise EmptySweep("nothing to render")
+    csv = format == "csv"
+    # each nonzero a and kappa formatted once; a zero where used, as -0.0 == 0.0
+    axis = {v: repr(float(v)) if csv else format_sig(v, 6)
+            for v in {v for row in rows for v in (row.a, row.kappa) if v}}
+    if csv:
+        # a value has the same text in any column; a repr or nan has no comma to quote
+        lines = [",".join(columns)]
+        for row in rows:
+            lines.append(",".join([axis.get(v) or ("nan" if v is None else repr(float(v)))
+                                   for v in map(getattr, repeat(row), columns)]))
+        return "\n".join(lines) + "\n"
+    get = attrgetter("a", "kappa", "error", *columns[2:])
     cells = [list(columns)]
     for row in rows:
-        if format == "csv":
-            cells.append([_csv_cell(getattr(row, col)) for col in columns])
-        elif row.error is not None:
-            cells.append([format_sig(row.a, 6), format_sig(row.kappa, 6),
-                          f"<error: {row.error}>"] + [""] * (len(columns) - 3))
-        else:
-            cells.append([format_sig(row.a, 6), format_sig(row.kappa, 6)]
-                         + [format_sig(getattr(row, col), sigfigs) for col in columns[2:]])
+        a, kappa, error, *values = get(row)
+        texts = [format_sig(v, sigfigs) for v in values] if error is None else [
+            f"<error: {error}>"] + [""] * (len(columns) - 3)
+        cells.append([axis.get(a) or format_sig(a, 6), axis.get(kappa) or format_sig(kappa, 6),
+                      *texts])
     return format_rows(cells, format)

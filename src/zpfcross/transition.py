@@ -92,6 +92,9 @@ class TransitionResult(NamedTuple):
     rel_sigma: float
     sigma_breakdown: Mapping[str, float]
 
+    def __hash__(self) -> int:  # the read-only mapping hashes as the set of its items
+        return hash((*self[:3], frozenset(self.sigma_breakdown.items())))
+
     @property
     def sigma(self) -> Quantity:
         """Absolute one-sigma uncertainty of lambda0, m; NonFinite naming

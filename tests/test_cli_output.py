@@ -3,10 +3,10 @@
 Every call in ``CORPUS`` is run through ``cli.main`` and compared byte
 for byte with ``data/cli_output.json``. The corpus covers each
 subcommand in both formats and at 3 and 6 significant figures, both N0
-modes, explicit window and radius flags, sweep error rows and an
-underflowing cell, 50-point spectra of all four models, and one exit-2
-and one exit-3 call. ``{data}`` in an argument stands for this
-directory's ``data`` folder.
+modes, explicit window and radius flags, sweep error rows, an
+underflowing cell and repeated and signed-zero axis values, 50-point
+spectra of all four models, and one exit-2 and one exit-3 call.
+``{data}`` in an argument stands for this directory's ``data`` folder.
 
 To record the output of the code as it is (only when a change of output
 is intended):
@@ -30,6 +30,10 @@ GOLDEN = DATA / "cli_output.json"
 SWEEP = ("sweep", "--slopes", "1.7,1.8,2.0", "--kappas", "1,1e-5")
 SWEEP_ERRORS = ("sweep", "--slopes", "0.5,1.5,2.9", "--kappas", "1,2,1e-300",
                 "--outputs", "epsilon,N,Ns")
+# repeated and signed-zero axis values; each list starts with a digit so
+# that argparse does not read it as a flag
+SWEEP_AXES = ("sweep", "--slopes", "1.8,1.8,-0.0,0.0,nan,2.0",
+              "--kappas", "1e-5,-0.0,0.0,1e-5,5e-324,inf")
 
 CORPUS = [
     ("constants",),
@@ -73,6 +77,10 @@ CORPUS = [
     SWEEP_ERRORS,
     SWEEP_ERRORS + ("--format", "csv"),
     SWEEP_ERRORS + ("--n0", "computed", "--sigfigs", "6"),
+    SWEEP_AXES,
+    SWEEP_AXES + ("--format", "csv"),
+    SWEEP_AXES + ("--outputs", "epsilon,N,Ns", "--sigfigs", "6"),
+    SWEEP_AXES + ("--outputs", "epsilon,N,Ns", "--format", "csv"),
 
     ("spectrum", "--model", "boyer", "--points", "50"),
     ("spectrum", "--model", "truncated", "--points", "50"),

@@ -1,16 +1,19 @@
 import math
+import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zpfcross import CosmologyContext
 from zpfcross.dissipation import N0_MODES, solar_budget
 from zpfcross.errors import EmptySweep, NumericFailure, ValidationError
 from zpfcross.report import (
+    BASE_COLUMNS,
     EXTRA_COLUMNS,
     EXTRA_OUTPUTS,
     ReportRow,
     SweepSpec,
+    format_rows,
     format_sig,
     render,
     run_sweep,
@@ -238,3 +241,85 @@ class TestRender:
         assert render([row, ReportRow(3.5, 1.0, error="SlopeOutOfRange")],
                       format="csv") == ("a,kappa,lambda0_m,sigma_m,k0_per_m\n"
                                         "1.8,1.0,53.0,4.5,0.12\n3.5,1.0,nan,nan,nan\n")
+
+
+# Oracle: the per-cell render that formats every cell of every row,
+# axis cells included, and lays out a table row cell by cell.
+
+def reference_format_sig(value, sigfigs=3):
+    if value is None:
+        return ""
+    text = f"{value:.{sigfigs}g}"
+    if "e" in text:
+        mantissa, exponent = text.split("e")
+        text = f"{mantissa}e{int(exponent)}"
+    return text
+
+
+def reference_format_rows(rows, format):
+    if format == "csv":
+        return "".join(",".join(f'"{cell}"' if "," in cell else cell for cell in row) + "\n"
+                       for row in rows)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+                   for row in rows)
+
+
+def reference_render(rows, format, sigfigs, columns):
+    cells = [list(columns)]
+    for row in rows:
+        if format == "csv":
+            cells.append(["nan" if getattr(row, col) is None else repr(float(getattr(row, col)))
+                          for col in columns])
+        elif row.error is not None:
+            cells.append([reference_format_sig(row.a, 6), reference_format_sig(row.kappa, 6),
+                          f"<error: {row.error}>"] + [""] * (len(columns) - 3))
+        else:
+            cells.append([reference_format_sig(row.a, 6), reference_format_sig(row.kappa, 6)]
+                         + [reference_format_sig(getattr(row, col), sigfigs)
+                            for col in columns[2:]])
+    return reference_format_rows(cells, format)
+
+
+# few distinct values, so that grids repeat them, with both zeros and the
+# non-finite and subnormal edges
+AXIS_VALUES = st.sampled_from((1.8, 2.0, 1.5, 2.9, -0.0, 0.0, math.nan, math.inf, -math.inf,
+                               5e-324, 1e-5, 1e-300, 1.0))
+ALL_COLUMNS = BASE_COLUMNS + tuple(EXTRA_COLUMNS[o] for o in EXTRA_OUTPUTS)
+
+
+class TestRenderEqualsPerCell:
+    @settings(max_examples=300, deadline=None)
+    @given(slopes=st.lists(AXIS_VALUES, min_size=1, max_size=6),
+           kappas=st.lists(AXIS_VALUES, min_size=1, max_size=6),
+           outputs=st.lists(st.sampled_from(EXTRA_OUTPUTS), unique=True),
+           format=st.sampled_from(("csv", "table")), sigfigs=st.sampled_from((1, 3, 6, 17, 767)),
+           order=st.permutations(range(len(ALL_COLUMNS))), every_column=st.booleans())
+    @example(slopes=[1.8, -0.0, 0.0, -0.0], kappas=[0.0, 1e-5, -0.0, 1e-5], outputs=[],
+             format="csv", sigfigs=3, order=range(8), every_column=False)
+    @example(slopes=[0.0, 1.8, -0.0], kappas=[-0.0, 1e-5, 0.0], outputs=["N"],
+             format="table", sigfigs=6, order=range(8), every_column=False)
+    def test_render(self, ctx, slopes, kappas, outputs, format, sigfigs, order, every_column):
+        spec = SweepSpec(slopes, kappas, outputs)
+        rows = run_sweep(spec, ctx)
+        # a column that the spec did not ask for holds None in every row
+        names = ALL_COLUMNS if every_column else spec.columns
+        columns = [names[i] for i in order if i < len(names)]
+        for cols in (spec.columns, tuple(columns)):
+            assert render(rows, format, sigfigs, cols) == reference_render(rows, format, sigfigs,
+                                                                           cols)
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=st.one_of(st.floats(), st.integers(0, 2 ** 64 - 1).map(
+               lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])),
+           sigfigs=st.one_of(st.sampled_from((1, 3, 6, 17, 767)), st.integers(1, 800)))
+    def test_format_sig(self, value, sigfigs):
+        assert format_sig(value, sigfigs) == reference_format_sig(value, sigfigs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(st.text(max_size=6), min_size=width, max_size=width + 1), min_size=1,
+        max_size=5)), format=st.sampled_from(("csv", "table")))
+    def test_format_rows(self, rows, format):
+        # ragged rows too: the table lays out as many columns as the shortest row
+        assert format_rows(rows, format) == reference_format_rows(rows, format)
