@@ -6,19 +6,15 @@ spectrum; each takes only the flags it reads. Exit codes: 0 success,
 dissipation and bound default to the context's t and ell, so a
 --config file can set them; the flags override the file.
 
-A call pays only for its own work. ``build_parser`` builds the parser
-on its first call and returns the same one after that, ``main`` uses
-the shared default context unless --config is given, and numpy is
+Each subcommand is declared once, as data, in ``_COMMANDS``. A
+well-formed argv, a subcommand and then exact ``--flag value`` pairs
+that its parser would accept, is read from that table and builds no
+parser. argparse parses and words everything else, with the parser that
+``build_parser`` builds from the table once per process: after a
+subcommand, by that subcommand's parser alone; otherwise (no arguments,
+-h, --version, an unknown subcommand) by the whole parser. ``main``
+uses the shared default context unless --config is given, and numpy is
 imported only by ``spectrum`` and ``transition --mc``.
-
-``main`` reads a well-formed argv, a subcommand and then exact
-``--flag value`` pairs that its parser would accept, from that parser's
-flag table, without an argparse pass. argparse parses and words
-everything else: any other argv that starts with a subcommand goes to
-that subcommand's parser alone, with leftover arguments reported as
-``parse_args`` does, and any argv without one (no arguments, -h,
---version, an unknown subcommand) to ``build_parser().parse_args``.
-So argparse writes every usage, help and error text.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import argparse
 import functools
 import math
 import sys
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .constants import DAY_S, LIGHTMINUTE_M, CosmologyContext, load_config
@@ -218,162 +214,145 @@ def _cmd_spectrum(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared after it.
+# Each subcommand declared once, as data: its help, its handler and its
+# flags, a flag being its option and the keywords of argparse's
+# add_argument. Groups shared by subcommands are concatenated in
+# declaration order; a subcommand takes only the flags it reads. The
+# fast path reads each flag as one value and takes its default as it
+# stands, so no flag sets action or nargs, and no default is a string
+# that argparse would pass through the flag's type.
+_CONFIG = (("--config", dict(metavar="FILE", help="constant override file")),)
+_FORMATTED = _CONFIG + (("--format", dict(choices=("table", "csv"), default="table")),)
+_FIGURES = _FORMATTED + (("--sigfigs", dict(
+    type=_sigfigs, default=3, metavar="N",
+    help="significant figures of computed values (default 3)")),)
+_MODES = _FIGURES + (("--n0", dict(
+    choices=("paper", "computed"), default="paper",
+    help="N0 as published (1e57) or computed from the constants")),)
+_BUDGET = _MODES + (
+    ("--window-days", dict(type=float, metavar="T",
+                           help="energy-budget window in days; overrides t (1 day)")),
+    ("--radius-lightminutes", dict(type=float, metavar="L",
+                                   help="rescaling radius in lightminutes; overrides ell (8)")))
 
-    Parsing leaves the parser as it was (every default is immutable), so
-    one parser serves every ``main`` call of a process.
-    """
+_COMMANDS = {
+    "constants": ("print the constant registry", _cmd_constants, _FORMATTED),
+    "transition": ("closed-form transition scale", _cmd_transition, _FIGURES + (
+        ("--slope", dict(type=float, required=True, metavar="A")),
+        ("--kappa", dict(type=float, default=1.0, metavar="K")),
+        ("--ekappa", dict(type=float, default=0.0, metavar="E",
+                          help="relative uncertainty of kappa")),
+        ("--mc", dict(type=int, default=0, metavar="N",
+                      help="add a Monte Carlo check with N samples")),
+        ("--seed", dict(type=int, default=0, metavar="S",
+                        help="random seed of the Monte Carlo check")))),
+    "sweep": ("sweep a slope x kappa grid", _cmd_sweep, _MODES + (
+        ("--slopes", dict(type=_float_list, required=True, metavar="A1,A2,...")),
+        ("--kappas", dict(type=_float_list, required=True, metavar="K1,K2,...")),
+        ("--outputs", dict(type=lambda s: [t for t in s.split(",") if t],
+                           default=(), metavar="epsilon,N,Ns")))),
+    "dissipation": ("dissipation rate and solar counts", _cmd_dissipation, _BUDGET + (
+        ("--kappa", dict(type=float, required=True, metavar="K")),
+        ("--slope", dict(type=float, required=True, metavar="A")))),
+    "bound": ("kappa and scale from a dissipation ceiling", _cmd_bound, _BUDGET + (
+        ("--ns", dict(type=float, default=1e-12, metavar="NS",
+                      help="ceiling in solar masses per window (default 1e-12)")),
+        ("--slope", dict(type=float, required=True, metavar="A")))),
+    "spectrum": ("tabulate a spectrum as CSV", _cmd_spectrum, _CONFIG + (
+        ("--model", dict(choices=("boyer", "truncated", "powerlaw", "ms"), required=True)),
+        ("--slope", dict(type=float, default=1.8, metavar="A")),
+        ("--kappa", dict(type=float, default=1.0, metavar="K")),
+        ("--gamma", dict(type=float, default=2.0, metavar="G")),
+        ("--epsilon", dict(type=float, default=None, metavar="EPS",
+                           help="injection rate W/m^3 (default: horizon rate)")),
+        ("--kolmogorov-const", dict(type=float, default=1.0, metavar="C")),
+        ("--cutoff-k", dict(type=float, default=None, metavar="KC")),
+        ("--kmin", dict(type=float, default=None)),
+        ("--kmax", dict(type=float, default=None)),
+        ("--points", dict(type=int, default=200)))),
+}
+
+
+def _pair_table(name: str, func, flags) -> tuple:
+    """What ``_read_pairs`` reads of subcommand ``name``: each flag's dest,
+    type and choices by option, the required options, and the namespace
+    that a parse starts from, in argparse's key order."""
+    readers, defaults = {}, {"command": name}
+    for option, spec in flags:
+        dest = option[2:].replace("-", "_")
+        readers[option] = dest, spec.get("type"), spec.get("choices")
+        defaults[dest] = spec.get("default")
+    defaults["func"] = func
+    return readers, frozenset(o for o, spec in flags if spec.get("required")), defaults
+
+
+_PAIR_TABLES = {name: _pair_table(name, func, flags)
+                for name, (_, func, flags) in _COMMANDS.items()}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built from ``_COMMANDS`` on the first call and
+    shared after it: parsing leaves it as it was (every default is
+    immutable), so one parser serves every ``main`` call of a process."""
     return _parsers()[0]
 
 
-class _FlagTable(NamedTuple):
-    """What a subcommand's parser reads from ``--flag value`` pairs: its
-    single-value store actions by exact option string, its required
-    actions, and the namespace that its parse starts from."""
-
-    actions: Dict[str, argparse.Action]
-    required: FrozenSet[argparse.Action]
-    defaults: Dict[str, object]
-
-
-def _flag_table(name: str, command: argparse.ArgumentParser) -> _FlagTable:
-    """The flag table of subcommand ``name``, read from its parser."""
-    actions = {flag: action for action in command._actions
-               if type(action) is argparse._StoreAction and action.nargs is None
-               for flag in action.option_strings}
-    # as argparse fills it, in its order: the subcommand name, then each
-    # action's default, then the parser's set_defaults
-    defaults: Dict[str, object] = {"command": name}
-    for action in command._actions:
-        if action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-    defaults.setdefault("func", command.get_default("func"))
-    return _FlagTable(actions, frozenset(a for a in command._actions if a.required), defaults)
-
-
 @functools.cache
-def _parsers() -> Tuple[argparse.ArgumentParser,
-                        Dict[str, Tuple[argparse.ArgumentParser, _FlagTable]]]:
-    """``build_parser()``'s parser, and its subcommand parsers and their
-    flag tables by name."""
+def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """``build_parser()``'s parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="zpfcross",
         description="Vacuum/turbulence spectrum crossover scale and its error budget.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # flag groups shared by subcommands; a subcommand takes only the flags it reads
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", metavar="FILE", help="constant override file")
-    formatted = argparse.ArgumentParser(add_help=False, parents=[config])
-    formatted.add_argument("--format", choices=("table", "csv"), default="table")
-    figures = argparse.ArgumentParser(add_help=False, parents=[formatted])
-    figures.add_argument("--sigfigs", type=_sigfigs, default=3, metavar="N",
-                         help="significant figures of computed values (default 3)")
-    modes = argparse.ArgumentParser(add_help=False, parents=[figures])
-    modes.add_argument("--n0", choices=("paper", "computed"), default="paper",
-                       help="N0 as published (1e57) or computed from the constants")
-    budget = argparse.ArgumentParser(add_help=False, parents=[modes])
-    budget.add_argument("--window-days", type=float, metavar="T",
-                        help="energy-budget window in days; overrides t (1 day)")
-    budget.add_argument("--radius-lightminutes", type=float, metavar="L",
-                        help="rescaling radius in lightminutes; overrides ell (8)")
-
-    p = sub.add_parser("constants", help="print the constant registry", parents=[formatted])
-    p.set_defaults(func=_cmd_constants)
-
-    p = sub.add_parser("transition", help="closed-form transition scale", parents=[figures])
-    p.add_argument("--slope", type=float, required=True, metavar="A")
-    p.add_argument("--kappa", type=float, default=1.0, metavar="K")
-    p.add_argument("--ekappa", type=float, default=0.0, metavar="E",
-                   help="relative uncertainty of kappa")
-    p.add_argument("--mc", type=int, default=0, metavar="N",
-                   help="add a Monte Carlo check with N samples")
-    p.add_argument("--seed", type=int, default=0, metavar="S",
-                   help="random seed of the Monte Carlo check")
-    p.set_defaults(func=_cmd_transition)
-
-    p = sub.add_parser("sweep", help="sweep a slope x kappa grid", parents=[modes])
-    p.add_argument("--slopes", type=_float_list, required=True, metavar="A1,A2,...")
-    p.add_argument("--kappas", type=_float_list, required=True, metavar="K1,K2,...")
-    p.add_argument("--outputs", type=lambda s: [t for t in s.split(",") if t],
-                   default=(), metavar="epsilon,N,Ns")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("dissipation", help="dissipation rate and solar counts",
-                       parents=[budget])
-    p.add_argument("--kappa", type=float, required=True, metavar="K")
-    p.add_argument("--slope", type=float, required=True, metavar="A")
-    p.set_defaults(func=_cmd_dissipation)
-
-    p = sub.add_parser("bound", help="kappa and scale from a dissipation ceiling",
-                       parents=[budget])
-    p.add_argument("--ns", type=float, default=1e-12, metavar="NS",
-                   help="ceiling in solar masses per window (default 1e-12)")
-    p.add_argument("--slope", type=float, required=True, metavar="A")
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("spectrum", help="tabulate a spectrum as CSV", parents=[config])
-    p.add_argument("--model", choices=("boyer", "truncated", "powerlaw", "ms"),
-                   required=True)
-    p.add_argument("--slope", type=float, default=1.8, metavar="A")
-    p.add_argument("--kappa", type=float, default=1.0, metavar="K")
-    p.add_argument("--gamma", type=float, default=2.0, metavar="G")
-    p.add_argument("--epsilon", type=float, default=None, metavar="EPS",
-                   help="injection rate W/m^3 (default: horizon rate)")
-    p.add_argument("--kolmogorov-const", type=float, default=1.0, metavar="C")
-    p.add_argument("--cutoff-k", type=float, default=None, metavar="KC")
-    p.add_argument("--kmin", type=float, default=None)
-    p.add_argument("--kmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=200)
-    p.set_defaults(func=_cmd_spectrum)
-
-    return parser, {name: (command, _flag_table(name, command))
-                    for name, command in sub.choices.items()}
+    commands = {}
+    for name, (summary, func, flags) in _COMMANDS.items():
+        command = commands[name] = sub.add_parser(name, help=summary)
+        for option, spec in flags:
+            command.add_argument(option, **spec)
+        command.set_defaults(func=func)
+    return parser, commands
 
 
-def _read_pairs(table: _FlagTable, tokens: Sequence[str]) -> Optional[argparse.Namespace]:
+def _read_pairs(table: tuple, tokens: Sequence[str]) -> Optional[argparse.Namespace]:
     """The namespace of ``tokens`` if they are exact ``--flag value`` pairs
     that argparse would accept as they stand, a repeated flag keeping its
     last value; None otherwise. A value that is empty or starts with '-'
     is left to argparse, which classifies such tokens by rules of its own."""
     if len(tokens) % 2:
         return None
-    values = dict(table.defaults)
-    seen = set()
+    readers, required, defaults = table
+    values = dict(defaults)
     for flag, text in zip(tokens[::2], tokens[1::2]):
-        action = table.actions.get(flag)
-        if action is None or not text or text[0] == "-":
+        reader = readers.get(flag)
+        if reader is None or not text or text[0] == "-":
             return None
+        dest, kind, choices = reader
         try:
-            value = text if action.type is None else action.type(text)
+            value = text if kind is None else kind(text)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-        seen.add(action)
-    if not table.required <= seen:
-        return None
-    return argparse.Namespace(**values)
+        values[dest] = value
+    return argparse.Namespace(**values) if required.issubset(tokens[::2]) else None
 
 
 def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``. A subcommand followed by
-    well-formed ``--flag value`` pairs is read from its flag table; argparse
-    parses and words everything else, what follows a subcommand by that
-    subcommand's parser alone."""
-    parser, commands = _parsers()
+    well-formed ``--flag value`` pairs is read from its pair table and
+    builds no parser; argparse parses and words everything else, what
+    follows a subcommand by that subcommand's parser alone."""
     argv = sys.argv[1:] if argv is None else argv
-    entry = commands.get(argv[0]) if argv else None
-    if entry is None:  # help, --version or a usage error
-        return parser.parse_args(argv)
-    command, table = entry
-    args = _read_pairs(table, argv[1:])
+    table = _PAIR_TABLES.get(argv[0]) if argv else None
+    args = None if table is None else _read_pairs(table, argv[1:])
     if args is not None:
         return args
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    parser, commands = _parsers()
+    if table is None:  # help, --version or a usage error
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:],
+                                                      argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import math
 import os
@@ -735,6 +736,36 @@ def outcome(call, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+# argv that argparse parses or words: help, version, usage errors and the
+# forms that are not exact --flag value pairs
+USAGE_ARGVS = [
+    [],
+    ["-h"],
+    ["--version"],
+    ["warp"],
+    ["--config", "x", "transition"],
+    ["transition"],
+    ["transition", "--slope", "1.8", "--warp", "9"],
+    ["transition", "-h"],
+    ["transition", "--slope", "x"],
+    ["spectrum", "--model", "bad"],
+    ["--", "transition", "--slope", "1.8"],
+    ["transition", "--", "--slope", "1.8"],
+    ["transition", "--slope", "1.8", "--", "9"],
+    ["transition", "--slo", "1.8"],
+    ["transition", "--slo", "x"],
+    ["transition", "--slope=1.8", "--kappa=1e-5"],
+    ["transition", "--slope=x"],
+    ["sweep", "--slopes=1.7,1.8", "--kappas=1", "--outp=N"],
+    ["transition", "--slope", "1.8", "--vers"],
+    ["bound", "--slope", "1.8", "transition"],
+]
+
+
+def usage_id(argv):
+    return " ".join(argv) or "<none>"
+
+
 class TestDispatch:
     # main hands what follows a subcommand to that subcommand's parser
     # alone; build_parser().parse_args, which reads the whole argv at two
@@ -747,33 +778,126 @@ class TestDispatch:
         assert (repr(sorted(vars(cli._parse(argv)).items()))
                 == repr(sorted(vars(build_parser().parse_args(argv)).items())))
 
-    @pytest.mark.parametrize("argv", [
-        [],
-        ["-h"],
-        ["--version"],
-        ["warp"],
-        ["--config", "x", "transition"],
-        ["transition"],
-        ["transition", "--slope", "1.8", "--warp", "9"],
-        ["transition", "-h"],
-        ["transition", "--slope", "x"],
-        ["spectrum", "--model", "bad"],
-        ["--", "transition", "--slope", "1.8"],
-        ["transition", "--", "--slope", "1.8"],
-        ["transition", "--slope", "1.8", "--", "9"],
-        ["transition", "--slo", "1.8"],
-        ["transition", "--slo", "x"],
-        ["transition", "--slope=1.8", "--kappa=1e-5"],
-        ["transition", "--slope=x"],
-        ["sweep", "--slopes=1.7,1.8", "--kappas=1", "--outp=N"],
-        ["transition", "--slope", "1.8", "--vers"],
-        ["bound", "--slope", "1.8", "transition"],
-    ], ids=lambda argv: " ".join(argv) or "<none>")
+    @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=usage_id)
     def test_usage_matches_two_levels(self, argv):
         expected = outcome(build_parser().parse_args, argv)
         assert outcome(cli._parse, argv) == expected
         if not isinstance(expected[0], dict):  # help, version or a usage error
             assert outcome(main, argv) == expected
+
+
+@functools.cache
+def parent_parsers():
+    """The parser as a chain of argparse parent parsers declared it before
+    the command table, and its subcommand parsers by name."""
+    parser = argparse.ArgumentParser(
+        prog="zpfcross",
+        description="Vacuum/turbulence spectrum crossover scale and its error budget.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {zpfcross.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    # flag groups shared by subcommands; a subcommand takes only the flags it reads
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="FILE", help="constant override file")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[config])
+    formatted.add_argument("--format", choices=("table", "csv"), default="table")
+    figures = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    figures.add_argument("--sigfigs", type=cli._sigfigs, default=3, metavar="N",
+                         help="significant figures of computed values (default 3)")
+    modes = argparse.ArgumentParser(add_help=False, parents=[figures])
+    modes.add_argument("--n0", choices=("paper", "computed"), default="paper",
+                       help="N0 as published (1e57) or computed from the constants")
+    budget = argparse.ArgumentParser(add_help=False, parents=[modes])
+    budget.add_argument("--window-days", type=float, metavar="T",
+                        help="energy-budget window in days; overrides t (1 day)")
+    budget.add_argument("--radius-lightminutes", type=float, metavar="L",
+                        help="rescaling radius in lightminutes; overrides ell (8)")
+
+    p = sub.add_parser("constants", help="print the constant registry", parents=[formatted])
+    p.set_defaults(func=cli._cmd_constants)
+
+    p = sub.add_parser("transition", help="closed-form transition scale", parents=[figures])
+    p.add_argument("--slope", type=float, required=True, metavar="A")
+    p.add_argument("--kappa", type=float, default=1.0, metavar="K")
+    p.add_argument("--ekappa", type=float, default=0.0, metavar="E",
+                   help="relative uncertainty of kappa")
+    p.add_argument("--mc", type=int, default=0, metavar="N",
+                   help="add a Monte Carlo check with N samples")
+    p.add_argument("--seed", type=int, default=0, metavar="S",
+                   help="random seed of the Monte Carlo check")
+    p.set_defaults(func=cli._cmd_transition)
+
+    p = sub.add_parser("sweep", help="sweep a slope x kappa grid", parents=[modes])
+    p.add_argument("--slopes", type=cli._float_list, required=True, metavar="A1,A2,...")
+    p.add_argument("--kappas", type=cli._float_list, required=True, metavar="K1,K2,...")
+    p.add_argument("--outputs", type=lambda s: [t for t in s.split(",") if t],
+                   default=(), metavar="epsilon,N,Ns")
+    p.set_defaults(func=cli._cmd_sweep)
+
+    p = sub.add_parser("dissipation", help="dissipation rate and solar counts",
+                       parents=[budget])
+    p.add_argument("--kappa", type=float, required=True, metavar="K")
+    p.add_argument("--slope", type=float, required=True, metavar="A")
+    p.set_defaults(func=cli._cmd_dissipation)
+
+    p = sub.add_parser("bound", help="kappa and scale from a dissipation ceiling",
+                       parents=[budget])
+    p.add_argument("--ns", type=float, default=1e-12, metavar="NS",
+                   help="ceiling in solar masses per window (default 1e-12)")
+    p.add_argument("--slope", type=float, required=True, metavar="A")
+    p.set_defaults(func=cli._cmd_bound)
+
+    p = sub.add_parser("spectrum", help="tabulate a spectrum as CSV", parents=[config])
+    p.add_argument("--model", choices=("boyer", "truncated", "powerlaw", "ms"),
+                   required=True)
+    p.add_argument("--slope", type=float, default=1.8, metavar="A")
+    p.add_argument("--kappa", type=float, default=1.0, metavar="K")
+    p.add_argument("--gamma", type=float, default=2.0, metavar="G")
+    p.add_argument("--epsilon", type=float, default=None, metavar="EPS",
+                   help="injection rate W/m^3 (default: horizon rate)")
+    p.add_argument("--kolmogorov-const", type=float, default=1.0, metavar="C")
+    p.add_argument("--cutoff-k", type=float, default=None, metavar="KC")
+    p.add_argument("--kmin", type=float, default=None)
+    p.add_argument("--kmax", type=float, default=None)
+    p.add_argument("--points", type=int, default=200)
+    p.set_defaults(func=cli._cmd_spectrum)
+
+    return parser, sub.choices
+
+
+COMMANDS = ["constants", "transition", "sweep", "dissipation", "bound", "spectrum"]
+
+
+class TestParentParserOracle:
+    # the parser built from the command table words everything as the
+    # parent-parser chain that it replaced; an oracle rather than pinned
+    # text, because the help headings differ between Python versions
+
+    @staticmethod
+    def pair(name):
+        """The parser named ``name`` (None: the whole parser), then its twin
+        from the parent-parser chain."""
+        if name is None:
+            return build_parser(), parent_parsers()[0]
+        return cli._parsers()[1][name], parent_parsers()[1][name]
+
+    @pytest.mark.parametrize("name", [None] + COMMANDS)
+    def test_help_and_usage(self, name):
+        parser, parent = self.pair(name)
+        assert parser.format_help() == parent.format_help()
+        assert parser.format_usage() == parent.format_usage()
+
+    @pytest.mark.parametrize("name", [None] + COMMANDS)
+    @pytest.mark.parametrize("argv", [["--version"], ["--warp"]], ids=usage_id)
+    def test_version_and_errors(self, name, argv):
+        parser, parent = self.pair(name)
+        assert outcome(parser.parse_args, argv) == outcome(parent.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=usage_id)
+    def test_usage_argv(self, argv):
+        # as repr, a nan equals a nan
+        assert (repr(outcome(build_parser().parse_args, argv))
+                == repr(outcome(parent_parsers()[0].parse_args, argv)))
 
 
 # values that every subcommand's parser accepts as they stand, none empty
@@ -829,10 +953,18 @@ def well_formed_argvs(draw):
     return argv
 
 
+def table_flags(name):
+    """The options that ``cli._COMMANDS`` declares for subcommand ``name``,
+    and the required ones among them."""
+    flags = cli._COMMANDS[name][2]
+    return ({option for option, _ in flags},
+            {option for option, spec in flags if spec.get("required")})
+
+
 def subcommand_parses(argv):
     """``cli._parse``'s outcome for ``argv`` and the number of times it
     called the subcommand parser's ``parse_known_args``."""
-    command = cli._parsers()[1][argv[0]][0]
+    command = cli._parsers()[1][argv[0]]
     with mock.patch.object(command, "parse_known_args",
                            wraps=command.parse_known_args) as parse_known_args:
         result = outcome(cli._parse, argv)
@@ -844,11 +976,11 @@ class TestFlagTable:
     # its flag table without argparse; build_parser().parse_args is the oracle
 
     def test_pairs_name_every_flag_of_each_subcommand(self):
-        for name, (command, _) in cli._parsers()[1].items():
-            flags = {flag for action in command._actions for flag in action.option_strings}
-            assert flags - {"-h", "--help"} == set().union(*PAIRS[name]), name
-            assert {flag for action in command._actions if action.required
-                    for flag in action.option_strings} == set(PAIRS[name][0]), name
+        assert sorted(PAIRS) == sorted(cli._COMMANDS)
+        for name in cli._COMMANDS:
+            flags, required = table_flags(name)
+            assert flags == set().union(*PAIRS[name]), name
+            assert required == set(PAIRS[name][0]), name
 
     @settings(max_examples=300, deadline=None)
     @given(argv=well_formed_argvs())
@@ -920,41 +1052,68 @@ class TestFixedCosts:
                                         "inspect"])
     def test_cold_start_does_not_import(self, module):
         # -S: a site-packages .pth file may import a module before zpfcross
-        code = ("import sys\n"
-                "import zpfcross.cli\n"
-                f"assert {module!r} not in sys.modules, '{module} was imported'\n")
-        src = str(Path(zpfcross.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
+        fresh_process("import sys\n"
+                      "import zpfcross.cli\n"
+                      f"assert {module!r} not in sys.modules, '{module} was imported'\n",
+                      "-S")
 
     def test_cold_start_does_not_import_numpy(self):
-        code = ("import sys\n"
-                "import zpfcross.cli\n"
-                "from zpfcross.constants import CosmologyContext\n"
-                "from zpfcross.transition import transition_scale\n"
-                "zpfcross.cli.build_parser()\n"
-                "transition_scale(1.8, 1e-5, CosmologyContext.default())\n"
-                "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-        src = str(Path(zpfcross.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
+        fresh_process("import sys\n"
+                      "import zpfcross.cli\n"
+                      "from zpfcross.constants import CosmologyContext\n"
+                      "from zpfcross.transition import transition_scale\n"
+                      "zpfcross.cli.build_parser()\n"
+                      "transition_scale(1.8, 1e-5, CosmologyContext.default())\n"
+                      "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
 
     def test_sweep_does_not_import_numpy(self):
-        code = ("import contextlib, io, sys\n"
-                "from zpfcross.cli import main\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                "    assert main(['sweep', '--slopes', '1.5,2.9,3.5', '--kappas', '1,1e-300,2',\n"
-                "                 '--outputs', 'epsilon,N,Ns', '--format', 'csv']) == 0\n"
-                "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-        src = str(Path(zpfcross.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
+        fresh_process("import contextlib, io, sys\n"
+                      "from zpfcross.cli import main\n"
+                      "with contextlib.redirect_stdout(io.StringIO()):\n"
+                      "    assert main(['sweep', '--slopes', '1.5,2.9,3.5', "
+                      "'--kappas', '1,1e-300,2',\n"
+                      "                 '--outputs', 'epsilon,N,Ns', '--format', 'csv']) == 0\n"
+                      "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["transition", "--slope", "1.8", "--kappa", "1e-5"], False),
+        (["dissipation", "--kappa", "1e-5", "--slope", "1.8", "--n0", "computed"], False),
+        (["bound", "--slope", "1.8"], False),
+        (["sweep", "--slopes", "1.7,1.8", "--kappas", "1e-5,1"], False),
+        (["constants"], False),
+        (["transition", "-h"], True),
+        (["transition", "--slope", "x"], True),
+    ], ids=lambda value: usage_id(value) if isinstance(value, list) else None)
+    def test_well_formed_query_builds_no_parser(self, argv, builds):
+        # -S: a site-packages .pth file may build a parser before zpfcross
+        out = fresh_process(
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from zpfcross.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(code, len(built))\n", "-S")
+        code, built = map(int, out.split())
+        assert (code == 0) == (argv[-1] != "x")
+        assert (built > 0) == builds, f"{built} parsers built"
+
+
+def fresh_process(code, *flags):
+    """Run ``code`` in a new interpreter, with ``flags``, that imports
+    zpfcross from the tested tree; its stdout, once it exits 0."""
+    src = str(Path(zpfcross.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

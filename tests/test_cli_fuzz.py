@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from zpfcross import cli
 from zpfcross.cli import build_parser, main
 
-from test_cli import outcome
+from test_cli import outcome, table_flags
 
 TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
 NUMBER = st.one_of(
@@ -88,6 +88,8 @@ FLAGS = {
 }
 REQUIRED = {"constants": 0, "transition": 1, "sweep": 2, "dissipation": 2, "bound": 1,
             "spectrum": 1}
+
+
 # flags of no subcommand, an abbreviation, a separator, help and version
 STRAYS = st.sampled_from(["--warp", "-x", "--slo", "--", "--version", "-h"])
 
@@ -153,3 +155,13 @@ def test_any_flags_keep_the_exit_contract(config_flags, argv):
     assert "Traceback" not in err
     if argv[0] == "sweep" and code == 0 and isinstance(parsed[0], dict):
         assert len(out.splitlines()) - 1 == len(parsed[0]["slopes"]) * len(parsed[0]["kappas"])
+
+
+def test_flags_name_every_flag_of_each_subcommand():
+    # a flag declared in the command table is fuzzed; --config comes from
+    # the config_flags fixture
+    assert sorted(FLAGS) == sorted(cli._COMMANDS)
+    for name in cli._COMMANDS:
+        flags, required = table_flags(name)
+        assert sorted(FLAGS[name]) == sorted(flags - {"--config"}), name
+        assert set(FLAGS[name][:REQUIRED[name]]) == required, name
