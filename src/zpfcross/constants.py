@@ -18,9 +18,9 @@ exactly once, when the module is imported, and evaluating them is
 float arithmetic only.
 
 Contexts are immutable, so what is derived from them is resolved once
-and reused: a context keeps the factor list of each table it has
-evaluated, and ``CosmologyContext.default()`` without overrides returns
-one context per process. Nothing here imports numpy.
+and reused: a context evaluates each table's powers once, and
+``CosmologyContext.default()`` without overrides returns one context per
+process. Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .quantity import (
     TIME,
     Quantity,
     Record,
-    power_product,
     power_terms,
+    times_powers,
 )
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s, exact
@@ -182,16 +182,16 @@ class ExponentTable(Record):
 
     def evaluate(self, ctx: CosmologyContext, coeff: float = 1.0) -> Quantity:
         """coeff * prod X**p_X, with rel_sigma from first-order propagation."""
-        value, rel_sigma = power_product(coeff, ctx.factors(self._terms))
-        return Quantity(value, self.dim, rel_sigma)
+        powers, rel_sigma = ctx.powers(self._terms)
+        return Quantity(times_powers(coeff, powers), self.dim, rel_sigma)
 
     def value(self, ctx: CosmologyContext, coeff: float = 1.0) -> float:
         """The float value of ``evaluate`` alone, in SI units of ``dim``."""
-        return power_product(coeff, ctx.factors(self._terms))[0]
+        return times_powers(coeff, ctx.powers(self._terms)[0])
 
     def powers(self, ctx: CosmologyContext) -> Tuple[Tuple[float, ...], float]:
         """The powers X**p_X and rel_sigma, for ``quantity.times_powers``."""
-        return power_terms(ctx.factors(self._terms))
+        return ctx.powers(self._terms)
 
 
 # rho_crit = 3/(8*pi) * H**2/G and R = c/H
@@ -214,8 +214,8 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     default constant is present and positive and keeps its dimension,
     so dimensions checked once per ``ExponentTable`` hold for every
     context. The context is immutable, so it resolves each table's
-    factor list once and reuses it; the critical density and Hubble
-    radius are evaluated from those factors on each access.
+    factor list and powers once (ignored by ==, pickle and copy); the
+    critical density and Hubble radius are multiplied out on each access.
     """
 
     def __init__(self, constants: Iterable[PhysicalConstant]):
@@ -235,7 +235,7 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
         if missing:
             raise BadOverride(f"missing constants {missing}")
         self._table = table
-        self._factors = {}  # terms -> their factors, filled by ``factors``
+        self._factors, self._powers = {}, {}  # terms -> factors, (powers, rel_sigma)
 
     @classmethod
     def default(cls, overrides: Optional[Mapping[str, float]] = None) -> "CosmologyContext":
@@ -281,6 +281,9 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     def __len__(self) -> int:
         return len(self._table)
 
+    def __reduce__(self):
+        return type(self), (tuple(self._table.values()),)
+
     def quantity(self, name: str) -> Quantity:
         try:
             return self._table[name].quantity
@@ -304,6 +307,13 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
             factors = tuple((self.value(name), self.rel_sigma(name), p) for name, p in terms)
             self._factors[terms] = factors
         return factors
+
+    def powers(self, terms: Tuple[Tuple[str, float], ...]) -> Tuple[Tuple[float, ...], float]:
+        """``power_terms`` of ``factors(terms)``, once; a NonFinite is raised on every call."""
+        powers = self._powers.get(terms)
+        if powers is None:
+            powers = self._powers[terms] = power_terms(self.factors(terms))
+        return powers
 
     @property
     def rho_crit(self) -> Quantity:

@@ -1,19 +1,20 @@
 """Parameter sweeps over (slope, kappa) grids and text rendering.
 
-``run_sweep`` fills each cell from the float cores of ``transition_scale``
+``run_sweep`` fills a slope's cells from the float cores of ``transition_scale``
 and ``solar_budget``, which raise; it alone decides that a failed cell
-becomes an error row."""
+becomes an error row. ``render`` formats the value columns in one call."""
 
 from __future__ import annotations
 
-from itertools import repeat
+import math
+from functools import partial
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .constants import CosmologyContext
 from .dissipation import budget_cell, budget_terms, check_n0_mode
-from .errors import EmptySweep, NumericFailure, ValidationError
-from .quantity import times_powers
+from .errors import EmptySweep, NonFinite, NumericFailure, ValidationError
 from .spectra import check_kappa, check_slope
 # transition_scale is unused, but bench/tests patches it here (ROADMAP item 1)
 from .transition import scale_cell, scale_terms, transition_scale  # noqa: F401
@@ -66,15 +67,19 @@ class ReportRow(NamedTuple):
     error: Optional[str] = None
 
 
+_row = partial(tuple.__new__, ReportRow)  # from its nine fields, without the keywords
+
+
 def run_sweep(spec: SweepSpec, ctx: CosmologyContext) -> List[ReportRow]:
-    """Evaluate the grid. Each slope and kappa is checked, and each valid
-    slope's terms resolved, once; the budget's shared terms at the first
-    cell that needs them. A cell's first failure, in the order of
-    ``transition_scale`` then ``solar_budget`` (slope, kappa, the slope's
+    """Evaluate the grid a slope at a time. Each kappa is checked once; each
+    slope is checked and its terms resolved once, then its cells are filled
+    by ``scale_cell`` and ``budget_cell``, whose shared terms are resolved
+    at the first cell that needs them. A cell's first failure, in the order
+    of ``transition_scale`` then ``solar_budget`` (slope, kappa, the slope's
     terms, the cell, the budget), makes it a row with the error's name."""
     extras_wanted = any(o in spec.outputs for o in EXTRA_OUTPUTS)
-    # from (eps, N, Ns, None): each wanted extra, and None for the others
-    pick = itemgetter(*[i if o in spec.outputs else 3 for i, o in enumerate(EXTRA_OUTPUTS)])
+    # from (eps, N, Ns, None): each wanted extra, None for the others, and no error
+    pick = itemgetter(*[i if o in spec.outputs else 3 for i, o in enumerate(EXTRA_OUTPUTS)], 3)
     kappa_errors = [_attempt(check_kappa, kappa)[1] for kappa in spec.kappas]
     budget = None
     rows: List[ReportRow] = []
@@ -86,18 +91,19 @@ def run_sweep(spec: SweepSpec, ctx: CosmologyContext) -> List[ReportRow]:
             if error is None:
                 try:
                     lambda0, k0 = scale_cell(terms, kappa)
-                    # sigma = lambda0*rel_sigma, NonFinite if it overflows
-                    sigma = times_powers(lambda0, (terms.rel_sigma,))
-                    extras = (None, None, None)
+                    sigma = lambda0 * terms.rel_sigma  # as TransitionResult.sigma
+                    if sigma == math.inf:
+                        raise NonFinite("sigma = lambda0*rel_sigma overflows")
+                    extras = (None,) * 4
                     if extras_wanted:
                         if budget is None:
                             budget = budget_terms(ctx, n0_mode=spec.n0_mode)
                         extras = pick(budget_cell(budget, a, kappa) + (None,))
-                    rows.append(ReportRow(a, kappa, lambda0, sigma, k0, *extras))
+                    rows.append(_row((a, kappa, lambda0, sigma, k0) + extras))
                     continue
                 except (ValidationError, NumericFailure) as exc:
                     error = type(exc).__name__
-            rows.append(ReportRow(a, kappa, error=error))
+            rows.append(_row((a, kappa) + (None,) * 6 + (error,)))
     return rows
 
 
@@ -110,14 +116,39 @@ def _attempt(step, *args):
         return None, type(exc).__name__
 
 
+def _compact(text: str) -> str:
+    """'%g' text with compact exponents: 5.17e+03 -> 5.17e3, 1e-05 -> 1e-5."""
+    return text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
+
+
 def format_sig(value: Optional[float], sigfigs: int = 3) -> str:
     """Format to significant figures with compact exponents (5.17e3)."""
     if value is None:
         return ""
     text = "%.*g" % (sigfigs, value)
-    if "e" not in text:
-        return text
-    return text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
+    return _compact(text) if "e" in text else text
+
+
+def _texts(values: Sequence[Optional[float]], sigfigs: Optional[int]) -> List[str]:
+    """The text of each value, in one call: its repr as a float (nan for
+    None) where ``sigfigs`` is None, else ``format_sig``'s, from one '%.*g'
+    format and one pass over the exponents."""
+    known = [math.nan if v is None else v for v in values] if None in values else values
+    if sigfigs is None:  # no float's repr holds ", "
+        return repr(list(map(float, known)))[1:-1].split(", ")
+    args = [sigfigs] * (2 * len(values))
+    args[1::2] = known
+    texts = _compact("\n".join(["%.*g"] * len(values)) % tuple(args)).split("\n")
+    if known is values:
+        return texts
+    return ["" if v is None else t for v, t in zip(values, texts)]
+
+
+def _axis_texts(values: Sequence[Optional[float]], sigfigs: Optional[int]) -> List[str]:
+    """``_texts`` from each distinct value, or all of them where a zero is (-0.0 == 0.0)."""
+    distinct = list(set(values))
+    texts = dict(zip(distinct, _texts(distinct, sigfigs)))
+    return _texts(values, sigfigs) if 0 in texts else list(map(texts.__getitem__, values))
 
 
 def format_rows(rows: Sequence[Sequence[str]], format: str) -> str:
@@ -129,38 +160,36 @@ def format_rows(rows: Sequence[Sequence[str]], format: str) -> str:
                        for row in rows)
     if format != "table":
         raise ValidationError(f"unknown format {format!r}")
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    template = "  ".join(f"{{:{w}}}" for w in widths)
-    return "".join([template.format(*row).rstrip() + "\n" for row in rows])
+    # a column at a time, as many as the shortest row has
+    padded = [map(str.ljust, column, repeat(max(map(len, column)))) for column in zip(*rows)]
+    lines = map("  ".join, zip(*padded)) if padded else repeat("", len(rows))
+    return "".join([line.rstrip() + "\n" for line in lines])
 
 
 def render(rows: Sequence[ReportRow], format: str = "table", sigfigs: int = 3,
            columns: Sequence[str] = BASE_COLUMNS) -> str:
-    """Render sweep rows as an aligned table or CSV text.
+    """Render sweep rows as an aligned table or CSV text, column-wise.
 
     CSV carries full precision (shortest round-trip repr, lowercase
-    scientific notation); the table formats to ``sigfigs`` significant
-    figures. Error cells render as the marker (table) or nan (CSV).
+    scientific notation); the table formats a and kappa to 6 significant
+    figures, then ``sigfigs``. Error cells render as the marker (table) or
+    nan (CSV).
     """
     if not rows:
         raise EmptySweep("nothing to render")
     csv = format == "csv"
-    # each nonzero a and kappa formatted once; a zero where used, as -0.0 == 0.0
-    axis = {v: repr(float(v)) if csv else format_sig(v, 6)
-            for v in {v for row in rows for v in (row.a, row.kappa) if v}}
+    names = columns if csv else ("a", "kappa", *columns[2:])
+    n = len(rows)
+    values = [list(map(attrgetter(name), rows)) for name in names]
+    # the first two columns from their distinct values, the others in one call
+    flat = _texts(list(chain.from_iterable(values[2:])), None if csv else sigfigs)
+    texts = [_axis_texts(v, None if csv else 6) for v in values[:2]]
+    texts += [flat[i:i + n] for i in range(0, n * len(values[2:]), n)]
     if csv:
-        # a value has the same text in any column; a repr or nan has no comma to quote
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join([axis.get(v) or ("nan" if v is None else repr(float(v)))
-                                   for v in map(getattr, repeat(row), columns)]))
-        return "\n".join(lines) + "\n"
-    get = attrgetter("a", "kappa", "error", *columns[2:])
-    cells = [list(columns)]
-    for row in rows:
-        a, kappa, error, *values = get(row)
-        texts = [format_sig(v, sigfigs) for v in values] if error is None else [
-            f"<error: {error}>"] + [""] * (len(columns) - 3)
-        cells.append([axis.get(a) or format_sig(a, 6), axis.get(kappa) or format_sig(kappa, 6),
-                      *texts])
+        lines = map(",".join, zip(*texts)) if texts else repeat("", len(rows))
+        return "\n".join([",".join(columns), *lines]) + "\n"
+    cells = [tuple(columns), *zip(*texts)]
+    for i, row in enumerate(rows, 1):
+        if row.error is not None:
+            cells[i] = (*cells[i][:2], f"<error: {row.error}>") + ("",) * (len(columns) - 3)
     return format_rows(cells, format)

@@ -20,10 +20,10 @@ bracket is m**(3+a) and lambda0 a length for every a; constant
 dimensions cannot change. ``transition_scale`` itself is float
 arithmetic only.
 
-The closed form is resolved per slope (``scale_terms``) and per kappa
-(``scale_cell``); ``transition_scale`` is one cell of ``report.run_sweep``.
-Both raise NonFinite where they leave the float range: ``scale_terms``
-naming the constants, ``scale_cell`` the cell.
+V and R are evaluated once per context, the closed form per slope from
+them (``scale_terms``) and per kappa (``scale_cell``); ``transition_scale``
+is one cell of ``report.run_sweep``. Both raise NonFinite where they leave
+the float range: ``scale_terms`` naming the constants, ``scale_cell`` the cell.
 
 The relative uncertainty follows from uncorrelated first-order
 propagation through the closed form:
@@ -65,6 +65,8 @@ _SCALE_EXPONENTS = tuple(
     (name, float(CROSSOVER_VOLUME.exponents.get(name, 0)),
      float(HUBBLE_RADIUS.exponents.get(name, 0)))
     for name in ("G", "c", "hbar", "H"))
+# the same names as terms, whose e_X ``CosmologyContext.factors`` reads once
+_SCALE_NAMES = tuple((name, 0.0) for name, _, _ in _SCALE_EXPONENTS)
 # numeric_crossover stops once its log-k bracket is this narrow, and
 # gives up with NoCrossing after this many halvings
 _BISECTION_REL_TOL = 1e-12
@@ -131,9 +133,10 @@ def scale_terms(a: float, ctx: CosmologyContext, e_kappa: float = 0.0) -> ScaleT
     except OverflowError:
         denominator = math.inf
     q = 1.0 / (3.0 + a)
-    budget = [(name, q * (v + a * r), ctx.rel_sigma(name)) for name, v, r in _SCALE_EXPONENTS]
+    budget = [(name, q * (v + a * r), e) for (name, v, r), (_, e, _)
+              in zip(_SCALE_EXPONENTS, ctx.factors(_SCALE_NAMES))]
     budget.append(("kappa", -q, e_kappa))
-    rel_sigma = math.sqrt(sum((p * e) * (p * e) for _, p, e in budget))
+    rel_sigma = math.sqrt(sum([(p * e) * (p * e) for _, p, e in budget]))
     return ScaleTerms(a, q, denominator, rel_sigma, tuple(budget))
 
 

@@ -211,7 +211,7 @@ class TestSweepCommand:
         assert "<error: NonFinite>" in out
 
     def test_context_out_of_float_range_marks_every_valid_cell(self, capsys, tmp_path):
-        # with H = 1e-300 1/s the context's V = G*hbar/(c**2*H) overflows;
+        # with H = 1e-300 1/s the context's R = c/H overflows;
         # each cell still becomes a row, a bad slope or kappa keeping its own name
         config = tmp_path / "h.cfg"
         config.write_text("H = 1e-300 1/s\n", encoding="utf-8")

@@ -269,3 +269,77 @@ class TestResolvedOnce:
         assert ctx.factors(table._terms) is factors
         other = CosmologyContext.default({"H": 2.0 * 2.49e-18})
         assert other.factors(table._terms)[0][0] == 2.0 * 2.49e-18
+
+
+class TestTableCache:
+    def test_second_evaluation_computes_no_powers(self, monkeypatch):
+        import zpfcross.constants as constants
+        from zpfcross.transition import transition_scale
+
+        calls = []
+        power_terms = constants.power_terms
+        monkeypatch.setattr(constants, "power_terms",
+                            lambda terms: calls.append(terms) or power_terms(terms))
+        ctx = CosmologyContext.default({"e_H": 0.1})  # fresh, so nothing is cached yet
+        first = transition_scale(1.8, 1e-5, ctx)
+        assert calls
+        calls.clear()
+        assert transition_scale(1.8, 1e-5, ctx) == first
+        assert transition_scale(2.5, 1.0, ctx).lambda0.value > 0.0
+        assert calls == []
+
+    def test_contexts_do_not_share_values(self, ctx):
+        from zpfcross.transition import CROSSOVER_VOLUME
+        from zpfcross.constants import HUBBLE_RADIUS
+
+        doubled = CosmologyContext.default({"H": 2.0 * 2.49e-18})
+        for context in (ctx, doubled, ctx, doubled):  # each cache filled, then read
+            assert CROSSOVER_VOLUME.value(context) == (
+                context.value("G") * context.value("hbar") * context.value("c") ** -2.0
+                * context.value("H") ** -1.0)
+        assert rel(CROSSOVER_VOLUME.value(doubled), CROSSOVER_VOLUME.value(ctx) / 2.0) < 1e-15
+        assert rel(HUBBLE_RADIUS.value(doubled), HUBBLE_RADIUS.value(ctx) / 2.0) < 1e-15
+        assert HUBBLE_RADIUS.powers(doubled) != HUBBLE_RADIUS.powers(ctx)
+        assert HUBBLE_RADIUS.evaluate(doubled, 3.0).value == 3.0 * HUBBLE_RADIUS.value(doubled)
+
+    def test_failure_is_raised_again_and_never_kept(self):
+        from zpfcross.constants import HUBBLE_RADIUS
+        from zpfcross.errors import NonFinite
+        from zpfcross.transition import CROSSOVER_VOLUME
+
+        # with H = 1e-300, R = c/H overflows in the product; with H = 1e-320,
+        # the power H**-1 itself, so V and R both fail
+        for h, tables, message in (
+                (1e-300, (HUBBLE_RADIUS,), "value is not finite: inf"),
+                (1e-320, (HUBBLE_RADIUS, CROSSOVER_VOLUME), "(1e-320)**-1.0 overflows")):
+            same = CosmologyContext.default({"H": h})
+            messages = []
+            for context in (same, same, same, CosmologyContext.default({"H": h})):
+                for table in tables:
+                    for read in (table.value, table.evaluate):
+                        with pytest.raises(NonFinite) as info:
+                            read(context)
+                        messages.append(str(info.value))
+            assert messages == [message] * len(messages)
+        with pytest.raises(NonFinite, match=r"^\(1e-320\)\*\*-1\.0 overflows$"):
+            HUBBLE_RADIUS.powers(same)
+
+    def test_cache_leaves_identity_alone(self):
+        import copy
+        import pickle
+
+        from zpfcross.transition import transition_scale
+
+        ctx = CosmologyContext.default({"e_G": 2e-4})
+        twin = CosmologyContext.default({"e_G": 2e-4})
+        pickled = pickle.dumps(ctx)
+        transition_scale(1.8, 1e-5, ctx)  # fills the caches of ctx only
+        ctx.rho_crit, ctx.hubble_radius
+        assert ctx == twin and twin == ctx
+        assert ctx != CosmologyContext.default()
+        with pytest.raises(TypeError):
+            hash(ctx)  # a mapping, unhashable before and after
+        assert pickle.dumps(ctx) == pickled == pickle.dumps(twin)
+        for clone in (pickle.loads(pickled), copy.deepcopy(ctx), copy.copy(ctx)):
+            assert clone == ctx and clone is not ctx
+            assert transition_scale(1.8, 1e-5, clone) == transition_scale(1.8, 1e-5, ctx)

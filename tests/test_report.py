@@ -1,6 +1,7 @@
 import math
 import struct
 
+import numpy
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -153,7 +154,7 @@ class TestSweepEqualsCellByCell:
         assert [repr(row) for row in rows] == [repr(row) for row in expected]
 
     def test_context_out_of_float_range(self):
-        # V overflows with H = 1e-300: every cell with a valid slope and
+        # R = c/H overflows with H = 1e-300: every cell with a valid slope and
         # kappa fails numerically; a bad slope or kappa keeps its own name
         spec = SweepSpec((0.5, 1.5), (1.0, 2.0), ("Ns",))
         rows = run_sweep(spec, CONTEXTS[1])
@@ -286,6 +287,11 @@ def reference_render(rows, format, sigfigs, columns):
 AXIS_VALUES = st.sampled_from((1.8, 2.0, 1.5, 2.9, -0.0, 0.0, math.nan, math.inf, -math.inf,
                                5e-324, 1e-5, 1e-300, 1.0))
 ALL_COLUMNS = BASE_COLUMNS + tuple(EXTRA_COLUMNS[o] for o in EXTRA_OUTPUTS)
+# values of rows that a caller builds, not run_sweep
+HAND_VALUES = st.sampled_from((0, 2, -3, 10 ** 20, True, numpy.float64(1.8), numpy.float64(-0.0),
+                               numpy.float64(math.nan), numpy.float64(5e-324), 5e-324, -1e-310,
+                               2.5e-320, 0.0, -0.0, 1.8, 1e300, -2.5e-7, math.nan, math.inf,
+                               None))
 
 
 class TestRenderEqualsPerCell:
@@ -308,6 +314,23 @@ class TestRenderEqualsPerCell:
         for cols in (spec.columns, tuple(columns)):
             assert render(rows, format, sigfigs, cols) == reference_render(rows, format, sigfigs,
                                                                            cols)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.builds(ReportRow, *[HAND_VALUES] * 8, error=st.one_of(
+               st.none(), st.sampled_from(("NonFinite", "SlopeOutOfRange")))),
+               min_size=1, max_size=6),
+           format=st.sampled_from(("csv", "table")), sigfigs=st.sampled_from((1, 3, 6, 17, 767)),
+           order=st.permutations(range(len(ALL_COLUMNS))),
+           length=st.integers(0, len(ALL_COLUMNS)))
+    @example(rows=[ReportRow(numpy.float64(1.8), 3, numpy.float64(-0.0), 5e-324, -0.0, 0,
+                             numpy.float64(2.5e-310), True)],
+             format="csv", sigfigs=3, order=range(8), length=8)
+    def test_render_hand_built_rows(self, rows, format, sigfigs, order, length):
+        # rows a caller builds: ints, numpy floats (whose own repr is
+        # np.float64(...)), subnormals, both zeros and None anywhere
+        columns = tuple(ALL_COLUMNS[i] for i in order[:length])
+        assert render(rows, format, sigfigs, columns) == reference_render(rows, format, sigfigs,
+                                                                          columns)
 
     @settings(max_examples=500, deadline=None)
     @given(value=st.one_of(st.floats(), st.integers(0, 2 ** 64 - 1).map(
