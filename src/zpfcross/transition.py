@@ -252,14 +252,24 @@ class MonteCarloScale(NamedTuple):
     sampling the exact spread is infinite (E[r_H**(2*p_H)] diverges at
     r_H = 0+, since 2*p_H < -1), so ``rel_sigma`` and ``mean_se`` are
     empirical figures, and ``mean_se`` is no standard error near that
-    pole: at e_H = 0.3, e_G = 0.2, e_kappa = 0.4 and 1e6 samples, seeds
-    1-3 give ``rel_sigma`` 0.375, 0.670 and 0.428."""
+    pole: for ``rel_sigma`` at a = 1.8, e_H = 0.3, e_G = 0.2,
+    e_kappa = 0.4 and 1e6 samples, seeds 1-3 give 0.484, 0.445 and 0.531."""
 
     mean: Quantity
     rel_sigma: float
     n_samples: int
     rejected: int
     mean_se: Quantity
+
+
+def _generator(seed):
+    """The one random generator of the Monte Carlo: numpy's SFC64 bit
+    generator, seeded through ``SeedSequence`` like numpy's default PCG64.
+    It takes the same seeds (a non-negative integer, a sequence of them,
+    or None) and raises ValueError or TypeError on any other."""
+    import numpy as np
+
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
@@ -301,6 +311,13 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     so where nothing is rejected the draws are those of a single (n,)
     or (n, k) array.
 
+    The normals come from ``_generator``, numpy's SFC64 bit generator
+    rather than its default PCG64. Drawing them is most of a call (84-86%
+    with PCG64), and the bit generator sets that cost: on a 2-vCPU Xeon
+    with numpy 2.4.6, 1e6 normals take 10.8 ms with SFC64 against 13.1 ms
+    with PCG64, and 4e6 take 44 ms against 53 ms; PCG64DXSM is no faster,
+    Philox and MT19937 are slower (``BENCH_mc_generator.json``).
+
     A sample count n that is not an integer, a seed that numpy refuses,
     or more than ``_MC_MAX_SAMPLES`` samples
     (timings in ``BENCH_mc_one_draw.json``), raises ValidationError
@@ -327,7 +344,7 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     # the lognormal spread; hypot scales before it squares, so no (p*e)**2 overflows
     s = math.hypot(*(p * e for p, e in varying))
     try:
-        rng = np.random.default_rng(seed)
+        rng = _generator(seed)
     except (TypeError, ValueError):  # numpy takes only non-negative integers
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}") from None
 

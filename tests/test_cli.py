@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zpfcross
-from zpfcross import CosmologyContext, cli
+from zpfcross import CosmologyContext, cli, transition
 from zpfcross.cli import build_parser, main
 from zpfcross.constants import DAY_S, LIGHTMINUTE_M
 from zpfcross.dissipation import n0_value
@@ -87,7 +87,7 @@ class TestTransitionCommand:
             def standard_normal(self, shape):
                 raise MemoryError
 
-        monkeypatch.setattr(numpy.random, "default_rng", lambda seed: NoMemory())
+        monkeypatch.setattr(transition, "_generator", lambda seed: NoMemory())
         code, out, err = run(capsys, "transition", "--slope", "1.8", "--mc", "100000000")
         assert code == 2
         assert out == ""
@@ -99,7 +99,7 @@ class TestTransitionCommand:
         def no_generator(seed):
             raise AssertionError("a generator was built")
 
-        monkeypatch.setattr(numpy.random, "default_rng", no_generator)
+        monkeypatch.setattr(transition, "_generator", no_generator)
         code, out, err = run(capsys, "transition", "--slope", "1.8", "--mc", "1000000000000")
         assert (code, out) == (2, "")
         assert err == "error: at most 1000000000 Monte Carlo samples, got 1000000000000\n"

@@ -1,5 +1,5 @@
 """Cost guards that do not depend on the host: Python-level calls in
-package frames.
+package frames, and the modules that a point query loads.
 
 A ``sys.setprofile`` hook counts the ``call`` events whose code file
 lies under the package directory, for one CLI call in a process that has
@@ -12,11 +12,20 @@ Python 3.12 inlines list comprehensions (PEP 709), which are frames
 before it, so it reads at most the budget. A change that raises a count
 raises its budget and records the old value, the new one and the reason
 in CHANGES.md; a change that lowers a count lowers its budget with it.
+
+The module set is read in a new interpreter under ``python -S``, so that
+no site-packages ``.pth`` file loads a module before the package: the
+modules in ``sys.modules`` after ``import zpfcross.cli`` and one
+well-formed ``transition`` point query. The package's own modules are
+pinned exactly and the total as a ceiling per Python version, recorded
+on CPython 3.10.13, 3.11.7 and 3.12.1.
 """
 
+import ast
 import contextlib
 import io
 import os
+import subprocess
 import sys
 
 import pytest
@@ -90,3 +99,60 @@ def test_sweep_calls_per_cell_within_budget(name):
     flags, budget = PER_CELL_BUDGETS[name]
     per_cell = (package_calls(sweep(20) + flags) - package_calls(sweep(10) + flags)) / 300
     assert per_cell <= budget
+
+
+POINT_QUERY = "transition --slope 1.8 --kappa 1e-5"
+PACKAGE_MODULES = {"zpfcross", "zpfcross.cli", "zpfcross.constants", "zpfcross.dissipation",
+                   "zpfcross.errors", "zpfcross.quantity", "zpfcross.report",
+                   "zpfcross.spectra", "zpfcross.transition"}
+# (major, minor): ceiling on len(sys.modules); 3.10 has no _typing or
+# re._parser but sre_parse and friends
+MODULE_CEILINGS = {(3, 10): 66, (3, 11): 68, (3, 12): 68}
+NOT_LOADED = ("numpy", "fractions", "decimal", "dataclasses", "inspect", "pathlib", "shutil")
+
+
+# prints sys.modules, as a dict of each name to its file or None, after
+# ``import zpfcross.cli`` and the query in argv[1]; only the names that the
+# queries in argv[2:] add, if any are given
+MODULES_SCRIPT = """\
+import contextlib, io, sys
+from zpfcross.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1].split()) == 0
+    base = set(sys.modules) if sys.argv[2:] else set()
+    for argv in sys.argv[2:]:
+        assert main(argv.split()) == 0
+print({name: getattr(module, "__file__", None)
+       for name, module in list(sys.modules.items()) if name not in base})
+"""
+
+
+def loaded_modules(*queries, flags=()):
+    """``MODULES_SCRIPT`` over ``queries`` in a new interpreter started with
+    ``flags``, importing zpfcross from the tested tree."""
+    src = os.path.dirname(os.path.dirname(zpfcross.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, *flags, "-c", MODULES_SCRIPT, *queries],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
+
+
+def test_point_query_module_set():
+    modules = loaded_modules(POINT_QUERY, flags=("-S",))
+    assert {name for name in modules if name.split(".")[0] == "zpfcross"} == PACKAGE_MODULES
+    assert len(modules) <= MODULE_CEILINGS.get(sys.version_info[:2],
+                                               max(MODULE_CEILINGS.values()))
+    assert not set(NOT_LOADED) & set(modules)
+
+
+def test_monte_carlo_adds_numpy_and_no_other_package():
+    # without -S, so that numpy is found where it is installed. Every module
+    # the --mc query adds is numpy's or the standard library's, or has no
+    # file (built in, or registered by numpy's compiled extensions)
+    modules = loaded_modules(POINT_QUERY, "transition --slope 1.8 --mc 2000")
+    numpy_dir = os.path.dirname(modules["numpy"]) + os.sep
+    assert {name for name, path in modules.items()
+            if path is not None and not path.startswith(numpy_dir)
+            and name.split(".")[0] not in sys.stdlib_module_names} == set()
