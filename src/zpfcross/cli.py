@@ -15,6 +15,13 @@ subcommand, by that subcommand's parser alone; otherwise (no arguments,
 -h, --version, an unknown subcommand) by the whole parser. ``main``
 uses the shared default context unless --config is given, and numpy is
 imported only by ``spectrum`` and ``transition --mc``.
+
+The handlers call the library through the package namespace
+(``zpfcross.transition_scale``), so a process loads only the modules its
+command runs: the first call loads the owning module and binds its
+exports once per process, and each later call is one attribute lookup.
+Parsing, ``constants`` and ``build_parser()`` load none of ``spectra``,
+``transition``, ``dissipation`` and ``report``.
 """
 
 from __future__ import annotations
@@ -25,15 +32,12 @@ import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import __version__
+import zpfcross
+
 from .constants import DAY_S, LIGHTMINUTE_M, CosmologyContext, load_config
-from .dissipation import kappa_from_solar_bound, n0_value, solar_budget
 from .errors import NumericFailure, ValidationError, ZpfcrossError
+from .formatting import format_rows, format_sig
 from .quantity import LENGTH, POWER_DENSITY, Dimension, Quantity, TIME, WAVENUMBER
-from .report import SweepSpec, format_rows, format_sig, render, run_sweep
-from .spectra import (Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer,
-                      default_wavenumber)
-from .transition import monte_carlo_scale, transition_scale
 
 
 # rows of spectrum CSV formatted per write: bounds the text held at once
@@ -74,7 +78,7 @@ def _cmd_constants(args: argparse.Namespace, ctx: CosmologyContext) -> int:
 
 
 def _cmd_transition(args: argparse.Namespace, ctx: CosmologyContext) -> int:
-    result = transition_scale(args.slope, args.kappa, ctx, e_kappa=args.ekappa)
+    result = zpfcross.transition_scale(args.slope, args.kappa, ctx, e_kappa=args.ekappa)
     sig = args.sigfigs
     pairs = [
         ("a", format_sig(args.slope, 6)),
@@ -87,8 +91,8 @@ def _cmd_transition(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     for name, contribution in result.sigma_breakdown.items():
         pairs.append((f"sigma_{name}", format_sig(contribution, sig)))
     if args.mc:
-        mc = monte_carlo_scale(args.slope, args.kappa, args.mc, args.seed, ctx,
-                               e_kappa=args.ekappa)
+        mc = zpfcross.monte_carlo_scale(args.slope, args.kappa, args.mc, args.seed, ctx,
+                                        e_kappa=args.ekappa)
         pairs += [("mc_mean_m", format_sig(mc.mean.value, sig)),
                   ("mc_rel_sigma", format_sig(mc.rel_sigma, sig)),
                   ("mc_rejected", str(mc.rejected))]
@@ -97,10 +101,10 @@ def _cmd_transition(args: argparse.Namespace, ctx: CosmologyContext) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, ctx: CosmologyContext) -> int:
-    spec = SweepSpec(slopes=tuple(args.slopes), kappas=tuple(args.kappas),
-                     outputs=tuple(args.outputs), n0_mode=args.n0)
-    sys.stdout.write(render(run_sweep(spec, ctx), format=args.format,
-                            sigfigs=args.sigfigs, columns=spec.columns))
+    spec = zpfcross.SweepSpec(slopes=tuple(args.slopes), kappas=tuple(args.kappas),
+                              outputs=tuple(args.outputs), n0_mode=args.n0)
+    sys.stdout.write(zpfcross.render(zpfcross.run_sweep(spec, ctx), format=args.format,
+                                     sigfigs=args.sigfigs, columns=spec.columns))
     return 0
 
 
@@ -124,16 +128,16 @@ def _budget_span(args: argparse.Namespace) -> Tuple[Optional[Quantity], Optional
 
 
 def _n0_note(ctx, n0_mode: str, window_t: Optional[Quantity]) -> str:
-    published = n0_value(ctx, window_t, "paper").value
-    computed = n0_value(ctx, window_t, "computed").value
+    published = zpfcross.n0_value(ctx, window_t, "paper").value
+    computed = zpfcross.n0_value(ctx, window_t, "computed").value
     return (f"# N0 mode: {n0_mode} (published {published:.3g}, "
             f"computed from constants {computed:.3g})")
 
 
 def _cmd_dissipation(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     window, radius = _budget_span(args)
-    budget = solar_budget(args.kappa, args.slope, ctx, window_t=window,
-                          ell=radius, n0_mode=args.n0)
+    budget = zpfcross.solar_budget(args.kappa, args.slope, ctx, window_t=window,
+                                   ell=radius, n0_mode=args.n0)
     print(_n0_note(ctx, args.n0, window))
     sig = args.sigfigs
     _write_pairs([
@@ -152,9 +156,9 @@ def _cmd_dissipation(args: argparse.Namespace, ctx: CosmologyContext) -> int:
 
 def _cmd_bound(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     window, radius = _budget_span(args)
-    kappa, result = kappa_from_solar_bound(args.ns, args.slope, ctx,
-                                           window_t=window, ell=radius,
-                                           n0_mode=args.n0)
+    kappa, result = zpfcross.kappa_from_solar_bound(args.ns, args.slope, ctx,
+                                                    window_t=window, ell=radius,
+                                                    n0_mode=args.n0)
     print(_n0_note(ctx, args.n0, window))
     sig = args.sigfigs
     _write_pairs([
@@ -169,22 +173,23 @@ def _cmd_bound(args: argparse.Namespace, ctx: CosmologyContext) -> int:
 
 def _spectrum_model(args: argparse.Namespace, ctx: CosmologyContext):
     if args.model == "boyer":
-        return Boyer.from_context(ctx)
+        return zpfcross.Boyer.from_context(ctx)
     if args.model == "truncated":
-        return TruncatedBoyer.from_context(ctx, _flag_quantity(args, "cutoff_k", 1.0, WAVENUMBER))
+        return zpfcross.TruncatedBoyer.from_context(
+            ctx, _flag_quantity(args, "cutoff_k", 1.0, WAVENUMBER))
     if args.model == "powerlaw":
-        return PowerLawTurbulence.from_kappa(ctx, args.kappa, args.slope)
+        return zpfcross.PowerLawTurbulence.from_kappa(ctx, args.kappa, args.slope)
     if args.model == "ms":
         epsilon = _flag_quantity(args, "epsilon", 1.0, POWER_DENSITY)
-        return MoisseevShivamoggi.from_context(ctx, args.gamma, epsilon,
-                                               kolmogorov_const=args.kolmogorov_const)
+        return zpfcross.MoisseevShivamoggi.from_context(ctx, args.gamma, epsilon,
+                                                        kolmogorov_const=args.kolmogorov_const)
     raise ValidationError(f"unknown model {args.model!r}")
 
 
 def _cmd_spectrum(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     model = _spectrum_model(args, ctx)
-    kmin = default_wavenumber(ctx, "kmin") if args.kmin is None else args.kmin
-    kmax = default_wavenumber(ctx, "kmax") if args.kmax is None else args.kmax
+    kmin = zpfcross.default_wavenumber(ctx, "kmin") if args.kmin is None else args.kmin
+    kmax = zpfcross.default_wavenumber(ctx, "kmax") if args.kmax is None else args.kmax
     if not (0.0 < kmin < kmax < math.inf):
         raise ValidationError(f"need 0 < kmin < kmax < inf, got {kmin!r}, {kmax!r}")
     if args.points < 2:
@@ -303,7 +308,7 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
     parser = argparse.ArgumentParser(
         prog="zpfcross",
         description="Vacuum/turbulence spectrum crossover scale and its error budget.")
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {zpfcross.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
     for name, (summary, func, flags) in _COMMANDS.items():

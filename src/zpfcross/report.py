@@ -15,6 +15,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .constants import CosmologyContext
 from .dissipation import budget_cell, budget_terms, check_n0_mode
 from .errors import EmptySweep, NonFinite, NumericFailure, ValidationError
+# format_sig is unused here, but re-exported: callers import it from this module
+from .formatting import _compact, format_rows, format_sig  # noqa: F401
 from .spectra import check_kappa, check_slope
 # transition_scale is unused, but bench/tests patches it here (ROADMAP item 1)
 from .transition import scale_cell, scale_terms, transition_scale  # noqa: F401
@@ -116,19 +118,6 @@ def _attempt(step, *args):
         return None, type(exc).__name__
 
 
-def _compact(text: str) -> str:
-    """'%g' text with compact exponents: 5.17e+03 -> 5.17e3, 1e-05 -> 1e-5."""
-    return text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
-
-
-def format_sig(value: Optional[float], sigfigs: int = 3) -> str:
-    """Format to significant figures with compact exponents (5.17e3)."""
-    if value is None:
-        return ""
-    text = "%.*g" % (sigfigs, value)
-    return _compact(text) if "e" in text else text
-
-
 def _texts(values: Sequence[Optional[float]], sigfigs: Optional[int]) -> List[str]:
     """The text of each value, in one call: its repr as a float (nan for
     None) where ``sigfigs`` is None, else ``format_sig``'s, from one '%.*g'
@@ -149,21 +138,6 @@ def _axis_texts(values: Sequence[Optional[float]], sigfigs: Optional[int]) -> Li
     distinct = list(set(values))
     texts = dict(zip(distinct, _texts(distinct, sigfigs)))
     return _texts(values, sigfigs) if 0 in texts else list(map(texts.__getitem__, values))
-
-
-def format_rows(rows: Sequence[Sequence[str]], format: str) -> str:
-    """Lay out rows of text cells: ``table`` pads each column to its widest
-    cell, two spaces apart, trailing space stripped; ``csv`` joins cells
-    with commas and quotes a cell that holds a comma."""
-    if format == "csv":
-        return "".join(",".join(f'"{cell}"' if "," in cell else cell for cell in row) + "\n"
-                       for row in rows)
-    if format != "table":
-        raise ValidationError(f"unknown format {format!r}")
-    # a column at a time, as many as the shortest row has
-    padded = [map(str.ljust, column, repeat(max(map(len, column)))) for column in zip(*rows)]
-    lines = map("  ".join, zip(*padded)) if padded else repeat("", len(rows))
-    return "".join([line.rstrip() + "\n" for line in lines])
 
 
 def render(rows: Sequence[ReportRow], format: str = "table", sigfigs: int = 3,

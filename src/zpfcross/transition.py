@@ -97,6 +97,9 @@ class TransitionResult(NamedTuple):
     def __hash__(self) -> int:  # the read-only mapping hashes as the set of its items
         return hash((*self[:3], frozenset(self.sigma_breakdown.items())))
 
+    def __reduce__(self):  # the read-only mapping does not pickle; its items do
+        return _transition_result, (*self[:3], dict(self.sigma_breakdown))
+
     @property
     def sigma(self) -> Quantity:
         """Absolute one-sigma uncertainty of lambda0, m; NonFinite naming
@@ -107,6 +110,10 @@ class TransitionResult(NamedTuple):
                             f"lambda0 = {self.lambda0.value!r} m and "
                             f"rel_sigma = {self.rel_sigma!r}")
         return Quantity(sigma, LENGTH)
+
+
+def _transition_result(k0, lambda0, rel_sigma, breakdown) -> TransitionResult:
+    return TransitionResult(k0, lambda0, rel_sigma, MappingProxyType(breakdown))
 
 
 class ScaleTerms(NamedTuple):
