@@ -10,15 +10,11 @@ downstream reference numbers are reproducible; every entry can be
 overridden through ``CosmologyContext.default(overrides)``; dimensions
 cannot. All stored values are SI.
 
-Fixed products of powers of the constants (the critical density, the
-Hubble radius, the energy and power densities shared by ``spectra`` and
-``dissipation``, and the tables in ``transition`` and ``dissipation``)
-are ``ExponentTable`` module constants: their dimension is checked
-exactly once, when the module is imported, and evaluating them is
-float arithmetic only.
-
-Contexts are immutable, so what is derived from them is resolved once
-and reused: a context evaluates each table's powers once, and
+Every product of powers of the constants is an ``ExponentTable`` with its
+coefficient, value and budget vector. Each relation is written once, here:
+rho_crit (with its 3/(8*pi)) and R = c/H from their exponents, and
+rho*c**2, rho*c**3/R and N0/t composed from them, each dimension checked
+once, at import. A context evaluates each table's powers once, and
 ``CosmologyContext.default()`` without overrides returns one context per
 process. Nothing here imports numpy.
 """
@@ -29,9 +25,9 @@ import functools
 import math
 import os
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import BadOverride, DimensionMismatch
+from .errors import BadOverride, DimensionMismatch, ValidationError
 from .quantity import (
     ACTION,
     DENSITY,
@@ -91,6 +87,7 @@ _DEFAULTS: Sequence[Tuple[str, float, Dimension, float, str]] = (
 )
 
 _NAMES = tuple(name for name, *_ in _DEFAULTS)
+_CACHE_SIZE = 64  # a context keeps the factors and powers of the tables it used last
 _DIM_BY_NAME = {name: dim for name, _, dim, _, _ in _DEFAULTS}
 
 
@@ -158,50 +155,122 @@ def load_config(path: str | os.PathLike) -> dict[str, float]:
 
 
 class ExponentTable(Record):
-    """A product of powers of the context's constants, prod X**p_X.
+    """A product coeff * prod X**p_X of powers of the context's constants.
 
-    The dimension is composed once, when the table is built, and must
-    equal ``dim``; otherwise the build raises DimensionMismatch.
-    Constant dimensions are fixed, so ``evaluate`` needs floats only.
+    Built from its exponents, a table checks its dimension once
+    (DimensionMismatch unless it is ``dim``). ``*`` and ``/`` merge two
+    tables' exponents by name, the left one's constants first, or scale
+    the coefficient by a number; ``**`` scales both. A composed table forms
+    its dimension, its operands' product, only when it is read. ``ordered``
+    sets the order of the powers, which decides the last bits of the value.
     """
 
-    __slots__ = ("exponents", "dim", "_terms")
+    __slots__ = ("coeff", "_names", "_exps", "_dim")  # _exps: the float p_X of _names
+    _fields = ("exponents", "dim", "coeff")
 
-    def __init__(self, exponents: Mapping[str, float], dim: Dimension) -> None:
+    def __init__(self, exponents: Mapping[str, float], dim: Dimension,
+                 coeff: float = 1.0) -> None:
         composed = DIMENSIONLESS
         for name, p in exponents.items():
             if name not in _DIM_BY_NAME:
                 raise BadOverride(f"unknown constant {name!r}")
             composed = composed * _DIM_BY_NAME[name] ** p
-        if composed != dim:
-            raise DimensionMismatch(f"product {dict(exponents)} has dimension "
-                                    f"[{composed}], expected [{dim}]")
-        object.__setattr__(self, "exponents", MappingProxyType(dict(exponents)))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", tuple((n, float(p)) for n, p in exponents.items()))
+        _table(tuple(exponents), tuple(map(float, exponents.values())), composed,
+               float(coeff), self).checked(dim)
 
-    def evaluate(self, ctx: CosmologyContext, coeff: float = 1.0) -> Quantity:
+    @property
+    def exponents(self) -> Mapping[str, float]:
+        return MappingProxyType(dict(zip(self._names, self._exps)))
+
+    @property
+    def dim(self) -> Dimension:
+        if not isinstance(self._dim, Dimension):  # the operands' product, not yet formed
+            _set_dim(self, self._dim())
+        return self._dim
+
+    def __mul__(self, other: "ExponentTable | float") -> "ExponentTable":
+        if not isinstance(other, ExponentTable):
+            return _table(self._names, self._exps, self._dim, self.coeff * other)
+        names, exps = self._names, list(self._exps)
+        for name, p in zip(other._names, other._exps):
+            if name in names:
+                exps[names.index(name)] += p
+            else:
+                names += (name,)
+                exps.append(p)
+        return _table(names, tuple(exps), lambda: self.dim * other.dim,
+                      self.coeff * other.coeff)
+
+    def __truediv__(self, other: "ExponentTable") -> "ExponentTable":
+        return self * other ** -1.0
+
+    def __pow__(self, p: float) -> "ExponentTable":
+        p = float(p)
+        return _table(self._names, tuple(map(p.__mul__, self._exps)),
+                      lambda: self.dim ** p, self.coeff ** p)
+
+    def __reduce__(self):  # from its parts, which a composed table need not re-check exactly
+        return _table, (self._names, self._exps, self.dim, self.coeff)
+
+    def ordered(self, *names: str) -> "ExponentTable":
+        """This product, its powers in the order of ``names`` (any of exponent 0 optional)."""
+        exponents = self.exponents
+        if any(p and name not in names for name, p in exponents.items()):
+            raise ValidationError(f"{names} leaves out a constant of {dict(exponents)}")
+        return _table(names, tuple(exponents[n] for n in names), self._dim, self.coeff)
+
+    def checked(self, dim: Dimension) -> "ExponentTable":
+        """This table, its dimension formed; DimensionMismatch unless it is ``dim``."""
+        if self.dim != dim:
+            raise DimensionMismatch(f"product {dict(self.exponents)} has dimension "
+                                    f"[{self.dim}], expected [{dim}]")
+        return self
+
+    def evaluate(self, ctx: CosmologyContext) -> Quantity:
         """coeff * prod X**p_X, with rel_sigma from first-order propagation."""
-        powers, rel_sigma = ctx.powers(self._terms)
-        return Quantity(times_powers(coeff, powers), self.dim, rel_sigma)
+        powers, rel_sigma = ctx.powers(self._names, self._exps)
+        return Quantity(times_powers(self.coeff, powers), self.dim, rel_sigma)
 
-    def value(self, ctx: CosmologyContext, coeff: float = 1.0) -> float:
+    def value(self, ctx: CosmologyContext) -> float:
         """The float value of ``evaluate`` alone, in SI units of ``dim``."""
-        return times_powers(coeff, ctx.powers(self._terms)[0])
+        return times_powers(self.coeff, ctx.powers(self._names, self._exps)[0])
 
     def powers(self, ctx: CosmologyContext) -> Tuple[Tuple[float, ...], float]:
         """The powers X**p_X and rel_sigma, for ``quantity.times_powers``."""
-        return ctx.powers(self._terms)
+        return ctx.powers(self._names, self._exps)
+
+    def budget(self, ctx: CosmologyContext) -> Tuple[Tuple[str, float, float], ...]:
+        """(name, p_X, e_X) of each constant: rel_sigma is sqrt(sum((p_X*e_X)**2))."""
+        return tuple(zip(self._names, self._exps, ctx.factors(self._names)[1]))
 
 
-# rho_crit = 3/(8*pi) * H**2/G and R = c/H
-CRITICAL_DENSITY = ExponentTable({"H": 2, "G": -1}, DENSITY)
+def _table(names: Tuple[str, ...], exps: Tuple[float, ...],
+           dim: "Dimension | Callable[[], Dimension]", coeff: float,
+           table: Optional[ExponentTable] = None) -> ExponentTable:
+    """A table of these parts, taken as checked (``table``, if given, filled)."""
+    table = object.__new__(ExponentTable) if table is None else table
+    _set_coeff(table, coeff)
+    _set_names(table, names)
+    _set_exps(table, exps)
+    _set_dim(table, dim)
+    return table
+
+
+_set_coeff, _set_names, _set_exps, _set_dim = (  # each slot of a frozen table, filled once
+    getattr(ExponentTable, slot).__set__ for slot in ExponentTable.__slots__)
+
+
+# rho_crit = 3/(8*pi) * H**2/G, R = c/H, and the constants c and M_sun
+CRITICAL_DENSITY = ExponentTable({"H": 2, "G": -1}, DENSITY, 3.0 / (8.0 * math.pi))
 HUBBLE_RADIUS = ExponentTable({"c": 1, "H": -1}, LENGTH)
-# rho*c**2 = 3/(8*pi) * H**2 * G**-1 * c**2 (the critical energy density)
-# and rho*c**3/R = 3/(8*pi) * G**-1 * H**3 * c**2 (the power that flows
-# through the horizon); exponents in the order the products are taken
-CRITICAL_ENERGY_DENSITY = ExponentTable({"H": 2, "G": -1, "c": 2}, ENERGY_DENSITY)
-HORIZON_POWER_DENSITY = ExponentTable({"G": -1, "H": 3, "c": 2}, POWER_DENSITY)
+LIGHT_SPEED = ExponentTable({"c": 1}, SPEED)
+SOLAR_MASS = ExponentTable({"M_sun": 1}, MASS)
+# rho*c**2, the horizon's power rho*c**3/R and N0/t = rho*c*R**2/M_sun, each in a fixed order
+CRITICAL_ENERGY_DENSITY = (CRITICAL_DENSITY * LIGHT_SPEED ** 2).checked(ENERGY_DENSITY)
+HORIZON_POWER_DENSITY = (CRITICAL_ENERGY_DENSITY * LIGHT_SPEED / HUBBLE_RADIUS).ordered(
+    "G", "H", "c").checked(POWER_DENSITY)
+N0_RATE = (CRITICAL_DENSITY * LIGHT_SPEED * HUBBLE_RADIUS ** 2 / SOLAR_MASS).ordered(
+    "G", "c", "M_sun").checked(FREQUENCY)
 
 
 class CosmologyContext(Mapping[str, PhysicalConstant]):
@@ -213,9 +282,10 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     BadOverride for an unknown name, KeyError from ``ctx[name]``). Every
     default constant is present and positive and keeps its dimension,
     so dimensions checked once per ``ExponentTable`` hold for every
-    context. The context is immutable, so it resolves each table's
-    factor list and powers once (ignored by ==, pickle and copy); the
-    critical density and Hubble radius are multiplied out on each access.
+    context. The context is immutable, so it keeps the factors and powers
+    of the ``_CACHE_SIZE`` tables it used last, in caches that hold its
+    constants but not itself and that ==, pickle and copy ignore; rho_crit
+    and the Hubble radius are multiplied out on each access.
     """
 
     def __init__(self, constants: Iterable[PhysicalConstant]):
@@ -235,7 +305,11 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
         if missing:
             raise BadOverride(f"missing constants {missing}")
         self._table = table
-        self._factors, self._powers = {}, {}  # terms -> factors, (powers, rel_sigma)
+        # factors(names), and powers(names, exps): their power_terms, no failure kept
+        factors = self.factors = functools.lru_cache(_CACHE_SIZE)(
+            functools.partial(_factors, table))
+        self.powers = functools.lru_cache(_CACHE_SIZE)(
+            lambda names, exps: power_terms(zip(*factors(names), exps)))
 
     @classmethod
     def default(cls, overrides: Optional[Mapping[str, float]] = None) -> "CosmologyContext":
@@ -296,34 +370,23 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     def rel_sigma(self, name: str) -> float:
         return self.quantity(name).rel_sigma
 
-    def factors(self, terms: Tuple[Tuple[str, float], ...]) -> Tuple[Tuple[float, float, float], ...]:
-        """(value, rel_sigma, p) of each (name, p) in ``terms``, in order.
-
-        The context is immutable, so each tuple of terms is looked up
-        once and the same factors are returned on every later call.
-        """
-        factors = self._factors.get(terms)
-        if factors is None:
-            factors = tuple((self.value(name), self.rel_sigma(name), p) for name, p in terms)
-            self._factors[terms] = factors
-        return factors
-
-    def powers(self, terms: Tuple[Tuple[str, float], ...]) -> Tuple[Tuple[float, ...], float]:
-        """``power_terms`` of ``factors(terms)``, once; a NonFinite is raised on every call."""
-        powers = self._powers.get(terms)
-        if powers is None:
-            powers = self._powers[terms] = power_terms(self.factors(terms))
-        return powers
-
     @property
     def rho_crit(self) -> Quantity:
         """Critical density 3*H**2/(8*pi*G), kg/m^3."""
-        return CRITICAL_DENSITY.evaluate(self, 3.0 / (8.0 * math.pi))
+        return CRITICAL_DENSITY.evaluate(self)
 
     @property
     def hubble_radius(self) -> Quantity:
         """World radius R = c/H, the scale of the largest eddies, m."""
         return HUBBLE_RADIUS.evaluate(self)
+
+
+def _factors(table: Mapping[str, PhysicalConstant],
+             names: Tuple[str, ...]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """The values and the rel_sigmas of the constants ``names`` in ``table``."""
+    quantities = [table[name].quantity for name in names]
+    return (tuple(quantity.value for quantity in quantities),
+            tuple(quantity.rel_sigma for quantity in quantities))
 
 
 @functools.cache

@@ -18,13 +18,14 @@ N0 has two modes: ``paper`` uses the published reference value 1e57,
 the defaults). The two disagree by many orders of magnitude; both are
 exposed rather than adjudicated.
 
-The constant parts of eps and the computed N0 are exponent tables
-whose dimension is checked once, at import; evaluating them is float
-arithmetic only. ``budget_terms`` checks the window and radius and
-resolves what a grid shares (N0, eps's table, (ell/R)**3); ``budget_cell``
-is the float arithmetic per (a, kappa); ``solar_budget`` is one cell of
-``report.run_sweep``. Both raise NonFinite where they leave the float
-range: ``budget_terms`` naming the constants, ``budget_cell`` the count.
+The constant parts of eps and the computed N0 are the tables
+``constants.HORIZON_POWER_DENSITY`` (rho*c**3/R) and ``constants.N0_RATE``
+(N0/t); evaluating them is float arithmetic only. ``budget_terms`` checks
+the window and radius and resolves what a grid shares (N0, eps's table,
+(ell/R)**3); ``budget_cell`` is the float arithmetic per (a, kappa);
+``solar_budget`` is one cell of ``report.run_sweep``. Both raise NonFinite
+where they leave the float range: ``budget_terms`` naming the constants,
+``budget_cell`` the count.
 """
 
 from __future__ import annotations
@@ -33,24 +34,14 @@ import math
 import sys
 from typing import NamedTuple, Optional, Tuple
 
-from .constants import HORIZON_POWER_DENSITY, HUBBLE_RADIUS, CosmologyContext, ExponentTable
+from .constants import HORIZON_POWER_DENSITY, HUBBLE_RADIUS, N0_RATE, CosmologyContext
 from .errors import NonFinite, ValidationError
-from .quantity import (
-    FREQUENCY,
-    LENGTH,
-    Quantity,
-    TIME,
-    power_product,
-    times_powers,
-)
+from .quantity import LENGTH, Quantity, TIME, times_powers
 from .spectra import check_kappa, check_slope
 from .transition import TransitionResult, transition_scale
 
 PAPER_N0 = 1e57
 N0_MODES = ("paper", "computed")
-
-# N0/t = rho*c*R**2/M = 3/(8*pi) * G**-1 * c**3 * M**-1
-N0_RATE = ExponentTable({"G": -1, "c": 3, "M_sun": -1}, FREQUENCY)
 
 
 def check_n0_mode(n0_mode: str) -> str:
@@ -77,7 +68,7 @@ def n0_value(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
              n0_mode: str = "paper") -> Quantity:
     """The dimensionless budget prefactor N0 in the requested mode.
 
-    computed: rho*c*R**2*t/M = 3*c**3*t/(8*pi*G*M) from the context.
+    computed: rho*c*R**2*t/M, the table ``constants.N0_RATE`` times t.
     paper: the published reference value 1e57, taken as exact.
     """
     if check_n0_mode(n0_mode) == "computed":
@@ -90,7 +81,7 @@ def _n0(ctx: CosmologyContext, t: Optional[Quantity], n0_mode: str) -> Quantity:
     if check_n0_mode(n0_mode) == "paper":
         return Quantity(PAPER_N0)
     try:
-        rate = N0_RATE.evaluate(ctx, 3.0 / (8.0 * math.pi))
+        rate = N0_RATE.evaluate(ctx)
         return Quantity(rate.value * t.value, rel_sigma=rate.rel_sigma)
     except NonFinite as exc:
         raise NonFinite(f"the computed N0 = rho*c*R**2*t/M leaves the float range "
@@ -100,11 +91,9 @@ def _n0(ctx: CosmologyContext, t: Optional[Quantity], n0_mode: str) -> Quantity:
 class DissipationBudget(NamedTuple):
     """Dissipation rate and its solar-mass-equivalent counts.
 
-    By construction epsilon = rho*c**3/R * ((a-1)*kappa)**(1/(a-1)) in
-    W/m^3, where rho*c**3/R reduces to (3/(8*pi)) * G**-1 * H**3 * c**2,
-    the table ``constants.HORIZON_POWER_DENSITY``;
-    n_solar = n0 * ((a-1)*kappa)**(1/(a-1)) and
-    ns_solar = n_solar * (ell/R)**3.
+    By construction epsilon = rho*c**3/R * ((a-1)*kappa)**(1/(a-1)) in W/m^3,
+    with rho*c**3/R the table ``constants.HORIZON_POWER_DENSITY``, n_solar =
+    n0 * ((a-1)*kappa)**(1/(a-1)) and ns_solar = n_solar * (ell/R)**3.
     """
 
     epsilon: Quantity
@@ -160,7 +149,7 @@ def budget_cell(terms: BudgetTerms, a: float, kappa: float) -> Tuple[float, floa
         log_cascade = power * (math.log(a - 1.0) + math.log(kappa))
     # eps in logs, unless a power of rho*c**3/R underflowed to 0 (as in the product)
     if cascade < sys.float_info.min and min(terms.epsilon[0]) > 0.0:
-        log_epsilon = (log_cascade + math.log(3.0 / (8.0 * math.pi))
+        log_epsilon = (log_cascade + math.log(HORIZON_POWER_DENSITY.coeff)
                        + sum(map(math.log, terms.epsilon[0])))
         try:
             epsilon = math.exp(log_epsilon)
@@ -168,7 +157,7 @@ def budget_cell(terms: BudgetTerms, a: float, kappa: float) -> Tuple[float, floa
             raise NonFinite(f"eps = rho*c**3/R*((a-1)*kappa)**(1/(a-1)) overflows for "
                             f"a = {a!r} and kappa = {kappa!r}") from None
     else:
-        epsilon = times_powers(3.0 / (8.0 * math.pi) * cascade, terms.epsilon[0])
+        epsilon = times_powers(HORIZON_POWER_DENSITY.coeff * cascade, terms.epsilon[0])
     try:
         if log_cascade is not None and 0.0 < terms.n0:  # an N0 of 0 takes the product
             log_n = math.log(terms.n0) + log_cascade
@@ -226,20 +215,25 @@ def kappa_from_count(n_solar: float, n0: float, a: float) -> float:
 
     Where N/N0 is not a normal float, kappa is formed in logs instead.
     Raises ValidationError unless both counts are positive and finite,
-    and NonFinite if kappa leaves the float range.
+    and NonFinite naming kappa, N and N0 if kappa leaves the float range,
+    overflowing or underflowing to 0.
     """
     a = check_slope(a)
     if not (0.0 < n_solar < math.inf and 0.0 < n0 < math.inf):
         raise ValidationError(f"counts must be positive and finite, got N = {n_solar!r}, "
                               f"N0 = {n0!r}")
     ratio = n_solar / n0
-    if sys.float_info.min <= ratio <= sys.float_info.max:
-        return power_product(1.0 / (a - 1.0), [(ratio, 0.0, a - 1.0)])[0]
     try:
-        return math.exp((a - 1.0) * (math.log(n_solar) - math.log(n0)) - math.log(a - 1.0))
+        if sys.float_info.min <= ratio <= sys.float_info.max:
+            kappa = 1.0 / (a - 1.0) * ratio ** (a - 1.0)
+        else:
+            kappa = math.exp((a - 1.0) * (math.log(n_solar) - math.log(n0)) - math.log(a - 1.0))
     except OverflowError:
-        raise NonFinite(f"kappa = (N/N0)**(a-1)/(a-1) overflows for N = {n_solar!r} "
-                        f"and N0 = {n0!r}") from None
+        kappa = math.inf
+    if 0.0 < kappa < math.inf:
+        return kappa
+    raise NonFinite(f"kappa = (N/N0)**(a-1)/(a-1) {'overflows' if kappa else 'underflows to 0'}"
+                    f" for N = {n_solar!r} and N0 = {n0!r}")
 
 
 def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,

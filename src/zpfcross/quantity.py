@@ -10,10 +10,10 @@ equal dimensions compare equal.
 
 ``Quantity`` is a checked record (a finite value, a dimension and a
 relative uncertainty rel_sigma >= 0, zero for an exact value), not an
-arithmetic: a product of powers is computed in floats by
-:func:`power_product`, and its dimension is composed with the
-``Dimension`` operators once, where the product is defined (an
-``ExponentTable`` when it is built, a power-law spectrum for its slope).
+arithmetic: a product of powers is computed in floats by :func:`power_terms`
+and :func:`times_powers`, and its dimension is composed with the ``Dimension``
+operators once, where the product is defined (an ``ExponentTable``, a
+power-law spectrum for its slope).
 
 Everything here is immutable and every operation is a pure function,
 so values can be shared freely between threads or processes.
@@ -31,8 +31,9 @@ from .errors import NonFinite, ValidationError
 
 class Record:
     """A frozen record that is not a tuple. Its fields are the names in its
-    ``__slots__`` that do not start with ``_`` (those hold derived values);
-    its ``__init__`` takes them in order and sets them with
+    ``__slots__`` that do not start with ``_`` (those hold derived values),
+    unless the class lists its ``_fields`` itself (a field may then be a
+    property); its ``__init__`` takes them in order and sets them with
     ``object.__setattr__``. It equals only a record of its own class with
     equal fields, hashes and reprs (``Name(field=...)``) by them, and
     pickles and copies through its constructor."""
@@ -42,7 +43,8 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields += tuple(n for n in cls.__dict__.get("__slots__", ()) if not n.startswith("_"))
+        if "_fields" not in cls.__dict__:
+            cls._fields += tuple(n for n in vars(cls).get("__slots__", ()) if not n.startswith("_"))
         cls._key = operator.attrgetter(*cls._fields) if cls._fields else None
 
     def __eq__(self, other: object) -> bool:
@@ -135,23 +137,10 @@ POWER_DENSITY = ENERGY_DENSITY / TIME
 SPECTRAL_DENSITY = ENERGY_DENSITY / WAVENUMBER
 
 
-def power_product(coeff: float,
-                  terms: Iterable[Tuple[float, float, float]]) -> Tuple[float, float]:
-    """Float core of first-order propagation through coeff * prod(x**p).
-
-    ``terms`` are (value, rel_sigma, p) triples of uncorrelated factors;
-    the powers are multiplied in the order given. Returns the finite
-    value and rel_sigma = sqrt(sum((p*e)**2)). Dimensions are the
-    caller's business, composed once where the product is defined (an
-    ``ExponentTable`` checks its own when it is built). It is
-    :func:`power_terms` then :func:`times_powers`.
-    """
-    powers, rel_sigma = power_terms(terms)
-    return times_powers(coeff, powers), rel_sigma
-
-
 def power_terms(terms: Iterable[Tuple[float, float, float]]) -> Tuple[Tuple[float, ...], float]:
-    """The powers x**p, in order, and rel_sigma, both finite."""
+    """The powers x**p, in order, and rel_sigma = sqrt(sum((p*e)**2)) of
+    (value, rel_sigma, p) triples of uncorrelated factors, both finite;
+    NonFinite where one is not. Dimensions are the caller's business."""
     powers = []
     var = 0.0
     try:
@@ -183,7 +172,7 @@ class Quantity(Record):
     A checked record: construction rejects a value that is not finite
     (NonFinite) and a rel_sigma that is negative or not finite
     (ValidationError). Products of powers of uncorrelated inputs are
-    propagated by :func:`power_product` from the inputs themselves, so
+    propagated by :func:`power_terms` from the inputs themselves, so
     that a shared input is counted once.
     """
 

@@ -54,7 +54,6 @@ from .quantity import (
     SPECTRAL_DENSITY,
     SPEED,
     WAVENUMBER,
-    power_product,
 )
 
 # slope domain: a <= 1 diverges the energy-budget integral, a >= 3 would
@@ -334,18 +333,9 @@ def gamma_from_slope(a: float) -> float:
 
 
 def _reduced_amplitude(a: float, ctx: CosmologyContext, scale: float) -> Quantity:
-    """scale * rho*c**2 * R**(1-a), J/m^2 * m^-a, from the two tables.
-
-    Their exponents are merged by constant name (G**-1 * H**(1+a) *
-    c**(3-a)), so the H shared by rho and R is counted once.
-    """
-    exponents = dict(CRITICAL_ENERGY_DENSITY.exponents)
-    for name, p in HUBBLE_RADIUS.exponents.items():
-        exponents[name] = exponents.get(name, 0) + (1.0 - a) * p
-    value, rel_sigma = power_product(
-        scale * 3.0 / (8.0 * math.pi),
-        [(ctx.value(name), ctx.rel_sigma(name), p) for name, p in exponents.items()])
-    return Quantity(value, CRITICAL_ENERGY_DENSITY.dim * HUBBLE_RADIUS.dim ** (1.0 - a), rel_sigma)
+    """scale * rho*c**2 * R**(1-a) = scale * G**-1 * H**(1+a) * c**(3-a),
+    J/m^2 * m^-a, composed, so the H that rho and R share counts once."""
+    return (CRITICAL_ENERGY_DENSITY * HUBBLE_RADIUS ** (1.0 - a) * scale).evaluate(ctx)
 
 
 def amplitude_from_kappa(kappa: float, a: float, ctx: CosmologyContext) -> Quantity:
@@ -359,12 +349,12 @@ def horizon_injection_rate(ctx: CosmologyContext) -> Quantity:
     """Energy injection rate from horizon growth, eps = 3*rho*c**3/R.
 
     The horizon expands at dR/dt = c, adding rho*c**2*4*pi*R**2*c per
-    unit time over the volume (4/3)*pi*R**3. Reduces to
-    (9/(8*pi)) * G**-1 * H**3 * c**2, W/m^3; NonFinite naming eps if
+    unit time over the volume (4/3)*pi*R**3: three times the table
+    ``constants.HORIZON_POWER_DENSITY``, W/m^3; NonFinite naming eps if
     that leaves the float range.
     """
     try:
-        return HORIZON_POWER_DENSITY.evaluate(ctx, 9.0 / (8.0 * math.pi))
+        return (HORIZON_POWER_DENSITY * 3.0).evaluate(ctx)
     except NonFinite as exc:
         raise NonFinite("eps = 3*rho*c**3/R leaves the float range with these constants") from exc
 

@@ -1,39 +1,26 @@
 """Crossover of the vacuum and turbulence spectra.
 
 Matching E_vac(k) = hbar*c*k**3 against E_turb(k) = A*k**-a gives the
-transition wavenumber
+transition wavenumber k0 = (A/(hbar*c))**(1/(3+a)) and the conjectured
+breakdown scale lambda0 = 2*pi/k0. With the calibrated amplitude this
+closes to
 
-    k0 = (A / (hbar*c))**(1/(3+a))
+    lambda0 = 2*pi * [8*pi/(3*(a-1)*kappa) * V * R**a]**q,    q = 1/(3+a)
 
-and the conjectured breakdown scale lambda0 = 2*pi/k0. With the
-calibrated amplitude this closes to
+with V = G*hbar/(c**2*H) (``CROSSOVER_VOLUME``, m**3) and R = c/H
+(``constants.HUBBLE_RADIUS``, m), whose dimensions are checked once, at
+import, so lambda0 is a length for every a. Its error budget is the
+vector of the table V*R**a, composed per slope, to the power q, and
+kappa**-q; uncorrelated first-order propagation gives
 
-    lambda0 = 2*pi * [8*pi*G*hbar / (3*(a-1)*kappa*c**2*H) * (c/H)**a]**(1/(3+a))
+    (sigma/lambda0)**2 = sum((q*p_X*e_X)**2) + (q*e_kappa)**2
 
-that is, lambda0 = 2*pi * [8*pi/(3*(a-1)*kappa) * V * R**a]**q with
-q = 1/(3+a), V = G*hbar/(c**2*H) and R = c/H. As an exponent table,
-lambda0 is proportional to G**q * hbar**q * c**((a-2)*q) * H**(-(a+1)*q)
-* kappa**-q. Its dimension is checked exactly, once, at import, through
-the two slope-free identities [V] = m**3 and [R] = m (the module
-constants ``CROSSOVER_VOLUME`` and ``constants.HUBBLE_RADIUS``), so the
-bracket is m**(3+a) and lambda0 a length for every a; constant
-dimensions cannot change. ``transition_scale`` itself is float
-arithmetic only.
-
-V and R are evaluated once per context, the closed form per slope from
-them (``scale_terms``) and per kappa (``scale_cell``); ``transition_scale``
-is one cell of ``report.run_sweep``. Both raise NonFinite where they leave
-the float range: ``scale_terms`` naming the constants, ``scale_cell`` the cell.
-
-The relative uncertainty follows from uncorrelated first-order
-propagation through the closed form:
-
-    (sigma/lambda0)**2 = [e_G**2 + (a-2)**2*e_c**2 + e_hbar**2
-                          + (a+1)**2*e_H**2 + e_kappa**2] / (3+a)**2
-
-that is, sum((p_X*e_X)**2) over ``ScaleTerms.budget``, which every
-path reads (the Monte Carlo too); the log form takes V and R from the
-same tables. The checks independent of those
+``scale_terms`` resolves a slope from the V and R that a context
+evaluates once, ``scale_cell`` a kappa; ``transition_scale`` is one cell
+of ``report.run_sweep``. Both raise NonFinite where they leave the float
+range: ``scale_terms`` naming the constants, ``scale_cell`` the cell.
+Every path reads ``ScaleTerms.budget`` (the Monte Carlo too), and the log
+form takes V and R from the same tables; the checks independent of those
 exponents are the log-space bisection on the two spectra and the finite
 differences in ``tests/test_acceptance.py`` and ``bench/reference.py``.
 
@@ -58,15 +45,9 @@ from .errors import (
 from .quantity import LENGTH, Quantity, WAVENUMBER
 from .spectra import SpectrumModel, check_kappa, check_slope, default_wavenumber
 
-# V = G*hbar/(c**2*H), the Planck area times the Hubble radius
+# V = G*hbar/(c**2*H), the Planck area times R; lambda0's budget lists G, c, hbar, H
 CROSSOVER_VOLUME = ExponentTable({"G": 1, "hbar": 1, "c": -2, "H": -1}, LENGTH ** 3)
-# (name, v_X, r_X): lambda0 carries X**p_X with p_X = q*(v_X + a*r_X)
-_SCALE_EXPONENTS = tuple(
-    (name, float(CROSSOVER_VOLUME.exponents.get(name, 0)),
-     float(HUBBLE_RADIUS.exponents.get(name, 0)))
-    for name in ("G", "c", "hbar", "H"))
-# the same names as terms, whose e_X ``CosmologyContext.factors`` reads once
-_SCALE_NAMES = tuple((name, 0.0) for name, _, _ in _SCALE_EXPONENTS)
+_BUDGET_VOLUME = CROSSOVER_VOLUME.ordered("G", "c", "hbar", "H")
 # numeric_crossover stops once its log-k bracket is this narrow, and
 # gives up with NoCrossing after this many halvings
 _BISECTION_REL_TOL = 1e-12
@@ -140,12 +121,14 @@ def scale_terms(a: float, ctx: CosmologyContext, e_kappa: float = 0.0) -> ScaleT
     except OverflowError:
         denominator = math.inf
     q = 1.0 / (3.0 + a)
-    budget = [(name, q * (v + a * r), e) for (name, v, r), (_, e, _)
-              in zip(_SCALE_EXPONENTS, ctx.factors(_SCALE_NAMES))]
-    budget.append(("kappa", -q, e_kappa))
-    rel_sigma = math.sqrt(sum([(p * e) * (p * e) for _, p, e in budget]))
-    return ScaleTerms(a, q, denominator, rel_sigma, tuple(budget))
-
+    # lambda0 carries (V*R**a/kappa)**q: X**(q*p_X) for each X**p_X of V*R**a
+    bracket = (_BUDGET_VOLUME * HUBBLE_RADIUS ** a).budget(ctx)
+    budget, squares = [], []
+    for name, p, e in bracket + (("kappa", -1.0, e_kappa),):
+        p *= q
+        budget.append((name, p, e))
+        squares.append((p * e) * (p * e))
+    return ScaleTerms(a, q, denominator, math.sqrt(sum(squares)), tuple(budget))
 
 def scale_cell(terms: ScaleTerms, kappa: float) -> Tuple[float, float]:
     """lambda0 and k0 at a checked kappa; NonFinite if either is not a float."""
@@ -231,7 +214,7 @@ def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyCon
 def log_form_constants(ctx: CosmologyContext) -> Tuple[float, float]:
     """The constants C1 = -ln(8*pi/3 * V) = ln(3*c**2*H/(8*pi*G*hbar)) and
     C2 = -ln R = ln(H/c), from the tables V and R."""
-    c1 = -math.log(CROSSOVER_VOLUME.value(ctx, 8.0 * math.pi / 3.0))
+    c1 = -math.log((CROSSOVER_VOLUME * (8.0 * math.pi / 3.0)).value(ctx))
     c2 = -math.log(HUBBLE_RADIUS.value(ctx))
     return c1, c2
 
@@ -290,46 +273,26 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     Returns the sample mean, its standard error and the relative
     standard deviation. Deterministic for a given seed.
 
-    ``sampling`` selects where the Gaussian lives. The default
-    "lognormal" draws the Gaussian in log space (r = exp(e*z)), so
-    constants stay positive and the sample spread matches first-order
-    propagation to O(e**2); this is the mode the acceptance checks use.
-    "normal" draws additively (r = 1 + e*z); non-positive draws
-    are then rejected and redrawn (``rejected`` counts every one drawn)
-    and sampling fails with DegenerateSamples if rejection cannot make
-    progress. The additive mode has no finite exact spread (see
-    ``MonteCarloScale``).
-
-    An exact input has r = 1 in both modes and is never rejected, so it
-    is not drawn. Over the k inputs with e_X > 0 (3 at the defaults),
-    ln(lambda/lambda0) = sum(p_X*e_X*z_X) with independent standard
-    normals z_X is itself normal, of spread s = sqrt(sum((p_X*e_X)**2)):
-    lognormal mode draws one column, lambda/lambda0 = exp(s*z), the same
-    law as k columns. Normal mode truncates each r_X on its own, so it
-    draws k columns. Neither draws anything where k = 0.
-
-    The samples are streamed in blocks of ``_MC_BLOCK_ROWS`` rows. Each
-    block is drawn, its rejected entries are redrawn in place, in
-    row-major order, until none is left (at most ``_MC_MAX_REDRAWS``
-    rounds), and it is then merged into a running mean and sum of
-    squared deviations of lambda/lambda0, which are scaled by lambda0
-    once at the end, so memory does not grow with n at any rejection
-    rate. Successive blocks of a numpy generator equal one whole draw,
-    so where nothing is rejected the draws are those of a single (n,)
-    or (n, k) array.
-
-    The normals come from ``_generator``, numpy's SFC64 bit generator
-    rather than its default PCG64. Drawing them is most of a call (84-86%
-    with PCG64), and the bit generator sets that cost: on a 2-vCPU Xeon
-    with numpy 2.4.6, 1e6 normals take 10.8 ms with SFC64 against 13.1 ms
-    with PCG64, and 4e6 take 44 ms against 53 ms; PCG64DXSM is no faster,
-    Philox and MT19937 are slower (``BENCH_mc_generator.json``).
+    "lognormal" sampling, the default and the mode of the acceptance
+    checks, draws r = exp(e*z): one normal column, lambda/lambda0 =
+    exp(s*z) with s = sqrt(sum((p_X*e_X)**2)) over the inputs with
+    e_X > 0, the same law as a column per input. "normal" draws
+    r = 1 + e*z, a column per varying input, and redraws each r <= 0 in
+    place (``rejected`` counts them; DegenerateSamples after
+    ``_MC_MAX_REDRAWS`` rounds of one block); its exact spread is
+    infinite (see ``MonteCarloScale``). An exact input is never drawn.
+    Blocks of ``_MC_BLOCK_ROWS`` rows stream into a running mean and sum
+    of squared deviations, so memory does not grow with n, and where
+    nothing is rejected the draws are those of one whole array. The
+    normals come from ``_generator``: SFC64, the fastest of numpy's bit
+    generators (``BENCH_mc_generator.json``). The README's conventions
+    section gives the details.
 
     A sample count n that is not an integer, a seed that numpy refuses,
-    or more than ``_MC_MAX_SAMPLES`` samples
-    (timings in ``BENCH_mc_one_draw.json``), raises ValidationError
-    before anything is drawn, as does running out of memory; a mean or
-    spread outside the float range raises NonFinite.
+    or more than ``_MC_MAX_SAMPLES`` samples (timings in
+    ``BENCH_mc_one_draw.json``) raises ValidationError before anything
+    is drawn, as does running out of memory; a mean or spread outside
+    the float range raises NonFinite.
     """
     a = check_slope(a)
     kappa = check_kappa(kappa)

@@ -44,6 +44,7 @@ from zpfcross import (
     transition_scale,
 )
 from zpfcross.cli import main as cli_main
+from zpfcross.constants import MPC_M
 from zpfcross.quantity import Quantity, WAVENUMBER
 
 CTX = CosmologyContext.default()
@@ -292,6 +293,25 @@ class TestCriterion8DocumentedDiscrepancies:
         ok = (code == 0 and first.startswith("# N0 mode: paper")
               and "computed from constants" in first and "1e+57" in first)
         report("C8/note", ok, f"provenance line: {first!r}")
+        assert ok
+
+    def test_bound_readings(self):
+        # README, "Reproducing the paper's bound numbers": as coded, lambda0
+        # falls about 10% short of the published 67 km and 630 km; each of
+        # the two readings that fit (N halved, R at h = 1 in the count alone)
+        # reproduces both to 1.5%, and neither is adopted
+        radius_h1 = C / (100e3 / MPC_M)
+        gaps = {}
+        for a, published in ((1.7, 67e3), (1.8, 630e3)):
+            counts = {"as coded": 1e-12, "N halved": 5e-13,
+                      "R at h=1": 1e-12 * (radius_h1 / CTX.hubble_radius.value) ** 3}
+            for reading, ns in counts.items():
+                _, result = kappa_from_solar_bound(ns, a, CTX, n0_mode="paper")
+                gaps.setdefault(reading, []).append(result.lambda0.value / published - 1.0)
+        ok = all(-0.15 <= gap < -0.05 if reading == "as coded" else abs(gap) <= 0.015
+                 for reading, pair in gaps.items() for gap in pair)
+        report("C8/bound", ok, "lambda0 gap at a = 1.7 / 1.8: " + "; ".join(
+            f"{reading} {lo:+.1%} / {hi:+.1%}" for reading, (lo, hi) in gaps.items()))
         assert ok
 
     def test_historical_kolmogorov_check(self):

@@ -384,6 +384,17 @@ class TestBoundCommand:
         assert err.startswith("error: turbulence degree must lie in (0, 1], got 4.2")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("slope, ns", [("2.9", "1e-200"), ("2.5", "1e-210"),
+                                           ("2.0", "1e-320")])
+    def test_underflowing_kappa_is_a_numeric_failure(self, capsys, slope, ns):
+        # kappa = (N/N0)**(a-1)/(a-1) underflows to 0: one line naming
+        # kappa, N and N0, not a bad kappa that the call never gave
+        code, out, err = run(capsys, "bound", "--slope", slope, "--ns", ns)
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: kappa = (N/N0)**(a-1)/(a-1) underflows "
+                              "to 0 for N = ")
+        assert err.endswith(" and N0 = 1e+57\n") and len(err.splitlines()) == 1
+
     def test_count_out_of_float_range(self, capsys):
         # N = Ns*(R/ell)**3 leaves the float range before kappa is formed
         code, out, err = run(capsys, "bound", "--slope", "2.9", "--ns", "1e300",

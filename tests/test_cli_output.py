@@ -3,7 +3,8 @@
 Every call in ``CORPUS`` is run through ``cli.main`` and compared byte
 for byte with ``data/cli_output.json``. The corpus covers each
 subcommand in both formats and at 3 and 6 significant figures, both N0
-modes, explicit window and radius flags, sweep error rows, an
+modes, explicit window and radius flags, the two range-edge calls of
+the README (a count and a bound formed in logs), sweep error rows, an
 underflowing cell and repeated and signed-zero axis values, 50-point
 spectra of all four models, and one exit-2 and one exit-3 call.
 ``{data}`` in an argument stands for this directory's ``data`` folder.
@@ -69,6 +70,12 @@ CORPUS = [
     ("bound", "--slope", "1.7", "--radius-lightminutes", "1e15", "--n0", "computed"),
     ("bound", "--slope", "1.7", "--radius-lightminutes", "1e15", "--n0", "computed",
      "--window-days", "2", "--format", "csv", "--sigfigs", "6"),
+    # the range edges of the README: a count N = 9.54e-290 and a bound whose
+    # N/N0 is below the normal floats (kappa = 8.7e-16), both formed in logs
+    ("dissipation", "--kappa", "1e-16", "--slope", "1.05"),
+    ("dissipation", "--kappa", "1e-16", "--slope", "1.05", "--format", "csv", "--sigfigs", "6"),
+    ("bound", "--slope", "1.05", "--ns", "1e-315"),
+    ("bound", "--slope", "1.05", "--ns", "1e-315", "--format", "csv", "--sigfigs", "6"),
 
     SWEEP,
     SWEEP + ("--format", "csv"),

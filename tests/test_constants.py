@@ -217,12 +217,12 @@ class TestConfigParsing:
 
 class TestExponentTable:
     def test_value_and_uncertainty_from_the_float_core(self, ctx):
-        table = ExponentTable({"H": 2, "G": -1}, DENSITY)
-        rho = table.evaluate(ctx, 3.0 / (8.0 * math.pi))
+        table = ExponentTable({"H": 2, "G": -1}, DENSITY, 3.0 / (8.0 * math.pi))
+        rho = table.evaluate(ctx)
         assert rho.dim == DENSITY
         assert rho.value == ctx.rho_crit.value
         assert rho.rel_sigma == ctx.rho_crit.rel_sigma
-        assert table.value(ctx, 3.0 / (8.0 * math.pi)) == rho.value
+        assert table.value(ctx) == rho.value
         # the same product in plain floats, its dimension composed per call
         slow = product_of_powers(3.0 / (8.0 * math.pi),
                                  [(ctx.quantity("H"), 2), (ctx.quantity("G"), -1)])
@@ -263,12 +263,11 @@ class TestResolvedOnce:
         assert CosmologyContext.default().rel_sigma("H") == 0.15
 
     def test_factor_list_resolved_once_per_registry(self, ctx):
-        table = ExponentTable({"H": 2, "G": -1}, DENSITY)
-        factors = ctx.factors(table._terms)
-        assert factors == ((2.49e-18, 0.15, 2.0), (6.67428e-11, 1e-4, -1.0))
-        assert ctx.factors(table._terms) is factors
+        factors = ctx.factors(("H", "G"))
+        assert factors == ((2.49e-18, 6.67428e-11), (0.15, 1e-4))
+        assert ctx.factors(("H", "G")) is factors
         other = CosmologyContext.default({"H": 2.0 * 2.49e-18})
-        assert other.factors(table._terms)[0][0] == 2.0 * 2.49e-18
+        assert other.factors(("H", "G"))[0][0] == 2.0 * 2.49e-18
 
 
 class TestTableCache:
@@ -300,7 +299,7 @@ class TestTableCache:
         assert rel(CROSSOVER_VOLUME.value(doubled), CROSSOVER_VOLUME.value(ctx) / 2.0) < 1e-15
         assert rel(HUBBLE_RADIUS.value(doubled), HUBBLE_RADIUS.value(ctx) / 2.0) < 1e-15
         assert HUBBLE_RADIUS.powers(doubled) != HUBBLE_RADIUS.powers(ctx)
-        assert HUBBLE_RADIUS.evaluate(doubled, 3.0).value == 3.0 * HUBBLE_RADIUS.value(doubled)
+        assert (HUBBLE_RADIUS * 3.0).evaluate(doubled).value == 3.0 * HUBBLE_RADIUS.value(doubled)
 
     def test_failure_is_raised_again_and_never_kept(self):
         from zpfcross.constants import HUBBLE_RADIUS
@@ -323,6 +322,27 @@ class TestTableCache:
             assert messages == [message] * len(messages)
         with pytest.raises(NonFinite, match=r"^\(1e-320\)\*\*-1\.0 overflows$"):
             HUBBLE_RADIUS.powers(same)
+
+    def test_caches_stay_bounded_and_free_with_the_context(self):
+        import gc
+        import weakref
+
+        from zpfcross.constants import _CACHE_SIZE
+        from zpfcross.spectra import amplitude_from_kappa
+
+        enabled = gc.isenabled()
+        gc.disable()  # a context must go with its last reference, no cycle collector
+        try:
+            ctx = CosmologyContext.default({"e_G": 2e-4})
+            for i in range(3 * _CACHE_SIZE):  # a table composed per slope, each new
+                amplitude_from_kappa(1e-5, 1.1 + i / (4 * _CACHE_SIZE), ctx)
+            assert ctx.powers.cache_info().currsize == _CACHE_SIZE
+            freed = weakref.ref(ctx)
+            del ctx
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_cache_leaves_identity_alone(self):
         import copy

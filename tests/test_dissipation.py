@@ -15,6 +15,7 @@ from zpfcross.dissipation import (
     n0_value,
     solar_budget,
 )
+from zpfcross.constants import MPC_M
 from zpfcross.errors import KappaOutOfRange, NonFinite, SlopeOutOfRange, ValidationError
 from zpfcross.quantity import (
     LENGTH,
@@ -26,6 +27,7 @@ from zpfcross.quantity import (
 )
 from zpfcross.report import SweepSpec, run_sweep
 from zpfcross.spectra import amplitude_from_kappa, gamma_from_slope
+from zpfcross.transition import transition_scale
 
 from propagation_oracle import product_of_powers
 
@@ -342,8 +344,22 @@ class TestKappaFromCount:
 
     def test_overflowing_power_is_numeric_failure(self):
         # (N/N0)**(a-1) = (1e300)**1.9
-        with pytest.raises(NonFinite):
+        with pytest.raises(NonFinite, match=r"^kappa = .* overflows for N = 1e\+200 "):
             kappa_from_count(1e200, 1e-100, 2.9)
+
+    @pytest.mark.parametrize("n_solar, a", [
+        (1e-150, 2.9),  # N/N0 = 1e-207 is normal, its power 1e-393 is not
+        (1e-320, 2.0),  # N/N0 underflows to 0; kappa = exp(-868) in logs
+    ])
+    def test_underflowing_kappa_names_kappa_and_the_counts(self, n_solar, a):
+        with pytest.raises(NonFinite) as info:
+            kappa_from_count(n_solar, 1e57, a)
+        assert str(info.value) == (f"kappa = (N/N0)**(a-1)/(a-1) underflows to 0 for "
+                                   f"N = {n_solar!r} and N0 = 1e+57")
+
+    def test_subnormal_kappa_is_returned(self):
+        # N/N0 = 1e-207 to the 1.5 is subnormal, not 0: kappa is formed
+        assert 0.0 < kappa_from_count(1e-150, 1e57, 2.5) < sys.float_info.min
 
 
 class TestSolarBound:
@@ -386,6 +402,13 @@ class TestSolarBound:
         with pytest.raises(ValidationError):
             kappa_from_solar_bound(0.0, 1.7, ctx)
 
+    def test_underflowing_kappa_is_numeric_failure(self, ctx):
+        # N = 5.9e-156, so kappa = (N/N0)**1.9/1.9 underflows to 0: the bound
+        # names kappa and the counts, not a kappa out of (0, 1]
+        with pytest.raises(NonFinite, match=r"^kappa = \(N/N0\)\*\*\(a-1\)/\(a-1\) "
+                                            r"underflows to 0 for N = 5\.85"):
+            kappa_from_solar_bound(1e-200, 2.9, ctx)
+
     def test_overflowing_bound_is_numeric_failure(self, ctx):
         # N = 1e-200 * (1.2e186)**3, about 2e358, is beyond the float range
         with pytest.raises(NonFinite):
@@ -403,3 +426,54 @@ class TestSolarBound:
             assert kappa == kappa_from_count(n_solar, PAPER_N0, a)
         with pytest.raises(KappaOutOfRange):
             kappa_from_solar_bound(1e-200, 2.9, ctx, ell=Quantity(1e-90, LENGTH))
+
+
+class TestPublishedBoundNumbers:
+    """The paper's bound numbers (kappa = 9e-18, lambda0 = 67 km at
+    a = 1.7; kappa = 2e-20, lambda0 = 630 km at a = 1.8) against the code
+    and against the two readings that reproduce them (README, "Reproducing
+    the paper's bound numbers"). Neither reading is the code's default."""
+
+    PUBLISHED = {1.7: (9e-18, 67e3), 1.8: (2e-20, 630e3)}
+
+    @pytest.mark.parametrize("a, ns, lambda0_km", [
+        (1.7, 1e-12, 60.4), (1.8, 1e-12, 557.8),  # as coded
+        (1.7, 5e-13, 67.0), (1.8, 5e-13, 626.1),  # N halved
+    ])
+    def test_lambda0(self, ctx, a, ns, lambda0_km):
+        _, result = kappa_from_solar_bound(ns, a, ctx)
+        assert round(result.lambda0.value / 1e3, 1) == lambda0_km
+
+    def test_published_ratios(self, ctx):
+        # as coded, kappa is 1.73x and 2.57x the published value, and
+        # lambda0 0.90x and 0.89x; with N halved lambda0 is 1.00x and 0.99x
+        ratios = []
+        for a, (kappa_pub, lambda0_pub) in self.PUBLISHED.items():
+            kappa, result = kappa_from_solar_bound(1e-12, a, ctx)
+            _, halved = kappa_from_solar_bound(5e-13, a, ctx)
+            ratios.append((round(kappa / kappa_pub, 2),
+                           round(result.lambda0.value / lambda0_pub, 2),
+                           round(halved.lambda0.value / lambda0_pub, 2)))
+        assert ratios == [(1.73, 0.90, 1.00), (2.57, 0.89, 0.99)]
+
+    def test_halving_n_is_doubling_n0(self, ctx):
+        for a in self.PUBLISHED:
+            ratio = ctx.hubble_radius.value / ctx.value("ell")
+            assert rel(kappa_from_solar_bound(5e-13, a, ctx)[0],
+                       kappa_from_count(1e-12 * ratio ** 3, 2.0 * PAPER_N0, a)) < 1e-12
+
+    def test_hubble_radius_at_h1_in_the_count(self, ctx):
+        # R = c/(100 km/s/Mpc) in N = Ns*(R/ell)**3 alone, lambda0 from the
+        # default constants: 68.0 km (1.01x) and 636.5 km (1.01x)
+        radius = ctx.value("c") / (100e3 / MPC_M)
+        found = []
+        for a, (_, lambda0_pub) in self.PUBLISHED.items():
+            kappa = kappa_from_count(1e-12 * (radius / ctx.value("ell")) ** 3, PAPER_N0, a)
+            lambda0 = transition_scale(a, kappa, ctx).lambda0.value
+            found.append((round(lambda0 / 1e3, 1), round(lambda0 / lambda0_pub, 2)))
+        assert found == [(68.0, 1.01), (636.5, 1.01)]
+
+    def test_published_pair_at_a18_is_not_self_consistent(self, ctx):
+        # the published kappa gives 67.9 km at a = 1.7, but 679 km at a = 1.8
+        assert round(transition_scale(1.7, 9e-18, ctx).lambda0.value / 1e3, 1) == 67.9
+        assert round(transition_scale(1.8, 2e-20, ctx).lambda0.value / 1e3) == 679

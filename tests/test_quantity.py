@@ -17,7 +17,8 @@ from zpfcross.quantity import (
     SPEED,
     TIME,
     WAVENUMBER,
-    power_product,
+    power_terms,
+    times_powers,
 )
 from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 from zpfcross.transition import transition_scale
@@ -27,6 +28,13 @@ AREA = LENGTH ** 2
 
 def rel(x, y):
     return abs(x - y) / abs(y)
+
+
+def product(coeff, terms):
+    """coeff * prod(x**p) over (x, rel_sigma, p) terms and its rel_sigma,
+    through the two float cores."""
+    powers, rel_sigma = power_terms(terms)
+    return times_powers(coeff, powers), rel_sigma
 
 
 class TestDimension:
@@ -59,23 +67,23 @@ class TestDimension:
 
 
 class TestCombine:
-    # products and quotients: floats through power_product, dimensions
+    # products and quotients: floats through power_terms and times_powers, dimensions
     # through the Dimension operators
     def test_mul_adds_exponents(self):
-        assert power_product(2.0, [(3.0, 0.0, 1.0)]) == (6.0, 0.0)
+        assert product(2.0, [(3.0, 0.0, 1.0)]) == (6.0, 0.0)
         assert LENGTH * LENGTH == AREA
 
     def test_div(self):
-        assert power_product(6.0, [(2.0, 0.0, -1.0)]) == (3.0, 0.0)
+        assert product(6.0, [(2.0, 0.0, -1.0)]) == (3.0, 0.0)
         assert AREA / TIME ** 2 == Dimension(2, 0, -2)
 
     def test_overflow_is_nonfinite(self):
         with pytest.raises(NonFinite):
-            power_product(1e308, [(1e308, 0.0, 1.0)])
+            product(1e308, [(1e308, 0.0, 1.0)])
 
     def test_division_by_zero(self):
         with pytest.raises(NonFinite):
-            power_product(1.0, [(0.0, 0.0, -1.0)])
+            product(1.0, [(0.0, 0.0, -1.0)])
 
     def test_nan_rejected_at_construction(self):
         with pytest.raises(NonFinite):
@@ -84,26 +92,26 @@ class TestCombine:
 
 class TestPower:
     def test_sqrt_of_area(self):
-        assert power_product(1.0, [(4.0, 0.0, 0.5)])[0] == 2.0
+        assert product(1.0, [(4.0, 0.0, 0.5)])[0] == 2.0
         assert AREA ** Fraction(1, 2) == LENGTH
 
     def test_zeroth_power_is_dimensionless_one(self):
-        assert power_product(1.0, [(123.4, 0.0, 0.0)])[0] == 1.0
+        assert product(1.0, [(123.4, 0.0, 0.0)])[0] == 1.0
         assert (MASS / TIME) ** 0 == DIMENSIONLESS
 
     def test_negative_base_integer_power_ok(self):
-        assert power_product(1.0, [(-2.0, 0.0, 2.0)])[0] == 4.0
+        assert product(1.0, [(-2.0, 0.0, 2.0)])[0] == 4.0
 
     def test_zero_to_negative_power(self):
         with pytest.raises(NonFinite):
-            power_product(1.0, [(0.0, 0.0, -1.0)])
+            product(1.0, [(0.0, 0.0, -1.0)])
 
     def test_overflowing_power(self):
         # float ** raises OverflowError where * would give inf
         with pytest.raises(NonFinite):
-            power_product(1.0, [(1e300, 0.0, 3.0)])
+            product(1.0, [(1e300, 0.0, 3.0)])
         with pytest.raises(NonFinite):
-            power_product(1.0, [(1e-300, 0.0, -3.0)])
+            product(1.0, [(1e-300, 0.0, -3.0)])
 
     def test_roundtrip(self):
         # (x**p)**(1/p) == x to 1e-12 relative for positive values, and the
@@ -113,28 +121,28 @@ class TestPower:
             value = 10.0 ** rng.uniform(-8, 8)
             p = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
             dim = LENGTH * MASS ** Fraction(1, 3)
-            there = power_product(1.0, [(value, 0.0, float(p))])[0]
-            back = power_product(1.0, [(there, 0.0, float(1 / p))])[0]
+            there = product(1.0, [(value, 0.0, float(p))])[0]
+            back = product(1.0, [(there, 0.0, float(1 / p))])[0]
             assert rel(back, value) < 1e-12
             assert (dim ** p) ** (1 / p) == dim
 
     def test_fractional_power(self):
-        assert power_product(1.0, [(9.0, 0.0, 0.5)])[0] == 3.0
+        assert product(1.0, [(9.0, 0.0, 0.5)])[0] == 3.0
 
 
 class TestPropagate:
     def test_single_term_scales_by_exponent(self):
-        value, rel_sigma = power_product(1.0, [(3.0, 0.01, 2.0)])
+        value, rel_sigma = product(1.0, [(3.0, 0.01, 2.0)])
         assert value == 9.0
         assert rel(rel_sigma, 0.02) < 1e-15
         assert LENGTH ** 2 == AREA
 
     def test_two_equal_terms_rss(self):
-        _, rel_sigma = power_product(1.0, [(2.0, 0.05, 1.0), (3.0, 0.05, 1.0)])
+        _, rel_sigma = product(1.0, [(2.0, 0.05, 1.0), (3.0, 0.05, 1.0)])
         assert rel(rel_sigma, 0.05 * math.sqrt(2.0)) < 1e-15
 
     def test_exact_inputs_stay_exact(self):
-        assert power_product(1.0, [(2.0, 0.0, 3.0), (5.0, 0.0, -1.0)])[1] == 0.0
+        assert product(1.0, [(2.0, 0.0, 3.0), (5.0, 0.0, -1.0)])[1] == 0.0
 
     def test_matches_finite_difference_gradient(self):
         # oracle: sigma^2 = sum((df/dx_i * sigma_i)^2), derivatives by
@@ -164,7 +172,7 @@ class TestPropagate:
                 var += (dfdx * values[i] * rels[i]) ** 2
             sigma_fd = math.sqrt(var) / abs(f0)
 
-            value, rel_sigma = power_product(1.0, [(v, e, float(p))
+            value, rel_sigma = product(1.0, [(v, e, float(p))
                                                    for v, e, p in zip(values, rels, exps)])
             assert rel(value, f0) < 1e-12
             if sigma_fd > 0:
@@ -173,20 +181,20 @@ class TestPropagate:
                 assert rel_sigma == 0.0
 
     def test_float_core_matches_plain_floats(self):
-        value, rel_sigma = power_product(2.5, [(3.0, 0.01, 2.0), (7.0, 0.02, -0.5)])
+        value, rel_sigma = product(2.5, [(3.0, 0.01, 2.0), (7.0, 0.02, -0.5)])
         assert value == 2.5 * 3.0 ** 2.0 * 7.0 ** -0.5
         assert rel_sigma == math.sqrt((2.0 * 0.01) ** 2 + (-0.5 * 0.02) ** 2)
 
     def test_float_core_out_of_range(self):
         with pytest.raises(NonFinite):
-            power_product(1.0, [(1e300, 0.0, 3.0)])
+            product(1.0, [(1e300, 0.0, 3.0)])
         with pytest.raises(NonFinite):
-            power_product(1.0, [(0.0, 0.0, -1.0)])
+            product(1.0, [(0.0, 0.0, -1.0)])
         with pytest.raises(NonFinite):
-            power_product(1e300, [(1e300, 0.0, 1.0)])  # product overflows to inf
+            product(1e300, [(1e300, 0.0, 1.0)])  # product overflows to inf
         with pytest.raises(NonFinite):
             # each (p*e)**2 is finite, their sum is not
-            power_product(1.0, [(2.0, 1e154, 1.0), (3.0, 1e154, 1.0)])
+            product(1.0, [(2.0, 1e154, 1.0), (3.0, 1e154, 1.0)])
 
     @pytest.mark.parametrize("rel_sigma", [-0.1, math.nan, math.inf])
     def test_rel_sigma_must_be_finite_and_nonnegative(self, rel_sigma):
@@ -197,7 +205,7 @@ class TestPropagate:
 class TestDimensionBookkeeping:
     def test_random_expression_trees(self):
         # independent exponent ledger carried alongside the Dimension
-        # operators, and a plain-float value alongside power_product
+        # operators, and a plain-float value alongside power_terms and times_powers
         rng = random.Random(99)
         base_dims = [
             (LENGTH, (Fraction(1), Fraction(0), Fraction(0))),
@@ -211,7 +219,7 @@ class TestDimensionBookkeeping:
                 op = rng.choice(["mul", "div", "pow"])
                 if op == "pow":
                     p = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                    value = power_product(1.0, [(value, 0.0, float(p))])[0]
+                    value = product(1.0, [(value, 0.0, float(p))])[0]
                     expected = expected ** float(p)
                     dim = dim ** p
                     ledger = tuple(e * p for e in ledger)
@@ -219,7 +227,7 @@ class TestDimensionBookkeeping:
                     other_dim, other_ledger = rng.choice(base_dims)
                     other = 10.0 ** rng.uniform(-2, 2)
                     sign = 1 if op == "mul" else -1
-                    value = power_product(value, [(other, 0.0, float(sign))])[0]
+                    value = product(value, [(other, 0.0, float(sign))])[0]
                     expected = expected * other if op == "mul" else expected / other
                     dim = dim * other_dim if op == "mul" else dim / other_dim
                     ledger = tuple(e + sign * o for e, o in zip(ledger, other_ledger))
@@ -229,13 +237,13 @@ class TestDimensionBookkeeping:
 
 class TestUncertainArithmetic:
     def test_mul_assumes_independence(self):
-        value, rel_sigma = power_product(1.0, [(2.0, 0.03, 1.0), (4.0, 0.04, 1.0)])
+        value, rel_sigma = product(1.0, [(2.0, 0.03, 1.0), (4.0, 0.04, 1.0)])
         assert value == 8.0
         assert rel(rel_sigma, 0.05) < 1e-12
         assert LENGTH * TIME == Dimension(1, 0, 1)
 
     def test_pow(self):
-        value, rel_sigma = power_product(1.0, [(2.0, 0.01, 3.0)])
+        value, rel_sigma = product(1.0, [(2.0, 0.01, 3.0)])
         assert value == 8.0
         assert rel(rel_sigma, 0.03) < 1e-15
 
@@ -304,7 +312,8 @@ FROZEN_RECORDS = {
     "Quantity": (lambda: Quantity(1.0, LENGTH, 0.1), ("value", "dim", "rel_sigma"),
                  [Quantity(1.0, LENGTH), Quantity(1.0, MASS, 0.1), (1.0, LENGTH, 0.1),
                   (1.0, LENGTH)], str),
-    "ExponentTable": (lambda: ExponentTable({"c": 1, "H": -1}, LENGTH), ("exponents", "dim"),
+    "ExponentTable": (lambda: ExponentTable({"c": 1, "H": -1}, LENGTH),
+                      ("exponents", "dim", "coeff"),
                       [ExponentTable({"c": 2, "H": -2}, LENGTH ** 2)],
                       lambda table: table.value(_CTX)),
     "Boyer": (lambda: Boyer(_HBAR, _C), ("hbar", "c"),

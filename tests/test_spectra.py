@@ -264,14 +264,14 @@ class TestBudgetRoundtrip:
                 assert amp.dim * LENGTH ** (a - 1.0) == ENERGY_DENSITY
 
     def test_energy_budget_total(self, ctx):
-        total = CRITICAL_ENERGY_DENSITY.evaluate(ctx, 3.0 * 0.5 / (8.0 * math.pi))
+        total = (CRITICAL_ENERGY_DENSITY * 0.5).evaluate(ctx)
         target = 0.5 * ctx.rho_crit.value * 2.99792458e8 ** 2
         assert rel(total.value, target) < 1e-12
         assert total.dim == ENERGY_DENSITY
 
     def test_kappa_linear(self, ctx):
         def total(kappa):
-            return CRITICAL_ENERGY_DENSITY.evaluate(ctx, 3.0 * kappa / (8.0 * math.pi)).value
+            return (CRITICAL_ENERGY_DENSITY * kappa).evaluate(ctx).value
         assert rel(total(0.5), 0.5 * total(1.0)) < 1e-15
 
     def test_finite_quadrature_matches_closed_form(self, ctx):
@@ -304,8 +304,8 @@ class TestHorizonInjection:
         for fast, coeff, powers in (
                 (horizon_injection_rate(ctx), 9.0 / (8.0 * math.pi),
                  (("G", -1), ("H", 3), ("c", 2))),
-                (CRITICAL_ENERGY_DENSITY.evaluate(ctx, 3.0 * 0.3 / (8.0 * math.pi)),
-                 3.0 * 0.3 / (8.0 * math.pi), (("H", 2), ("G", -1), ("c", 2)))):
+                (CRITICAL_ENERGY_DENSITY.evaluate(ctx),
+                 3.0 / (8.0 * math.pi), (("H", 2), ("G", -1), ("c", 2)))):
             slow = product_of_powers(coeff, [(ctx.quantity(name), p) for name, p in powers])
             assert (fast.value, fast.rel_sigma, fast.dim) == slow
         assert CRITICAL_ENERGY_DENSITY.dim == ENERGY_DENSITY
