@@ -25,7 +25,7 @@ import functools
 import math
 import os
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadOverride, DimensionMismatch, ValidationError
 from .quantity import (
@@ -87,7 +87,6 @@ _DEFAULTS: Sequence[Tuple[str, float, Dimension, float, str]] = (
 )
 
 _NAMES = tuple(name for name, *_ in _DEFAULTS)
-_CACHE_SIZE = 64  # a context keeps the factors and powers of the tables it used last
 _DIM_BY_NAME = {name: dim for name, _, dim, _, _ in _DEFAULTS}
 
 
@@ -159,14 +158,13 @@ class ExponentTable(Record):
 
     Built from its exponents, a table checks its dimension once
     (DimensionMismatch unless it is ``dim``). ``*`` and ``/`` merge two
-    tables' exponents by name, the left one's constants first, or scale
-    the coefficient by a number; ``**`` scales both. A composed table forms
-    its dimension, its operands' product, only when it is read. ``ordered``
+    tables' exponents by name, the left one's constants first, and
+    multiply their dimensions, which were checked already; a number
+    scales the coefficient alone, and ``**`` scales all three. ``ordered``
     sets the order of the powers, which decides the last bits of the value.
     """
 
-    __slots__ = ("coeff", "_names", "_exps", "_dim")  # _exps: the float p_X of _names
-    _fields = ("exponents", "dim", "coeff")
+    __slots__ = ("exponents", "dim", "coeff", "_names", "_exps")  # _exps: float p_X of _names
 
     def __init__(self, exponents: Mapping[str, float], dim: Dimension,
                  coeff: float = 1.0) -> None:
@@ -175,22 +173,14 @@ class ExponentTable(Record):
             if name not in _DIM_BY_NAME:
                 raise BadOverride(f"unknown constant {name!r}")
             composed = composed * _DIM_BY_NAME[name] ** p
-        _table(tuple(exponents), tuple(map(float, exponents.values())), composed,
-               float(coeff), self).checked(dim)
-
-    @property
-    def exponents(self) -> Mapping[str, float]:
-        return MappingProxyType(dict(zip(self._names, self._exps)))
-
-    @property
-    def dim(self) -> Dimension:
-        if not isinstance(self._dim, Dimension):  # the operands' product, not yet formed
-            _set_dim(self, self._dim())
-        return self._dim
+        if composed != dim:
+            raise DimensionMismatch(f"product {dict(exponents)} has dimension "
+                                    f"[{composed}], expected [{dim}]")
+        _table(tuple(exponents), tuple(map(float, exponents.values())), dim, float(coeff), self)
 
     def __mul__(self, other: "ExponentTable | float") -> "ExponentTable":
         if not isinstance(other, ExponentTable):
-            return _table(self._names, self._exps, self._dim, self.coeff * other)
+            return _table(self._names, self._exps, self.dim, self.coeff * other)
         names, exps = self._names, list(self._exps)
         for name, p in zip(other._names, other._exps):
             if name in names:
@@ -198,33 +188,34 @@ class ExponentTable(Record):
             else:
                 names += (name,)
                 exps.append(p)
-        return _table(names, tuple(exps), lambda: self.dim * other.dim,
-                      self.coeff * other.coeff)
+        return _table(names, tuple(exps), self.dim * other.dim, self.coeff * other.coeff)
 
     def __truediv__(self, other: "ExponentTable") -> "ExponentTable":
         return self * other ** -1.0
 
     def __pow__(self, p: float) -> "ExponentTable":
         p = float(p)
-        return _table(self._names, tuple(map(p.__mul__, self._exps)),
-                      lambda: self.dim ** p, self.coeff ** p)
+        return _table(self._names, tuple(map(p.__mul__, self._exps)), self.dim ** p,
+                      self.coeff ** p)
 
     def __reduce__(self):  # from its parts, which a composed table need not re-check exactly
         return _table, (self._names, self._exps, self.dim, self.coeff)
 
     def ordered(self, *names: str) -> "ExponentTable":
-        """This product, its powers in the order of ``names`` (any of exponent 0 optional)."""
+        """This product, its powers in the order of ``names`` (exponent 0 optional either way)."""
         exponents = self.exponents
         if any(p and name not in names for name, p in exponents.items()):
             raise ValidationError(f"{names} leaves out a constant of {dict(exponents)}")
-        return _table(names, tuple(exponents[n] for n in names), self._dim, self.coeff)
+        return _table(names, tuple(exponents.get(n, 0.0) for n in names), self.dim, self.coeff)
+
+    def aligned(self, other: "ExponentTable") -> Tuple[Tuple[str, float, float], ...]:
+        """(name, p_X, o_X) over these constants, ``other``'s among them: the
+        exponents of self * other**s are p_X + s*o_X for any s, with no table built."""
+        return tuple(zip(self._names, self._exps, other.ordered(*self._names)._exps))
 
     def checked(self, dim: Dimension) -> "ExponentTable":
-        """This table, its dimension formed; DimensionMismatch unless it is ``dim``."""
-        if self.dim != dim:
-            raise DimensionMismatch(f"product {dict(self.exponents)} has dimension "
-                                    f"[{self.dim}], expected [{dim}]")
-        return self
+        """This table rebuilt from its exponents; DimensionMismatch unless it is a ``dim``."""
+        return ExponentTable(self.exponents, dim, self.coeff)
 
     def evaluate(self, ctx: CosmologyContext) -> Quantity:
         """coeff * prod X**p_X, with rel_sigma from first-order propagation."""
@@ -244,20 +235,14 @@ class ExponentTable(Record):
         return tuple(zip(self._names, self._exps, ctx.factors(self._names)[1]))
 
 
-def _table(names: Tuple[str, ...], exps: Tuple[float, ...],
-           dim: "Dimension | Callable[[], Dimension]", coeff: float,
+def _table(names: Tuple[str, ...], exps: Tuple[float, ...], dim: Dimension, coeff: float,
            table: Optional[ExponentTable] = None) -> ExponentTable:
-    """A table of these parts, taken as checked (``table``, if given, filled)."""
+    """A table of these parts, its dimension taken as checked (``table``, if given, filled)."""
     table = object.__new__(ExponentTable) if table is None else table
-    _set_coeff(table, coeff)
-    _set_names(table, names)
-    _set_exps(table, exps)
-    _set_dim(table, dim)
+    exponents = MappingProxyType(dict(zip(names, exps)))
+    for slot, value in zip(ExponentTable.__slots__, (exponents, dim, coeff, names, exps)):
+        object.__setattr__(table, slot, value)
     return table
-
-
-_set_coeff, _set_names, _set_exps, _set_dim = (  # each slot of a frozen table, filled once
-    getattr(ExponentTable, slot).__set__ for slot in ExponentTable.__slots__)
 
 
 # rho_crit = 3/(8*pi) * H**2/G, R = c/H, and the constants c and M_sun
@@ -282,10 +267,10 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     BadOverride for an unknown name, KeyError from ``ctx[name]``). Every
     default constant is present and positive and keeps its dimension,
     so dimensions checked once per ``ExponentTable`` hold for every
-    context. The context is immutable, so it keeps the factors and powers
-    of the ``_CACHE_SIZE`` tables it used last, in caches that hold its
-    constants but not itself and that ==, pickle and copy ignore; rho_crit
-    and the Hubble radius are multiplied out on each access.
+    context. The context is immutable, so it resolves each table's factors
+    and powers once (ignored by ==, pickle and copy); code run per slope
+    composes exponents, not tables, so the keys stay the module tables'.
+    rho_crit and the Hubble radius are multiplied out on each access.
     """
 
     def __init__(self, constants: Iterable[PhysicalConstant]):
@@ -305,11 +290,7 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
         if missing:
             raise BadOverride(f"missing constants {missing}")
         self._table = table
-        # factors(names), and powers(names, exps): their power_terms, no failure kept
-        factors = self.factors = functools.lru_cache(_CACHE_SIZE)(
-            functools.partial(_factors, table))
-        self.powers = functools.lru_cache(_CACHE_SIZE)(
-            lambda names, exps: power_terms(zip(*factors(names), exps)))
+        self._factors, self._powers = {}, {}  # names -> factors, (names, exps) -> powers
 
     @classmethod
     def default(cls, overrides: Optional[Mapping[str, float]] = None) -> "CosmologyContext":
@@ -370,6 +351,23 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     def rel_sigma(self, name: str) -> float:
         return self.quantity(name).rel_sigma
 
+    def factors(self, names: Tuple[str, ...]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """The values and the rel_sigmas of the constants ``names``, looked up once."""
+        factors = self._factors.get(names)
+        if factors is None:
+            quantities = [self._table[name].quantity for name in names]
+            factors = self._factors[names] = (tuple(q.value for q in quantities),
+                                              tuple(q.rel_sigma for q in quantities))
+        return factors
+
+    def powers(self, names: Tuple[str, ...],
+               exps: Tuple[float, ...]) -> Tuple[Tuple[float, ...], float]:
+        """``power_terms`` of ``factors(names)`` to ``exps``, once; NonFinite on every call."""
+        powers = self._powers.get((names, exps))
+        if powers is None:
+            powers = self._powers[names, exps] = power_terms(zip(*self.factors(names), exps))
+        return powers
+
     @property
     def rho_crit(self) -> Quantity:
         """Critical density 3*H**2/(8*pi*G), kg/m^3."""
@@ -379,14 +377,6 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
     def hubble_radius(self) -> Quantity:
         """World radius R = c/H, the scale of the largest eddies, m."""
         return HUBBLE_RADIUS.evaluate(self)
-
-
-def _factors(table: Mapping[str, PhysicalConstant],
-             names: Tuple[str, ...]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """The values and the rel_sigmas of the constants ``names`` in ``table``."""
-    quantities = [table[name].quantity for name in names]
-    return (tuple(quantity.value for quantity in quantities),
-            tuple(quantity.rel_sigma for quantity in quantities))
 
 
 @functools.cache

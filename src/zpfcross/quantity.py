@@ -31,9 +31,8 @@ from .errors import NonFinite, ValidationError
 
 class Record:
     """A frozen record that is not a tuple. Its fields are the names in its
-    ``__slots__`` that do not start with ``_`` (those hold derived values),
-    unless the class lists its ``_fields`` itself (a field may then be a
-    property); its ``__init__`` takes them in order and sets them with
+    ``__slots__`` that do not start with ``_`` (those hold derived values);
+    its ``__init__`` takes them in order and sets them with
     ``object.__setattr__``. It equals only a record of its own class with
     equal fields, hashes and reprs (``Name(field=...)``) by them, and
     pickles and copies through its constructor."""
@@ -43,8 +42,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if "_fields" not in cls.__dict__:
-            cls._fields += tuple(n for n in vars(cls).get("__slots__", ()) if not n.startswith("_"))
+        cls._fields += tuple(n for n in cls.__dict__.get("__slots__", ()) if not n.startswith("_"))
         cls._key = operator.attrgetter(*cls._fields) if cls._fields else None
 
     def __eq__(self, other: object) -> bool:

@@ -54,6 +54,8 @@ from .quantity import (
     SPECTRAL_DENSITY,
     SPEED,
     WAVENUMBER,
+    power_terms,
+    times_powers,
 )
 
 # slope domain: a <= 1 diverges the energy-budget integral, a >= 3 would
@@ -332,10 +334,19 @@ def gamma_from_slope(a: float) -> float:
     return (1.0 - a) / denom
 
 
+# (name, e_X, r_X): rho*c**2 * R**(1-a) carries X**(e_X + (1-a)*r_X)
+_AMPLITUDE = CRITICAL_ENERGY_DENSITY.aligned(HUBBLE_RADIUS)
+_AMPLITUDE_NAMES = tuple(name for name, _, _ in _AMPLITUDE)
+_INJECTION_RATE = HORIZON_POWER_DENSITY * 3.0  # eps = 3*rho*c**3/R
+
+
 def _reduced_amplitude(a: float, ctx: CosmologyContext, scale: float) -> Quantity:
     """scale * rho*c**2 * R**(1-a) = scale * G**-1 * H**(1+a) * c**(3-a),
-    J/m^2 * m^-a, composed, so the H that rho and R share counts once."""
-    return (CRITICAL_ENERGY_DENSITY * HUBBLE_RADIUS ** (1.0 - a) * scale).evaluate(ctx)
+    J/m^2 * m^-a, composed by name, so the H that rho and R share counts once."""
+    exps = [e + (1.0 - a) * r for _, e, r in _AMPLITUDE]
+    powers, rel_sigma = power_terms(zip(*ctx.factors(_AMPLITUDE_NAMES), exps))
+    return Quantity(times_powers(CRITICAL_ENERGY_DENSITY.coeff * scale, powers),
+                    CRITICAL_ENERGY_DENSITY.dim * HUBBLE_RADIUS.dim ** (1.0 - a), rel_sigma)
 
 
 def amplitude_from_kappa(kappa: float, a: float, ctx: CosmologyContext) -> Quantity:
@@ -354,7 +365,7 @@ def horizon_injection_rate(ctx: CosmologyContext) -> Quantity:
     that leaves the float range.
     """
     try:
-        return (HORIZON_POWER_DENSITY * 3.0).evaluate(ctx)
+        return _INJECTION_RATE.evaluate(ctx)
     except NonFinite as exc:
         raise NonFinite("eps = 3*rho*c**3/R leaves the float range with these constants") from exc
 

@@ -10,8 +10,8 @@ closes to
 with V = G*hbar/(c**2*H) (``CROSSOVER_VOLUME``, m**3) and R = c/H
 (``constants.HUBBLE_RADIUS``, m), whose dimensions are checked once, at
 import, so lambda0 is a length for every a. Its error budget is the
-vector of the table V*R**a, composed per slope, to the power q, and
-kappa**-q; uncorrelated first-order propagation gives
+vector of V*R**a, composed per slope from the two tables' exponents, to
+the power q, and kappa**-q; uncorrelated first-order propagation gives
 
     (sigma/lambda0)**2 = sum((q*p_X*e_X)**2) + (q*e_kappa)**2
 
@@ -45,9 +45,11 @@ from .errors import (
 from .quantity import LENGTH, Quantity, WAVENUMBER
 from .spectra import SpectrumModel, check_kappa, check_slope, default_wavenumber
 
-# V = G*hbar/(c**2*H), the Planck area times R; lambda0's budget lists G, c, hbar, H
+# V = G*hbar/(c**2*H), the Planck area times R
 CROSSOVER_VOLUME = ExponentTable({"G": 1, "hbar": 1, "c": -2, "H": -1}, LENGTH ** 3)
-_BUDGET_VOLUME = CROSSOVER_VOLUME.ordered("G", "c", "hbar", "H")
+# (name, v_X, r_X) over lambda0's budget names: V*R**a carries X**(v_X + a*r_X)
+_BRACKET = CROSSOVER_VOLUME.ordered("G", "c", "hbar", "H").aligned(HUBBLE_RADIUS)
+_BUDGET_NAMES = tuple(name for name, _, _ in _BRACKET)
 # numeric_crossover stops once its log-k bracket is this narrow, and
 # gives up with NoCrossing after this many halvings
 _BISECTION_REL_TOL = 1e-12
@@ -122,13 +124,12 @@ def scale_terms(a: float, ctx: CosmologyContext, e_kappa: float = 0.0) -> ScaleT
         denominator = math.inf
     q = 1.0 / (3.0 + a)
     # lambda0 carries (V*R**a/kappa)**q: X**(q*p_X) for each X**p_X of V*R**a
-    bracket = (_BUDGET_VOLUME * HUBBLE_RADIUS ** a).budget(ctx)
-    budget, squares = [], []
-    for name, p, e in bracket + (("kappa", -1.0, e_kappa),):
-        p *= q
-        budget.append((name, p, e))
-        squares.append((p * e) * (p * e))
-    return ScaleTerms(a, q, denominator, math.sqrt(sum(squares)), tuple(budget))
+    budget = [(name, q * (v + a * r), e)
+              for (name, v, r), e in zip(_BRACKET, ctx.factors(_BUDGET_NAMES)[1])]
+    budget.append(("kappa", -q, e_kappa))
+    rel_sigma = math.sqrt(sum([(p * e) * (p * e) for _, p, e in budget]))
+    return ScaleTerms(a, q, denominator, rel_sigma, tuple(budget))
+
 
 def scale_cell(terms: ScaleTerms, kappa: float) -> Tuple[float, float]:
     """lambda0 and k0 at a checked kappa; NonFinite if either is not a float."""

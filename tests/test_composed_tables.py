@@ -87,19 +87,29 @@ class TestAlgebra:
         with pytest.raises(DimensionMismatch, match=r"expected \[m\]"):
             (LIGHT_SPEED / HUBBLE_RADIUS).checked(LENGTH)
 
-    def test_composing_does_no_dimension_arithmetic(self, monkeypatch):
+    def test_composing_multiplies_the_operands_dimensions(self, monkeypatch):
         expected = (LENGTH ** 3 * LENGTH ** 1.8) ** 0.2
         calls = []
-        for name in ("__mul__", "__truediv__", "__pow__"):
+        for name in ("__mul__", "__truediv__", "__pow__", "__eq__"):
             original = getattr(Dimension, name)
             monkeypatch.setattr(Dimension, name,
-                                lambda *args, _f=original: calls.append(1) or _f(*args))
+                                lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
         table = (CROSSOVER_VOLUME * HUBBLE_RADIUS ** 1.8) ** 0.2 * 3.0
-        assert calls == []
-        assert table.dim == expected  # formed on the first read, once
-        assert len(calls) == 3
+        assert calls == ["__pow__", "__mul__", "__pow__"]  # no check, no scalar work
+        monkeypatch.undo()
         assert table.dim == expected
-        assert len(calls) == 3
+
+    def test_ordered_gives_a_missing_constant_exponent_zero(self, ctx):
+        table = HUBBLE_RADIUS.ordered("G", "c", "hbar", "H")
+        assert list(table.exponents.items()) == [("G", 0.0), ("c", 1.0), ("hbar", 0.0),
+                                                 ("H", -1.0)]
+        assert table.value(ctx) == HUBBLE_RADIUS.value(ctx) and table.dim == LENGTH
+
+    def test_aligned_pairs_the_exponents_over_the_left_constants(self):
+        assert CRITICAL_ENERGY_DENSITY.aligned(HUBBLE_RADIUS) == (
+            ("H", 2.0, -1.0), ("G", -1.0, 0.0), ("c", 2.0, 1.0))
+        with pytest.raises(ValidationError, match="leaves out"):
+            HUBBLE_RADIUS.aligned(CRITICAL_DENSITY)  # G is not among c, H
 
     def test_composed_table_is_a_record(self, ctx):
         table = CRITICAL_ENERGY_DENSITY * HUBBLE_RADIUS ** -0.8 * 0.5

@@ -323,20 +323,25 @@ class TestTableCache:
         with pytest.raises(NonFinite, match=r"^\(1e-320\)\*\*-1\.0 overflows$"):
             HUBBLE_RADIUS.powers(same)
 
-    def test_caches_stay_bounded_and_free_with_the_context(self):
+    def test_slopes_add_no_cache_entry_and_the_context_is_freed(self):
         import gc
         import weakref
 
-        from zpfcross.constants import _CACHE_SIZE
-        from zpfcross.spectra import amplitude_from_kappa
+        from zpfcross.spectra import amplitude_from_kappa, horizon_spectrum_amplitude
+        from zpfcross.transition import transition_scale
 
         enabled = gc.isenabled()
         gc.disable()  # a context must go with its last reference, no cycle collector
         try:
             ctx = CosmologyContext.default({"e_G": 2e-4})
-            for i in range(3 * _CACHE_SIZE):  # a table composed per slope, each new
-                amplitude_from_kappa(1e-5, 1.1 + i / (4 * _CACHE_SIZE), ctx)
-            assert ctx.powers.cache_info().currsize == _CACHE_SIZE
+            sizes = []
+            for n in (1, 200):  # each slope new: the caches hold module tables only
+                for i in range(n):
+                    a = 1.1 + i / 250
+                    transition_scale(a, 1e-5, ctx), amplitude_from_kappa(1e-5, a, ctx)
+                    horizon_spectrum_amplitude(a, ctx)
+                sizes.append((len(ctx._factors), len(ctx._powers)))
+            assert sizes[0] == sizes[1]
             freed = weakref.ref(ctx)
             del ctx
             assert freed() is None

@@ -55,11 +55,11 @@ EXTRAS = ("--outputs", "epsilon,N,Ns")
 BUDGETS = {
     "sweep-10x10-csv": (SWEEP + ("--format", "csv"), 302),
     "sweep-10x10-table": (SWEEP + ("--format", "table"), 308),
-    "sweep-10x10-csv-extras": (SWEEP + EXTRAS + ("--format", "csv"), 619),
-    "sweep-10x10-table-extras": (SWEEP + EXTRAS + ("--format", "table"), 625),
+    "sweep-10x10-csv-extras": (SWEEP + EXTRAS + ("--format", "csv"), 621),
+    "sweep-10x10-table-extras": (SWEEP + EXTRAS + ("--format", "table"), 627),
     "transition": (("transition", "--slope", "1.8", "--kappa", "1e-5"), 42),
-    "dissipation": (("dissipation", "--kappa", "1e-5", "--slope", "1.8"), 67),
-    "bound": (("bound", "--slope", "1.8"), 75),
+    "dissipation": (("dissipation", "--kappa", "1e-5", "--slope", "1.8"), 68),
+    "bound": (("bound", "--slope", "1.8"), 76),
 }
 
 # name: (trailing flags, budget of calls per cell): a 20x20 sweep less a
@@ -106,22 +106,21 @@ def test_sweep_calls_per_cell_within_budget(name):
     assert per_cell <= budget
 
 
-def test_sweep_cells_build_no_table(monkeypatch):
-    # each slope composes lambda0's table; a cell builds none, with or
-    # without the dissipation extras
-    from zpfcross import constants
+def test_sweep_builds_no_table_and_does_no_dimension_operation(monkeypatch):
+    # a slope composes lambda0's budget vector from exponents read at
+    # import, and a cell builds nothing, with or without the extras
+    from zpfcross import constants, quantity
     from zpfcross.report import SweepSpec, run_sweep
 
-    built = []
-    table = constants._table
-    monkeypatch.setattr(constants, "_table", lambda *args: built.append(args) or table(*args))
     ctx = constants.CosmologyContext.default()
-    counts = []
+    calls = []
+    monkeypatch.setattr(constants, "_table", lambda *args: calls.append("_table"))
+    for name in ("__mul__", "__truediv__", "__pow__"):
+        monkeypatch.setattr(quantity.Dimension, name, lambda *args, _n=name: calls.append(_n))
     for kappas in ((1.0,), tuple(10.0 ** -i for i in range(40))):
-        built.clear()
-        run_sweep(SweepSpec((1.3, 2.2), kappas, ("epsilon", "N", "Ns"), "computed"), ctx)
-        counts.append(len(built))
-    assert counts[0] == counts[1] > 0
+        for outputs in ((), ("epsilon", "N", "Ns")):
+            run_sweep(SweepSpec((1.3, 2.2), kappas, outputs, "computed"), ctx)
+    assert calls == []
 
 
 POINT_QUERY = "transition --slope 1.8 --kappa 1e-5"
