@@ -5,9 +5,10 @@ The pipeline, bottom to top:
 
 - ``quantity``: SI values with exact dimension exponents and
   the float core of first-order uncertainty propagation.
-- ``constants``: the context, an immutable mapping of the constants
-  (2006 CODATA plus a fixed Hubble measurement) with the derived
-  critical density and Hubble radius, and the exponent tables over it.
+- ``constants``: the context, an immutable mapping of each constant's
+  name to its quantity (2006 CODATA plus a fixed Hubble measurement),
+  and the exponent tables over it, the critical density and the Hubble
+  radius among them.
 - ``spectra``: Boyer vacuum spectrum, power-law and compressible
   turbulence spectra, and the energy-budget amplitude calibration.
 - ``transition``: the crossover scale lambda0 with its error budget,
@@ -33,7 +34,7 @@ from . import constants, errors, quantity  # eager: the CLI needs them
 
 # each export by its owning module
 _EXPORTS = {
-    "constants": ("CosmologyContext", "PhysicalConstant", "load_config", "parse_config"),
+    "constants": ("CosmologyContext", "load_config", "parse_config"),
     "dissipation": ("DissipationBudget", "kappa_from_count", "kappa_from_solar_bound",
                     "n0_value", "solar_budget"),
     "errors": ("BadOverride", "DegenerateSamples", "DimensionMismatch", "EmptySweep",

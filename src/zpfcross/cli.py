@@ -70,9 +70,8 @@ def _write_pairs(pairs: Sequence[Tuple[str, str]], format: str) -> None:
 
 def _cmd_constants(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     rows = [("name", "value", "unit", "rel_sigma", "source")]
-    rows += [(name, repr(const.value), str(const.quantity.dim),
-              repr(const.rel_sigma), const.source)
-             for name, const in ctx.items()]
+    rows += [(name, repr(q.value), str(q.dim), repr(q.rel_sigma), ctx.sources[name])
+             for name, q in ctx.items()]
     sys.stdout.write(format_rows(rows, args.format))
     return 0
 

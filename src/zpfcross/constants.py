@@ -1,20 +1,20 @@
 """Physical constants and the derived cosmological quantities.
 
-A ``CosmologyContext`` is the constant set: an immutable mapping of
-names to constants, read straight from the context (``ctx.value("H")``,
-``ctx.rel_sigma("H")``, ``ctx.quantity("H")``, a ``Quantity`` with the
-constant's dimension and rel_sigma). Default values
-reproduce a fixed historical constant set (2006 CODATA plus the
-Chandra X-ray measurement of the Hubble constant, 77 km/s/Mpc) so that
-downstream reference numbers are reproducible; every entry can be
+A ``CosmologyContext`` is the constant set: an immutable mapping of each
+name to its ``Quantity`` (``ctx["H"]``, with the constant's value,
+dimension and rel_sigma), and each name to its source in ``ctx.sources``.
+Default values reproduce a fixed historical constant set (2006 CODATA
+plus the Chandra X-ray measurement of the Hubble constant, 77 km/s/Mpc)
+so that downstream reference numbers are reproducible; every entry can be
 overridden through ``CosmologyContext.default(overrides)``; dimensions
 cannot. All stored values are SI.
 
 Every product of powers of the constants is an ``ExponentTable`` with its
-coefficient, value and budget vector. Each relation is written once, here:
-rho_crit (with its 3/(8*pi)) and R = c/H from their exponents, and
-rho*c**2, rho*c**3/R and N0/t composed from them, each dimension checked
-once, at import. A context evaluates each table's powers once, and
+coefficient, value and budget vector. rho_crit (with its 3/(8*pi)) and
+R = c/H are built here from their exponents, and rho*c**2, rho*c**3/R and
+N0/t composed from them, each dimension checked once, at import;
+``transition.scale_cell`` writes 3/(8*pi) out, for its rounding. A
+context evaluates each table's powers once, and
 ``CosmologyContext.default()`` without overrides returns one context per
 process. Nothing here imports numpy.
 """
@@ -25,7 +25,7 @@ import functools
 import math
 import os
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import BadOverride, DimensionMismatch, ValidationError
 from .quantity import (
@@ -55,22 +55,6 @@ LIGHTYEAR_M = SPEED_OF_LIGHT * 365.25 * 86400.0  # julian year
 MPC_M = 3.26e6 * LIGHTYEAR_M  # megaparsec via the 3.26e6 lightyear convention
 DAY_S = 86400.0
 SOLAR_MASS_KG = 1.98e30
-
-
-class PhysicalConstant(NamedTuple):
-    """A named constant with value, dimension and relative uncertainty."""
-
-    name: str
-    quantity: Quantity
-    source: str = ""
-
-    @property
-    def value(self) -> float:
-        return self.quantity.value
-
-    @property
-    def rel_sigma(self) -> float:
-        return self.quantity.rel_sigma
 
 
 # name -> (value, dimension, rel_sigma, source)
@@ -258,38 +242,36 @@ N0_RATE = (CRITICAL_DENSITY * LIGHT_SPEED * HUBBLE_RADIUS ** 2 / SOLAR_MASS).ord
     "G", "c", "M_sun").checked(FREQUENCY)
 
 
-class CosmologyContext(Mapping[str, PhysicalConstant]):
-    """The constant set: an immutable name -> PhysicalConstant mapping,
-    plus the derived critical density and Hubble radius.
+class CosmologyContext(Mapping[str, Quantity]):
+    """The constant set: an immutable name -> Quantity mapping, and each
+    name's source in the read-only ``sources`` mapping.
 
-    Single constants are read straight from the context
-    (``ctx.value("H")``, ``ctx.rel_sigma("H")``, ``ctx.quantity("H")``;
-    BadOverride for an unknown name, KeyError from ``ctx[name]``). Every
-    default constant is present and positive and keeps its dimension,
-    so dimensions checked once per ``ExponentTable`` hold for every
-    context. The context is immutable, so it resolves each table's factors
-    and powers once (ignored by ==, pickle and copy); code run per slope
-    composes exponents, not tables, so the keys stay the module tables'.
-    rho_crit and the Hubble radius are multiplied out on each access.
+    Every default constant is present, positive and of its default
+    dimension, and no other name is, so dimensions checked once per
+    ``ExponentTable`` hold for every context. The context is immutable,
+    so it resolves each table's factors and powers once (ignored by ==,
+    pickle and copy); code run per slope composes exponents, not tables,
+    so the keys stay the module tables'. == compares the constants alone,
+    not their sources.
     """
 
-    def __init__(self, constants: Iterable[PhysicalConstant]):
+    def __init__(self, quantities: Mapping[str, Quantity], sources: Mapping[str, str]):
+        for kind, given in (("constants", quantities), ("sources", sources)):
+            if given.keys() != _DIM_BY_NAME.keys():
+                unknown = [name for name in given if name not in _DIM_BY_NAME]
+                raise BadOverride(f"unknown {kind} {unknown}" if unknown else
+                                  f"missing {kind} {[n for n in _NAMES if n not in given]}")
         table = {}
-        for constant in constants:
-            if constant.name in table:
-                raise BadOverride(f"duplicate constant name {constant.name!r}")
-            expected = _DIM_BY_NAME.get(constant.name, constant.quantity.dim)
-            if constant.quantity.dim != expected:
-                raise BadOverride(f"constant {constant.name!r} must have dimension "
-                                  f"{expected}, got {constant.quantity.dim}")
-            if not constant.value > 0.0:
-                raise BadOverride(f"constant {constant.name!r} must be positive, "
-                                  f"got {constant.value!r}")
-            table[constant.name] = constant
-        missing = [name for name in _NAMES if name not in table]
-        if missing:
-            raise BadOverride(f"missing constants {missing}")
+        for name, dim in _DIM_BY_NAME.items():
+            quantity = table[name] = quantities[name]
+            if quantity.dim != dim:
+                raise BadOverride(f"constant {name!r} must have dimension "
+                                  f"{dim}, got {quantity.dim}")
+            if not quantity.value > 0.0:
+                raise BadOverride(f"constant {name!r} must be positive, "
+                                  f"got {quantity.value!r}")
         self._table = table
+        self.sources = MappingProxyType({name: sources[name] for name in _NAMES})
         self._factors, self._powers = {}, {}  # names -> factors, (names, exps) -> powers
 
     @classmethod
@@ -302,9 +284,10 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
         Without overrides every call returns the same context, built on
         the first call; with overrides each call builds a fresh one.
         """
+        shared = _shared_default(cls)
         if not overrides:
-            return _shared_default(cls)
-        constants = dict(_shared_default(cls))
+            return shared
+        quantities, sources = dict(shared), dict(shared.sources)
         for key, raw in overrides.items():
             try:
                 val = float(raw)
@@ -312,22 +295,22 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
                 raise BadOverride(f"override {key!r} is not a number: {raw!r}") from None
             if key.startswith("e_"):
                 name = key[2:]
-                if name not in constants:
+                if name not in quantities:
                     raise BadOverride(f"unknown constant {name!r} in override {key!r}")
                 if val < 0.0 or not math.isfinite(val):
                     raise BadOverride(f"negative or non-finite uncertainty {key} = {val!r}")
-                quantity = Quantity(constants[name].value, _DIM_BY_NAME[name], val)
+                quantity = Quantity(quantities[name].value, _DIM_BY_NAME[name], val)
             else:
                 name = key
-                if name not in constants:
+                if name not in quantities:
                     raise BadOverride(f"unknown constant {key!r}")
                 if val <= 0.0 or not math.isfinite(val):
                     raise BadOverride(f"constant {key} must be positive, got {val!r}")
-                quantity = Quantity(val, _DIM_BY_NAME[name], constants[name].rel_sigma)
-            constants[name] = PhysicalConstant(name, quantity, "override")
-        return cls(constants.values())
+                quantity = Quantity(val, _DIM_BY_NAME[name], quantities[name].rel_sigma)
+            quantities[name], sources[name] = quantity, "override"
+        return cls(quantities, sources)
 
-    def __getitem__(self, name: str) -> PhysicalConstant:
+    def __getitem__(self, name: str) -> Quantity:
         return self._table[name]  # KeyError, as the Mapping methods expect
 
     def __iter__(self) -> Iterator[str]:
@@ -337,25 +320,13 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
         return len(self._table)
 
     def __reduce__(self):
-        return type(self), (tuple(self._table.values()),)
-
-    def quantity(self, name: str) -> Quantity:
-        try:
-            return self._table[name].quantity
-        except KeyError:
-            raise BadOverride(f"unknown constant {name!r}") from None
-
-    def value(self, name: str) -> float:
-        return self.quantity(name).value
-
-    def rel_sigma(self, name: str) -> float:
-        return self.quantity(name).rel_sigma
+        return type(self), (self._table, dict(self.sources))
 
     def factors(self, names: Tuple[str, ...]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
         """The values and the rel_sigmas of the constants ``names``, looked up once."""
         factors = self._factors.get(names)
         if factors is None:
-            quantities = [self._table[name].quantity for name in names]
+            quantities = [self._table[name] for name in names]
             factors = self._factors[names] = (tuple(q.value for q in quantities),
                                               tuple(q.rel_sigma for q in quantities))
         return factors
@@ -368,18 +339,8 @@ class CosmologyContext(Mapping[str, PhysicalConstant]):
             powers = self._powers[names, exps] = power_terms(zip(*self.factors(names), exps))
         return powers
 
-    @property
-    def rho_crit(self) -> Quantity:
-        """Critical density 3*H**2/(8*pi*G), kg/m^3."""
-        return CRITICAL_DENSITY.evaluate(self)
-
-    @property
-    def hubble_radius(self) -> Quantity:
-        """World radius R = c/H, the scale of the largest eddies, m."""
-        return HUBBLE_RADIUS.evaluate(self)
-
 
 @functools.cache
 def _shared_default(cls: type) -> CosmologyContext:
-    return cls(PhysicalConstant(name, Quantity(value, dim, rel_sigma), source)
-               for name, value, dim, rel_sigma, source in _DEFAULTS)
+    return cls({name: Quantity(value, dim, e) for name, value, dim, e, _ in _DEFAULTS},
+               {name: source for name, *_, source in _DEFAULTS})

@@ -51,14 +51,14 @@ def check_n0_mode(n0_mode: str) -> str:
 
 
 def _window(ctx: CosmologyContext, window_t: Optional[Quantity]) -> Quantity:
-    t = ctx.quantity("t") if window_t is None else window_t
+    t = ctx["t"] if window_t is None else window_t
     if t.dim != TIME or t.value <= 0.0:
         raise ValidationError("window must be a positive time")
     return t
 
 
 def _radius(ctx: CosmologyContext, ell: Optional[Quantity]) -> Quantity:
-    radius = ctx.quantity("ell") if ell is None else ell
+    radius = ctx["ell"] if ell is None else ell
     if radius.dim != LENGTH or radius.value <= 0.0:
         raise ValidationError("rescaling radius must be a positive length")
     return radius

@@ -63,9 +63,7 @@ class Record:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        # a read-only mapping (ExponentTable.exponents) is passed on as a dict
-        values = [getattr(self, name) for name in self._fields]
-        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
+        return type(self), tuple(map(self.__getattribute__, self._fields))
 
 
 class Dimension(Record):

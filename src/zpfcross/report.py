@@ -15,8 +15,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .constants import CosmologyContext
 from .dissipation import budget_cell, budget_terms, check_n0_mode
 from .errors import EmptySweep, NonFinite, NumericFailure, ValidationError
-# format_sig is unused here, but re-exported: callers import it from this module
-from .formatting import _compact, format_rows, format_sig  # noqa: F401
+from .formatting import _compact, format_rows
 from .spectra import check_kappa, check_slope
 # transition_scale is unused, but bench/tests patches it here (ROADMAP item 1)
 from .transition import scale_cell, scale_terms, transition_scale  # noqa: F401

@@ -32,8 +32,8 @@ import sys
 from abc import ABC, abstractmethod
 from typing import Optional
 
-from .constants import (CRITICAL_ENERGY_DENSITY, HORIZON_POWER_DENSITY, HUBBLE_RADIUS,
-                        CosmologyContext)
+from .constants import (CRITICAL_DENSITY, CRITICAL_ENERGY_DENSITY, HORIZON_POWER_DENSITY,
+                        HUBBLE_RADIUS, CosmologyContext)
 from .errors import (
     DimensionMismatch,
     KappaOutOfRange,
@@ -99,7 +99,7 @@ def default_wavenumber(ctx: CosmologyContext, end: str) -> float:
             raise NonFinite(f"{what} cannot be formed: {name} leaves the float range "
                             f"with these constants") from exc
     else:
-        length, k, what = ctx.value("r_p"), 2.0 * math.pi, "the Planck wavenumber 2*pi/r_p"
+        length, k, what = ctx["r_p"].value, 2.0 * math.pi, "the Planck wavenumber 2*pi/r_p"
         name = "r_p"
     k = k / length if length > 0.0 else math.inf  # R can underflow to 0
     if k == math.inf:
@@ -181,7 +181,7 @@ class Boyer(SpectrumModel):
 
     @classmethod
     def from_context(cls, ctx: CosmologyContext) -> "Boyer":
-        return cls(ctx.quantity("hbar"), ctx.quantity("c"))
+        return cls(ctx["hbar"], ctx["c"])
 
     def _energy(self, k, xp):
         return self.hbar.value * self.c.value * k ** 3
@@ -210,7 +210,7 @@ class TruncatedBoyer(Boyer):
                      cutoff_k: Optional[Quantity] = None) -> "TruncatedBoyer":
         if cutoff_k is None:
             cutoff_k = Quantity(default_wavenumber(ctx, "kmax"), WAVENUMBER)
-        return cls(ctx.quantity("hbar"), ctx.quantity("c"), cutoff_k)
+        return cls(ctx["hbar"], ctx["c"], cutoff_k)
 
     def _energy(self, k, xp):
         cutoff = self.cutoff_k.value
@@ -302,10 +302,10 @@ class MoisseevShivamoggi(SpectrumModel):
             epsilon = horizon_injection_rate(ctx)
             if epsilon.value == 0.0:
                 raise NonFinite("eps = 3*rho*c**3/R underflows to 0 with these constants")
-        rho = ctx.rho_crit
+        rho = CRITICAL_DENSITY.evaluate(ctx)
         if rho.value == 0.0:
             raise NonFinite("rho_crit = 3*H**2/(8*pi*G) underflows to 0 with these constants")
-        return cls(gamma, epsilon, rho, ctx.quantity("c"), kolmogorov_const)
+        return cls(gamma, epsilon, rho, ctx["c"], kolmogorov_const)
 
     def _energy(self, k, xp):
         return self.kolmogorov_const * xp.exp(

@@ -50,6 +50,8 @@ CROSSOVER_VOLUME = ExponentTable({"G": 1, "hbar": 1, "c": -2, "H": -1}, LENGTH *
 # (name, v_X, r_X) over lambda0's budget names: V*R**a carries X**(v_X + a*r_X)
 _BRACKET = CROSSOVER_VOLUME.ordered("G", "c", "hbar", "H").aligned(HUBBLE_RADIUS)
 _BUDGET_NAMES = tuple(name for name, _, _ in _BRACKET)
+# 8*pi/3 * V, whose -ln is the log form's C1
+_LOG_FORM_VOLUME = CROSSOVER_VOLUME * (8.0 * math.pi / 3.0)
 # numeric_crossover stops once its log-k bracket is this narrow, and
 # gives up with NoCrossing after this many halvings
 _BISECTION_REL_TOL = 1e-12
@@ -133,7 +135,7 @@ def scale_terms(a: float, ctx: CosmologyContext, e_kappa: float = 0.0) -> ScaleT
 
 def scale_cell(terms: ScaleTerms, kappa: float) -> Tuple[float, float]:
     """lambda0 and k0 at a checked kappa; NonFinite if either is not a float."""
-    try:
+    try:  # CRITICAL_DENSITY.coeff for 3/(8*pi) would change lambda0's last bit in ~8% of cells
         k0 = (3.0 * (terms.a - 1.0) * kappa / (8.0 * math.pi) / terms.denominator) ** terms.q
         lambda0 = 2.0 * math.pi / k0
         if k0 < math.inf and lambda0 < math.inf:
@@ -214,8 +216,8 @@ def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyCon
 
 def log_form_constants(ctx: CosmologyContext) -> Tuple[float, float]:
     """The constants C1 = -ln(8*pi/3 * V) = ln(3*c**2*H/(8*pi*G*hbar)) and
-    C2 = -ln R = ln(H/c), from the tables V and R."""
-    c1 = -math.log((CROSSOVER_VOLUME * (8.0 * math.pi / 3.0)).value(ctx))
+    C2 = -ln R = ln(H/c), from the tables 8*pi/3 * V, built once at import, and R."""
+    c1 = -math.log(_LOG_FORM_VOLUME.value(ctx))
     c2 = -math.log(HUBBLE_RADIUS.value(ctx))
     return c1, c2
 

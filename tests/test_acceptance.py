@@ -44,7 +44,7 @@ from zpfcross import (
     transition_scale,
 )
 from zpfcross.cli import main as cli_main
-from zpfcross.constants import MPC_M
+from zpfcross.constants import CRITICAL_DENSITY, HUBBLE_RADIUS, MPC_M
 from zpfcross.quantity import Quantity, WAVENUMBER
 
 CTX = CosmologyContext.default()
@@ -161,8 +161,8 @@ class TestCriterion4UncertaintyTripleCheck:
     def fd_rel_sigma(self, a):
         # central-difference gradient through the closed form
         names = ("G", "c", "hbar", "H")
-        x0 = [CTX.value(n) for n in names] + [1.0]
-        sigmas = [CTX.rel_sigma(n) * CTX.value(n) for n in names] + [0.0]
+        x0 = [CTX[n].value for n in names] + [1.0]
+        sigmas = [CTX[n].rel_sigma * CTX[n].value for n in names] + [0.0]
         f0 = self.lambda_of(*x0, a)
         var = 0.0
         for i, sigma in enumerate(sigmas):
@@ -198,9 +198,9 @@ class TestCriterion4UncertaintyTripleCheck:
 class TestCriterion5CascadeLimits:
     def test_kolmogorov_limit(self):
         ms = MoisseevShivamoggi.from_context(CTX, 1e6)
-        rho = CTX.rho_crit.value
+        rho = CRITICAL_DENSITY.value(CTX)
         eps = horizon_injection_rate(CTX).value
-        radius = CTX.hubble_radius.value
+        radius = HUBBLE_RADIUS.value(CTX)
         worst = 0.0
         for i in range(21):
             k = (1.0 / radius) * 10.0 ** (0.5 * i)  # spans 1/R .. 1e10/R
@@ -250,10 +250,10 @@ class TestCriterion6Roundtrips:
         # adaptive quadrature (log substitution) of the budget integral
         a, kappa = 1.8, 1.0
         amp = amplitude_from_kappa(kappa, a, CTX).value
-        u0 = math.log(1.0 / CTX.hubble_radius.value)
+        u0 = math.log(1.0 / HUBBLE_RADIUS.value(CTX))
         numeric, _ = quad(lambda u: amp * math.exp((1.0 - a) * u), u0, math.inf,
                           epsabs=0.0, epsrel=1e-9)
-        closed = kappa * CTX.rho_crit.value * C ** 2
+        closed = kappa * CRITICAL_DENSITY.value(CTX) * C ** 2
         deviation = rel(numeric, closed)
         ok = deviation <= 1e-6
         report("C6/budget", ok, f"quadrature vs closed form {deviation:.2e} (tol 1e-6)")
@@ -304,7 +304,7 @@ class TestCriterion8DocumentedDiscrepancies:
         gaps = {}
         for a, published in ((1.7, 67e3), (1.8, 630e3)):
             counts = {"as coded": 1e-12, "N halved": 5e-13,
-                      "R at h=1": 1e-12 * (radius_h1 / CTX.hubble_radius.value) ** 3}
+                      "R at h=1": 1e-12 * (radius_h1 / HUBBLE_RADIUS.value(CTX)) ** 3}
             for reading, ns in counts.items():
                 _, result = kappa_from_solar_bound(ns, a, CTX, n0_mode="paper")
                 gaps.setdefault(reading, []).append(result.lambda0.value / published - 1.0)

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import zpfcross
 from zpfcross import CosmologyContext, cli, transition
 from zpfcross.cli import build_parser, main
-from zpfcross.constants import DAY_S, LIGHTMINUTE_M
+from zpfcross.constants import DAY_S, HUBBLE_RADIUS, LIGHTMINUTE_M
 from zpfcross.dissipation import n0_value
+from zpfcross.formatting import format_sig
 from zpfcross.quantity import POWER_DENSITY, Quantity, TIME, WAVENUMBER
-from zpfcross.report import format_sig
 from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 from zpfcross.transition import transition_scale
 
@@ -321,7 +321,7 @@ class TestDissipationCommand:
         assert values["n_solar"] == "0"
         log_ns = (math.log(1e57) + math.log(0.459 * 6.86934e-238) / 0.459
                   + 3.0 * math.log(4.03e125 * LIGHTMINUTE_M
-                                   / CosmologyContext.default().hubble_radius.value))
+                                   / HUBBLE_RADIUS.value(CosmologyContext.default())))
         assert values["ns_solar"] == format_sig(math.exp(log_ns), 6) == "8.07237e-132"
 
 

@@ -160,7 +160,7 @@ class TestVectors:
         # d ln f / d ln X under overrides X*(1 +- 1e-6), for every constant
         h = 1e-6
         for constant in ("c", "G", "hbar", "H", "M_sun"):
-            up, down = (value(CosmologyContext.default({constant: ctx.value(constant) * f}))
+            up, down = (value(CosmologyContext.default({constant: ctx[constant].value * f}))
                         for f in (1.0 + h, 1.0 - h))
             slope = (math.log(up) - math.log(down)) / (math.log1p(h) - math.log1p(-h))
             expected = table.exponents.get(constant, 0.0)
@@ -184,11 +184,11 @@ class TestLiteralOracle:
                                                   e_kappa):
         kappa = 10.0 ** log_kappa
         scaled = CosmologyContext.default(
-            {**{name: ctx.value(name) * 10.0 ** s for name, s in log_scales.items()}, **rels})
-        G, hbar, c, H, M = (scaled.value(name) for name in ("G", "hbar", "c", "H", "M_sun"))
-        e = {name: scaled.rel_sigma(name) for name in ("G", "hbar", "c", "H")}
+            {**{name: ctx[name].value * 10.0 ** s for name, s in log_scales.items()}, **rels})
+        G, hbar, c, H, M = (scaled[name].value for name in ("G", "hbar", "c", "H", "M_sun"))
+        e = {name: scaled[name].rel_sigma for name in ("G", "hbar", "c", "H")}
 
-        assert scaled.rho_crit.value == 3.0 / (8.0 * math.pi) * H ** 2.0 * G ** -1.0
+        assert CRITICAL_DENSITY.value(scaled) == 3.0 / (8.0 * math.pi) * H ** 2.0 * G ** -1.0
         assert CRITICAL_ENERGY_DENSITY.value(scaled) == (
             3.0 / (8.0 * math.pi) * H ** 2.0 * G ** -1.0 * c ** 2.0)
         assert HORIZON_POWER_DENSITY.value(scaled) == (

@@ -1,12 +1,16 @@
+import copy
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zpfcross.constants import (
+    CRITICAL_DENSITY,
+    HUBBLE_RADIUS,
     MPC_M,
     CosmologyContext,
     ExponentTable,
-    PhysicalConstant,
     load_config,
     parse_config,
 )
@@ -22,54 +26,54 @@ def rel(x, y):
 
 class TestDefaults:
     def test_hubble_value_and_uncertainty(self, ctx):
-        assert ctx.value("H") == 2.49e-18
-        assert ctx.rel_sigma("H") == 0.15
+        assert ctx["H"].value == 2.49e-18
+        assert ctx["H"].rel_sigma == 0.15
 
     def test_quantity_carries_value_dimension_and_uncertainty(self, ctx):
-        h = ctx.quantity("H")
+        h = ctx["H"]
         assert h == Quantity(2.49e-18, FREQUENCY, 0.15)
         assert h.rel_sigma == 0.15
-        assert ctx.quantity("c").rel_sigma == 0.0
+        assert ctx["c"].rel_sigma == 0.0
 
     def test_codata_uncertainties(self, ctx):
-        assert ctx.rel_sigma("c") == 0.0
-        assert ctx.rel_sigma("G") == 1e-4
-        assert ctx.rel_sigma("hbar") == 5e-5
+        assert ctx["c"].rel_sigma == 0.0
+        assert ctx["G"].rel_sigma == 1e-4
+        assert ctx["hbar"].rel_sigma == 5e-5
 
     def test_codata_values(self, ctx):
-        assert ctx.value("c") == 2.99792458e8
-        assert ctx.value("G") == 6.67428e-11
-        assert ctx.value("hbar") == 1.054571628e-34
+        assert ctx["c"].value == 2.99792458e8
+        assert ctx["G"].value == 6.67428e-11
+        assert ctx["hbar"].value == 1.054571628e-34
 
     def test_auxiliary_values(self, ctx):
-        assert ctx.value("M_sun") == 1.98e30
-        assert ctx.value("day") == 86400.0
-        assert ctx.value("t") == 86400.0
-        assert ctx.value("ell") == 8.0 * 60.0 * 2.99792458e8
-        assert ctx.value("r_p") == 1.616e-35
+        assert ctx["M_sun"].value == 1.98e30
+        assert ctx["day"].value == 86400.0
+        assert ctx["t"].value == 86400.0
+        assert ctx["ell"].value == 8.0 * 60.0 * 2.99792458e8
+        assert ctx["r_p"].value == 1.616e-35
 
 
 class TestDerived:
     def test_critical_density_value(self, ctx):
         # oracle: direct arithmetic with the default constants
         expected = 3.0 * 2.49e-18 ** 2 / (8.0 * math.pi * 6.67428e-11)
-        rho = ctx.rho_crit
+        rho = CRITICAL_DENSITY.evaluate(ctx)
         assert rel(rho.value, expected) < 1e-12
         assert rel(rho.value, 1.11e-26) < 5e-3
         assert rho.dim == DENSITY
 
     def test_critical_density_uncertainty(self, ctx):
         expected = math.sqrt((2.0 * 0.15) ** 2 + 1e-4 ** 2)
-        assert rel(ctx.rho_crit.rel_sigma, expected) < 1e-12
-        assert rel(ctx.rho_crit.rel_sigma, 0.30) < 1e-3
+        assert rel(CRITICAL_DENSITY.evaluate(ctx).rel_sigma, expected) < 1e-12
+        assert rel(CRITICAL_DENSITY.evaluate(ctx).rel_sigma, 0.30) < 1e-3
 
     def test_exact_inputs_give_exact_density(self):
         ctx = CosmologyContext.default({"e_H": 0.0, "e_G": 0.0})
-        assert ctx.rho_crit.rel_sigma == 0.0
+        assert CRITICAL_DENSITY.evaluate(ctx).rel_sigma == 0.0
 
     def test_hubble_radius(self, ctx):
         expected = 2.99792458e8 / 2.49e-18
-        radius = ctx.hubble_radius
+        radius = HUBBLE_RADIUS.evaluate(ctx)
         assert rel(radius.value, expected) < 1e-12
         assert rel(radius.value, 1.20e26) < 5e-3
         assert radius.dim == LENGTH
@@ -77,12 +81,11 @@ class TestDerived:
 
     def test_hubble_radius_halves_when_h_doubles(self, ctx):
         doubled = CosmologyContext.default({"H": 2.0 * 2.49e-18})
-        assert rel(doubled.hubble_radius.value, ctx.hubble_radius.value / 2.0) < 1e-12
+        assert rel(HUBBLE_RADIUS.value(doubled), HUBBLE_RADIUS.value(ctx) / 2.0) < 1e-12
 
     def test_density_quadruples_when_h_doubles(self, ctx):
         doubled = CosmologyContext.default({"H": 2.0 * 2.49e-18})
-        assert rel(doubled.rho_crit.value,
-                   4.0 * ctx.rho_crit.value) < 1e-12
+        assert rel(CRITICAL_DENSITY.value(doubled), 4.0 * CRITICAL_DENSITY.value(ctx)) < 1e-12
 
 
 class TestOverrides:
@@ -106,9 +109,9 @@ class TestOverrides:
 
     def test_override_applies(self):
         ctx = CosmologyContext.default({"H": 1e-18, "e_H": 0.05})
-        assert ctx.value("H") == 1e-18
-        assert ctx.rel_sigma("H") == 0.05
-        assert ctx["H"].source == "override"
+        assert ctx["H"].value == 1e-18
+        assert ctx["H"].rel_sigma == 0.05
+        assert ctx.sources["H"] == "override"
 
     def test_registry_is_immutable(self, ctx):
         with pytest.raises(TypeError):
@@ -116,51 +119,78 @@ class TestOverrides:
 
     def test_dimension_cannot_be_overridden(self, ctx):
         # exponent tables rely on every context keeping the default dimensions
-        constants = [ctx[name] for name in ctx if name != "H"]
-        wrong_h = PhysicalConstant("H", Quantity(2.49e-18, TIME, 0.15))
         with pytest.raises(BadOverride):
-            CosmologyContext(constants + [wrong_h])
-        right_h = PhysicalConstant("H", Quantity(2.49e-18, FREQUENCY, 0.15))
-        assert CosmologyContext(constants + [right_h]).value("H") == 2.49e-18
+            CosmologyContext({**ctx, "H": Quantity(2.49e-18, TIME, 0.15)}, ctx.sources)
+        right_h = Quantity(2.49e-18, FREQUENCY, 0.15)
+        assert CosmologyContext({**ctx, "H": right_h}, ctx.sources)["H"] is right_h
 
     def test_unknown_name_follows_the_mapping_protocol(self, ctx):
         assert "warp" not in ctx
         assert ctx.get("warp") is None
         with pytest.raises(KeyError):
             ctx["warp"]
-        for read in (ctx.value, ctx.rel_sigma, ctx.quantity):
-            with pytest.raises(BadOverride):
-                read("warp")
 
     def test_missing_constant(self, ctx):
-        with pytest.raises(BadOverride):
-            CosmologyContext([ctx[name] for name in ctx if name != "G"])
+        with pytest.raises(BadOverride, match=r"^missing constants \['G'\]$"):
+            CosmologyContext({name: q for name, q in ctx.items() if name != "G"}, ctx.sources)
+
+    def test_constructor_takes_the_default_names_alone(self, ctx):
+        sources = dict(ctx.sources)
+        del sources["c"]
+        with pytest.raises(BadOverride, match=r"^missing sources \['c'\]$"):
+            CosmologyContext(ctx, sources)
+        with pytest.raises(BadOverride, match=r"^unknown constants \['warp'\]$"):
+            CosmologyContext({**ctx, "warp": Quantity(1.0, LENGTH)}, ctx.sources)
+        with pytest.raises(BadOverride, match=r"^unknown sources \['warp'\]$"):
+            CosmologyContext(ctx, {**ctx.sources, "warp": "a guess"})
 
     def test_non_positive_constant(self, ctx):
         # a sweep resolves the context's window and radius once for all cells
-        constants = [ctx[name] for name in ctx if name != "t"]
         for value in (0.0, -86400.0):
-            wrong_t = PhysicalConstant("t", Quantity(value, TIME))
             with pytest.raises(BadOverride):
-                CosmologyContext(constants + [wrong_t])
-
-    def test_duplicate_name(self, ctx):
-        with pytest.raises(BadOverride):
-            CosmologyContext(list(ctx.values()) + [ctx["H"]])
+                CosmologyContext({**ctx, "t": Quantity(value, TIME)}, ctx.sources)
 
     def test_override_equals_the_context_of_its_constants(self, ctx):
         h = 3e-18
-        constants = [PhysicalConstant("H", Quantity(h, FREQUENCY, 0.15), "override")
-                     if name == "H" else ctx[name] for name in ctx]
-        built = CosmologyContext(constants)
+        built = CosmologyContext({**ctx, "H": Quantity(h, FREQUENCY, 0.15)},
+                                 {**ctx.sources, "H": "override"})
         assert CosmologyContext.default({"H": h}) == built
         assert built != ctx
+
+    def test_contexts_compare_by_their_constants_alone(self, ctx):
+        relabelled = CosmologyContext(ctx, {**ctx.sources, "H": "override"})
+        assert relabelled == ctx and relabelled.sources != ctx.sources
 
     def test_determinism(self):
         a = CosmologyContext.default({"H": 3e-18})
         b = CosmologyContext.default({"H": 3e-18})
-        assert all(a.value(n) == b.value(n) and a.rel_sigma(n) == b.rel_sigma(n)
+        assert all(a[n].value == b[n].value and a[n].rel_sigma == b[n].rel_sigma
                    for n in a)
+
+    def test_sources_are_read_only(self, ctx):
+        assert ctx.sources["H"] == "Chandra X-ray Observatory, 77 km/s/Mpc"
+        with pytest.raises(TypeError):
+            ctx.sources["H"] = "override"
+
+
+NAMES = tuple(CosmologyContext.default())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(NAMES), st.floats(-3.0, 3.0)),
+       st.dictionaries(st.sampled_from(NAMES), st.floats(0.0, 1.0)))
+def test_each_name_maps_to_its_quantity_under_any_overrides(log_scales, rels):
+    base = CosmologyContext.default()
+    ctx = CosmologyContext.default(
+        {**{name: base[name].value * 10.0 ** s for name, s in log_scales.items()},
+         **{f"e_{name}": e for name, e in rels.items()}})
+    assert tuple(ctx) == NAMES
+    for name, quantity in ctx.items():
+        assert type(quantity) is Quantity and quantity.dim == base[name].dim
+        assert (ctx.sources[name] == "override") == (name in log_scales or name in rels)
+    G, c, H = (ctx[name].value for name in ("G", "c", "H"))
+    assert rel(CRITICAL_DENSITY.evaluate(ctx).value, 3.0 * H ** 2 / (8.0 * math.pi * G)) <= 1e-15
+    assert rel(HUBBLE_RADIUS.evaluate(ctx).value, c / H) <= 1e-15
 
 
 class TestConfigParsing:
@@ -212,7 +242,7 @@ class TestConfigParsing:
     def test_feeds_default_context(self):
         ctx = CosmologyContext.default(parse_config("H = 77 km/s/Mpc\n"))
         # 77 km/s/Mpc is about 2.4966e-18 1/s under the Mpc convention here
-        assert rel(ctx.value("H"), 2.4966e-18) < 1e-4
+        assert rel(ctx["H"].value, 2.4966e-18) < 1e-4
 
 
 class TestExponentTable:
@@ -220,12 +250,12 @@ class TestExponentTable:
         table = ExponentTable({"H": 2, "G": -1}, DENSITY, 3.0 / (8.0 * math.pi))
         rho = table.evaluate(ctx)
         assert rho.dim == DENSITY
-        assert rho.value == ctx.rho_crit.value
-        assert rho.rel_sigma == ctx.rho_crit.rel_sigma
+        assert rho.value == CRITICAL_DENSITY.value(ctx)
+        assert rho.rel_sigma == CRITICAL_DENSITY.evaluate(ctx).rel_sigma
         assert table.value(ctx) == rho.value
         # the same product in plain floats, its dimension composed per call
         slow = product_of_powers(3.0 / (8.0 * math.pi),
-                                 [(ctx.quantity("H"), 2), (ctx.quantity("G"), -1)])
+                                 [(ctx["H"], 2), (ctx["G"], -1)])
         assert slow == (rho.value, rho.rel_sigma, rho.dim)
 
     def test_wrong_dimension_rejected_at_build(self):
@@ -259,8 +289,8 @@ class TestResolvedOnce:
         first = CosmologyContext.default({"e_H": 0.1})
         second = CosmologyContext.default({"e_H": 0.1})
         assert first is not second and first is not CosmologyContext.default()
-        assert first.rel_sigma("H") == 0.1
-        assert CosmologyContext.default().rel_sigma("H") == 0.15
+        assert first["H"].rel_sigma == 0.1
+        assert CosmologyContext.default()["H"].rel_sigma == 0.15
 
     def test_factor_list_resolved_once_per_registry(self, ctx):
         factors = ctx.factors(("H", "G"))
@@ -289,20 +319,18 @@ class TestTableCache:
 
     def test_contexts_do_not_share_values(self, ctx):
         from zpfcross.transition import CROSSOVER_VOLUME
-        from zpfcross.constants import HUBBLE_RADIUS
 
         doubled = CosmologyContext.default({"H": 2.0 * 2.49e-18})
         for context in (ctx, doubled, ctx, doubled):  # each cache filled, then read
             assert CROSSOVER_VOLUME.value(context) == (
-                context.value("G") * context.value("hbar") * context.value("c") ** -2.0
-                * context.value("H") ** -1.0)
+                context["G"].value * context["hbar"].value * context["c"].value ** -2.0
+                * context["H"].value ** -1.0)
         assert rel(CROSSOVER_VOLUME.value(doubled), CROSSOVER_VOLUME.value(ctx) / 2.0) < 1e-15
         assert rel(HUBBLE_RADIUS.value(doubled), HUBBLE_RADIUS.value(ctx) / 2.0) < 1e-15
         assert HUBBLE_RADIUS.powers(doubled) != HUBBLE_RADIUS.powers(ctx)
         assert (HUBBLE_RADIUS * 3.0).evaluate(doubled).value == 3.0 * HUBBLE_RADIUS.value(doubled)
 
     def test_failure_is_raised_again_and_never_kept(self):
-        from zpfcross.constants import HUBBLE_RADIUS
         from zpfcross.errors import NonFinite
         from zpfcross.transition import CROSSOVER_VOLUME
 
@@ -350,16 +378,13 @@ class TestTableCache:
                 gc.enable()
 
     def test_cache_leaves_identity_alone(self):
-        import copy
-        import pickle
-
         from zpfcross.transition import transition_scale
 
         ctx = CosmologyContext.default({"e_G": 2e-4})
         twin = CosmologyContext.default({"e_G": 2e-4})
         pickled = pickle.dumps(ctx)
         transition_scale(1.8, 1e-5, ctx)  # fills the caches of ctx only
-        ctx.rho_crit, ctx.hubble_radius
+        CRITICAL_DENSITY.evaluate(ctx), HUBBLE_RADIUS.evaluate(ctx)
         assert ctx == twin and twin == ctx
         assert ctx != CosmologyContext.default()
         with pytest.raises(TypeError):
@@ -367,4 +392,5 @@ class TestTableCache:
         assert pickle.dumps(ctx) == pickled == pickle.dumps(twin)
         for clone in (pickle.loads(pickled), copy.deepcopy(ctx), copy.copy(ctx)):
             assert clone == ctx and clone is not ctx
+            assert clone.sources == ctx.sources and clone.sources["G"] == "override"
             assert transition_scale(1.8, 1e-5, clone) == transition_scale(1.8, 1e-5, ctx)

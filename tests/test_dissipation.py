@@ -15,7 +15,7 @@ from zpfcross.dissipation import (
     n0_value,
     solar_budget,
 )
-from zpfcross.constants import MPC_M
+from zpfcross.constants import CRITICAL_DENSITY, HUBBLE_RADIUS, MPC_M
 from zpfcross.errors import KappaOutOfRange, NonFinite, SlopeOutOfRange, ValidationError
 from zpfcross.quantity import (
     LENGTH,
@@ -40,7 +40,7 @@ def rel(x, y):
 
 class TestDissipationRate:
     def test_a2_kappa1_collapses_to_rho_c3_over_r(self, ctx):
-        expected = ctx.rho_crit.value * C ** 3 / ctx.hubble_radius.value
+        expected = CRITICAL_DENSITY.value(ctx) * C ** 3 / HUBBLE_RADIUS.value(ctx)
         eps = solar_budget(1.0, 2.0, ctx).epsilon
         assert rel(eps.value, expected) < 1e-12
         assert rel(eps.value, 2.5e-27) < 0.01
@@ -57,8 +57,8 @@ class TestDissipationRate:
         # for eps with the calibrated A, evaluated in logs (A**(3*gamma-1)
         # underflows for a = 1.7), dimensions via exact fractions on the
         # amplitude's dimension as built here
-        rho = ctx.rho_crit
-        c = ctx.quantity("c")
+        rho = CRITICAL_DENSITY.evaluate(ctx)
+        c = ctx["c"]
         for a in (1.7, 1.8, 2.0, 2.5):
             for kappa in (1.0, 1e-5):
                 af = Fraction(a)
@@ -100,7 +100,7 @@ class TestSolarBudget:
 
     def test_computed_mode_n0(self, ctx):
         # oracle: rho*c*R**2*t/M from the default constants
-        expected = (ctx.rho_crit.value * C * ctx.hubble_radius.value ** 2
+        expected = (CRITICAL_DENSITY.value(ctx) * C * HUBBLE_RADIUS.value(ctx) ** 2
                     * 86400.0 / 1.98e30)
         n0 = n0_value(ctx, n0_mode="computed")
         assert rel(n0.value, expected) < 1e-12
@@ -113,13 +113,13 @@ class TestSolarBudget:
         # the import-checked tables give the numbers of plain floats with
         # the dimension composed per call
         slow = product_of_powers(3.0 / (8.0 * math.pi),
-                                 [(ctx.quantity(name), p)
+                                 [(ctx[name], p)
                                   for name, p in (("G", -1), ("c", 3), ("M_sun", -1))]
                                  + [(Quantity(86400.0, TIME), 1)])
         fast = n0_value(ctx, n0_mode="computed")
         assert (fast.value, fast.rel_sigma, fast.dim) == slow
         coeff = 3.0 / (8.0 * math.pi) * (0.8 * 1e-5) ** (1.0 / 0.8)
-        slow = product_of_powers(coeff, [(ctx.quantity(name), p)
+        slow = product_of_powers(coeff, [(ctx[name], p)
                                          for name, p in (("G", -1), ("H", 3), ("c", 2))])
         fast = solar_budget(1e-5, 1.8, ctx).epsilon
         assert (fast.value, fast.rel_sigma, fast.dim) == slow
@@ -136,7 +136,7 @@ class TestSolarBudget:
     def test_budget_internal_identities(self, ctx):
         budget = solar_budget(1e-5, 1.8, ctx, n0_mode="paper")
         assert budget.n_solar == budget.n0 * ((1.8 - 1.0) * 1e-5) ** (1.0 / 0.8)
-        ratio = budget.ell.value / ctx.hubble_radius.value
+        ratio = budget.ell.value / HUBBLE_RADIUS.value(ctx)
         assert budget.ns_solar == budget.n_solar * ratio ** 3
         assert isinstance(budget, DissipationBudget)
 
@@ -170,14 +170,14 @@ class TestSolarBudget:
 
 class TestRescaledCount:
     def test_identity_at_hubble_radius(self, ctx):
-        radius = ctx.hubble_radius
+        radius = HUBBLE_RADIUS.evaluate(ctx)
         budget = solar_budget(1e-5, 1.8, ctx, ell=radius)
         assert budget.ns_solar == budget.n_solar
 
     def test_published_chain_a17(self, ctx):
         # N = 1e49 at ell = 8 lightminutes lands at the published 1e5
         # only as an order of magnitude
-        budget = solar_budget(1e-5, 1.7, ctx, ell=ctx.quantity("ell"))
+        budget = solar_budget(1e-5, 1.7, ctx, ell=ctx["ell"])
         assert abs(math.log10(budget.n_solar) - 49.0) < 1.0
         assert abs(math.log10(budget.ns_solar) - 5.0) < 1.0
 
@@ -193,7 +193,7 @@ class TestRescaledCount:
         # (ell/R)**3 overflows at ell = 1e120 lightminutes and underflows
         # to zero at 1e-94, while N_s = N*(ell/R)**3 is a normal float;
         # N_s is then N times ell/R three times over
-        radius = ctx.hubble_radius.value
+        radius = HUBBLE_RADIUS.value(ctx)
         lightminute = 60.0 * C
         for kappa, ell, expected in ((1e-300, 1e120 * lightminute, 5.957e211),
                                      (1.0, 1e-94 * lightminute, 4.6748e-273)):
@@ -213,7 +213,7 @@ class TestRescaledCount:
         assert budget.n_solar == 0.0
         # oracle: the count in logs
         log_ns = (math.log(1e57) + math.log(0.459 * kappa) / 0.459
-                  + 3.0 * (math.log(ell) - math.log(ctx.hubble_radius.value)))
+                  + 3.0 * (math.log(ell) - math.log(HUBBLE_RADIUS.value(ctx))))
         assert rel(budget.ns_solar, math.exp(log_ns)) < 1e-12
         assert rel(budget.ns_solar, 8.07237e-132) < 1e-5
         # a subnormal N (about 2e-311, computed N0) is formed in logs too
@@ -221,7 +221,7 @@ class TestRescaledCount:
                               n0_mode="computed")
         assert 0.0 < budget.n_solar < sys.float_info.min
         log_ns = (math.log(budget.n0) + math.log(1e-160) / 0.5
-                  + 3.0 * (math.log(1e66 * lightminute) - math.log(ctx.hubble_radius.value)))
+                  + 3.0 * (math.log(1e66 * lightminute) - math.log(HUBBLE_RADIUS.value(ctx))))
         assert rel(budget.ns_solar, math.exp(log_ns)) < 1e-12
         # the sweep's Ns column is the same cell
         big = CosmologyContext.default({"ell": ell})
@@ -306,7 +306,7 @@ class TestSubnormalCascade:
         # refused with ValidationError or NonFinite; one that forms inverts
         kappa = 10.0 ** log_kappa
         scaled = CosmologyContext.default(
-            {name: ctx.value(name) * 10.0 ** s for name, s in log_scales.items()})
+            {name: ctx[name].value * 10.0 ** s for name, s in log_scales.items()})
         try:
             budget = solar_budget(kappa, a, scaled, n0_mode=n0_mode)
         except (ValidationError, NonFinite):
@@ -379,7 +379,7 @@ class TestSolarBound:
             kappa, _ = kappa_from_solar_bound(1e-12, a, ctx)
             budget = solar_budget(kappa, a, ctx)
             assert rel(budget.ns_solar, 1e-12) < 1e-12
-            ratio = ctx.hubble_radius.value / budget.ell.value
+            ratio = HUBBLE_RADIUS.value(ctx) / budget.ell.value
             assert kappa == kappa_from_count(1e-12 * ratio ** 3, PAPER_N0, a)
 
     def test_doubling_bound_scales_kappa(self, ctx):
@@ -419,7 +419,7 @@ class TestSolarBound:
         # subnormal at 1e130 m, while N = Ns*(R/ell)**3 is a normal float;
         # N is then Ns times R/ell three times over
         for ns, ell, a in ((1e-300, 1e-90, 1.3), (1e300, 1e130, 2.9)):
-            ratio = ctx.hubble_radius.value / ell
+            ratio = HUBBLE_RADIUS.value(ctx) / ell
             n_solar = ns * ratio * ratio * ratio
             assert 1e-200 < n_solar < 1e200
             kappa, _ = kappa_from_solar_bound(ns, a, ctx, ell=Quantity(ell, LENGTH))
@@ -458,17 +458,17 @@ class TestPublishedBoundNumbers:
 
     def test_halving_n_is_doubling_n0(self, ctx):
         for a in self.PUBLISHED:
-            ratio = ctx.hubble_radius.value / ctx.value("ell")
+            ratio = HUBBLE_RADIUS.value(ctx) / ctx["ell"].value
             assert rel(kappa_from_solar_bound(5e-13, a, ctx)[0],
                        kappa_from_count(1e-12 * ratio ** 3, 2.0 * PAPER_N0, a)) < 1e-12
 
     def test_hubble_radius_at_h1_in_the_count(self, ctx):
         # R = c/(100 km/s/Mpc) in N = Ns*(R/ell)**3 alone, lambda0 from the
         # default constants: 68.0 km (1.01x) and 636.5 km (1.01x)
-        radius = ctx.value("c") / (100e3 / MPC_M)
+        radius = ctx["c"].value / (100e3 / MPC_M)
         found = []
         for a, (_, lambda0_pub) in self.PUBLISHED.items():
-            kappa = kappa_from_count(1e-12 * (radius / ctx.value("ell")) ** 3, PAPER_N0, a)
+            kappa = kappa_from_count(1e-12 * (radius / ctx["ell"].value) ** 3, PAPER_N0, a)
             lambda0 = transition_scale(a, kappa, ctx).lambda0.value
             found.append((round(lambda0 / 1e3, 1), round(lambda0 / lambda0_pub, 2)))
         assert found == [(68.0, 1.01), (636.5, 1.01)]

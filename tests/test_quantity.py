@@ -302,7 +302,7 @@ class TestRecord:
 
 
 _CTX = CosmologyContext.default()
-_HBAR, _C = _CTX.quantity("hbar"), _CTX.quantity("c")
+_HBAR, _C = _CTX["hbar"], _CTX["c"]
 _CUTOFF = Quantity(1e30, WAVENUMBER)
 # the records that are not tuples: (build one, its fields, records it must
 # not equal, what it computes from its fields, derived slots included)

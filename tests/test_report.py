@@ -8,14 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from zpfcross import CosmologyContext
 from zpfcross.dissipation import N0_MODES, solar_budget
 from zpfcross.errors import EmptySweep, NumericFailure, ValidationError
+from zpfcross.formatting import format_rows, format_sig
 from zpfcross.report import (
     BASE_COLUMNS,
     EXTRA_COLUMNS,
     EXTRA_OUTPUTS,
     ReportRow,
     SweepSpec,
-    format_rows,
-    format_sig,
     render,
     run_sweep,
 )

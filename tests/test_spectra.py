@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from zpfcross.constants import CRITICAL_ENERGY_DENSITY, CosmologyContext
+from zpfcross.constants import (CRITICAL_DENSITY, CRITICAL_ENERGY_DENSITY, HUBBLE_RADIUS,
+                                CosmologyContext)
 from zpfcross.errors import (
     DimensionMismatch,
     KappaOutOfRange,
@@ -89,7 +90,7 @@ class TestBoyer:
 
     @pytest.mark.parametrize("model", [Boyer, TruncatedBoyer])
     def test_wrong_input_dimension_names_the_input(self, ctx, model):
-        hbar, c = ctx.quantity("hbar"), ctx.quantity("c")
+        hbar, c = ctx["hbar"], ctx["c"]
         cutoff = (k_of(1.0),) if model is TruncatedBoyer else ()
         with pytest.raises(DimensionMismatch,
                            match=r"^hbar must have dimension \[m\^2·kg·s\^-1\]"):
@@ -130,9 +131,9 @@ class TestTruncatedBoyer:
 
     def test_bad_cutoff(self, ctx):
         with pytest.raises(NonPositiveWavenumber):
-            TruncatedBoyer(ctx.quantity("hbar"), ctx.quantity("c"), k_of(0.0))
+            TruncatedBoyer(ctx["hbar"], ctx["c"], k_of(0.0))
         with pytest.raises(DimensionMismatch, match="wavenumber"):
-            TruncatedBoyer(ctx.quantity("hbar"), ctx.quantity("c"), Quantity(1.0))
+            TruncatedBoyer(ctx["hbar"], ctx["c"], Quantity(1.0))
 
     def test_far_above_cutoff_is_zero_not_overflow(self, ctx):
         # k**3 overflows a float at k = 1e300; above the cutoff it is not formed
@@ -184,8 +185,8 @@ class TestSlopeMaps:
 
 class TestAmplitude:
     def test_a2_equals_rho_c2_over_r(self, ctx):
-        rho = ctx.rho_crit.value
-        radius = ctx.hubble_radius.value
+        rho = CRITICAL_DENSITY.value(ctx)
+        radius = HUBBLE_RADIUS.value(ctx)
         amp = amplitude_from_kappa(1.0, 2.0, ctx)
         assert rel(amp.value, rho * 2.99792458e8 ** 2 / radius) < 1e-12
 
@@ -214,10 +215,10 @@ class TestAmplitude:
         # in log space (u = ln k) so the improper tail is exponential
         a, kappa = 1.7, 1.0
         amp = amplitude_from_kappa(kappa, a, ctx).value
-        u0 = math.log(1.0 / ctx.hubble_radius.value)
+        u0 = math.log(1.0 / HUBBLE_RADIUS.value(ctx))
         total, err = quad(lambda u: amp * math.exp((1.0 - a) * u), u0, math.inf,
                           epsabs=0.0, epsrel=1e-9)
-        target = kappa * ctx.rho_crit.value * 2.99792458e8 ** 2
+        target = kappa * CRITICAL_DENSITY.value(ctx) * 2.99792458e8 ** 2
         assert rel(total, target) < 1e-6
 
     def test_equals_the_exact_propagation(self, ctx):
@@ -231,7 +232,7 @@ class TestAmplitude:
                                 (horizon_spectrum_amplitude(a, custom),
                                  3.0 ** (a - 1.0) * 3.0 / (8.0 * math.pi))):
                 value, rel_sigma, dim = product_of_powers(
-                    coeff, [(custom.quantity(name), p)
+                    coeff, [(custom[name], p)
                             for name, p in (("G", -1), ("H", 1 + af), ("c", 3 - af))])
                 assert rel(fast.value, value) < 1e-14
                 assert rel(fast.rel_sigma, rel_sigma) < 1e-14
@@ -254,18 +255,18 @@ class TestBudgetRoundtrip:
     def test_closed_form_inverse(self, ctx):
         # integral(A*k**-a, k = 1/R .. inf) = A*R**(a-1)/(a-1) recovers
         # kappa*rho*c**2, in plain floats
-        radius = ctx.hubble_radius.value
+        radius = HUBBLE_RADIUS.value(ctx)
         for a in (1.3, 1.7, 1.8, 2.0, 2.7):
             for kappa in (1.0, 0.5, 1e-5):
                 amp = amplitude_from_kappa(kappa, a, ctx)
                 total = amp.value * radius ** (a - 1.0) / (a - 1.0)
-                target = kappa * ctx.rho_crit.value * 2.99792458e8 ** 2
+                target = kappa * CRITICAL_DENSITY.value(ctx) * 2.99792458e8 ** 2
                 assert rel(total, target) < 1e-12
                 assert amp.dim * LENGTH ** (a - 1.0) == ENERGY_DENSITY
 
     def test_energy_budget_total(self, ctx):
         total = (CRITICAL_ENERGY_DENSITY * 0.5).evaluate(ctx)
-        target = 0.5 * ctx.rho_crit.value * 2.99792458e8 ** 2
+        target = 0.5 * CRITICAL_DENSITY.value(ctx) * 2.99792458e8 ** 2
         assert rel(total.value, target) < 1e-12
         assert total.dim == ENERGY_DENSITY
 
@@ -278,7 +279,7 @@ class TestBudgetRoundtrip:
         # truncated budget over [1/R, 1e6/R]: quadrature vs closed form
         a = 1.8
         amp = amplitude_from_kappa(1.0, a, ctx).value
-        k1 = 1.0 / ctx.hubble_radius.value
+        k1 = 1.0 / HUBBLE_RADIUS.value(ctx)
         k2 = 1e6 * k1
         numeric, err = quad(lambda u: amp * math.exp((1.0 - a) * u),
                             math.log(k1), math.log(k2), epsabs=0.0, epsrel=1e-10)
@@ -289,8 +290,8 @@ class TestBudgetRoundtrip:
 class TestHorizonInjection:
     def test_value(self, ctx):
         # oracle: 3*rho*c**3/R by direct arithmetic
-        expected = (3.0 * ctx.rho_crit.value * 2.99792458e8 ** 3
-                    / ctx.hubble_radius.value)
+        expected = (3.0 * CRITICAL_DENSITY.value(ctx) * 2.99792458e8 ** 3
+                    / HUBBLE_RADIUS.value(ctx))
         rate = horizon_injection_rate(ctx)
         assert rel(rate.value, expected) < 1e-12
         assert rel(rate.value, 7.4e-27) < 1e-2
@@ -306,7 +307,7 @@ class TestHorizonInjection:
                  (("G", -1), ("H", 3), ("c", 2))),
                 (CRITICAL_ENERGY_DENSITY.evaluate(ctx),
                  3.0 / (8.0 * math.pi), (("H", 2), ("G", -1), ("c", 2)))):
-            slow = product_of_powers(coeff, [(ctx.quantity(name), p) for name, p in powers])
+            slow = product_of_powers(coeff, [(ctx[name], p) for name, p in powers])
             assert (fast.value, fast.rel_sigma, fast.dim) == slow
         assert CRITICAL_ENERGY_DENSITY.dim == ENERGY_DENSITY
 
@@ -352,7 +353,7 @@ class TestHorizonAmplitude:
 class TestMoisseevShivamoggi:
     def test_kadomtsev_petviashvili_at_gamma_1(self, ctx):
         ms = MoisseevShivamoggi.from_context(ctx, 1.0)
-        c = ctx.quantity("c")
+        c = ctx["c"]
         for k in (1e-20, 1e-3, 1.0, 1e10):
             # eps/c * k**-2, its dimension composed alongside
             kp = ms.epsilon.value / c.value * k ** -2.0
@@ -362,9 +363,9 @@ class TestMoisseevShivamoggi:
     def test_kolmogorov_limit(self, ctx):
         # within 0.1% of C*rho**(1/3)*eps**(2/3)*k**(-5/3) at gamma = 1e6
         ms = MoisseevShivamoggi.from_context(ctx, 1e6)
-        rho = ctx.rho_crit.value
+        rho = CRITICAL_DENSITY.value(ctx)
         eps = horizon_injection_rate(ctx).value
-        radius = ctx.hubble_radius.value
+        radius = HUBBLE_RADIUS.value(ctx)
         for i in range(11):
             k = (1.0 / radius) * 10.0 ** i
             kolmo = rho ** (1.0 / 3.0) * eps ** (2.0 / 3.0) * k ** (-5.0 / 3.0)
@@ -413,8 +414,8 @@ class TestMoisseevShivamoggi:
 
     @pytest.mark.parametrize("name", ["epsilon", "rho", "c"])
     def test_wrong_input_dimension_names_the_input(self, ctx, name):
-        inputs = {"epsilon": horizon_injection_rate(ctx), "rho": ctx.rho_crit,
-                  "c": ctx.quantity("c")}
+        inputs = {"epsilon": horizon_injection_rate(ctx), "rho": CRITICAL_DENSITY.evaluate(ctx),
+                  "c": ctx["c"]}
         inputs[name] = Quantity(1.0, WAVENUMBER)
         with pytest.raises(DimensionMismatch, match=f"^{name} must have dimension"):
             MoisseevShivamoggi(2.0, **inputs)
@@ -472,7 +473,7 @@ class TestSpectrumProperties:
     def test_truncation_is_inclusive(self, ctx, log10_k, pick):
         k = 10.0 ** np.array(log10_k)
         cutoff = float(k[pick % k.size])
-        trunc = TruncatedBoyer(ctx.quantity("hbar"), ctx.quantity("c"), k_of(cutoff))
+        trunc = TruncatedBoyer(ctx["hbar"], ctx["c"], k_of(cutoff))
         boyer = Boyer.from_context(ctx).kernel(k)
         assert trunc.kernel(k).tolist() == np.where(k > cutoff, 0.0, boyer).tolist()
         assert trunc.kernel(cutoff) == Boyer.from_context(ctx).kernel(cutoff) > 0.0

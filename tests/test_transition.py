@@ -65,7 +65,7 @@ def sample_inputs(a, ctx, e_kappa):
     """(e_X, p_X) of the inputs with e_X > 0 among G, c, hbar, H and kappa:
     the columns of a normal-mode draw, in that order."""
     q = 1.0 / (3.0 + a)
-    rels = np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [e_kappa])
+    rels = np.array([ctx[name].rel_sigma for name in ("G", "c", "hbar", "H")] + [e_kappa])
     exponents = np.array([q, (a - 2.0) * q, q, -(a + 1.0) * q, -q])
     return rels[rels > 0.0], exponents[rels > 0.0]
 
@@ -296,7 +296,7 @@ class TestProperties:
     def test_budget_vector_is_the_closed_form_power_law(self, ctx, a, log_kappa, log_scales):
         # lambda0 is an exact power law in each input, so doubling input X
         # multiplies it by 2**p_X, whatever code formed the vector
-        values = {name: ctx.value(name) * 10.0 ** s for name, s in log_scales.items()}
+        values = {name: ctx[name].value * 10.0 ** s for name, s in log_scales.items()}
         kappa = 10.0 ** log_kappa
         scaled = CosmologyContext.default(values)
         lambda0 = transition_scale(a, kappa, scaled).lambda0.value
@@ -318,7 +318,7 @@ class TestProperties:
         kappa = 10.0 ** log_kappa
         k0 = transition_scale(a, kappa, ctx).k0.value
         # the default bracket: the largest eddy to the Planck wavenumber
-        assume(1.0 / ctx.hubble_radius.value < k0 < 2.0 * math.pi / ctx.value("r_p"))
+        assume(1.0 / HUBBLE_RADIUS.value(ctx) < k0 < 2.0 * math.pi / ctx["r_p"].value)
         turb = PowerLawTurbulence.from_kappa(ctx, kappa, a)
         assert rel(numeric_crossover(Boyer.from_context(ctx), turb, ctx).value, k0) < 1e-9
 
@@ -639,7 +639,7 @@ class TestMonteCarloStream:
         ctx = CosmologyContext.default({"e_c": 1e-3})
         n = 3 * BLOCK + 17
         mc = monte_carlo_scale(1.8, 1e-3, n, 3, ctx, e_kappa=0.1, sampling=sampling)
-        rels = np.array([ctx.rel_sigma(name) for name in ("G", "c", "hbar", "H")] + [0.1])
+        rels = np.array([ctx[name].rel_sigma for name in ("G", "c", "hbar", "H")] + [0.1])
         exponents = np.array([1.0, -0.2, 1.0, -2.8, -1.0]) / 4.8
         rng = transition._generator(3)
         if sampling == "normal":
