@@ -22,6 +22,12 @@ command runs: the first call loads the owning module and binds its
 exports once per process, and each later call is one attribute lookup.
 Parsing, ``constants`` and ``build_parser()`` load none of ``spectra``,
 ``transition``, ``dissipation`` and ``report``.
+
+The point queries hand their raw values to ``_write_answer``, which
+formats them in one ``format_values`` call; ``constants`` formats its
+values in one such call too, as repr. ``sweep`` writes ``report.render``'s
+text, and ``spectrum`` its rows as f-strings of each float's repr, the
+fastest way to write the stream.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import zpfcross
 
 from .constants import DAY_S, LIGHTMINUTE_M, CosmologyContext, load_config
 from .errors import NumericFailure, ValidationError, ZpfcrossError
-from .formatting import format_rows, format_sig
+from .formatting import format_rows, format_values
 from .quantity import LENGTH, POWER_DENSITY, Dimension, Quantity, TIME, WAVENUMBER
 
 
@@ -63,39 +69,39 @@ def _sigfigs(text: str) -> int:
     return min(value, 767)
 
 
-def _write_pairs(pairs: Sequence[Tuple[str, str]], format: str) -> None:
-    """Name/value pairs: one per line as a table, a header and one row as CSV."""
-    sys.stdout.write(format_rows(pairs if format == "table" else list(zip(*pairs)), format))
+def _write_answer(args: argparse.Namespace, answer: Dict[str, float], counts: int = 0) -> None:
+    """Write a point query's answer, every value formatted in one call: the
+    two inputs that it echoes first to 6 significant figures, the others to
+    --sigfigs, and its last ``counts`` values, which are counts, whole (17
+    figures print an int below 2**53 as str does). As a table, one
+    name/value pair per line; as CSV, a header and one row."""
+    figures = [6, 6] + [args.sigfigs] * (len(answer) - 2 - counts) + [17] * counts
+    texts = format_values(list(answer.values()), figures)
+    rows = list(zip(answer, texts)) if args.format == "table" else [tuple(answer), texts]
+    sys.stdout.write(format_rows(rows, args.format))
 
 
 def _cmd_constants(args: argparse.Namespace, ctx: CosmologyContext) -> int:
+    items = list(ctx.items())
+    texts = iter(format_values([x for _, q in items for x in (q.value, q.rel_sigma)], None))
     rows = [("name", "value", "unit", "rel_sigma", "source")]
-    rows += [(name, repr(q.value), str(q.dim), repr(q.rel_sigma), ctx.sources[name])
-             for name, q in ctx.items()]
+    rows += [(name, next(texts), str(q.dim), next(texts), ctx.sources[name]) for name, q in items]
     sys.stdout.write(format_rows(rows, args.format))
     return 0
 
 
 def _cmd_transition(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     result = zpfcross.transition_scale(args.slope, args.kappa, ctx, e_kappa=args.ekappa)
-    sig = args.sigfigs
-    pairs = [
-        ("a", format_sig(args.slope, 6)),
-        ("kappa", format_sig(args.kappa, 6)),
-        ("lambda0_m", format_sig(result.lambda0.value, sig)),
-        ("sigma_m", format_sig(result.sigma.value, sig)),
-        ("rel_sigma", format_sig(result.rel_sigma, sig)),
-        ("k0_per_m", format_sig(result.k0.value, sig)),
-    ]
-    for name, contribution in result.sigma_breakdown.items():
-        pairs.append((f"sigma_{name}", format_sig(contribution, sig)))
+    answer = {"a": args.slope, "kappa": args.kappa, "lambda0_m": result.lambda0.value,
+              "sigma_m": result.sigma.value, "rel_sigma": result.rel_sigma,
+              "k0_per_m": result.k0.value,
+              **{f"sigma_{name}": part for name, part in result.sigma_breakdown.items()}}
     if args.mc:
         mc = zpfcross.monte_carlo_scale(args.slope, args.kappa, args.mc, args.seed, ctx,
                                         e_kappa=args.ekappa)
-        pairs += [("mc_mean_m", format_sig(mc.mean.value, sig)),
-                  ("mc_rel_sigma", format_sig(mc.rel_sigma, sig)),
-                  ("mc_rejected", str(mc.rejected))]
-    _write_pairs(pairs, args.format)
+        answer.update(mc_mean_m=mc.mean.value, mc_rel_sigma=mc.rel_sigma,
+                      mc_rejected=mc.rejected)
+    _write_answer(args, answer, counts=1 if args.mc else 0)
     return 0
 
 
@@ -138,18 +144,11 @@ def _cmd_dissipation(args: argparse.Namespace, ctx: CosmologyContext) -> int:
     budget = zpfcross.solar_budget(args.kappa, args.slope, ctx, window_t=window,
                                    ell=radius, n0_mode=args.n0)
     print(_n0_note(ctx, args.n0, window))
-    sig = args.sigfigs
-    _write_pairs([
-        ("kappa", format_sig(budget.kappa, 6)),
-        ("a", format_sig(budget.slope, 6)),
-        ("epsilon_w_m3", format_sig(budget.epsilon.value, sig)),
-        ("epsilon_rel_sigma", format_sig(budget.epsilon.rel_sigma, sig)),
-        ("n0", format_sig(budget.n0, sig)),
-        ("n_solar", format_sig(budget.n_solar, sig)),
-        ("ns_solar", format_sig(budget.ns_solar, sig)),
-        ("window_days", format_sig(budget.window_t.value / DAY_S, sig)),
-        ("ell_m", format_sig(budget.ell.value, sig)),
-    ], args.format)
+    answer = {"kappa": budget.kappa, "a": budget.slope, "epsilon_w_m3": budget.epsilon.value,
+              "epsilon_rel_sigma": budget.epsilon.rel_sigma, "n0": budget.n0,
+              "n_solar": budget.n_solar, "ns_solar": budget.ns_solar,
+              "window_days": budget.window_t.value / DAY_S, "ell_m": budget.ell.value}
+    _write_answer(args, answer)
     return 0
 
 
@@ -159,14 +158,9 @@ def _cmd_bound(args: argparse.Namespace, ctx: CosmologyContext) -> int:
                                                     window_t=window, ell=radius,
                                                     n0_mode=args.n0)
     print(_n0_note(ctx, args.n0, window))
-    sig = args.sigfigs
-    _write_pairs([
-        ("ns_bound", format_sig(args.ns, 6)),
-        ("a", format_sig(args.slope, 6)),
-        ("kappa", format_sig(kappa, sig)),
-        ("lambda0_m", format_sig(result.lambda0.value, sig)),
-        ("sigma_m", format_sig(result.sigma.value, sig)),
-    ], args.format)
+    answer = {"ns_bound": args.ns, "a": args.slope, "kappa": kappa,
+              "lambda0_m": result.lambda0.value, "sigma_m": result.sigma.value}
+    _write_answer(args, answer)
     return 0
 
 

@@ -252,8 +252,10 @@ class CosmologyContext(Mapping[str, Quantity]):
     so it resolves each table's factors and powers once (ignored by ==,
     pickle and copy); code run per slope composes exponents, not tables,
     so the keys stay the module tables'. == compares the constants alone,
-    not their sources.
+    not their sources. Its attributes cannot be set or deleted.
     """
+
+    __slots__ = ("_table", "sources", "_factors", "_powers", "__weakref__")
 
     def __init__(self, quantities: Mapping[str, Quantity], sources: Mapping[str, str]):
         for kind, given in (("constants", quantities), ("sources", sources)):
@@ -270,9 +272,9 @@ class CosmologyContext(Mapping[str, Quantity]):
             if not quantity.value > 0.0:
                 raise BadOverride(f"constant {name!r} must be positive, "
                                   f"got {quantity.value!r}")
-        self._table = table
-        self.sources = MappingProxyType({name: sources[name] for name in _NAMES})
-        self._factors, self._powers = {}, {}  # names -> factors, (names, exps) -> powers
+        sources = MappingProxyType({name: sources[name] for name in _NAMES})
+        for slot, value in zip(self.__slots__, (table, sources, {}, {})):  # {}: the caches
+            object.__setattr__(self, slot, value)
 
     @classmethod
     def default(cls, overrides: Optional[Mapping[str, float]] = None) -> "CosmologyContext":
@@ -321,6 +323,8 @@ class CosmologyContext(Mapping[str, Quantity]):
 
     def __reduce__(self):
         return type(self), (self._table, dict(self.sources))
+
+    __setattr__ = __delattr__ = Record.__setattr__  # frozen, as a Record is
 
     def factors(self, names: Tuple[str, ...]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
         """The values and the rel_sigmas of the constants ``names``, looked up once."""

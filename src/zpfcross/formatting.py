@@ -1,27 +1,37 @@
 """Text of computed values and the table/CSV layout of text rows.
 
-Shared by the CLI's point queries and by ``report``'s sweep render, so a
-point query formats its answer without loading the sweep machinery."""
+``format_values`` gives a batch of values their text by one rule:
+significant figures with compact exponents (5.17e3, 1e-5) for tables
+and point queries, the shortest round-trip repr for CSV sweeps. Shared
+by the CLI and by ``report``'s render, so a point query formats its
+answer without loading the sweep machinery."""
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from .errors import ValidationError
 
 
-def _compact(text: str) -> str:
-    """'%g' text with compact exponents: 5.17e+03 -> 5.17e3, 1e-05 -> 1e-5."""
-    return text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
-
-
-def format_sig(value: Optional[float], sigfigs: int = 3) -> str:
-    """Format to significant figures with compact exponents (5.17e3)."""
-    if value is None:
-        return ""
-    text = "%.*g" % (sigfigs, value)
-    return _compact(text) if "e" in text else text
+def format_values(values: Sequence[Optional[float]],
+                  sigfigs: Union[None, int, Sequence[int]]) -> List[str]:
+    """The text of each value, in one call: to ``sigfigs`` significant figures
+    (one count for all or one per value) with compact exponents, from one
+    '%.*g' format, or the repr as a float where ``sigfigs`` is None. A None
+    value reads "" to significant figures and nan as a repr."""
+    known = [math.nan if v is None else v for v in values] if None in values else values
+    if sigfigs is None:
+        return list(map(repr, map(float, known)))
+    args = [sigfigs] * (2 * len(values))
+    if not isinstance(sigfigs, int):
+        args[::2] = sigfigs
+    args[1::2] = known
+    text = "%.*g\n" * len(values) % tuple(args)
+    # compact exponents: 5.17e+03 -> 5.17e3, 1e-05 -> 1e-5
+    texts = text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-").split("\n")[:-1]
+    return texts if known is values else ["" if v is None else t for v, t in zip(values, texts)]
 
 
 def format_rows(rows: Sequence[Sequence[str]], format: str) -> str:

@@ -2,7 +2,8 @@
 
 ``run_sweep`` fills a slope's cells from the float cores of ``transition_scale``
 and ``solar_budget``, which raise; it alone decides that a failed cell
-becomes an error row. ``render`` formats the value columns in one call."""
+becomes an error row. ``render`` formats the value columns with one call
+of ``formatting.format_values``."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .constants import CosmologyContext
 from .dissipation import budget_cell, budget_terms, check_n0_mode
 from .errors import EmptySweep, NonFinite, NumericFailure, ValidationError
-from .formatting import _compact, format_rows
+from .formatting import format_rows, format_values
 from .spectra import check_kappa, check_slope
 # transition_scale is unused, but bench/tests patches it here (ROADMAP item 1)
 from .transition import scale_cell, scale_terms, transition_scale  # noqa: F401
@@ -117,26 +118,11 @@ def _attempt(step, *args):
         return None, type(exc).__name__
 
 
-def _texts(values: Sequence[Optional[float]], sigfigs: Optional[int]) -> List[str]:
-    """The text of each value, in one call: its repr as a float (nan for
-    None) where ``sigfigs`` is None, else ``format_sig``'s, from one '%.*g'
-    format and one pass over the exponents."""
-    known = [math.nan if v is None else v for v in values] if None in values else values
-    if sigfigs is None:  # no float's repr holds ", "
-        return repr(list(map(float, known)))[1:-1].split(", ")
-    args = [sigfigs] * (2 * len(values))
-    args[1::2] = known
-    texts = _compact("\n".join(["%.*g"] * len(values)) % tuple(args)).split("\n")
-    if known is values:
-        return texts
-    return ["" if v is None else t for v, t in zip(values, texts)]
-
-
 def _axis_texts(values: Sequence[Optional[float]], sigfigs: Optional[int]) -> List[str]:
-    """``_texts`` from each distinct value, or all of them where a zero is (-0.0 == 0.0)."""
+    """``format_values`` of each distinct value, or of all where a zero is (-0.0 == 0.0)."""
     distinct = list(set(values))
-    texts = dict(zip(distinct, _texts(distinct, sigfigs)))
-    return _texts(values, sigfigs) if 0 in texts else list(map(texts.__getitem__, values))
+    texts = dict(zip(distinct, format_values(distinct, sigfigs)))
+    return format_values(values, sigfigs) if 0 in texts else list(map(texts.__getitem__, values))
 
 
 def render(rows: Sequence[ReportRow], format: str = "table", sigfigs: int = 3,
@@ -155,7 +141,7 @@ def render(rows: Sequence[ReportRow], format: str = "table", sigfigs: int = 3,
     n = len(rows)
     values = [list(map(attrgetter(name), rows)) for name in names]
     # the first two columns from their distinct values, the others in one call
-    flat = _texts(list(chain.from_iterable(values[2:])), None if csv else sigfigs)
+    flat = format_values(list(chain.from_iterable(values[2:])), None if csv else sigfigs)
     texts = [_axis_texts(v, None if csv else 6) for v in values[:2]]
     texts += [flat[i:i + n] for i in range(0, n * len(values[2:]), n)]
     if csv:

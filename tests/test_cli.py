@@ -19,7 +19,7 @@ from zpfcross import CosmologyContext, cli, transition
 from zpfcross.cli import build_parser, main
 from zpfcross.constants import DAY_S, HUBBLE_RADIUS, LIGHTMINUTE_M
 from zpfcross.dissipation import n0_value
-from zpfcross.formatting import format_sig
+from zpfcross.formatting import format_values
 from zpfcross.quantity import POWER_DENSITY, Quantity, TIME, WAVENUMBER
 from zpfcross.spectra import Boyer, MoisseevShivamoggi, PowerLawTurbulence, TruncatedBoyer
 from zpfcross.transition import transition_scale
@@ -55,6 +55,15 @@ class TestConstantsCommand:
 
 
 class TestTransitionCommand:
+    @pytest.mark.parametrize("format, expected", [
+        ("table", "a      1.23457\nkappa  1.23457e-5\nx      5e3\ncount  1234567\n"),
+        ("csv", "a,kappa,x,count\n1.23457,1.23457e-5,5e3,1234567\n")])
+    def test_answer_writes_inputs_to_6_figures_and_counts_whole(self, capsys, format, expected):
+        # the echoed inputs to 6 figures, the others to --sigfigs, a count whole
+        answer = {"a": 1.2345678, "kappa": 1.2345678e-5, "x": 5172.3, "count": 1234567}
+        cli._write_answer(argparse.Namespace(format=format, sigfigs=1), answer, counts=1)
+        assert capsys.readouterr().out == expected
+
     def test_table_output(self, capsys):
         code, out, _ = run(capsys, "transition", "--slope", "1.7", "--kappa", "1")
         assert code == 0
@@ -322,7 +331,7 @@ class TestDissipationCommand:
         log_ns = (math.log(1e57) + math.log(0.459 * 6.86934e-238) / 0.459
                   + 3.0 * math.log(4.03e125 * LIGHTMINUTE_M
                                    / HUBBLE_RADIUS.value(CosmologyContext.default())))
-        assert values["ns_solar"] == format_sig(math.exp(log_ns), 6) == "8.07237e-132"
+        assert [values["ns_solar"]] == format_values([math.exp(log_ns)], 6) == ["8.07237e-132"]
 
 
     @pytest.mark.parametrize("command", [
@@ -419,6 +428,18 @@ class TestBoundCommand:
         assert (code, err) == (0, "")
         values = dict(line.split(None, 1) for line in out.splitlines()[1:])
         assert values["kappa"] == "8.7e-16"
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+    def test_subnormal_kappa_gives_the_log_form_scale(self, capsys):
+        # kappa = 3.0188e-309 is subnormal and k0 underflows, yet lambda0 =
+        # 4.41524e58 m is a float that the log form reaches
+        code, out, err = run(capsys, "bound", "--slope", "2.9", "--ns", "1e-150",
+                             "--sigfigs", "17")
+        assert (code, err) == (0, "")
+        values = dict(line.split(None, 1) for line in out.splitlines()[1:])
+        kappa = float(values["kappa"])
+        expected = transition.log_form_scale(2.9, kappa, CosmologyContext.default()).value
+        assert abs(float(values["lambda0_m"]) / expected - 1.0) <= 1e-12
 
     def test_computed_mode_rejected(self, capsys):
         code, _, err = run(capsys, "bound", "--slope", "1.7", "--n0", "computed")
@@ -688,7 +709,7 @@ class TestConfigFlag:
         code, out, _ = run(capsys, *base, "--config", str(config))
         assert code == 0
         values = self.pairs(out)
-        assert values["ell_m"] == format_sig(2 * 8 * LIGHTMINUTE_M) == "2.88e11"
+        assert [values["ell_m"]] == format_values([2 * 8 * LIGHTMINUTE_M], 3) == ["2.88e11"]
         assert values["window_days"] == "2"
         two_days = n0_value(CosmologyContext.default(), Quantity(2 * DAY_S, TIME), "computed")
         assert f"computed from constants {two_days.value:.3g})" in out.splitlines()[0]

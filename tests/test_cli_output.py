@@ -2,7 +2,8 @@
 
 Every call in ``CORPUS`` is run through ``cli.main`` and compared byte
 for byte with ``data/cli_output.json``. The corpus covers each
-subcommand in both formats and at 3 and 6 significant figures, both N0
+subcommand in both formats and at 3 and 6 significant figures, the
+point queries at 1 and 767 figures (the formatter's edges), both N0
 modes, explicit window and radius flags, the two range-edge calls of
 the README (a count and a bound formed in logs), sweep error rows, an
 underflowing cell and repeated and signed-zero axis values, 50-point
@@ -35,6 +36,8 @@ SWEEP_ERRORS = ("sweep", "--slopes", "0.5,1.5,2.9", "--kappas", "1,2,1e-300",
 # that argparse does not read it as a flag
 SWEEP_AXES = ("sweep", "--slopes", "1.8,1.8,-0.0,0.0,nan,2.0",
               "--kappas", "1e-5,-0.0,0.0,1e-5,5e-324,inf")
+TRANSITION_MC = ("transition", "--slope", "1.8", "--kappa", "1e-5", "--ekappa", "0.2",
+                 "--mc", "2000", "--seed", "4")
 
 CORPUS = [
     ("constants",),
@@ -93,6 +96,17 @@ CORPUS = [
     ("spectrum", "--model", "truncated", "--points", "50"),
     ("spectrum", "--model", "powerlaw", "--slope", "1.8", "--kappa", "1e-5", "--points", "50"),
     ("spectrum", "--model", "ms", "--gamma", "2", "--points", "50"),
+
+    # the formatter's edges: one figure, and 1000 figures (read as 767, which
+    # prints every bit of a double; no --mc there, as numpy's exp can differ
+    # in the last bit between hosts)
+    TRANSITION_MC + ("--sigfigs", "1"),
+    TRANSITION_MC + ("--sigfigs", "1", "--format", "csv"),
+    *[argv + ("--sigfigs", figures) + fmt
+      for argv in (("transition", "--slope", "1.8", "--kappa", "1e-5", "--ekappa", "0.2"),
+                   ("dissipation", "--kappa", "1e-5", "--slope", "1.7"),
+                   ("bound", "--slope", "1.7"))
+      for figures in ("1", "1000") for fmt in ((), ("--format", "csv"))],
 
     ("bound", "--slope", "1.7", "--n0", "computed"),  # exit 2
     ("spectrum", "--model", "boyer", "--kmin", "1e-300", "--kmax", "1e300"),  # exit 3

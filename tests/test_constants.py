@@ -172,6 +172,18 @@ class TestOverrides:
         with pytest.raises(TypeError):
             ctx.sources["H"] = "override"
 
+    @pytest.mark.parametrize("name", ["sources", "_table", "_factors", "_powers", "extra"])
+    def test_attributes_are_frozen(self, name):
+        # the shared default is frozen too: no rebinding reaches other callers
+        shared = CosmologyContext.default()
+        with pytest.raises(AttributeError, match="is frozen"):
+            setattr(shared, name, {})
+        with pytest.raises(AttributeError, match="is frozen"):
+            delattr(shared, name)
+        assert not hasattr(shared, "__dict__")
+        assert CosmologyContext.default() is shared and len(shared) == 9
+        assert tuple(shared) == NAMES and shared.sources.keys() == shared.keys()
+
 
 NAMES = tuple(CosmologyContext.default())
 

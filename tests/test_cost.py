@@ -135,8 +135,8 @@ PACKAGE_MODULES = {
     "transition": (POINT_QUERY, CLI_MODULES | {"zpfcross.spectra", "zpfcross.transition"}),
 }
 # (major, minor): ceiling on len(sys.modules) after POINT_QUERY; 3.10 has
-# no _typing or re._parser but sre_parse and friends
-MODULE_CEILINGS = {(3, 10): 65, (3, 11): 67, (3, 12): 67}
+# no _typing or re._parser but sre_parse and friends; 3.13.0 reads 65, 3.13.13 66
+MODULE_CEILINGS = {(3, 10): 65, (3, 11): 67, (3, 12): 67, (3, 13): 66}
 NOT_LOADED = ("numpy", "fractions", "decimal", "dataclasses", "inspect", "pathlib", "shutil")
 
 

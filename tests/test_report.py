@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 
 import numpy
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from zpfcross import CosmologyContext
 from zpfcross.dissipation import N0_MODES, solar_budget
 from zpfcross.errors import EmptySweep, NumericFailure, ValidationError
-from zpfcross.formatting import format_rows, format_sig
+from zpfcross.formatting import format_rows, format_values
 from zpfcross.report import (
     BASE_COLUMNS,
     EXTRA_COLUMNS,
@@ -171,19 +172,75 @@ class TestSweepEqualsCellByCell:
 
 class TestFormatting:
     def test_sigfig_examples(self):
-        assert format_sig(5172.3, 3) == "5.17e3"
-        assert format_sig(16.036, 3) == "16"
-        assert format_sig(1.0e-5, 3) == "1e-5"
-        assert format_sig(0.000123449, 3) == "0.000123"
-        assert format_sig(None) == ""
+        assert format_values([5172.3, 16.036, 1.0e-5, 0.000123449, None], 3) == [
+            "5.17e3", "16", "1e-5", "0.000123", ""]
 
     def test_sigfig_non_finite(self):
         # the format spec writes these without a sign on nan and without an exponent
-        assert [format_sig(v) for v in (math.nan, -math.nan, math.inf, -math.inf)] == [
+        assert format_values([math.nan, -math.nan, math.inf, -math.inf], 3) == [
             "nan", "nan", "inf", "-inf"]
 
     def test_sigfig_width(self):
-        assert format_sig(5172.3, 5) == "5172.3"
+        assert format_values([5172.3], 5) == ["5172.3"]
+
+    def test_figures_per_value(self):
+        assert format_values([5172.3, 5172.3, None, 1.8], [1, 5, 3, 767]) == [
+            "5e3", "5172.3", "", "1.8000000000000000444089209850062616169452667236328125"]
+
+    def test_repr_mode(self):
+        # the shortest round-trip repr as a float; None reads nan
+        assert format_values([1.8, 3, None, -0.0, numpy.float64(5e-324), 1e300], None) == [
+            "1.8", "3.0", "nan", "-0.0", "5e-324", "1e+300"]
+
+    def test_no_values(self):
+        assert format_values([], 3) == format_values([], None) == []
+
+
+def oracle_text(value, figures):
+    """One value's text, formatted alone: '%.*g' with compact exponents, or its repr."""
+    if figures is None:
+        return "nan" if value is None else repr(float(value))
+    if value is None:
+        return ""
+    text = "%.*g" % (figures, value)
+    if "e" in text:
+        mantissa, exponent = text.split("e")
+        text = f"{mantissa}e{int(exponent)}"
+    return text
+
+
+# the edges: None, both zeros, subnormals, the largest floats and non-finite values
+EDGE_VALUES = st.one_of(
+    st.sampled_from((None, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     sys.float_info.max, -sys.float_info.max, math.nan, math.inf, -math.inf)),
+    st.floats(allow_subnormal=True),
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]))
+FIGURES = st.one_of(st.sampled_from((1, 2, 3, 6, 16, 17, 767)), st.integers(1, 767))
+
+
+class TestFormatValues:
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(EDGE_VALUES, max_size=12), figures=st.one_of(st.none(), FIGURES))
+    def test_one_count_equals_each_value_alone(self, values, figures):
+        assert format_values(values, figures) == [oracle_text(v, figures) for v in values]
+
+    @settings(max_examples=500, deadline=None)
+    @given(pairs=st.lists(st.tuples(EDGE_VALUES, FIGURES), max_size=12))
+    def test_a_count_per_value_equals_each_value_alone(self, pairs):
+        values, figures = [v for v, _ in pairs], [n for _, n in pairs]
+        assert format_values(values, figures) == [oracle_text(v, n) for v, n in pairs]
+
+    def test_every_count_at_the_edges(self):
+        values = [None, 0.0, -0.0, 5e-324, -2.5e-320, sys.float_info.max,
+                  -sys.float_info.max, 1.8, 5172.3, 1e-5, math.nan, -math.inf]
+        for figures in range(1, 768):
+            assert format_values(values, figures) == [oracle_text(v, figures) for v in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(count=st.integers(0, 2 ** 53))
+    def test_counts_print_whole_at_17_figures(self, count):
+        # the CLI writes a count, such as mc_rejected, with 17 figures
+        assert format_values([count], 17) == [str(count)]
 
 
 class TestRender:
@@ -335,8 +392,8 @@ class TestRenderEqualsPerCell:
     @given(value=st.one_of(st.floats(), st.integers(0, 2 ** 64 - 1).map(
                lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])),
            sigfigs=st.one_of(st.sampled_from((1, 3, 6, 17, 767)), st.integers(1, 800)))
-    def test_format_sig(self, value, sigfigs):
-        assert format_sig(value, sigfigs) == reference_format_sig(value, sigfigs)
+    def test_format_one_value(self, value, sigfigs):
+        assert format_values([value], sigfigs) == [reference_format_sig(value, sigfigs)]
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(
