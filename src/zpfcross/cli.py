@@ -9,12 +9,12 @@ dissipation and bound default to the context's t and ell, so a
 Each subcommand is declared once, as data, in ``_COMMANDS``. A
 well-formed argv, a subcommand and then exact ``--flag value`` pairs
 that its parser would accept, is read from that table and builds no
-parser. argparse parses and words everything else, with the parser that
-``build_parser`` builds from the table once per process: after a
-subcommand, by that subcommand's parser alone; otherwise (no arguments,
--h, --version, an unknown subcommand) by the whole parser. ``main``
-uses the shared default context unless --config is given, and numpy is
-imported only by ``spectrum`` and ``transition --mc``.
+parser. Every other argv (a ``--flag=value`` form, a value that starts
+with '-', help, --version or a usage error) goes to the whole parser,
+which ``build_parser`` builds from the table once per process, so its
+texts are argparse's own. ``main`` uses the shared default context
+unless --config is given, and numpy is imported only by ``spectrum``
+and ``transition --mc``.
 
 The handlers call the library through the package namespace
 (``zpfcross.transition_scale``), so a process loads only the modules its
@@ -288,28 +288,22 @@ _PAIR_TABLES = {name: _pair_table(name, func, flags)
                 for name, (_, func, flags) in _COMMANDS.items()}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built from ``_COMMANDS`` on the first call and
     shared after it: parsing leaves it as it was (every default is
     immutable), so one parser serves every ``main`` call of a process."""
-    return _parsers()[0]
-
-
-@functools.cache
-def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """``build_parser()``'s parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="zpfcross",
         description="Vacuum/turbulence spectrum crossover scale and its error budget.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {zpfcross.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, (summary, func, flags) in _COMMANDS.items():
-        command = commands[name] = sub.add_parser(name, help=summary)
+        command = sub.add_parser(name, help=summary)
         for option, spec in flags:
             command.add_argument(option, **spec)
         command.set_defaults(func=func)
-    return parser, commands
+    return parser
 
 
 def _read_pairs(table: tuple, tokens: Sequence[str]) -> Optional[argparse.Namespace]:
@@ -339,21 +333,11 @@ def _read_pairs(table: tuple, tokens: Sequence[str]) -> Optional[argparse.Namesp
 def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``. A subcommand followed by
     well-formed ``--flag value`` pairs is read from its pair table and
-    builds no parser; argparse parses and words everything else, what
-    follows a subcommand by that subcommand's parser alone."""
+    builds no parser; the whole parser parses and words everything else."""
     argv = sys.argv[1:] if argv is None else argv
     table = _PAIR_TABLES.get(argv[0]) if argv else None
     args = None if table is None else _read_pairs(table, argv[1:])
-    if args is not None:
-        return args
-    parser, commands = _parsers()
-    if table is None:  # help, --version or a usage error
-        return parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(argv[1:],
-                                                      argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

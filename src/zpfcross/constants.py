@@ -129,7 +129,7 @@ def parse_config(text: str) -> dict[str, float]:
 
 def load_config(path: str | os.PathLike) -> dict[str, float]:
     try:
-        with open(path, encoding="utf-8") as file:
+        with open(path, encoding="utf-8-sig") as file:
             text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc

@@ -46,4 +46,4 @@ def format_rows(rows: Sequence[Sequence[str]], format: str) -> str:
     # a column at a time, as many as the shortest row has
     padded = [map(str.ljust, column, repeat(max(map(len, column)))) for column in zip(*rows)]
     lines = map("  ".join, zip(*padded)) if padded else repeat("", len(rows))
-    return "".join([line.rstrip() + "\n" for line in lines])
+    return "\n".join(map(str.rstrip, lines)) + "\n" if rows else ""

@@ -141,6 +141,15 @@ def test_output_is_pinned(argv):
     assert run(argv) == golden()[key(argv)]
 
 
+@pytest.mark.parametrize("argv", CORPUS, ids=key)
+def test_equals_form_is_pinned(argv):
+    # the flag table reads --flag value pairs and refuses --flag=value, which
+    # the whole parser reads: both give the pinned exit code, stdout and stderr
+    equals = (argv[0], *map("{}={}".format, argv[1::2], argv[2::2]))
+    assert len(equals) == 1 + len(argv) // 2
+    assert run(equals) == golden()[key(argv)]
+
+
 def test_corpus_reversed_in_one_process():
     # every call of a process shares one parser and one default context;
     # replayed backwards, each call must still give its pinned output

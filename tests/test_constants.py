@@ -251,6 +251,22 @@ class TestConfigParsing:
         with pytest.raises(BadOverride):
             load_config(binary)
 
+    def test_byte_order_mark_and_crlf(self, tmp_path):
+        # a file saved with a UTF-8 byte-order mark (as Windows Notepad saves
+        # it) or with CRLF line ends reads as the plain file does
+        text = "# comment\nH = 70 km/s/Mpc\ne_H = 0.1\nt = 2 days\n"
+        overrides = []
+        for name, data in (("plain", text.encode()), ("crlf", text.replace("\n", "\r\n").encode()),
+                           ("bom", b"\xef\xbb\xbf" + text.encode())):
+            path = tmp_path / f"{name}.cfg"
+            path.write_bytes(data)
+            overrides.append(load_config(path))
+        assert overrides[0] == overrides[1] == overrides[2] == parse_config(text)
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("# °\nH = 70 km/s/Mpc\n".encode("latin-1"))
+        with pytest.raises(BadOverride):
+            load_config(latin1)
+
     def test_feeds_default_context(self):
         ctx = CosmologyContext.default(parse_config("H = 77 km/s/Mpc\n"))
         # 77 km/s/Mpc is about 2.4966e-18 1/s under the Mpc convention here

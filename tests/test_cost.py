@@ -54,12 +54,12 @@ EXTRAS = ("--outputs", "epsilon,N,Ns")
 # name: (argv, budget)
 BUDGETS = {
     "sweep-10x10-csv": (SWEEP + ("--format", "csv"), 302),
-    "sweep-10x10-table": (SWEEP + ("--format", "table"), 308),
+    "sweep-10x10-table": (SWEEP + ("--format", "table"), 304),
     "sweep-10x10-csv-extras": (SWEEP + EXTRAS + ("--format", "csv"), 621),
-    "sweep-10x10-table-extras": (SWEEP + EXTRAS + ("--format", "table"), 627),
-    "transition": (("transition", "--slope", "1.8", "--kappa", "1e-5"), 42),
-    "dissipation": (("dissipation", "--kappa", "1e-5", "--slope", "1.8"), 68),
-    "bound": (("bound", "--slope", "1.8"), 76),
+    "sweep-10x10-table-extras": (SWEEP + EXTRAS + ("--format", "table"), 623),
+    "transition": (("transition", "--slope", "1.8", "--kappa", "1e-5"), 29),
+    "dissipation": (("dissipation", "--kappa", "1e-5", "--slope", "1.8"), 53),
+    "bound": (("bound", "--slope", "1.8"), 67),
 }
 
 # name: (trailing flags, budget of calls per cell): a 20x20 sweep less a
