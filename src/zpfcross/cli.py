@@ -2,9 +2,10 @@
 
 Subcommands: constants, transition, sweep, dissipation, bound,
 spectrum; each takes only the flags it reads. Exit codes: 0 success,
-2 validation error, 3 numeric failure. The window and radius of
-dissipation and bound default to the context's t and ell, so a
---config file can set them; the flags override the file.
+2 validation error, 3 numeric failure, 141 where the reader of stdout
+closes it early. The window and radius of dissipation and bound
+default to the context's t and ell, so a --config file can set them;
+the flags override the file.
 
 Each subcommand is declared once, as data, in ``_COMMANDS``. A
 well-formed argv, a subcommand and then exact ``--flag value`` pairs
@@ -35,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +50,7 @@ from .quantity import LENGTH, POWER_DENSITY, Dimension, Quantity, TIME, WAVENUMB
 
 # rows of spectrum CSV formatted per write: bounds the text held at once
 _CSV_BLOCK_ROWS = 4096
+EXIT_CLOSED_PIPE = 141  # the reader of stdout closed it early: 128 + SIGPIPE, as shells say
 
 
 def _float_list(text: str) -> List[float]:
@@ -341,19 +344,25 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse(argv)
     try:
-        ctx = CosmologyContext.default(load_config(args.config) if args.config else None)
-        return args.func(args, ctx)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except ZpfcrossError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = _parse(argv)
+        try:
+            ctx = CosmologyContext.default(load_config(args.config) if args.config else None)
+            code = args.func(args, ctx)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except NumericFailure as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            code = 3
+        except ZpfcrossError as exc:  # pragma: no cover - safety net
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        sys.stdout.flush()  # a reader that has gone is met here, inside the try
+        return code
+    except BrokenPipeError:  # stdout becomes os.devnull: the last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -10,13 +10,17 @@ overridden through ``CosmologyContext.default(overrides)``; dimensions
 cannot. All stored values are SI.
 
 Every product of powers of the constants is an ``ExponentTable`` with its
-coefficient, value and budget vector. rho_crit (with its 3/(8*pi)) and
-R = c/H are built here from their exponents, and rho*c**2, rho*c**3/R and
-N0/t composed from them, each dimension checked once, at import;
-``transition.scale_cell`` writes 3/(8*pi) out, for its rounding. A
-context evaluates each table's powers once, and
-``CosmologyContext.default()`` without overrides returns one context per
-process. Nothing here imports numpy.
+coefficient, value and budget vector. rho_crit (with its 3/(8*pi)),
+R = c/H and V = G*hbar/(c**2*H) are built here from their exponents, and
+rho*c**2, rho*c**3/R and N0/t composed from them, each dimension checked
+once, at import; ``transition.scale_cell`` writes 3/(8*pi) out, for its
+rounding. Each output that the paper derives is a ``PowerLaw``: its
+product, its log and its budget vector, composed from the tables'
+exponents (``compose`` for those that move with the slope), and
+``law_values`` is the one float-range rule that evaluates it. A context
+evaluates each table's powers once, and ``CosmologyContext.default()``
+without overrides returns one context per process. Nothing here imports
+numpy.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (ItemsView, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, ValuesView)
 
-from .errors import BadOverride, DimensionMismatch, ValidationError
+from .errors import BadOverride, DimensionMismatch, NonFinite, ValidationError
 from .quantity import (
     ACTION,
     DENSITY,
@@ -240,6 +246,11 @@ HORIZON_POWER_DENSITY = (CRITICAL_ENERGY_DENSITY * LIGHT_SPEED / HUBBLE_RADIUS).
     "G", "H", "c").checked(POWER_DENSITY)
 N0_RATE = (CRITICAL_DENSITY * LIGHT_SPEED * HUBBLE_RADIUS ** 2 / SOLAR_MASS).ordered(
     "G", "c", "M_sun").checked(FREQUENCY)
+# V = G*hbar/(c**2*H), the Planck area times R; (name, v_X, r_X) over lambda0's
+# budget names, V*R**a carrying X**(v_X + a*r_X): the per-slope exponents that
+# lambda0's law and the amplitude's are composed from
+CROSSOVER_VOLUME = ExponentTable({"G": 1, "hbar": 1, "c": -2, "H": -1}, LENGTH ** 3)
+BRACKET_EXPONENTS = CROSSOVER_VOLUME.ordered("G", "c", "hbar", "H").aligned(HUBBLE_RADIUS)
 
 
 class CosmologyContext(Mapping[str, Quantity]):
@@ -289,7 +300,7 @@ class CosmologyContext(Mapping[str, Quantity]):
         shared = _shared_default(cls)
         if not overrides:
             return shared
-        quantities, sources = dict(shared), dict(shared.sources)
+        quantities, sources = dict(shared._table), dict(shared.sources)
         for key, raw in overrides.items():
             try:
                 val = float(raw)
@@ -321,6 +332,13 @@ class CosmologyContext(Mapping[str, Quantity]):
     def __len__(self) -> int:
         return len(self._table)
 
+    # the table's own views: the Mapping mixins would look each name up again
+    def items(self) -> ItemsView[str, Quantity]:
+        return self._table.items()
+
+    def values(self) -> ValuesView[Quantity]:
+        return self._table.values()
+
     def __reduce__(self):
         return type(self), (self._table, dict(self.sources))
 
@@ -348,3 +366,63 @@ class CosmologyContext(Mapping[str, Quantity]):
 def _shared_default(cls: type) -> CosmologyContext:
     return cls({name: Quantity(value, dim, e) for name, value, dim, e, _ in _DEFAULTS},
                {name: source for name, *_, source in _DEFAULTS})
+
+
+# the range of normal floats, outside which a product has lost digits
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
+
+
+class PowerLaw(NamedTuple):
+    """An output Y of the paper, less the factor x that each cell gives it:
+    Y = coeff*x*prod(powers), multiplied in that order, or ln Y = ln x +
+    log[0] + log[1] + ..., added in that order (``law_values`` chooses;
+    the orders fix the last bits). ``budget`` is (name, dlnY/dlnX, e_X)
+    of each input, and ``rel_sigma`` sqrt(sum((g*e)**2)) over it."""
+
+    coeff: float
+    powers: Tuple[float, ...] = ()
+    log: Tuple[float, ...] = ()  # empty: the product, however far it underflows
+    budget: Tuple[Tuple[str, float, float], ...] = ()
+    rel_sigma: float = 0.0
+
+
+def compose(aligned: Iterable[Tuple[str, float, float]], s: float, rels: Iterable[float],
+            q: float = 1.0) -> Tuple[Tuple[Tuple[str, float, float], ...], float]:
+    """The budget of (table * other**s)**q from ``table.aligned(other)``,
+    with no table built: (name, q*(p_X + s*o_X), e_X) of each constant, e_X
+    from ``rels``; and its rel_sigma, summed in order on every Python
+    (``sum`` compensates from 3.12). Loops, not comprehensions, which are
+    frames of their own before Python 3.12."""
+    budget, var = [], 0.0
+    for (name, p, o), e in zip(aligned, rels):
+        budget.append((name, q * (p + s * o), e))
+    for _, g, e in budget:
+        var += (g * e) * (g * e)
+    return tuple(budget), math.sqrt(var)
+
+
+def law_values(laws: Sequence[PowerLaw], x: float, log_x: float = -math.inf,
+               guard: Optional[float] = None) -> List[float]:
+    """Each law's value at the cell factor x of log ``log_x``: the one
+    float-range rule of the power laws. exp(log_x + log[0] + ...) where
+    ``guard`` (x unless given) is not a normal float and that sum is not
+    -inf (no log, or a power that underflowed to 0), OverflowError if it
+    overflows; else the product, NonFinite where a product of powers is
+    not finite (a bare coeff*x is the caller's to check)."""
+    logs = not _NORMAL_MIN <= (x if guard is None else guard) <= _NORMAL_MAX
+    values = []
+    for coeff, powers, log, _, _ in laws:
+        if logs and log:
+            y = log_x
+            for term in log:
+                y += term
+            if y > -math.inf:
+                values.append(math.exp(y))
+                continue
+        y = coeff * x
+        for power in powers:
+            y *= power
+        if powers and not math.isfinite(y):
+            raise NonFinite(f"value is not finite: {y!r}")
+        values.append(y)
+    return values

@@ -18,25 +18,29 @@ N0 has two modes: ``paper`` uses the published reference value 1e57,
 the defaults). The two disagree by many orders of magnitude; both are
 exposed rather than adjudicated.
 
-The constant parts of eps and the computed N0 are the tables
-``constants.HORIZON_POWER_DENSITY`` (rho*c**3/R) and ``constants.N0_RATE``
-(N0/t); evaluating them is float arithmetic only. ``budget_terms`` checks
-the window and radius and resolves what a grid shares (N0, eps's table,
-(ell/R)**3); ``budget_cell`` is the float arithmetic per (a, kappa);
-``solar_budget`` is one cell of ``report.run_sweep``. Both raise NonFinite
-where they leave the float range: ``budget_terms`` naming the constants,
-``budget_cell`` the count.
+eps, N, N_s and the inverse kappa are ``constants.PowerLaw`` laws, which
+``constants.law_values`` forms in logs where their cell factor is not a
+normal float. ``budget_terms`` checks the window and radius and builds
+the laws of a grid from the tables ``constants.HORIZON_POWER_DENSITY``
+(rho*c**3/R) and ``constants.N0_RATE`` (N0/t) and from ell/R;
+``budget_cell`` evaluates them at the cascade factor of one (a, kappa),
+and ``solar_budget`` is one cell of ``report.run_sweep``. Both raise
+NonFinite where they leave the float range: ``budget_terms`` naming the
+constants, ``budget_cell`` the count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+from operator import mul
 from typing import NamedTuple, Optional, Tuple
 
-from .constants import HORIZON_POWER_DENSITY, HUBBLE_RADIUS, N0_RATE, CosmologyContext
+from .constants import (HORIZON_POWER_DENSITY, HUBBLE_RADIUS, N0_RATE, CosmologyContext,
+                        ExponentTable, PowerLaw, law_values)
 from .errors import NonFinite, ValidationError
-from .quantity import LENGTH, Quantity, TIME, times_powers
+from .quantity import DIMENSIONLESS, LENGTH, Quantity, TIME
 from .spectra import check_kappa, check_slope
 from .transition import TransitionResult, transition_scale
 
@@ -107,67 +111,98 @@ class DissipationBudget(NamedTuple):
     slope: float
 
 
-class BudgetTerms(NamedTuple):
-    """The budget's parts that a grid shares (``budget_terms``)."""
+# the budget's inputs, and dlnY/dlnX over them of eps (rho*c**3/R), N (N0:
+# rho*c*R**2*t/M computed, exact as published) and N_s = N*(ell/R)**3 in each
+# N0 mode: their exponents do not move with the slope, so tables compose them
+_BUDGET_NAMES = ("G", "c", "M_sun", "t", "ell", "H")
+_CUBE = (ExponentTable({"ell": 1}, LENGTH) / HUBBLE_RADIUS) ** 3
+_EXPONENTS = {mode: tuple(tuple(table.ordered(*_BUDGET_NAMES).exponents.values())
+                          for table in (HORIZON_POWER_DENSITY, n0, n0 * _CUBE))
+              for mode, n0 in (("computed", N0_RATE * ExponentTable({"t": 1}, TIME)),
+                               ("paper", ExponentTable({}, DIMENSIONLESS)))}
+_LOG_EPSILON_COEFF = math.log(HORIZON_POWER_DENSITY.coeff)
 
-    n0: float
-    epsilon: Tuple[Tuple[float, ...], float]  # powers and rel_sigma of rho*c**3/R
-    cube: Tuple[float, ...]  # powers whose product with N is N_s
-    log_ratio: float  # ln(ell/R)
-    window_t: Quantity  # the checked window
-    ell: Quantity  # the checked rescaling radius
+
+@functools.lru_cache(maxsize=64)
+def _budgets(n0_mode: str, rels: Tuple[float, ...]) -> Tuple[Tuple[tuple, float], ...]:
+    """(budget, rel_sigma) of eps, N and N_s at these e_X of the budget's
+    inputs; cached, as a process meets few of them and a query would
+    otherwise build all three anew."""
+    return tuple((tuple(zip(_BUDGET_NAMES, g, rels)), math.hypot(*map(mul, g, rels)))
+                 for g in _EXPONENTS[n0_mode])
+
+
+# what a grid shares: the laws of eps and N and the law of N_s at the
+# cascade factor, the checked window and the checked radius
+BudgetLaws = Tuple[Tuple[PowerLaw, PowerLaw], Tuple[PowerLaw], Quantity, Quantity]
 
 
 def budget_terms(ctx: CosmologyContext, window_t: Optional[Quantity] = None,
-                 ell: Optional[Quantity] = None, n0_mode: str = "paper") -> BudgetTerms:
-    """ValidationError for a bad window, radius or N0 mode; NonFinite
-    where N0 (naming the window), rho*c**3/R or R leaves the float range
-    (R underflowing to 0 included)."""
+                 ell: Optional[Quantity] = None, n0_mode: str = "paper") -> BudgetLaws:
+    """The laws of eps (rho*c**3/R), N (N0) and N_s (N0*(ell/R)**3) at the
+    cascade factor, with the checked window and radius. ValidationError
+    for a bad window, radius or N0 mode; NonFinite where N0 (naming the
+    window), rho*c**3/R or R leaves the float range (R underflowing to 0
+    included)."""
     t = _window(ctx, window_t)
     radius = _radius(ctx, ell)
     n0 = _n0(ctx, t, n0_mode).value
     try:
-        epsilon = HORIZON_POWER_DENSITY.powers(ctx)
+        powers, rel_sigma = HORIZON_POWER_DENSITY.powers(ctx)
         hubble = HUBBLE_RADIUS.value(ctx)
-        return BudgetTerms(n0, epsilon, _cube_powers(radius.value / hubble),
-                           math.log(radius.value) - math.log(hubble), t, radius)
+        ratio = radius.value / hubble
     except (NonFinite, ZeroDivisionError) as exc:  # ZeroDivisionError: R underflows to 0
         raise NonFinite("rho*c**3/R or R leaves the float range "
                         "with these constants") from exc
+    e = ctx.factors(_BUDGET_NAMES)[1]
+    rels = (*e[:3], t.rel_sigma, radius.rel_sigma, e[5])
+    (epsilon_budget, _), count, cube = _budgets(n0_mode, rels)
+    log_powers = sum(map(math.log, powers)) if min(powers) > 0.0 else -math.inf
+    epsilon = PowerLaw(HORIZON_POWER_DENSITY.coeff, powers, (_LOG_EPSILON_COEFF, log_powers),
+                       epsilon_budget, rel_sigma)
+    log_n0 = math.log(n0) if n0 > 0.0 else -math.inf
+    n = PowerLaw(n0, (), (log_n0,), *count)
+    ns = _count_law(n0, ratio, (log_n0, 3.0 * (math.log(radius.value) - math.log(hubble))),
+                    *cube)
+    return (epsilon, n), (ns,), t, radius
 
 
-def budget_cell(terms: BudgetTerms, a: float, kappa: float) -> Tuple[float, float, float]:
-    """eps, N and N_s at one checked (a, kappa); NonFinite if eps or N_s
-    leaves the float range. eps, N and N_s are formed in logs where the
-    cascade factor ((a-1)*kappa)**(1/(a-1)) is not a normal float, and
-    N_s also where N is not."""
+def budget_cell(terms: BudgetLaws, a: float, kappa: float) -> Tuple[float, float, float]:
+    """eps, N and N_s at one checked (a, kappa): the ``law_values`` of the
+    laws of ``budget_terms`` at the cascade factor ((a-1)*kappa)**(1/(a-1)),
+    which guards all three, and N, which guards N_s too. NonFinite if eps
+    or N_s leaves the float range."""
+    by_cascade, by_count, _, radius = terms
     power = 1.0 / (a - 1.0)
     cascade = ((a - 1.0) * kappa) ** power
-    n_solar = terms.n0 * cascade
-    log_cascade = None  # formed only where the cascade or N is not a normal float
-    if min(cascade, n_solar) < sys.float_info.min:
-        log_cascade = power * (math.log(a - 1.0) + math.log(kappa))
-    # eps in logs, unless a power of rho*c**3/R underflowed to 0 (as in the product)
-    if cascade < sys.float_info.min and min(terms.epsilon[0]) > 0.0:
-        log_epsilon = (log_cascade + math.log(HORIZON_POWER_DENSITY.coeff)
-                       + sum(map(math.log, terms.epsilon[0])))
-        try:
-            epsilon = math.exp(log_epsilon)
-        except OverflowError:
-            raise NonFinite(f"eps = rho*c**3/R*((a-1)*kappa)**(1/(a-1)) overflows for "
-                            f"a = {a!r} and kappa = {kappa!r}") from None
-    else:
-        epsilon = times_powers(HORIZON_POWER_DENSITY.coeff * cascade, terms.epsilon[0])
+    log_cascade = power * (math.log(a - 1.0) + math.log(kappa))
     try:
-        if log_cascade is not None and 0.0 < terms.n0:  # an N0 of 0 takes the product
-            log_n = math.log(terms.n0) + log_cascade
-            if cascade < sys.float_info.min:
-                n_solar = math.exp(log_n)
-            return epsilon, n_solar, math.exp(log_n + 3.0 * terms.log_ratio)
-        return epsilon, n_solar, times_powers(n_solar, terms.cube)
+        epsilon, n_solar = law_values(by_cascade, cascade, log_cascade)
+    except OverflowError:
+        raise NonFinite(f"eps = rho*c**3/R*((a-1)*kappa)**(1/(a-1)) overflows for "
+                        f"a = {a!r} and kappa = {kappa!r}") from None
+    try:
+        ns_solar, = law_values(by_count, cascade, log_cascade,
+                               n_solar if n_solar < cascade else cascade)
     except (NonFinite, OverflowError) as exc:
         raise NonFinite(f"the count N_s = N*(ell/R)**3 leaves the float range for "
-                        f"N = {n_solar!r} and ell = {terms.ell.value!r} m") from exc
+                        f"N = {n_solar!r} and ell = {radius.value!r} m") from exc
+    return epsilon, n_solar, ns_solar
+
+
+def _count_law(coeff: float, ratio: float, log: Tuple[float, ...] = (),
+               budget: Tuple[Tuple[str, float, float], ...] = (),
+               rel_sigma: float = 0.0) -> PowerLaw:
+    """The law coeff * x * ratio**3 of a count x. Its cube is formed first;
+    where the cube alone leaves the range of normal floats, the law takes
+    the ratio three times instead: each step moves monotonically towards
+    the product, so none overflows or underflows unless the product does."""
+    try:
+        cube = ratio ** 3
+    except OverflowError:
+        cube = math.inf
+    powers = (cube,) if sys.float_info.min <= cube <= sys.float_info.max else (ratio,) * 3
+    return PowerLaw(coeff, powers, log, budget, rel_sigma)
 
 
 def solar_budget(kappa: float, a: float, ctx: CosmologyContext,
@@ -179,41 +214,24 @@ def solar_budget(kappa: float, a: float, ctx: CosmologyContext,
     a = check_slope(a)
     terms = budget_terms(ctx, window_t, ell, n0_mode)
     epsilon, n_solar, ns_solar = budget_cell(terms, a, kappa)
+    (epsilon_law, n_law), _, t, radius = terms
     return DissipationBudget(
-        epsilon=Quantity(epsilon, HORIZON_POWER_DENSITY.dim, terms.epsilon[1]),
+        epsilon=Quantity(epsilon, HORIZON_POWER_DENSITY.dim, epsilon_law.rel_sigma),
         n_solar=n_solar,
-        n0=terms.n0,
+        n0=n_law.coeff,
         ns_solar=ns_solar,
-        window_t=terms.window_t,
-        ell=terms.ell,
+        window_t=t,
+        ell=radius,
         n0_mode=n0_mode,
         kappa=kappa,
         slope=a,
     )
 
 
-def _cube_powers(ratio: float) -> Tuple[float, ...]:
-    """Powers whose product with a count is count*ratio**3, which
-    ``times_powers`` reports as NonFinite only if it leaves the float range.
-
-    The cube is formed first. Where the cube alone leaves the range of
-    normal floats, the count is multiplied by the ratio three times
-    instead: each step moves monotonically towards the product, so no
-    step overflows or underflows unless the product itself does.
-    """
-    try:
-        cube = ratio ** 3
-    except OverflowError:
-        cube = math.inf
-    if sys.float_info.min <= cube <= sys.float_info.max:
-        return (cube,)
-    return (ratio, ratio, ratio)
-
-
 def kappa_from_count(n_solar: float, n0: float, a: float) -> float:
     """Invert the budget: kappa = (1/(a-1)) * (N/N0)**(a-1).
 
-    Where N/N0 is not a normal float, kappa is formed in logs instead.
+    ``law_values`` forms kappa in logs where N/N0 is not a normal float.
     Raises ValidationError unless both counts are positive and finite,
     and NonFinite naming kappa, N and N0 if kappa leaves the float range,
     overflowing or underflowing to 0.
@@ -223,11 +241,10 @@ def kappa_from_count(n_solar: float, n0: float, a: float) -> float:
         raise ValidationError(f"counts must be positive and finite, got N = {n_solar!r}, "
                               f"N0 = {n0!r}")
     ratio = n_solar / n0
+    law = PowerLaw(1.0 / (a - 1.0), (), (-math.log(a - 1.0),))
     try:
-        if sys.float_info.min <= ratio <= sys.float_info.max:
-            kappa = 1.0 / (a - 1.0) * ratio ** (a - 1.0)
-        else:
-            kappa = math.exp((a - 1.0) * (math.log(n_solar) - math.log(n0)) - math.log(a - 1.0))
+        kappa, = law_values((law,), ratio ** (a - 1.0),
+                            (a - 1.0) * (math.log(n_solar) - math.log(n0)), ratio)
     except OverflowError:
         kappa = math.inf
     if 0.0 < kappa < math.inf:
@@ -256,8 +273,9 @@ def kappa_from_solar_bound(ns_bound: float, a: float, ctx: CosmologyContext,
     t = _window(ctx, window_t)
     radius = _radius(ctx, ell)
     n0 = _n0(ctx, t, n0_mode).value
-    try:
-        n_solar = times_powers(ns_bound, _cube_powers(HUBBLE_RADIUS.value(ctx) / radius.value))
+    try:  # N's law has no log: the product always
+        n_solar, = law_values((_count_law(1.0, HUBBLE_RADIUS.value(ctx) / radius.value),),
+                              ns_bound)
     except NonFinite as exc:
         raise NonFinite(f"the count N = Ns*(R/ell)**3 leaves the float range for "
                         f"Ns = {ns_bound!r} and ell = {radius.value!r} m") from exc

@@ -92,7 +92,7 @@ def run_sweep(spec: SweepSpec, ctx: CosmologyContext) -> List[ReportRow]:
             error = slope_error or kappa_error or terms_error
             if error is None:
                 try:
-                    lambda0, k0 = scale_cell(terms, kappa)
+                    lambda0, k0 = scale_cell(terms, a, kappa)
                     sigma = lambda0 * terms.rel_sigma  # as TransitionResult.sigma
                     if sigma == math.inf:
                         raise NonFinite("sigma = lambda0*rel_sigma overflows")

@@ -23,6 +23,11 @@ of the spectrum from the largest eddy (k = 1/R, R the Hubble radius)
 carries a fraction kappa of the critical energy density:
 
     A = (a - 1) * kappa * rho * c**2 * R**(1 - a)
+
+evaluated as the product of its ``constants.PowerLaw`` at the slope, so a
+subnormal A loses digits (ROADMAP item 14). Its exponents are composed
+from those of lambda0's law, ``constants.BRACKET_EXPONENTS``: A is
+hbar*c/(V*R**a) times 3*(a-1)*kappa/(8*pi).
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ import sys
 from abc import ABC, abstractmethod
 from typing import Optional
 
-from .constants import (CRITICAL_DENSITY, CRITICAL_ENERGY_DENSITY, HORIZON_POWER_DENSITY,
-                        HUBBLE_RADIUS, CosmologyContext)
+from .constants import (BRACKET_EXPONENTS, CRITICAL_DENSITY, CRITICAL_ENERGY_DENSITY,
+                        HORIZON_POWER_DENSITY, HUBBLE_RADIUS, CosmologyContext, PowerLaw,
+                        compose, law_values)
 from .errors import (
     DimensionMismatch,
     KappaOutOfRange,
@@ -55,7 +61,6 @@ from .quantity import (
     SPEED,
     WAVENUMBER,
     power_terms,
-    times_powers,
 )
 
 # slope domain: a <= 1 diverges the energy-budget integral, a >= 3 would
@@ -334,18 +339,25 @@ def gamma_from_slope(a: float) -> float:
     return (1.0 - a) / denom
 
 
-# (name, e_X, r_X): rho*c**2 * R**(1-a) carries X**(e_X + (1-a)*r_X)
-_AMPLITUDE = CRITICAL_ENERGY_DENSITY.aligned(HUBBLE_RADIUS)
+# A = 3*(a-1)*kappa/(8*pi) * hbar*c/(V*R**a), so rho*c**2 * R**(1-a) carries
+# X**(h_X - v_X - a*r_X) for each X**h_X of hbar*c and (name, v_X, r_X) of
+# lambda0's bracket: (name, h_X - v_X, -r_X) over rho*c**2's constants, in the
+# order of its product, composed at s = a
+_AMPLITUDE = tuple((name, h - v, -r) for name, h in (("H", 0.0), ("G", 0.0), ("c", 1.0))
+                   for bracket_name, v, r in BRACKET_EXPONENTS if bracket_name == name)
 _AMPLITUDE_NAMES = tuple(name for name, _, _ in _AMPLITUDE)
 _INJECTION_RATE = HORIZON_POWER_DENSITY * 3.0  # eps = 3*rho*c**3/R
 
 
 def _reduced_amplitude(a: float, ctx: CosmologyContext, scale: float) -> Quantity:
     """scale * rho*c**2 * R**(1-a) = scale * G**-1 * H**(1+a) * c**(3-a),
-    J/m^2 * m^-a, composed by name, so the H that rho and R share counts once."""
-    exps = [e + (1.0 - a) * r for _, e, r in _AMPLITUDE]
-    powers, rel_sigma = power_terms(zip(*ctx.factors(_AMPLITUDE_NAMES), exps))
-    return Quantity(times_powers(CRITICAL_ENERGY_DENSITY.coeff * scale, powers),
+    J/m^2 * m^-a: its law at a, composed by name so that the H that rho
+    and R share counts once."""
+    values, rels = ctx.factors(_AMPLITUDE_NAMES)
+    budget = compose(_AMPLITUDE, a, rels)[0]
+    powers, rel_sigma = power_terms(zip(values, rels, [g for _, g, _ in budget]))
+    law = PowerLaw(CRITICAL_ENERGY_DENSITY.coeff, powers, (), budget, rel_sigma)
+    return Quantity(law_values((law,), scale)[0],
                     CRITICAL_ENERGY_DENSITY.dim * HUBBLE_RADIUS.dim ** (1.0 - a), rel_sigma)
 
 

@@ -9,20 +9,21 @@ closes to
 
 with V = G*hbar/(c**2*H) (``CROSSOVER_VOLUME``, m**3) and R = c/H
 (``constants.HUBBLE_RADIUS``, m), whose dimensions are checked once, at
-import, so lambda0 is a length for every a. Its error budget is the
-vector of V*R**a, composed per slope from the two tables' exponents, to
-the power q, and kappa**-q; uncorrelated first-order propagation gives
+import, so lambda0 is a length for every a. ``scale_terms`` gives
+lambda0's ``constants.PowerLaw`` at a slope: the bracket V*R**a, and the
+vector that ``constants.compose`` forms from ``BRACKET_EXPONENTS`` and
+kappa**-1, to the power q, so that to first order
 
-    (sigma/lambda0)**2 = sum((q*p_X*e_X)**2) + (q*e_kappa)**2
+    (sigma/lambda0)**2 = sum((g_X*e_X)**2) + (q*e_kappa)**2
 
-``scale_terms`` resolves a slope from the V and R that a context
-evaluates once, ``scale_cell`` a kappa; ``transition_scale`` is one cell
-of ``report.run_sweep``. Both raise NonFinite where they leave the float
-range: ``scale_terms`` naming the constants, ``scale_cell`` the cell.
-Every path reads ``ScaleTerms.budget`` (the Monte Carlo too), and the log
-form takes V and R from the same tables; the checks independent of those
-exponents are the log-space bisection on the two spectra and the finite
-differences in ``tests/test_acceptance.py`` and ``bench/reference.py``.
+``scale_cell`` evaluates it at a kappa, always as the product (ROADMAP
+item 14 would give it a log), and ``transition_scale`` is one cell of
+``report.run_sweep``; the Monte Carlo samples the same vector. Both
+raise NonFinite where they leave the float range: ``scale_terms`` naming
+the constants, ``scale_cell`` the cell. The oracles stay apart from the
+model: the log form, the log-space bisection on the two spectra, and
+the finite differences in ``tests/test_acceptance.py`` and
+``bench/reference.py``.
 
 Only ``monte_carlo_scale`` uses numpy and imports it when called, so the
 closed form, the log form and the bisection never load it.
@@ -34,7 +35,8 @@ import math
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Tuple
 
-from .constants import HUBBLE_RADIUS, CosmologyContext, ExponentTable
+from .constants import (BRACKET_EXPONENTS, CROSSOVER_VOLUME, HUBBLE_RADIUS, CosmologyContext,
+                        PowerLaw, compose)
 from .errors import (
     DegenerateSamples,
     InvalidBracket,
@@ -45,11 +47,9 @@ from .errors import (
 from .quantity import LENGTH, Quantity, WAVENUMBER
 from .spectra import SpectrumModel, check_kappa, check_slope, default_wavenumber
 
-# V = G*hbar/(c**2*H), the Planck area times R
-CROSSOVER_VOLUME = ExponentTable({"G": 1, "hbar": 1, "c": -2, "H": -1}, LENGTH ** 3)
-# (name, v_X, r_X) over lambda0's budget names: V*R**a carries X**(v_X + a*r_X)
-_BRACKET = CROSSOVER_VOLUME.ordered("G", "c", "hbar", "H").aligned(HUBBLE_RADIUS)
-_BUDGET_NAMES = tuple(name for name, _, _ in _BRACKET)
+_BUDGET_NAMES = tuple(name for name, _, _ in BRACKET_EXPONENTS)
+# lambda0 carries (V*R**a/kappa)**q: X**(q*(v_X + a*r_X)) of V*R**a's, kappa**-q
+_LAMBDA0 = BRACKET_EXPONENTS + (("kappa", -1.0, 0.0),)
 # 8*pi/3 * V, whose -ln is the log form's C1
 _LOG_FORM_VOLUME = CROSSOVER_VOLUME * (8.0 * math.pi / 3.0)
 # numeric_crossover stops once its log-k bracket is this narrow, and
@@ -101,48 +101,36 @@ def _transition_result(k0, lambda0, rel_sigma, breakdown) -> TransitionResult:
     return TransitionResult(k0, lambda0, rel_sigma, MappingProxyType(breakdown))
 
 
-class ScaleTerms(NamedTuple):
-    """lambda0 at one slope, less the kappa factor, and its budget (``scale_terms``)."""
-
-    a: float
-    q: float  # 1/(3+a)
-    denominator: float  # V*R**a; inf where R**a overflows
-    rel_sigma: float  # sqrt(sum((|p_X|*e_X)**2)) over the budget
-    budget: Tuple[Tuple[str, float, float], ...]  # (name, p_X, e_X), kappa last with p = -q
-
-
-def scale_terms(a: float, ctx: CosmologyContext, e_kappa: float = 0.0) -> ScaleTerms:
-    """The terms at a checked slope a; ValidationError for a negative or
-    non-finite e_kappa, NonFinite where V, R or their uncertainty leaves
-    the float range."""
+def scale_terms(a: float, ctx: CosmologyContext, e_kappa: float = 0.0) -> PowerLaw:
+    """lambda0's law at a checked slope a: the bracket V*R**a as its coeff
+    (inf where R**a overflows), and its budget, kappa's (-q, e_kappa) last.
+    ValidationError for a negative or non-finite e_kappa, NonFinite where
+    V, R or their uncertainty leaves the float range."""
     if e_kappa < 0.0 or not math.isfinite(e_kappa):
         raise ValidationError(f"e_kappa must be finite and >= 0, got {e_kappa!r}")
     try:
-        denominator = CROSSOVER_VOLUME.value(ctx) * HUBBLE_RADIUS.value(ctx) ** a
+        bracket = CROSSOVER_VOLUME.value(ctx) * HUBBLE_RADIUS.value(ctx) ** a
     except NonFinite as exc:
         raise NonFinite("V = G*hbar/(c**2*H), R = c/H or their uncertainty leaves "
                         "the float range with these constants") from exc
     except OverflowError:
-        denominator = math.inf
-    q = 1.0 / (3.0 + a)
-    # lambda0 carries (V*R**a/kappa)**q: X**(q*p_X) for each X**p_X of V*R**a
-    budget = [(name, q * (v + a * r), e)
-              for (name, v, r), e in zip(_BRACKET, ctx.factors(_BUDGET_NAMES)[1])]
-    budget.append(("kappa", -q, e_kappa))
-    rel_sigma = math.sqrt(sum([(p * e) * (p * e) for _, p, e in budget]))
-    return ScaleTerms(a, q, denominator, rel_sigma, tuple(budget))
+        bracket = math.inf
+    budget, rel_sigma = compose(_LAMBDA0, a, (*ctx.factors(_BUDGET_NAMES)[1], e_kappa),
+                                1.0 / (3.0 + a))
+    return PowerLaw(bracket, budget=budget, rel_sigma=rel_sigma)
 
 
-def scale_cell(terms: ScaleTerms, kappa: float) -> Tuple[float, float]:
-    """lambda0 and k0 at a checked kappa; NonFinite if either is not a float."""
+def scale_cell(law: PowerLaw, a: float, kappa: float) -> Tuple[float, float]:
+    """lambda0 and k0 at a checked (a, kappa) of lambda0's law,
+    k0 = (3*(a-1)*kappa/(8*pi)/(V*R**a))**q; NonFinite if either is not a float."""
     try:  # CRITICAL_DENSITY.coeff for 3/(8*pi) would change lambda0's last bit in ~8% of cells
-        k0 = (3.0 * (terms.a - 1.0) * kappa / (8.0 * math.pi) / terms.denominator) ** terms.q
+        k0 = (3.0 * (a - 1.0) * kappa / (8.0 * math.pi) / law.coeff) ** (1.0 / (3.0 + a))
         lambda0 = 2.0 * math.pi / k0
         if k0 < math.inf and lambda0 < math.inf:
             return lambda0, k0
     except ZeroDivisionError:  # V*R**a or k0 is 0
         pass
-    raise NonFinite(f"k0 leaves the float range at a = {terms.a!r}, kappa = {kappa!r}")
+    raise NonFinite(f"k0 leaves the float range at a = {a!r}, kappa = {kappa!r}")
 
 
 def transition_scale(a: float, kappa: float, ctx: CosmologyContext,
@@ -154,11 +142,11 @@ def transition_scale(a: float, kappa: float, ctx: CosmologyContext,
     """
     a = check_slope(a)
     kappa = check_kappa(kappa)
-    terms = scale_terms(a, ctx, e_kappa)
-    lambda0, k0 = scale_cell(terms, kappa)
-    breakdown = MappingProxyType({name: abs(p) * e for name, p, e in terms.budget})
+    law = scale_terms(a, ctx, e_kappa)
+    lambda0, k0 = scale_cell(law, a, kappa)
+    breakdown = MappingProxyType({name: abs(p) * e for name, p, e in law.budget})
     return TransitionResult(k0=Quantity(k0, WAVENUMBER), lambda0=Quantity(lambda0, LENGTH),
-                            rel_sigma=terms.rel_sigma, sigma_breakdown=breakdown)
+                            rel_sigma=law.rel_sigma, sigma_breakdown=breakdown)
 
 
 def numeric_crossover(vac: SpectrumModel, turb: SpectrumModel, ctx: CosmologyContext,
@@ -308,11 +296,11 @@ def monte_carlo_scale(a: float, kappa: float, n: int, seed: int,
     if sampling not in ("lognormal", "normal"):
         raise ValidationError(f"sampling must be 'lognormal' or 'normal', got {sampling!r}")
 
-    terms = scale_terms(a, ctx, e_kappa)
-    lambda0 = scale_cell(terms, kappa)[0]
+    law = scale_terms(a, ctx, e_kappa)
+    lambda0 = scale_cell(law, a, kappa)[0]
     import numpy as np  # the one numpy path of this module
 
-    varying = [(p, e) for _, p, e in terms.budget if e > 0.0]
+    varying = [(p, e) for _, p, e in law.budget if e > 0.0]
     exponents, rels = np.array(varying).reshape(-1, 2).T
     # the lognormal spread; hypot scales before it squares, so no (p*e)**2 overflows
     s = math.hypot(*(p * e for p, e in varying))

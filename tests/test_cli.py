@@ -1149,3 +1149,47 @@ def fresh_process(code, *flags):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+class TestClosedPipe:
+    # the reader of stdout has gone before the process writes: its read end
+    # is closed before the process starts, so every write fails with EPIPE
+    SWEEP = ("sweep", "--slopes", ",".join(repr(1.05 + 0.006 * i) for i in range(300)),
+             "--kappas", ",".join(repr(10.0 ** (-i / 10)) for i in range(300)))
+
+    @pytest.mark.parametrize("argv", [
+        ("transition", "--slope", "1.8"),
+        ("spectrum", "--model", "boyer", "--points", "200000"),
+        SWEEP,
+    ], ids=("transition", "spectrum", "sweep-300x300"))
+    def test_closed_pipe_exits_with_its_code_and_no_traceback(self, argv):
+        src = str(Path(zpfcross.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "zpfcross", *argv], env=env,
+                                  stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode == cli.EXIT_CLOSED_PIPE == 141
+        assert done.stderr == b""
+
+    def test_stdout_is_pointed_at_devnull(self, monkeypatch):
+        # in process: a flush that finds the pipe closed; afterwards stdout's
+        # file descriptor (here a copy of fd 1) is os.devnull
+        class Gone(io.StringIO):
+            def fileno(self):
+                return fd
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        fd = os.dup(1)
+        monkeypatch.setattr(sys, "stdout", Gone())
+        try:
+            assert main(["transition", "--slope", "1.8"]) == cli.EXIT_CLOSED_PIPE
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)

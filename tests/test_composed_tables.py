@@ -21,6 +21,7 @@ from zpfcross.constants import (
     N0_RATE,
     CosmologyContext,
     ExponentTable,
+    PowerLaw,
 )
 from zpfcross.dissipation import n0_value, solar_budget
 from zpfcross.errors import DimensionMismatch, ValidationError
@@ -35,7 +36,7 @@ from zpfcross.quantity import (
     WAVENUMBER,
 )
 from zpfcross.spectra import amplitude_from_kappa, horizon_injection_rate
-from zpfcross.transition import CROSSOVER_VOLUME, ScaleTerms, scale_terms
+from zpfcross.transition import CROSSOVER_VOLUME, scale_terms
 
 RHO = 3.0 / (8.0 * math.pi)  # the critical density's coefficient
 SLOPES = (1.05, 1.1, 1.5, 5.0 / 3.0, 1.7, 1.8, 2.0, 2.5, 2.9, 2.95)
@@ -194,7 +195,7 @@ class TestLiteralOracle:
         assert HORIZON_POWER_DENSITY.value(scaled) == (
             3.0 / (8.0 * math.pi) * G ** -1.0 * H ** 3.0 * c ** 2.0)
         cascade = ((a - 1.0) * kappa) ** (1.0 / (a - 1.0))
-        if cascade >= sys.float_info.min:  # below, budget_cell forms eps in logs
+        if cascade >= sys.float_info.min:  # below, law_values forms eps in logs
             assert solar_budget(kappa, a, scaled).epsilon.value == (
                 3.0 / (8.0 * math.pi) * cascade * G ** -1.0 * H ** 3.0 * c ** 2.0)
         assert horizon_injection_rate(scaled).value == (
@@ -209,9 +210,11 @@ class TestLiteralOracle:
                   for name, v, r in (("G", 1.0, 0.0), ("c", -2.0, 1.0), ("hbar", 1.0, 0.0),
                                      ("H", -1.0, -1.0))]
         budget.append(("kappa", -q, e_kappa))
-        rel_sigma = math.sqrt(sum([(p * e_x) * (p * e_x) for _, p, e_x in budget]))
-        assert scale_terms(a, scaled, e_kappa) == ScaleTerms(
-            a, q, volume * radius ** a, rel_sigma, tuple(budget))
+        var = 0.0
+        for _, p, e_x in budget:  # in order: Python 3.12's sum compensates
+            var += (p * e_x) * (p * e_x)
+        assert scale_terms(a, scaled, e_kappa) == PowerLaw(
+            volume * radius ** a, (), (), tuple(budget), math.sqrt(var))
 
         # the amplitude folds its coefficient as the other tables do,
         # (a-1)*kappa*(3/(8*pi)) for ((a-1)*kappa*3)/(8*pi): a few ulp

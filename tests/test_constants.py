@@ -422,3 +422,48 @@ class TestTableCache:
             assert clone == ctx and clone is not ctx
             assert clone.sources == ctx.sources and clone.sources["G"] == "override"
             assert transition_scale(1.8, 1e-5, clone) == transition_scale(1.8, 1e-5, ctx)
+
+
+class TestIterationReadsTheTable:
+    # the context's own items() and values() read its table; the Mapping
+    # mixins would look each name up again through __getitem__
+    CONTEXTS = (None, {"H": 2.2e-18, "e_G": 0.3})
+    # SHA-256 of pickle.dumps(ctx, protocol=4) before the context had its
+    # own views, for each of CONTEXTS
+    PICKLED = ("014e8c00e5bd55e96565f9c994c28bc4029a6e304455d82b3588b585112bfdb5",
+               "f74c4adc77088e68d4d4583701c67f33460efb36c3671343ae0aa9e4b50a53c7")
+
+    @pytest.mark.parametrize("overrides", CONTEXTS)
+    def test_views_equal_the_mixins_views(self, overrides):
+        from collections.abc import Mapping
+
+        ctx = CosmologyContext.default(overrides)
+        assert list(ctx.items()) == list(Mapping.items(ctx))
+        assert list(ctx.values()) == list(Mapping.values(ctx))
+        assert ctx.items() == Mapping.items(ctx) and Mapping.items(ctx) == ctx.items()
+        assert ("H", ctx["H"]) in ctx.items() and ctx["G"] in ctx.values()
+
+    def test_iterating_makes_no_lookup(self, monkeypatch):
+        ctx = CosmologyContext.default({"e_H": 0.2})
+        calls = []
+        lookup = CosmologyContext.__getitem__
+        monkeypatch.setattr(CosmologyContext, "__getitem__",
+                            lambda self, name: calls.append(name) or lookup(self, name))
+        items, values = list(ctx.items()), list(ctx.values())
+        assert calls == [] and len(items) == len(values) == len(ctx)
+        assert dict(ctx) and calls  # the mixins' path looks every name up
+
+    @pytest.mark.parametrize("overrides, digest", zip(CONTEXTS, PICKLED))
+    def test_equality_pickle_and_frozen_attributes_unchanged(self, overrides, digest):
+        import hashlib
+
+        ctx = CosmologyContext.default(overrides)
+        assert hashlib.sha256(pickle.dumps(ctx, protocol=4)).hexdigest() == digest
+        assert pickle.loads(pickle.dumps(ctx)) == ctx == CosmologyContext.default(overrides)
+        assert CosmologyContext.__slots__ == ("_table", "sources", "_factors", "_powers",
+                                              "__weakref__")
+        for name in ("items", "values", "_table"):
+            with pytest.raises(AttributeError, match="frozen"):
+                setattr(ctx, name, None)
+        with pytest.raises(TypeError):
+            ctx.items().mapping["H"] = None  # a read-only view of the table

@@ -53,12 +53,12 @@ EXTRAS = ("--outputs", "epsilon,N,Ns")
 
 # name: (argv, budget)
 BUDGETS = {
-    "sweep-10x10-csv": (SWEEP + ("--format", "csv"), 302),
-    "sweep-10x10-table": (SWEEP + ("--format", "table"), 304),
-    "sweep-10x10-csv-extras": (SWEEP + EXTRAS + ("--format", "csv"), 621),
-    "sweep-10x10-table-extras": (SWEEP + EXTRAS + ("--format", "table"), 623),
-    "transition": (("transition", "--slope", "1.8", "--kappa", "1e-5"), 29),
-    "dissipation": (("dissipation", "--kappa", "1e-5", "--slope", "1.8"), 53),
+    "sweep-10x10-csv": (SWEEP + ("--format", "csv"), 292),
+    "sweep-10x10-table": (SWEEP + ("--format", "table"), 294),
+    "sweep-10x10-csv-extras": (SWEEP + EXTRAS + ("--format", "csv"), 612),
+    "sweep-10x10-table-extras": (SWEEP + EXTRAS + ("--format", "table"), 614),
+    "transition": (("transition", "--slope", "1.8", "--kappa", "1e-5"), 28),
+    "dissipation": (("dissipation", "--kappa", "1e-5", "--slope", "1.8"), 54),
     "bound": (("bound", "--slope", "1.8"), 67),
 }
 
@@ -66,10 +66,10 @@ BUDGETS = {
 # 10x10 one, over the 300 cells between them (their 10 more slopes and
 # kappas included)
 PER_CELL_BUDGETS = {
-    "csv": (("--format", "csv"), 1.57),
-    "table": (("--format", "table"), 1.57),
-    "csv-extras": (EXTRAS + ("--format", "csv"), 4.57),
-    "table-extras": (EXTRAS + ("--format", "table"), 4.57),
+    "csv": (("--format", "csv"), 1.54),
+    "table": (("--format", "table"), 1.54),
+    "csv-extras": (EXTRAS + ("--format", "csv"), 4.54),
+    "table-extras": (EXTRAS + ("--format", "table"), 4.54),
 }
 
 

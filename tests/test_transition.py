@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import types
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from zpfcross import transition
+from zpfcross import constants, transition
 from zpfcross.constants import HUBBLE_RADIUS, CosmologyContext, ExponentTable
 from zpfcross.dissipation import solar_budget
 from zpfcross.errors import (
@@ -225,19 +226,21 @@ class TestExponentTable:
             ExponentTable({"G": 1, "hbar": 1, "c": -2, "H": 0}, LENGTH ** 3)
 
     def test_wrong_exponent_fails_the_module_import(self, monkeypatch):
-        # the same mutation in the module's own source stops its import
-        source = inspect.getsource(transition)
+        # the same mutation in the source of the module that defines V stops its import
+        source = inspect.getsource(constants)
         right = '{"G": 1, "hbar": 1, "c": -2, "H": -1}'
         assert source.count(right) == 1
 
         def import_source(text):
-            module = types.ModuleType("zpfcross._transition_copy")
+            module = types.ModuleType("zpfcross._constants_copy")
             module.__package__ = "zpfcross"
             monkeypatch.setitem(sys.modules, module.__name__, module)
-            exec(compile(text, transition.__file__, "exec"), module.__dict__)
+            exec(compile(text, constants.__file__, "exec"), module.__dict__)
             return module
 
-        assert import_source(source).CROSSOVER_VOLUME == CROSSOVER_VOLUME
+        copy = import_source(source).CROSSOVER_VOLUME  # of the copy's own table class
+        assert (dict(copy.exponents), copy.dim, copy.coeff) == (
+            dict(CROSSOVER_VOLUME.exponents), CROSSOVER_VOLUME.dim, CROSSOVER_VOLUME.coeff)
         with pytest.raises(DimensionMismatch):
             import_source(source.replace(right, right.replace('"H": -1', '"H": 0')))
 
@@ -321,6 +324,49 @@ class TestProperties:
         assume(1.0 / HUBBLE_RADIUS.value(ctx) < k0 < 2.0 * math.pi / ctx["r_p"].value)
         turb = PowerLawTurbulence.from_kappa(ctx, kappa, a)
         assert rel(numeric_crossover(Boyer.from_context(ctx), turb, ctx).value, k0) < 1e-9
+
+
+# pi to 64 digits, for the 60-digit decimal oracle
+DECIMAL_PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
+# the closed form's worst relative error over 20000 random cells was
+# 2.6e-14 (3.2e-14 in an earlier sample of 4000): q = 1/(3+a) is rounded
+# before the power, which amplifies that rounding by q*|ln base| <= 177
+LAMBDA0_REL_BOUND = 6e-14
+
+
+def decimal_scale(a, kappa, ctx):
+    """lambda0, the numerator 3*(a-1)*kappa/(8*pi) and the base
+    numerator/(V*R**a) in 60-digit decimal arithmetic, the float inputs
+    taken as exact binary values."""
+    with localcontext() as digits:
+        digits.prec = 60
+        a, kappa = Decimal(a), Decimal(kappa)
+        g, hbar, c, h = (Decimal(ctx[name].value) for name in ("G", "hbar", "c", "H"))
+        bracket = g * hbar / (c * c * h) * ((c / h).ln() * a).exp()
+        numerator = 3 * (a - 1) * kappa / (8 * DECIMAL_PI)
+        base = numerator / bracket
+        return 2 * DECIMAL_PI * (-base.ln() / (3 + a)).exp(), numerator, base
+
+
+class TestAccuracyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(min_value=1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+           log_kappa=st.floats(min_value=-300.0, max_value=0.0),
+           log_scales=st.fixed_dictionaries({name: st.floats(min_value=-3.0, max_value=3.0)
+                                             for name in ("G", "hbar", "c", "H")}))
+    def test_closed_form_against_decimal(self, ctx, a, log_kappa, log_scales):
+        # only where the base and its numerator are normal floats; where
+        # either is not, the closed form loses digits (ROADMAP item 14):
+        # 2.2e-13 at a = 1.0000000000000002, kappa = 1e-295, whose base is
+        # normal and its numerator subnormal
+        scaled = CosmologyContext.default(
+            {name: ctx[name].value * 10.0 ** s for name, s in log_scales.items()})
+        kappa = 10.0 ** log_kappa
+        exact, numerator, base = decimal_scale(a, kappa, scaled)
+        normal = Decimal(sys.float_info.min), Decimal(sys.float_info.max)
+        assume(normal[0] <= min(numerator, base) and base <= normal[1])
+        lambda0 = transition_scale(a, kappa, scaled).lambda0.value
+        assert abs(Decimal(lambda0) - exact) / exact <= LAMBDA0_REL_BOUND
 
 
 class TestNumericCrossover:
